@@ -4,7 +4,8 @@ Subcommands: decompose, flatness, ainfty-check, twist-square, cohomology,
 cone-verify.  Every run writes a single JSON document to stdout.  Exit
 codes: 0 when the requested report succeeds and all checked identities
 hold, 2 when a checked property fails (the counterexample is in the JSON),
-1 on usage, parse or input errors.
+1 on usage, parse or input errors, 3 when an internal invariant breaks (a
+bug in primflat; the message goes to stderr and no JSON is written).
 
 All randomized subcommands are driven by one seed that is embedded in the
 report; identical invocations produce byte-identical output.
@@ -22,6 +23,7 @@ from . import cohomology as cohomology_mod
 from .cone import ConeElement, check_chain_identities
 from .connection import Connection, analyze_flatness
 from .dsl import ParseError, parse_form, print_form
+from .errors import InternalInvariantError
 from .forms import Form, MatrixForm, VectorForm
 from .lefschetz import decompose
 from .sampling import rand_prim_element
@@ -30,6 +32,7 @@ from .twist import check_square_zero
 
 USAGE_ERROR = 1
 CHECK_FAILED = 2
+INTERNAL_ERROR = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -237,7 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connection", required=True)
     p.add_argument("--complex", choices=["prim", "cone"], default="prim")
     p.add_argument("--truncation", type=int, default=5)
-    p.add_argument("--margins", default="2,3")
+    p.add_argument("--margins", default="2,3",
+                   help="comma-separated margins s >= 0; images come from degree "
+                        "<= truncation + s.  A position that does not "
+                        "stabilize needs larger margins (a densely gauged "
+                        "connection can grow degrees by more than 3), not "
+                        "a different method")
     p.set_defaults(fn=_cmd_cohomology)
 
     p = sub.add_parser("cone-verify", help="cone comparison identities")
@@ -262,6 +270,9 @@ def run(argv: Optional[Sequence[str]] = None, stdout=None) -> int:
     except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"primflat: error: {exc}\n")
         return USAGE_ERROR
+    except InternalInvariantError as exc:
+        sys.stderr.write(f"primflat: internal error: {exc}\n")
+        return INTERNAL_ERROR
     _emit(report, stream)
     return code
 

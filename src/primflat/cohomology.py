@@ -21,7 +21,16 @@ differential mixes coefficient degrees (d lowers by one, the potential
 raises by its own degree); in the constant frame the underlying
 constructions bound witness growth by two degrees, so small margins
 stabilize.  Agreement across consecutive margins is reported, never
-assumed; failure to stabilize is a flagged condition.
+assumed; failure to stabilize is a flagged condition, and it means the
+margins are too small, not that the method fails.  A densely gauged n=1
+rank-4 connection with Phi0 = diag(1,0,2,0) and coefficient growth
+[4, 8, 4, 4] leaves P0- at {2: 1, 3: 0} with margins 2,3 at D=2, and
+stabilizes everywhere to [2, 2, 0, 0], the cone's answer, with margins 4,5.
+
+Each differential column is built and eliminated once per report: the
+sweep of one position gives its kernel at degree <= D, and its echelon,
+untracked, is the image in the next position, extended by the margin
+degrees only.
 
 The coefficient model (polynomials instead of smooth functions) is a
 modeling choice of this workbench; the dimension answers match the smooth
@@ -40,7 +49,7 @@ from .cone import ConeElement, cone_d
 from .errors import InternalInvariantError
 from .forms import Form, LAMBDA_CHOICES, VectorForm, all_indices, wedge
 from .lefschetz import primitive_fiber_basis, primitive_fiber_coords
-from .linalg import Echelon, Vec
+from .linalg import Echelon, Vec, kernel_basis
 from .scalars import Monomial, Poly, monomials_up_to
 from .ainfinity import (Element, MINUS, PLUS, PrimElement, ZERO, _ZeroElement,
                         add_elements, grading_position, m1, m2, scale_element)
@@ -175,24 +184,25 @@ def _space(conn: Connection, kind: str, grading: int) -> TruncatedSpace:
     return TruncatedSpace(kind, conn.n, conn.rank, grading)
 
 
-def _apply_differential(conn: Connection, kind: str,
-                        element: Union[PrimElement, ConeElement]):
-    if kind == "prim":
-        return twisted_m1(conn, element, verify=False)
-    return cone_d(conn, element)
-
-
 def _image_coords(conn: Connection, kind: str, source: TruncatedSpace, key) -> Vec:
-    image = _apply_differential(conn, kind, source.element_from_key(key))
-    if kind == "prim":
-        if isinstance(image, _ZeroElement):
-            return {}
-        target = _space(conn, kind, source.grading + 1)
-        return target.coords_of(image)
-    if image.is_zero:
-        return {}
-    target = _space(conn, kind, source.grading + 1)
-    return target.coords_of(image)
+    element = source.element_from_key(key)
+    image = (twisted_m1(conn, element, verify=False) if kind == "prim"
+             else cone_d(conn, element))
+    return _space(conn, kind, source.grading + 1).coords_of(image)
+
+
+def _kernel_sweep(conn: Connection, kind: str, space: TruncatedSpace,
+                  D: int) -> tuple[list[Vec], Optional[Echelon]]:
+    """Kernel of the differential on degree <= D, and the tracked echelon
+    of its columns (None at the top of the complex, where it is zero).
+
+    This is the one place where differential columns are eliminated with
+    tracking; kernels, images and preimages all come from its echelon.
+    """
+    keys = space.basis_keys(D)
+    if space.grading == 2 * space.n + 1:
+        return [{key: Fraction(1)} for key in keys], None
+    return kernel_basis((key, _image_coords(conn, kind, space, key)) for key in keys)
 
 
 def connection_growth(conn: Connection, kind: str, grading: int) -> int:
@@ -232,21 +242,6 @@ class LinOpMatrix:
     @property
     def num_rows(self) -> int:
         return self.target.dimension(self.D_target)
-
-    def kernel(self) -> list[Vec]:
-        ech = Echelon(track=True)
-        out = []
-        for key, col in zip(self.source_keys, self.columns):
-            relation = ech.add(col, key)
-            if relation is not None:
-                out.append(relation)
-        return out
-
-    def rank(self) -> int:
-        ech = Echelon()
-        for col in self.columns:
-            ech.add(col)
-        return ech.rank
 
 
 def assemble_operator(conn: Connection, kind: str, position: Position,
@@ -326,59 +321,45 @@ def cohomology_dims(conn: Connection, kind: str = "prim", D: int = 5,
     margins = tuple(sorted(set(int(s) for s in stab_margins)))
     if not margins:
         raise ValueError("need at least one stabilization margin")
+    if margins[0] < 0:
+        raise ValueError("stabilization margins must be non-negative")
     n = conn.n
     reports = []
+    image: Optional[Echelon] = None  # image of degree <= D from the position below
     for grading in range(0, 2 * n + 2):
         space = _space(conn, kind, grading)
-        kernel = _kernel_vectors(conn, kind, space, D)
-        dims_by_margin: dict[int, int] = {}
-        witnesses: list = []
-        if grading == 0:
-            for s in margins:
-                dims_by_margin[s] = len(kernel)
-            witness_coords = kernel
-        else:
+        kernel, sweep = _kernel_sweep(conn, kind, space, D)
+        # drop the combinations before the image from below grows
+        next_image = sweep.untracked() if sweep is not None else None
+        del sweep
+        dims_by_margin = dict.fromkeys(margins, len(kernel))
+        witness_coords = kernel
+        if image is not None:
             below = _space(conn, kind, grading - 1)
-            image_ech = Echelon()
-            previous = -1
-            witness_coords = []
+            previous = 0
             for s in margins:
-                for key in below.basis_keys(D + s, above=D + previous if previous >= 0 else -1):
-                    image_ech.add(_image_coords(conn, kind, below, key))
+                for key in below.basis_keys(D + s, above=D + previous):
+                    image.add(_image_coords(conn, kind, below, key))
                 previous = s
-                probe = image_ech.clone()
+                probe = image.clone()
                 survivors = []
                 for vec in kernel:
                     if probe.add(vec) is None:
                         survivors.append(vec)
                 dims_by_margin[s] = len(survivors)
                 witness_coords = survivors
+        image = next_image
         values = [dims_by_margin[s] for s in margins]
         # the estimates shrink as the margin grows; agreement of the last
         # two consecutive margins is the stabilization criterion, so a
         # single-margin scan never counts as stabilized
         stabilized = len(values) >= 2 and values[-1] == values[-2]
         dim = values[-1] if stabilized else None
-        if with_witnesses:
-            witnesses = [space.element_from_coords(vec) for vec in witness_coords]
+        witnesses = ([space.element_from_coords(vec) for vec in witness_coords]
+                     if with_witnesses else [])
         reports.append(PositionReport(space.label, grading, len(kernel),
                                       dims_by_margin, stabilized, dim, witnesses))
     return CohomologyReport(kind, D, margins, reports)
-
-
-def _kernel_vectors(conn: Connection, kind: str, space: TruncatedSpace,
-                    D: int) -> list[Vec]:
-    keys = space.basis_keys(D)
-    if space.grading == 2 * space.n + 1:
-        # top of the complex: the outgoing differential is the zero map
-        return [{key: Fraction(1)} for key in keys]
-    ech = Echelon(track=True)
-    kernel = []
-    for key in keys:
-        relation = ech.add(_image_coords(conn, kind, space, key), key)
-        if relation is not None:
-            kernel.append(relation)
-    return kernel
 
 
 def cone_cohomology_dims(conn: Connection, D: int = 5,
@@ -412,9 +393,7 @@ def exactness_witness(conn: Connection, kind: str,
         return None
     target = _space(conn, kind, grading)
     below = _space(conn, kind, grading - 1)
-    ech = Echelon(track=True)
-    for key in below.basis_keys(D_search):
-        ech.add(_image_coords(conn, kind, below, key), key)
+    _, ech = _kernel_sweep(conn, kind, below, D_search)
     combo = ech.solve(target.coords_of(element))
     if combo is None:
         return None
@@ -463,7 +442,7 @@ def closedlem_check(conn: Connection, trials: int = 100, seed: int = 0,
         if side == MINUS and s == n:
             continue  # closedness there already makes the identity trivial
         space = _space(conn, "prim", grading)
-        kernel = _kernel_vectors(conn, "prim", space, D)
+        kernel, _ = _kernel_sweep(conn, "prim", space, D)
         label = space.label
         if not kernel:
             reports.append(ClosedIdentityReport(label, 0, 0))

@@ -240,10 +240,10 @@ def is_primitive_by_wedge(a: AnyForm) -> bool:
 def L_power(p: int, a: AnyForm) -> AnyForm:
     """Add p powers of omega (p >= 0) or strip |p| powers componentwise (p < 0)."""
     if p >= 0:
-        return wedge(omega_power(_chart_dim(a), p), a)
+        return wedge(omega_power(a.n, p), a)
     dec = decompose(a)
     total = None
-    n = _chart_dim(a)
+    n = a.n
     for r, beta in dec.components.items():
         if r + p < 0:
             continue
@@ -261,7 +261,7 @@ def pi_p(p: int, a: AnyForm) -> AnyForm:
         raise ValueError("pi_p wants p >= 0")
     dec = decompose(a)
     total = None
-    n = _chart_dim(a)
+    n = a.n
     for r, beta in dec.components.items():
         if r > p:
             continue
@@ -274,7 +274,7 @@ def pi_p(p: int, a: AnyForm) -> AnyForm:
 
 def star_r(a: AnyForm) -> AnyForm:
     """The reflection L^(n-k) on a form of degree k."""
-    return L_power(_chart_dim(a) - a.degree, a)
+    return L_power(a.n - a.degree, a)
 
 
 def del_plus(b: AnyForm) -> AnyForm:
@@ -292,10 +292,6 @@ def del_minus(b: AnyForm) -> AnyForm:
 def _require_primitive(b: AnyForm, who: str) -> None:
     if not is_primitive(b):
         raise ValueError(f"{who} is defined on primitive forms only")
-
-
-def _chart_dim(a: AnyForm) -> int:
-    return a.n
 
 
 def _zero_like(a: AnyForm, degree: int) -> AnyForm:

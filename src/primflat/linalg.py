@@ -75,6 +75,13 @@ class Echelon:
         other._pivots = dict(self._pivots)
         return other
 
+    def untracked(self) -> "Echelon":
+        """Same span without the combinations; the stored vectors are shared."""
+        other = Echelon()
+        other._pivots = {key: _Pivot(pivot.vec, None)
+                         for key, pivot in self._pivots.items()}
+        return other
+
     def reduce(self, vec: Vec) -> tuple[Vec, Vec]:
         """Reduce against the stored basis.
 
@@ -137,11 +144,12 @@ class Echelon:
         return combo
 
 
-def kernel_basis(columns: Iterable[tuple[Hashable, Vec]]) -> list[Vec]:
+def kernel_basis(columns: Iterable[tuple[Hashable, Vec]]) -> tuple[list[Vec], Echelon]:
     """Kernel of the matrix whose columns are ``(tag, vector)`` pairs.
 
-    Each returned dict maps column tags to coefficients of an exact linear
-    relation among the columns.
+    Each kernel dict maps column tags to coefficients of an exact linear
+    relation among the columns.  The tracked echelon of the columns is
+    returned alongside: it spans their image and solves for preimages.
     """
     ech = Echelon(track=True)
     kernel = []
@@ -149,11 +157,4 @@ def kernel_basis(columns: Iterable[tuple[Hashable, Vec]]) -> list[Vec]:
         relation = ech.add(vec, tag)
         if relation is not None:
             kernel.append(relation)
-    return kernel
-
-
-def rank_of(columns: Iterable[Vec]) -> int:
-    ech = Echelon()
-    for vec in columns:
-        ech.add(vec)
-    return ech.rank
+    return kernel, ech

@@ -145,8 +145,13 @@ class Poly:
         if not isinstance(power, int) or power < 0:
             raise ValueError("polynomial powers must be non-negative integers")
         result = Poly.const(self.n, 1)
-        for _ in range(power):
-            result = result * self
+        base = self
+        while power:  # square and multiply
+            if power & 1:
+                result = result * base
+            power >>= 1
+            if power:
+                base = base * base
         return result
 
     # ---------- calculus and queries ----------

@@ -32,9 +32,6 @@ from .lefschetz import L_power, is_primitive, pi_p
 from .ainfinity import (MINUS, PLUS, Element, PrimElement, ZERO, _ZeroElement,
                   add_elements, apply_m, m1, m2, m3, scale_element)
 
-VERIFY_DEFAULT = True
-"""When True, every `twisted_m1` call cross-checks branch table vs series."""
-
 
 def delta_sign(k: int) -> int:
     """(-1)^((k-1)(k-2)/2): +1 for k = 1, 2 mod 4, -1 for k = 3, 0 mod 4."""
@@ -86,8 +83,7 @@ def twisting_series(conn: Connection, b: Element, cutoff: int = 3) -> Element:
     return total
 
 
-def twisted_m1(conn: Connection, a: Element,
-               verify: Optional[bool] = None) -> Element:
+def twisted_m1(conn: Connection, a: Element, verify: bool = True) -> Element:
     """The twisted differential on a vector-valued element of the complex.
 
     Computes the branch table; with verification on, also evaluates the
@@ -111,8 +107,6 @@ def twisted_m1(conn: Connection, a: Element,
         value = ZERO
     else:
         value = _element_at(MINUS, a.s - 1, -del_minus_A(conn, a.payload))
-    if verify is None:
-        verify = VERIFY_DEFAULT
     if verify:
         series = twisting_series(conn, a)
         diff = add_elements(series, scale_element(-1, value))

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from primflat.cli import CHECK_FAILED, run
-from primflat.cohomology import (_kernel_vectors, _space, closedlem_check,
+from primflat.cohomology import (_kernel_sweep, _space, closedlem_check,
                                  cohomology_dims, cone_cohomology_dims,
                                  exactness_witness)
 from primflat.cone import check_chain_identities
@@ -222,7 +222,7 @@ def test_criterion_08_closedness_suites():
         gradings = list(range(0, n + 1)) + list(range(n + 2, 2 * n + 2))
         for grading in gradings:
             space = _space(conn, "prim", grading)
-            kernel = _kernel_vectors(conn, "prim", space, 3)
+            kernel, _ = _kernel_sweep(conn, "prim", space, 3)
             if not kernel:
                 continue
             for _ in range(15):

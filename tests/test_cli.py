@@ -5,7 +5,10 @@ import json
 
 import pytest
 
-from primflat.cli import USAGE_ERROR, CHECK_FAILED, load_connection, run
+from primflat import cli
+from primflat.cli import (INTERNAL_ERROR, USAGE_ERROR, CHECK_FAILED,
+                         load_connection, run)
+from primflat.errors import InternalInvariantError
 
 
 @pytest.fixture
@@ -135,3 +138,16 @@ def test_usage_and_parse_errors_exit_one(tmp_path):
     bad.write_text("{not json")
     assert run(["flatness", "--connection", str(bad)],
                stdout=io.StringIO()) == USAGE_ERROR
+
+
+def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
+    def broken(args):
+        raise InternalInvariantError("fiber system is singular")
+
+    monkeypatch.setattr(cli, "_cmd_decompose", broken)
+    buf = io.StringIO()
+    code = run(["decompose", "--n", "1", "--form", "dx1"], stdout=buf)
+    assert code == INTERNAL_ERROR == 3
+    assert buf.getvalue() == ""
+    err = capsys.readouterr().err
+    assert err == "primflat: internal error: fiber system is singular\n"

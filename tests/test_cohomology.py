@@ -8,10 +8,11 @@ import pytest
 from primflat.cohomology import (TruncatedSpace, assemble_operator,
                                  closedlem_check, cohomology_dims,
                                  cone_cohomology_dims, exactness_witness,
-                                 _image_coords, _kernel_vectors, _space)
+                                 _image_coords, _kernel_sweep, _space)
 from primflat.connection import Connection, analyze_flatness, generate_flat
+from primflat.dsl import parse_form
 from primflat.forms import Form, MatrixForm, VectorForm, lambda_standard, wedge
-from primflat.linalg import Echelon
+from primflat.linalg import Echelon, kernel_basis
 from primflat.sampling import rand_unipotent
 from primflat.scalars import Poly
 from primflat.ainfinity import PLUS, PrimElement
@@ -28,7 +29,7 @@ def test_assemble_untwisted_functions():
     for r in (1, 2):
         conn = Connection(1, r, MatrixForm.zero(1, 1, r))
         matrix = assemble_operator(conn, "prim", (PLUS, 0), D_source=2)
-        kernel = matrix.kernel()
+        kernel, _ = kernel_basis(zip(matrix.source_keys, matrix.columns))
         assert len(kernel) == r
 
 
@@ -37,7 +38,7 @@ def test_assemble_canonical_frame_kernel():
     # closedness equation at the bottom are the constants killed by Phi0
     conn = generate_flat(1, 2, diag(1, 0))
     matrix = assemble_operator(conn, "prim", (PLUS, 0), D_source=3)
-    kernel = matrix.kernel()
+    kernel, _ = kernel_basis(zip(matrix.source_keys, matrix.columns))
     assert len(kernel) == 1
     space = _space(conn, "prim", 0)
     element = space.element_from_coords(kernel[0])
@@ -229,7 +230,7 @@ def test_local_cohomology_proof_cases(phi0):
 
     # case 1: closed sections are constants killed by Phi
     space0 = _space(conn, "prim", 0)
-    for vec in _kernel_vectors(conn, "prim", space0, D):
+    for vec in _kernel_sweep(conn, "prim", space0, D)[0]:
         beta = space0.element_from_coords(vec)
         degree = beta.payload.coefficient_degree()
         assert degree is None or degree == 0
@@ -244,14 +245,14 @@ def test_local_cohomology_proof_cases(phi0):
         lam_u[u] = lam
         elem = PrimElement(PLUS, 1, VectorForm(lam_u, 1))
         ech1.add(space1.coords_of(elem))
-    for vec in _kernel_vectors(conn, "prim", space1, D):
+    for vec in _kernel_sweep(conn, "prim", space1, D)[0]:
         assert ech1.contains(vec)
 
     # cases 3, 4, 5: closed elements above are exact outright
     for grading in list(range(2, n + 1)) + list(range(n + 1, 2 * n + 2)):
         space = _space(conn, "prim", grading)
         ech = image_echelon(grading)
-        for vec in _kernel_vectors(conn, "prim", space, D):
+        for vec in _kernel_sweep(conn, "prim", space, D)[0]:
             assert ech.contains(vec), (grading,)
 
 
@@ -260,7 +261,7 @@ def test_exactness_witness_for_phi_times_closed():
     phi = analyze_flatness(conn).Phi
     rng = random.Random(1)
     space = _space(conn, "prim", 1)
-    kernel = _kernel_vectors(conn, "prim", space, 3)
+    kernel, _ = _kernel_sweep(conn, "prim", space, 3)
     found = tried = 0
     for _ in range(30):
         coords = {}
@@ -326,3 +327,91 @@ def test_closed_identities_need_constant_frame():
     gauged = generate_flat(2, 2, diag(1, 0), gauge=rand_unipotent(rng, 2, 2))
     with pytest.raises(ValueError):
         closedlem_check(gauged, trials=2, seed=0)
+
+
+# A densely gauged n=1 rank-4 connection, g = 1 + N with N strictly upper
+# triangular and linear; its coefficient growth is [4, 8, 4, 4].
+GAUGE_N = {(0, 1): "-1/3*x1 + 1/3*y1", (0, 2): "1/2*x1 + 2*y1",
+           (0, 3): "2/3*x1 + 1/2*y1", (1, 2): "3*x1 + y1",
+           (1, 3): "-2/3*x1 - 3/2*y1", (2, 3): "1/3*x1 + 3/2*y1"}
+
+
+def dense_gauge_rank4():
+    n, r = 1, 4
+    g = MatrixForm([[Form.const(n, 1) if i == j
+                     else parse_form(GAUGE_N[(i, j)], n) if i < j
+                     else Form.zero(n, 0) for j in range(r)] for i in range(r)], 0)
+    return generate_flat(n, r, diag(1, 0, 2, 0), gauge=g)
+
+
+SWEEP_CASES = [
+    # (label, connection factory, kind, D, margins)
+    ("frame-prim", lambda: generate_flat(2, 2, diag(1, 0)), "prim", 1, (1, 2)),
+    ("frame-cone-symmetric",
+     lambda: generate_flat(1, 2, diag(1, 0), lambda_choice="symmetric"), "cone", 2, (2, 3)),
+    ("gauged-prim-symmetric",
+     lambda: generate_flat(1, 2, diag(1, 0), gauge=rand_unipotent(random.Random(7), 1, 2),
+                           lambda_choice="symmetric"), "prim", 2, (1, 2, 3)),
+    ("gauged-cone", lambda: generate_flat(1, 2, [[0, 1], [0, 0]],
+                                          gauge=rand_unipotent(random.Random(8), 1, 2)),
+     "cone", 2, (1, 2)),
+    # here the per-margin dimensions at P0- differ
+    ("dense-gauge-prim", dense_gauge_rank4, "prim", 0, (1, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("label,make,kind,D,margins", SWEEP_CASES,
+                         ids=[case[0] for case in SWEEP_CASES])
+def test_sweep_matches_from_scratch_oracle(label, make, kind, D, margins):
+    # every kernel_dim and dims_by_margin equals a computation that builds
+    # each position's kernel and each margin's image in fresh echelons
+    conn = make()
+    report = cohomology_dims(conn, kind, D=D, stab_margins=margins)
+    differing = False
+    for position in report.positions:
+        space = _space(conn, kind, position.grading)
+        keys = space.basis_keys(D)
+        top = position.grading == 2 * conn.n + 1
+        tracked = Echelon(track=True)
+        kernel = [relation for key in keys
+                  if (relation := tracked.add(
+                      {} if top else _image_coords(conn, kind, space, key), key))
+                  is not None]
+        assert position.kernel_dim == len(kernel)
+        for s in margins:
+            expected = len(kernel)
+            if position.grading > 0:
+                below = _space(conn, kind, position.grading - 1)
+                image = Echelon()
+                for key in below.basis_keys(D + s):
+                    image.add(_image_coords(conn, kind, below, key))
+                image_rank = image.rank
+                for vec in kernel:
+                    image.add(vec)
+                expected = image.rank - image_rank
+            assert position.dims_by_margin[s] == expected, (position.label, s)
+        differing |= len(set(position.dims_by_margin.values())) > 1
+    if label == "dense-gauge-prim":
+        assert differing
+
+
+def test_small_margins_leave_dense_gauge_unstabilized():
+    # the growth [4, 8, 4, 4] exceeds the default margins: with 2,3 the
+    # bottom of the minus side has not settled, with 4,5 every position
+    # settles on the cone's answer
+    conn = dense_gauge_rank4()
+    small = cohomology_dims(conn, "prim", D=2, stab_margins=(2, 3))
+    assert small.positions[-1].label == "P0-"
+    assert small.positions[-1].dims_by_margin == {2: 1, 3: 0}
+    assert not small.positions[-1].stabilized
+    assert all(p.stabilized for p in small.positions[:-1])
+    large = cohomology_dims(conn, "prim", D=2, stab_margins=(4, 5))
+    assert large.all_stabilized
+    assert large.dim_vector() == [2, 2, 0, 0]
+    assert cone_cohomology_dims(conn, D=2).dim_vector() == [2, 2, 0, 0]
+
+
+def test_negative_margins_are_rejected():
+    conn = generate_flat(1, 1, [[1]])
+    with pytest.raises(ValueError):
+        cohomology_dims(conn, "prim", D=1, stab_margins=(-1, 0))

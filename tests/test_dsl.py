@@ -1,6 +1,7 @@
 """Form expression syntax: parsing, printing, round trips."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -86,3 +87,10 @@ def test_round_trip_is_byte_stable():
     f = rand_form(rng, 2, 2, max_degree=3)
     text = print_form(f)
     assert print_form(parse_form(text, 2)) == text
+
+
+def test_huge_exponent_parses_fast_and_round_trips():
+    start = time.perf_counter()
+    form = parse_form("x1^1000000000*dx1", 1)
+    assert time.perf_counter() - start < 0.2
+    assert print_form(form) == "(x1^1000000000)*dx1"

@@ -121,3 +121,14 @@ def test_monomial_enumeration_counts():
     assert len(monos) == len(set(monos))
     assert all(sum(m) <= 4 for m in monos)
     assert monos == sorted(monos, key=lambda m: (sum(m), m))
+
+
+@pytest.mark.parametrize("power", [0, 1, 2, 5, 8, 13])
+def test_power_matches_repeated_multiplication(power):
+    rng = random.Random(power)
+    p = Poly(2, {(rng.randint(0, 2), rng.randint(0, 2), 0, rng.randint(0, 1)):
+                 Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)})
+    expected = Poly.const(2, 1)
+    for _ in range(power):
+        expected = expected * p
+    assert p ** power == expected
