@@ -176,6 +176,13 @@ def _cmd_cohomology(args) -> tuple:
                                          with_witnesses=True)
     positions = []
     for pos in rep.positions:
+        if not pos.stabilized:
+            # the margins probe the image of the differential from the position
+            # below (at the bottom, where a single margin is the only cause,
+            # the growth of its own differential)
+            growth = cohomology_mod.connection_growth(conn, kind, max(pos.grading - 1, 0))
+            sys.stderr.write(f"primflat: {pos.label} did not stabilize (connection_growth "
+                             f"{growth}); try --margins {growth},{growth + 1}\n")
         positions.append({
             "position": pos.label,
             "grading": pos.grading,

@@ -27,6 +27,18 @@ rank-4 connection with Phi0 = diag(1,0,2,0) and coefficient growth
 [4, 8, 4, 4] leaves P0- at {2: 1, 3: 0} with margins 2,3 at D=2, and
 stabilizes everywhere to [2, 2, 0, 0], the cone's answer, with margins 4,5.
 
+Columns are assembled from constant fiber tables, never from symbolic
+elements.  Every differential here is a constant fiber map composed with a
+polynomial shift (d) or multiply (A, Phi): on mono (x) b (x) e_u, d gives
+sum_c d_c(mono) (x) T_c b (x) e_u and A gives sum_{c,v} (A_c)_vu mono (x)
+T_c b (x) e_v, where T_c is the primitive part of dx_c /\\ . below the
+middle and its L^{-1} part above it (``fiber_d_table``, cached per (n, s)
+in lefschetz).  The middle map is two such passes plus Phi; the cone
+differential is one pass with T_c = dx_c /\\ . on form indices, plus the
+omega /\\ . and Phi blocks.  ``twisted_m1`` and ``cone_d`` remain the symbolic
+definitions; the test suite checks every table column against them, and
+``exactness_witness`` re-checks its answer with them.
+
 Each differential column is built and eliminated once per report: the
 sweep of one position gives its kernel at degree <= D, and its echelon,
 untracked, is the image in the next position, extended by the margin
@@ -42,13 +54,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from operator import add
+from typing import Callable, Optional, Sequence, Union
 
 from .connection import Connection, analyze_flatness
 from .cone import ConeElement, cone_d
 from .errors import InternalInvariantError
-from .forms import Form, LAMBDA_CHOICES, VectorForm, all_indices, wedge
-from .lefschetz import primitive_fiber_basis, primitive_fiber_coords
+from .forms import Form, LAMBDA_CHOICES, VectorForm, all_indices, merge_indices, wedge
+from .lefschetz import (FiberTable, fiber_d_table, primitive_fiber_basis,
+                        primitive_fiber_coords)
 from .linalg import Echelon, Vec, kernel_basis
 from .scalars import Monomial, Poly, monomials_up_to
 from .ainfinity import (Element, MINUS, PLUS, PrimElement, ZERO, _ZeroElement,
@@ -126,6 +140,7 @@ class TruncatedSpace:
     # ---------- elements <-> coordinates ----------
 
     def element_from_key(self, key) -> Union[PrimElement, ConeElement]:
+        # the basis element of one key; the symbolic test oracle starts here
         return self.element_from_coords({key: Fraction(1)})
 
     def element_from_coords(self, coords: Vec) -> Union[PrimElement, ConeElement]:
@@ -184,11 +199,140 @@ def _space(conn: Connection, kind: str, grading: int) -> TruncatedSpace:
     return TruncatedSpace(kind, conn.n, conn.rank, grading)
 
 
-def _image_coords(conn: Connection, kind: str, source: TruncatedSpace, key) -> Vec:
-    element = source.element_from_key(key)
-    image = (twisted_m1(conn, element, verify=False) if kind == "prim"
-             else cone_d(conn, element))
-    return _space(conn, kind, source.grading + 1).coords_of(image)
+Column = Callable[[tuple], Vec]
+
+
+def _mono_add(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(map(add, a, b))
+
+
+def _acc(out: dict, key, value) -> None:
+    acc = out.get(key)
+    out[key] = value if acc is None else acc + value
+
+
+def _nonzero(out: dict) -> Vec:
+    # int entries (sums of signs) become Fractions, cancelled entries drop
+    return {key: x if isinstance(x, Fraction) else Fraction(x)
+            for key, x in out.items() if x}
+
+
+def _connection_terms(conn: Connection) -> tuple[list, list]:
+    """A and Phi flattened by source fiber u.
+
+    ``a_terms[u]`` lists ``(c, v, mono, coeff)``: the dx_c coefficient of
+    A[v][u] term by term; ``phi_terms[u]`` lists ``(v, mono, coeff)`` of Phi[v][u].
+    """
+    phi = analyze_flatness(conn).Phi
+    a_terms: list = [[] for _ in range(conn.rank)]
+    phi_terms: list = [[] for _ in range(conn.rank)]
+    for v in range(conn.rank):
+        for u in range(conn.rank):
+            for (c,), poly in conn.A.entries[v][u].terms.items():
+                a_terms[u] += [(c, v, mono, coeff) for mono, coeff in poly.terms.items()]
+            for poly in phi.entries[v][u].terms.values():
+                phi_terms[u] += [(v, mono, coeff) for mono, coeff in poly.terms.items()]
+    return a_terms, phi_terms
+
+
+def _covariant_pass(table: FiberTable, a_terms: list, mono: Monomial, f, u: int,
+                    coeff, out: dict) -> None:
+    """out += coeff * T(d_A(mono (x) f (x) e_u)) for a fiber table T of dx_c /\\ .
+
+    d contributes sum_c d_c(mono) (x) T_c f (x) e_u, and A contributes
+    sum_{c,v} (A_c)_vu mono (x) T_c f (x) e_v.
+    """
+    for c, e in enumerate(mono):
+        if e:
+            lowered = mono[:c] + (e - 1,) + mono[c + 1:]
+            scale = coeff * e
+            for g, t in table[c][f]:
+                _acc(out, (lowered, g, u), scale * t)
+    for c, v, amono, acoeff in a_terms[u]:
+        pairs = table[c][f]
+        if pairs:
+            shifted = _mono_add(mono, amono)
+            scale = coeff * acoeff
+            for g, t in pairs:
+                _acc(out, (shifted, g, v), scale * t)
+
+
+def _prim_columns(conn: Connection, grading: int) -> Column:
+    n = conn.n
+    side, s = grading_position(n, grading)
+    a_terms, phi_terms = _connection_terms(conn)
+    if side == MINUS and s == 0:
+        return lambda key: {}
+    if side == MINUS or s < n:
+        # -L^{-1} d_A above the middle, Pi d_A below it
+        table = fiber_d_table(n, s, 1 if side == MINUS else 0)
+        sign = -1 if side == MINUS else 1
+
+        def column(key) -> Vec:
+            out: dict = {}
+            _covariant_pass(table, a_terms, *key, sign, out)
+            return _nonzero(out)
+        return column
+    lower, upper = fiber_d_table(n, n, 1), fiber_d_table(n, n - 1, 0)
+
+    def middle(key) -> Vec:
+        # -del_plus_A del_minus_A + Phi
+        mono, fi, u = key
+        inner: dict = {}
+        _covariant_pass(lower, a_terms, mono, fi, u, 1, inner)
+        out: dict = {}
+        for (imono, ifi, w), coeff in inner.items():
+            if coeff:
+                _covariant_pass(upper, a_terms, imono, ifi, w, -coeff, out)
+        for v, pmono, pcoeff in phi_terms[u]:
+            _acc(out, (_mono_add(mono, pmono), fi, v), pcoeff)
+        return _nonzero(out)
+    return middle
+
+
+def _cone_columns(conn: Connection, grading: int) -> Column:
+    """D(eta, xi) = (d_A eta + omega /\\ xi, -(Phi eta + d_A xi)) key by key."""
+    n = conn.n
+    a_terms, phi_terms = _connection_terms(conn)
+
+    # dx_c /\\ dx_I and omega /\\ dx_I as (J, sign) pairs
+    def pairs(merged) -> tuple:
+        return () if merged is None else ((merged[1], merged[0]),)
+
+    def dx_table(degree: int) -> FiberTable:
+        return [{idx: pairs(merge_indices((c,), idx)) for idx in all_indices(n, degree)}
+                for c in range(2 * n)]
+
+    d_eta, d_xi = dx_table(grading), dx_table(grading - 1)
+    omega_xi = {idx: sum((pairs(merge_indices((i, n + i), idx)) for i in range(n)), ())
+                for idx in all_indices(n, grading - 1)}
+
+    def column(key) -> Vec:
+        slot, mono, idx, u = key
+        eta: dict = {}
+        xi: dict = {}
+        if slot == 0:
+            _covariant_pass(d_eta, a_terms, mono, idx, u, 1, eta)
+            for v, pmono, pcoeff in phi_terms[u]:
+                _acc(xi, (_mono_add(mono, pmono), idx, v), -pcoeff)
+        else:
+            for widx, sign in omega_xi[idx]:
+                _acc(eta, (mono, widx, u), sign)
+            _covariant_pass(d_xi, a_terms, mono, idx, u, -1, xi)
+        return {(target, *k): x for target, part in ((0, eta), (1, xi))
+                for k, x in _nonzero(part).items()}
+    return column
+
+
+def _differential_columns(conn: Connection, kind: str, grading: int) -> Column:
+    """Column of the twisted differential at a position, key by key, from the
+    fiber tables (see the module docstring).  A broken fiber table raises
+    `InternalInvariantError` naming the position."""
+    try:
+        return (_prim_columns if kind == "prim" else _cone_columns)(conn, grading)
+    except InternalInvariantError as exc:
+        raise InternalInvariantError(
+            f"{position_label(kind, conn.n, grading)}: {exc}") from exc
 
 
 def _kernel_sweep(conn: Connection, kind: str, space: TruncatedSpace,
@@ -202,7 +346,8 @@ def _kernel_sweep(conn: Connection, kind: str, space: TruncatedSpace,
     keys = space.basis_keys(D)
     if space.grading == 2 * space.n + 1:
         return [{key: Fraction(1)} for key in keys], None
-    return kernel_basis((key, _image_coords(conn, kind, space, key)) for key in keys)
+    column = _differential_columns(conn, kind, space.grading)
+    return kernel_basis((key, column(key)) for key in keys)
 
 
 def connection_growth(conn: Connection, kind: str, grading: int) -> int:
@@ -252,6 +397,8 @@ def assemble_operator(conn: Connection, kind: str, position: Position,
     growth so that every image coordinate is representable; it defaults to
     exactly that bound.
     """
+    if D_source < 0:
+        raise ValueError(f"source truncation must be >= 0, got {D_source}")
     grading = _grading_of_position(kind, conn.n, position)
     growth = connection_growth(conn, kind, grading)
     required = D_source + growth
@@ -263,14 +410,16 @@ def assemble_operator(conn: Connection, kind: str, position: Position,
     source = _space(conn, kind, grading)
     target = _space(conn, kind, grading + 1)
     keys = source.basis_keys(D_source)
+    column = _differential_columns(conn, kind, grading)
     columns = []
     for key in keys:
-        col = _image_coords(conn, kind, source, key)
+        col = column(key)
         for ckey in col:
             mono = ckey[0] if kind == "prim" else ckey[1]
             if sum(mono) > D_target:
                 raise InternalInvariantError(
-                    "image escaped the declared target truncation")
+                    f"{source.label}: image of source key {key!r} escaped the "
+                    f"declared target truncation {D_target} at target key {ckey!r}")
         columns.append(col)
     return LinOpMatrix(source, target, D_source, D_target, keys, columns)
 
@@ -318,6 +467,8 @@ def cohomology_dims(conn: Connection, kind: str = "prim", D: int = 5,
     """
     if not analyze_flatness(conn).is_symplectically_flat:
         raise ValueError("cohomology of the twisted complex needs a flat connection")
+    if D < 0:
+        raise ValueError(f"truncation must be >= 0, got {D}")
     margins = tuple(sorted(set(int(s) for s in stab_margins)))
     if not margins:
         raise ValueError("need at least one stabilization margin")
@@ -336,10 +487,11 @@ def cohomology_dims(conn: Connection, kind: str = "prim", D: int = 5,
         witness_coords = kernel
         if image is not None:
             below = _space(conn, kind, grading - 1)
+            column = _differential_columns(conn, kind, grading - 1)
             previous = 0
             for s in margins:
                 for key in below.basis_keys(D + s, above=D + previous):
-                    image.add(_image_coords(conn, kind, below, key))
+                    image.add(column(key))
                 previous = s
                 probe = image.clone()
                 survivors = []
@@ -389,15 +541,25 @@ def exactness_witness(conn: Connection, kind: str,
         elem_degree = element.payload.coefficient_degree() or 0
     if D_search is None:
         D_search = elem_degree + 2
+    if D_search < 0:
+        raise ValueError(f"search truncation must be >= 0, got {D_search}")
     if grading == 0:
         return None
     target = _space(conn, kind, grading)
     below = _space(conn, kind, grading - 1)
     _, ech = _kernel_sweep(conn, kind, below, D_search)
-    combo = ech.solve(target.coords_of(element))
+    coords = target.coords_of(element)
+    combo = ech.solve(coords)
     if combo is None:
         return None
-    return below.element_from_coords(combo)
+    witness = below.element_from_coords(combo)
+    # the symbolic differential re-checks the table columns on the answer
+    image = (twisted_m1(conn, witness, verify=False) if kind == "prim"
+             else cone_d(conn, witness))
+    if target.coords_of(image) != coords:
+        raise InternalInvariantError(
+            f"{below.label}: witness {combo!r} does not map onto the element")
+    return witness
 
 
 # ---------- closedness identities in the constant frame ----------

@@ -19,6 +19,11 @@ Operators built on the split:
   d(b) == del_plus(b) + omega /\\ del_minus(b), with del_plus = pi_p(0, d b)
   and del_minus = L_power(-1, d b).
 
+The fiber tables ``fiber_d_table(n, s, r)`` hold, for each coordinate c and
+primitive basis form b, the primitive coordinates of pi_p(0, dx_c /\\ b)
+(r = 0) or of L^{-1}(dx_c /\\ b) (r = 1); the cohomology assembly builds
+every twisted differential column from them.
+
 Note that L^{-1} here is the component-shift operator of the decomposition,
 not the sl(2) lowering operator: the two differ by combinatorial factors.
 """
@@ -31,7 +36,7 @@ from typing import Optional
 
 from .errors import InternalInvariantError
 from .forms import (AnyForm, Form, FormIndex, MatrixForm, VectorForm, all_indices,
-                    contract_lambda, exterior_d, omega_power, wedge)
+                    contract_lambda, exterior_d, merge_indices, omega_power, wedge)
 from .linalg import Echelon
 from .scalars import Poly
 
@@ -40,6 +45,10 @@ ConstForm = dict  # FormIndex -> Fraction, a form with constant coefficients
 _PRIM_BASIS: dict[tuple[int, int], list[ConstForm]] = {}
 _PRIM_COORDS: dict[tuple[int, int], Echelon] = {}
 _DECOMP: dict[tuple[int, int], dict[FormIndex, dict[int, ConstForm]]] = {}
+# table[c][f] lists the (target index, coefficient) pairs of one constant
+# fiber map applied to dx_c /\ (basis element f)
+FiberTable = list
+_FIBER_D: dict[tuple[int, int, int], FiberTable] = {}
 
 
 def _const_to_form(n: int, degree: int, entries: ConstForm) -> Form:
@@ -143,6 +152,47 @@ def _decomp_table(n: int, degree: int) -> dict[FormIndex, dict[int, ConstForm]]:
         table[idx] = {r: comp for r, comp in components.items() if comp}
     _DECOMP.setdefault(key, table)
     return _DECOMP[key]
+
+
+def fiber_d_table(n: int, s: int, r: int) -> FiberTable:
+    """``table[c][fi]``: prim coordinates of the omega^r component of
+    dx_c /\\ b_fi, b_fi in ``primitive_fiber_basis(n, s)``.
+
+    r = 0 is pi_p(0, dx_c /\\ .), the fiber of del_plus; r = 1 is
+    L^{-1}(dx_c /\\ .), the fiber of del_minus, and there every component
+    beyond r = 1 must vanish: a 1-form times a primitive form has none.
+    """
+    key = (n, s, r)
+    cached = _FIBER_D.get(key)
+    if cached is not None:
+        return cached
+    decomp = _decomp_table(n, s + 1)
+    table: FiberTable = []
+    for c in range(2 * n):
+        row = []
+        for fi, b in enumerate(primitive_fiber_basis(n, s)):
+            comps: dict[int, ConstForm] = {}
+            for idx, coeff in b.items():
+                merged = merge_indices((c,), idx)
+                if merged is None:
+                    continue
+                sign, widx = merged
+                for comp_r, const in decomp[widx].items():
+                    comp = comps.setdefault(comp_r, {})
+                    for bidx, bcoeff in const.items():
+                        comp[bidx] = comp.get(bidx, Fraction(0)) + sign * coeff * bcoeff
+            comps = {k: {bidx: v for bidx, v in comp.items() if v} for k, comp in comps.items()}
+            for comp_r, comp in comps.items():
+                if r == 1 and comp_r > 1 and comp:
+                    raise InternalInvariantError(
+                        f"L^-1(dx{c} ^ b{fi}) on primitive {s}-forms (n={n}) has a "
+                        f"component omega^{comp_r} at form index {min(comp)}")
+            image = comps.get(r)
+            coords = primitive_fiber_coords(n, s + 1 - 2 * r, image) if image else {}
+            row.append(tuple(sorted((fj, v) for fj, v in coords.items() if v)))
+        table.append(row)
+    _FIBER_D.setdefault(key, table)
+    return _FIBER_D[key]
 
 
 @dataclass

@@ -10,8 +10,9 @@ Two routes compute the twisted differential on a vector-valued element:
 
 Their agreement on every input is the content of the twisting construction,
 so `twisted_m1` evaluates both and raises on mismatch unless the caller
-opts into the fast single-route mode (matrix assembly in the cohomology
-module does, since it applies the operator thousands of times).
+opts into the fast single-route mode (the cone identity checks and the
+witness check of `exactness_witness` do).  Cohomology matrices are not
+built through here but from fiber tables; `twisted_m1` is their oracle.
 
 `m1_prime_of_A` evaluates the series on the connection form itself inside
 the matrix-valued algebra; its vanishing is exactly symplectic flatness,

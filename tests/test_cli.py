@@ -8,7 +8,10 @@ import pytest
 from primflat import cli
 from primflat.cli import (INTERNAL_ERROR, USAGE_ERROR, CHECK_FAILED,
                          load_connection, run)
+from primflat.dsl import print_form
 from primflat.errors import InternalInvariantError
+
+from oracle import dense_gauge_rank4
 
 
 @pytest.fixture
@@ -151,3 +154,27 @@ def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
     assert buf.getvalue() == ""
     err = capsys.readouterr().err
     assert err == "primflat: internal error: fiber system is singular\n"
+
+
+def test_negative_truncation_exits_one(flat_file, capsys):
+    buf = io.StringIO()
+    code = run(["cohomology", "--connection", flat_file, "--truncation", "-1"], stdout=buf)
+    assert code == USAGE_ERROR
+    assert buf.getvalue() == ""
+    assert "truncation must be >= 0" in capsys.readouterr().err
+
+
+def test_unstabilized_position_gets_a_margin_hint(tmp_path, capsys):
+    conn = dense_gauge_rank4()
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"n": conn.n, "rank": conn.rank,
+                                "A": [[print_form(e) for e in row] for row in conn.A.entries]}))
+    argv = ["cohomology", "--connection", str(path), "--truncation", "2", "--margins", "2,3"]
+    buf = io.StringIO()
+    assert run(argv, stdout=buf) == CHECK_FAILED
+    err = capsys.readouterr().err
+    # the growth is that of the differential into P0-, from P1-
+    assert err == "primflat: P0- did not stabilize (connection_growth 4); try --margins 4,5\n"
+    report = json.loads(buf.getvalue())
+    assert [p["stabilized"] for p in report["positions"]] == [True, True, True, False]
+    assert "connection_growth" not in buf.getvalue()

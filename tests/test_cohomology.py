@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from primflat import cohomology, lefschetz
 from primflat.cohomology import (TruncatedSpace, assemble_operator,
                                  closedlem_check, cohomology_dims,
                                  cone_cohomology_dims, exactness_witness,
-                                 _image_coords, _kernel_sweep, _space)
+                                 _kernel_sweep, _space)
 from primflat.connection import Connection, analyze_flatness, generate_flat
-from primflat.dsl import parse_form
+from primflat.errors import InternalInvariantError
 from primflat.forms import Form, MatrixForm, VectorForm, lambda_standard, wedge
 from primflat.linalg import Echelon, kernel_basis
 from primflat.sampling import rand_unipotent
@@ -18,10 +19,7 @@ from primflat.scalars import Poly
 from primflat.ainfinity import PLUS, PrimElement
 from primflat.twist import twisted_m1
 
-
-def diag(*values):
-    r = len(values)
-    return [[values[i] if i == j else 0 for j in range(r)] for i in range(r)]
+from oracle import dense_gauge_rank4, diag, symbolic_column, symbolic_columns
 
 
 def test_assemble_untwisted_functions():
@@ -142,7 +140,7 @@ def test_untwisted_rank_one_dimensions_and_lambda_class():
     space0 = _space(conn, "prim", 0)
     ech = Echelon()
     for key in space0.basis_keys(4 + 3):
-        ech.add(_image_coords(conn, "prim", space0, key))
+        ech.add(symbolic_column(conn, "prim", space0, key))
     lam_coords = space1.coords_of(lam_elem)
     assert not ech.contains(lam_coords)
     position = report.positions[1]
@@ -178,7 +176,7 @@ def test_cone_class_generator_at_grading_one():
     space0 = _space(conn, "cone", 0)
     ech = Echelon()
     for key in space0.basis_keys(3 + 3):
-        ech.add(_image_coords(conn, "cone", space0, key))
+        ech.add(symbolic_column(conn, "cone", space0, key))
     gen_coords = space1.coords_of(generator)
     assert not ech.contains(gen_coords)  # the generator is not exact
     ech.add(space1.coords_of(position.witnesses[0]))
@@ -225,7 +223,7 @@ def test_local_cohomology_proof_cases(phi0):
         below = _space(conn, "prim", grading - 1)
         ech = Echelon()
         for key in below.basis_keys(D + 3):
-            ech.add(_image_coords(conn, "prim", below, key))
+            ech.add(symbolic_column(conn, "prim", below, key))
         return ech
 
     # case 1: closed sections are constants killed by Phi
@@ -329,21 +327,6 @@ def test_closed_identities_need_constant_frame():
         closedlem_check(gauged, trials=2, seed=0)
 
 
-# A densely gauged n=1 rank-4 connection, g = 1 + N with N strictly upper
-# triangular and linear; its coefficient growth is [4, 8, 4, 4].
-GAUGE_N = {(0, 1): "-1/3*x1 + 1/3*y1", (0, 2): "1/2*x1 + 2*y1",
-           (0, 3): "2/3*x1 + 1/2*y1", (1, 2): "3*x1 + y1",
-           (1, 3): "-2/3*x1 - 3/2*y1", (2, 3): "1/3*x1 + 3/2*y1"}
-
-
-def dense_gauge_rank4():
-    n, r = 1, 4
-    g = MatrixForm([[Form.const(n, 1) if i == j
-                     else parse_form(GAUGE_N[(i, j)], n) if i < j
-                     else Form.zero(n, 0) for j in range(r)] for i in range(r)], 0)
-    return generate_flat(n, r, diag(1, 0, 2, 0), gauge=g)
-
-
 SWEEP_CASES = [
     # (label, connection factory, kind, D, margins)
     ("frame-prim", lambda: generate_flat(2, 2, diag(1, 0)), "prim", 1, (1, 2)),
@@ -375,7 +358,7 @@ def test_sweep_matches_from_scratch_oracle(label, make, kind, D, margins):
         tracked = Echelon(track=True)
         kernel = [relation for key in keys
                   if (relation := tracked.add(
-                      {} if top else _image_coords(conn, kind, space, key), key))
+                      {} if top else symbolic_column(conn, kind, space, key), key))
                   is not None]
         assert position.kernel_dim == len(kernel)
         for s in margins:
@@ -384,7 +367,7 @@ def test_sweep_matches_from_scratch_oracle(label, make, kind, D, margins):
                 below = _space(conn, kind, position.grading - 1)
                 image = Echelon()
                 for key in below.basis_keys(D + s):
-                    image.add(_image_coords(conn, kind, below, key))
+                    image.add(symbolic_column(conn, kind, below, key))
                 image_rank = image.rank
                 for vec in kernel:
                     image.add(vec)
@@ -415,3 +398,95 @@ def test_negative_margins_are_rejected():
     conn = generate_flat(1, 1, [[1]])
     with pytest.raises(ValueError):
         cohomology_dims(conn, "prim", D=1, stab_margins=(-1, 0))
+
+
+def test_negative_truncations_are_rejected():
+    conn = generate_flat(2, 2, diag(1, 0))
+    with pytest.raises(ValueError):
+        cohomology_dims(conn, "prim", D=-1)
+    with pytest.raises(ValueError):
+        assemble_operator(conn, "prim", (PLUS, 0), D_source=-1)
+    element = PrimElement(PLUS, 1, VectorForm([lambda_standard(2), Form.zero(2, 1)], 1))
+    with pytest.raises(ValueError):
+        exactness_witness(conn, "prim", element, D_search=-1)
+
+
+ORACLE_CASES = [
+    # (label, connection factory, D for every key, D for the sampled keys)
+    ("n1-frame-standard", lambda: generate_flat(1, 2, diag(1, 0)), 2, 5),
+    ("n1-gauged-symmetric-nilpotent",
+     lambda: generate_flat(1, 2, [[0, 1], [0, 0]], lambda_choice="symmetric",
+                           gauge=rand_unipotent(random.Random(11), 1, 2, max_degree=1)), 2, 5),
+    ("n2-frame-symmetric-nilpotent",
+     lambda: generate_flat(2, 2, [[0, 1], [0, 0]], lambda_choice="symmetric"), 1, 4),
+    ("n2-gauged-standard",
+     lambda: generate_flat(2, 2, diag(1, 2),
+                           gauge=rand_unipotent(random.Random(12), 2, 2, max_degree=1)), 1, 4),
+    ("n3-frame-standard", lambda: generate_flat(3, 2, diag(1, 0)), 0, 2),
+    ("n3-gauged-symmetric",
+     lambda: generate_flat(3, 1, [[1]], lambda_choice="symmetric",
+                           gauge=rand_unipotent(random.Random(13), 3, 1, max_degree=1)), 0, 2),
+    ("n1-dense-gauge", dense_gauge_rank4, 1, 3),
+]
+
+
+@pytest.mark.parametrize("kind", ["prim", "cone"])
+@pytest.mark.parametrize("label,make,D_all,D_sample", ORACLE_CASES,
+                         ids=[case[0] for case in ORACLE_CASES])
+def test_table_columns_match_symbolic_oracle(label, make, D_all, D_sample, kind):
+    # every key at D_all, a seeded sample of the keys of degree in (D_all, D_sample]
+    conn = make()
+    rng = random.Random(label)
+    for grading in range(2 * conn.n + 2):
+        space = _space(conn, kind, grading)
+        column = cohomology._differential_columns(conn, kind, grading)
+        later = space.basis_keys(D_sample, above=D_all)
+        for key in space.basis_keys(D_all) + rng.sample(later, min(12, len(later))):
+            assert column(key) == symbolic_column(conn, kind, space, key), (grading, key)
+
+
+@pytest.mark.parametrize("label,make,kind,D,margins", SWEEP_CASES,
+                         ids=[case[0] for case in SWEEP_CASES])
+def test_reports_match_symbolic_assembly(monkeypatch, label, make, kind, D, margins):
+    # the same report, witnesses included, when every column is built symbolically
+    conn = make()
+
+    def summary(report):
+        return [(p.kernel_dim, p.dims_by_margin,
+                 [_space(conn, kind, p.grading).coords_of(w) for w in p.witnesses])
+                for p in report.positions]
+
+    tables = summary(cohomology_dims(conn, kind, D=D, stab_margins=margins,
+                                     with_witnesses=True))
+    monkeypatch.setattr(cohomology, "_differential_columns", symbolic_columns)
+    assert tables == summary(cohomology_dims(conn, kind, D=D, stab_margins=margins,
+                                             with_witnesses=True))
+
+
+def test_escaped_image_names_position_and_keys(monkeypatch):
+    # with the growth bound forced to 0, a gauged image leaves the target
+    conn = generate_flat(1, 2, diag(1, 0), gauge=rand_unipotent(random.Random(5), 1, 2))
+    monkeypatch.setattr(cohomology, "connection_growth", lambda *args: 0)
+    with pytest.raises(InternalInvariantError) as info:
+        assemble_operator(conn, "prim", (PLUS, 0), D_source=1)
+    message = str(info.value)
+    assert message.startswith("P0+: image of source key ((")
+    assert "escaped the declared target truncation 1 at target key ((" in message
+
+
+def test_fiber_table_check_names_position_and_component(monkeypatch):
+    # a decomposition with an omega^2 part in dx_c /\ b breaks the L^-1 table
+    real = lefschetz._decomp_table
+
+    def with_extra_component(n, degree):
+        return {idx: {**comps, 2: {(): Fraction(1)}}
+                for idx, comps in real(n, degree).items()}
+
+    conn = generate_flat(2, 1, [[1]])
+    analyze_flatness(conn)  # cached before the decomposition is broken
+    monkeypatch.setattr(lefschetz, "_decomp_table", with_extra_component)
+    monkeypatch.setattr(lefschetz, "_FIBER_D", {})
+    with pytest.raises(InternalInvariantError,
+                       match=r"^P1-: L\^-1\(dx0 \^ b1\) on primitive 1-forms \(n=2\) "
+                             r"has a component omega\^2 at form index \(\)$"):
+        cohomology._differential_columns(conn, "prim", 4)
