@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .errors import InternalInvariantError
-from .forms import AnyForm, MatrixForm, VectorForm, exterior_d, wedge
+from .forms import AnyForm, exterior_d, wedge
 from .lefschetz import L_power, del_minus, del_plus, is_primitive, pi_p, star_r
 from .scalars import Scalar
 
@@ -97,18 +97,11 @@ class PrimElement:
     def is_zero(self) -> bool:
         return self.payload.is_zero
 
-    def fiber(self) -> str:
-        if isinstance(self.payload, VectorForm):
-            return f"vector({self.payload.rank})"
-        if isinstance(self.payload, MatrixForm):
-            return f"matrix({self.payload.rank})"
-        return "scalar"
-
     def scaled(self, value: Scalar) -> "PrimElement":
         return PrimElement(self.side, self.s, self.payload.scaled(value))
 
     def __repr__(self) -> str:
-        return f"PrimElement(P{self.s}{self.side}, {self.fiber()}, {self.payload!r})"
+        return f"PrimElement(P{self.s}{self.side}, {self.payload!r})"
 
 
 def grading_position(n: int, grading: int) -> Optional[tuple[str, int]]:
@@ -175,10 +168,12 @@ def m2(a: Element, b: Element) -> Element:
         tail = pi_p(0, star_r(bracket))
         if j + k <= n:
             if not tail.is_zero:
-                raise InternalInvariantError("low-degree product grew a reflected term")
+                raise InternalInvariantError(
+                    f"m2({_positions(a, b)}): low-degree product grew a reflected term")
             return _element(PLUS, j + k, head)
         if not head.is_zero:
-            raise InternalInvariantError("high-degree product grew a primitive term")
+            raise InternalInvariantError(
+                f"m2({_positions(a, b)}): high-degree product grew a primitive term")
         return _element(MINUS, 2 * n + 1 - (j + k), tail)
     if a.side == PLUS and b.side == MINUS:
         value = star_r(wedge(pa, star_r(pb)))
@@ -186,19 +181,24 @@ def m2(a: Element, b: Element) -> Element:
             value = -value
         if value.is_zero:
             return ZERO
-        return _make_minus(n, b.s - a.s, value)
+        return _make_minus(a, b, b.s - a.s, value)
     if a.side == MINUS and b.side == PLUS:
         value = star_r(wedge(star_r(pa), pb))
         if value.is_zero:
             return ZERO
-        return _make_minus(n, a.s - b.s, value)
+        return _make_minus(a, b, a.s - b.s, value)
     return ZERO
 
 
-def _make_minus(n: int, s: int, payload: AnyForm) -> Element:
-    if not 0 <= s <= n:
-        raise InternalInvariantError(f"nonzero product at impossible degree {s}")
+def _make_minus(a: PrimElement, b: PrimElement, s: int, payload: AnyForm) -> Element:
+    if not 0 <= s <= a.n:
+        raise InternalInvariantError(
+            f"m2({_positions(a, b)}): nonzero product at impossible degree {s}")
     return _element(MINUS, s, payload)
+
+
+def _positions(*elements: PrimElement) -> str:
+    return ", ".join(f"P{e.s}{e.side}" for e in elements)
 
 
 def m3(a: Element, b: Element, c: Element) -> Element:
@@ -218,7 +218,8 @@ def m3(a: Element, b: Element, c: Element) -> Element:
         return ZERO
     s_out = 2 * n + 2 - total
     if not 0 <= s_out <= n:
-        raise InternalInvariantError(f"nonzero m3 at impossible degree {s_out}")
+        raise InternalInvariantError(
+            f"m3({_positions(a, b, c)}): nonzero m3 at impossible degree {s_out}")
     return _element(MINUS, s_out, value)
 
 

@@ -24,7 +24,7 @@ from .cone import ConeElement, check_chain_identities
 from .connection import Connection, analyze_flatness
 from .dsl import ParseError, parse_form, print_form
 from .errors import InternalInvariantError
-from .forms import Form, MatrixForm, VectorForm
+from .forms import AnyForm, Form, MatrixForm
 from .lefschetz import decompose
 from .sampling import rand_prim_element
 from .ainfinity import PrimElement, _ZeroElement, check_stasheff
@@ -42,28 +42,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _matrix_json(m: MatrixForm) -> list[list[str]]:
-    return [[print_form(e) for e in row] for row in m.entries]
-
-
-def _vector_json(v: VectorForm) -> list[str]:
-    return [print_form(e) for e in v.entries]
+def _form_json(a: AnyForm):
+    """Printed form; entrywise, in the nesting of ``entries``, for a fiber form."""
+    return print_form(a) if isinstance(a, Form) else a.nested(print_form)
 
 
 def _element_json(e: Union[PrimElement, ConeElement, _ZeroElement, None]):
     if e is None or isinstance(e, _ZeroElement):
         return None
     if isinstance(e, ConeElement):
-        return {"grading": e.grading, "eta": _vector_json(e.eta),
-                "theta": _vector_json(e.xi)}
-    payload = e.payload
-    if isinstance(payload, VectorForm):
-        body = _vector_json(payload)
-    elif isinstance(payload, MatrixForm):
-        body = _matrix_json(payload)
-    else:
-        body = print_form(payload)
-    return {"position": f"P{e.s}{e.side}", "payload": body}
+        return {"grading": e.grading, "eta": _form_json(e.eta),
+                "theta": _form_json(e.xi)}
+    return {"position": f"P{e.s}{e.side}", "payload": _form_json(e.payload)}
 
 
 def load_connection(path: str) -> Connection:
@@ -84,7 +74,7 @@ def load_connection(path: str) -> Connection:
             form = parse_form(text, n)
             if not form.is_zero and form.degree != 1:
                 raise ValueError(f"connection entry {text!r} is not a 1-form")
-            parsed_row.append(Form(n, 1, form.terms))
+            parsed_row.append(form)
         entries.append(parsed_row)
     return Connection(n, rank, MatrixForm(entries, 1))
 
@@ -114,10 +104,10 @@ def _cmd_flatness(args) -> tuple:
     report = {
         "n": conn.n,
         "rank": conn.rank,
-        "F": _matrix_json(rep.F),
-        "F0": _matrix_json(rep.F0),
-        "Phi": _matrix_json(rep.Phi),
-        "dAPhi": _matrix_json(rep.dAPhi),
+        "F": _form_json(rep.F),
+        "F0": _form_json(rep.F0),
+        "Phi": _form_json(rep.Phi),
+        "dAPhi": _form_json(rep.dAPhi),
         "is_symplectically_flat": rep.is_symplectically_flat,
     }
     return 0, report

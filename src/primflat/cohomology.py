@@ -32,12 +32,12 @@ elements.  Every differential here is a constant fiber map composed with a
 polynomial shift (d) or multiply (A, Phi): on mono (x) b (x) e_u, d gives
 sum_c d_c(mono) (x) T_c b (x) e_u and A gives sum_{c,v} (A_c)_vu mono (x)
 T_c b (x) e_v, where T_c is the primitive part of dx_c /\\ . below the
-middle and its L^{-1} part above it (``fiber_d_table``, cached per (n, s)
-in lefschetz).  The middle map is two such passes plus Phi; the cone
-differential is one pass with T_c = dx_c /\\ . on form indices, plus the
-omega /\\ . and Phi blocks.  ``twisted_m1`` and ``cone_d`` remain the symbolic
-definitions; the test suite checks every table column against them, and
-``exactness_witness`` re-checks its answer with them.
+middle and its L^{-1} part above it (``fiber_d_table``, cached per
+(n, s, r) in lefschetz).  The middle map is two such passes plus Phi; the
+cone differential is one pass with T_c = dx_c /\\ . on form indices, plus
+the omega /\\ . and Phi blocks.  ``twisted_m1`` and ``cone_d`` remain the
+symbolic definitions; the test suite checks every table column against
+them, and ``exactness_witness`` re-checks its answer with them.
 
 Each differential column is built and eliminated once per report: the
 sweep of one position gives its kernel at degree <= D, and its echelon,
@@ -65,7 +65,7 @@ from .lefschetz import (FiberTable, fiber_d_table, primitive_fiber_basis,
                         primitive_fiber_coords)
 from .linalg import Echelon, Vec, kernel_basis
 from .scalars import Monomial, Poly, monomials_up_to
-from .ainfinity import (Element, MINUS, PLUS, PrimElement, ZERO, _ZeroElement,
+from .ainfinity import (Element, MINUS, PLUS, PrimElement, _ZeroElement, _element,
                         add_elements, grading_position, m1, m2, scale_element)
 from .twist import twisted_m1
 
@@ -153,19 +153,15 @@ class TruncatedSpace:
                 for idx, base_coeff in basis[fi].items():
                     acc = entries[u].setdefault(idx, {})
                     acc[mono] = acc.get(mono, Fraction(0)) + coeff * base_coeff
-            forms = [Form(n, s, {idx: Poly(n, monos) for idx, monos in entry.items()})
-                     for entry in entries]
-            return PrimElement(side, s, VectorForm(forms, s))
+            return PrimElement(side, s, VectorForm([_form(n, s, e) for e in entries], s))
         slots = {0: [dict() for _ in range(rank)], 1: [dict() for _ in range(rank)]}
         for (slot, mono, idx, u), coeff in coords.items():
             acc = slots[slot][u].setdefault(idx, {})
             acc[mono] = acc.get(mono, Fraction(0)) + coeff
-        def build(slot: int, degree: int) -> VectorForm:
-            forms = [Form(n, degree, {idx: Poly(n, monos) for idx, monos in entry.items()})
-                     for entry in slots[slot]]
-            return VectorForm(forms, degree)
-        return ConeElement(self.grading, build(0, self.grading),
-                           build(1, self.grading - 1))
+        eta = [_form(n, self.grading, e) for e in slots[0]]
+        xi = [_form(n, self.grading - 1, e) for e in slots[1]]
+        return ConeElement(self.grading, VectorForm(eta, self.grading),
+                           VectorForm(xi, self.grading - 1))
 
     def coords_of(self, element: Union[PrimElement, ConeElement, _ZeroElement]) -> Vec:
         if isinstance(element, _ZeroElement):
@@ -193,6 +189,16 @@ class TruncatedSpace:
                     for mono, coeff in poly.terms.items():
                         out[(slot, mono, idx, u)] = coeff
         return out
+
+
+def _form(n: int, degree: int, coeffs: dict) -> Form:
+    """The form with coefficients ``{idx: {mono: value}}``; cancelled ones drop."""
+    terms = {}
+    for idx, monos in coeffs.items():
+        poly = Poly(n, monos)
+        if not poly.is_zero:
+            terms[idx] = poly
+    return Form._trusted(n, degree, terms)
 
 
 def _space(conn: Connection, kind: str, grading: int) -> TruncatedSpace:
@@ -638,13 +644,9 @@ def _closed_identity_residual(conn: Connection, lam_elem: PrimElement,
     from .twist import del_minus_A, del_plus_A
 
     if beta.side == PLUS:
-        lowered = del_minus_A(conn, beta.payload)
-        partner = (ZERO if lowered.is_zero
-                   else PrimElement(PLUS, beta.s - 1, lowered))
+        partner = _element(PLUS, beta.s - 1, del_minus_A(conn, beta.payload))
         combination = add_elements(beta, scale_element(-1, m2(lam_elem, partner)))
     else:
-        raised = del_plus_A(conn, beta.payload)
-        partner = (ZERO if raised.is_zero
-                   else PrimElement(MINUS, beta.s + 1, raised))
+        partner = _element(MINUS, beta.s + 1, del_plus_A(conn, beta.payload))
         combination = add_elements(beta, m2(lam_elem, partner))
     return m1(combination)

@@ -102,9 +102,7 @@ def cone_d(conn: Connection, a: ConeElement) -> ConeElement:
     phi = analyze_flatness(conn).Phi
     eta_out = covariant_d(conn, a.eta) + wedge(omega(conn.n), a.xi)
     xi_out = -(wedge(phi, a.eta) + covariant_d(conn, a.xi))
-    return ConeElement(a.grading + 1,
-                       VectorForm(eta_out.entries, a.grading + 1),
-                       VectorForm(xi_out.entries, a.grading))
+    return ConeElement(a.grading + 1, eta_out, xi_out)
 
 
 def phi_apply(conn: Connection, a: ConeElement) -> ConeElement:
@@ -134,10 +132,12 @@ def cone_split(a: ConeElement) -> ConeSplit:
     xi_comps = dict(decompose(a.xi).components)
     if a.grading > n:
         k = 2 * n + 1 - a.grading
-        if any(r < n - k + 1 for r in eta_comps):
-            raise InternalInvariantError("eta slot above the middle lacks omega divisibility")
-        if any(r < n - k for r in xi_comps):
-            raise InternalInvariantError("xi slot above the middle lacks omega divisibility")
+        for slot, comps, least in (("eta", eta_comps, n - k + 1), ("xi", xi_comps, n - k)):
+            for r in comps:
+                if r < least:
+                    raise InternalInvariantError(
+                        f"cone grading {a.grading}: {slot} slot above the middle has a "
+                        f"component omega^{r}, needs omega^{least} or higher")
     return ConeSplit(a.grading, eta_comps, xi_comps)
 
 
@@ -170,20 +170,16 @@ def map_g(conn: Connection, b: Element) -> Optional[ConeElement]:
     n, rank = b.n, b.payload.rank
     if b.side == PLUS:
         xi = -del_minus_A(conn, b.payload)
-        return ConeElement(b.s, b.payload, VectorForm(xi.entries, b.s - 1))
+        return ConeElement(b.s, b.payload, xi)
     k = b.s
     xi = -wedge(omega_power(n, n - k), b.payload)
     grading = 2 * n + 1 - k
-    return ConeElement(grading, VectorForm.zero(n, grading, rank),
-                       VectorForm(xi.entries, grading - 1))
+    return ConeElement(grading, VectorForm.zero(n, grading, rank), xi)
 
 
 def homotopy_G(a: ConeElement) -> ConeElement:
     """(eta, xi) -> (xi, L^{-1} eta); lowers the grading by one."""
-    lowered = L_power(-1, a.eta)
-    return ConeElement(a.grading - 1,
-                       VectorForm(a.xi.entries, a.grading - 1),
-                       VectorForm(lowered.entries, a.grading - 2))
+    return ConeElement(a.grading - 1, a.xi, L_power(-1, a.eta))
 
 
 # ---------- identity checks ----------
@@ -235,8 +231,7 @@ def residual_homotopy(conn: Connection, a: ConeElement) -> ConeElement:
 
 def residual_phi_exactness(conn: Connection, closed: ConeElement) -> ConeElement:
     """D(-xi, 0) - Phi(closed) for a D-closed element: its explicit exactness."""
-    witness = ConeElement(closed.grading - 1,
-                          VectorForm((-closed.xi).entries, closed.grading - 1),
+    witness = ConeElement(closed.grading - 1, -closed.xi,
                           VectorForm.zero(closed.n, closed.grading - 2, closed.rank))
     return cone_d(conn, witness) - phi_apply(conn, closed)
 
@@ -271,7 +266,7 @@ def check_chain_identities(conn: Connection, trials: int = 100, seed: int = 0,
         example = None
         for _ in range(trials):
             x = sampler()
-            res= residual(x)
+            res = residual(x)
             bad = res is not None and not res.is_zero
             if bad:
                 failures += 1

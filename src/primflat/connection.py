@@ -115,7 +115,7 @@ def gauge_apply(conn: Connection, g: MatrixForm, g_inv: MatrixForm) -> Connectio
     if wedge(g, g_inv) != identity or wedge(g_inv, g) != identity:
         raise ValueError("gauge inverse check failed: g * g_inv != identity")
     new_A = wedge(wedge(g, conn.A), g_inv) + wedge(g, exterior_d(g_inv))
-    return Connection(conn.n, conn.rank, MatrixForm(new_A.entries, 1))
+    return Connection(conn.n, conn.rank, new_A)
 
 
 def unipotent_inverse(g: MatrixForm) -> MatrixForm:
@@ -131,7 +131,7 @@ def unipotent_inverse(g: MatrixForm) -> MatrixForm:
         result = result + (power if k % 2 == 0 else -power)
     if not power.is_zero:
         raise ValueError("matrix is not unipotent: nilpotent part does not terminate")
-    return MatrixForm(result.entries, 0)
+    return result
 
 
 def generate_flat(n: int, rank: int, phi0: Sequence[Sequence[Scalar]],
@@ -152,8 +152,7 @@ def generate_flat(n: int, rank: int, phi0: Sequence[Sequence[Scalar]],
     rows = [[_as_fraction(v) for v in row] for row in phi0]
     if len(rows) != rank or any(len(row) != rank for row in rows):
         raise ValueError("phi0 must be rank x rank")
-    base = MatrixForm.from_scalar_form(rows, lam)
-    conn = Connection(n, rank, MatrixForm(base.entries, 1))
+    conn = Connection(n, rank, MatrixForm.from_scalar_form(rows, lam))
     if gauge is None:
         return conn
     return gauge_apply(conn, gauge, unipotent_inverse(gauge))
@@ -171,4 +170,4 @@ def yang_mills_residual(conn: Connection) -> MatrixForm:
     if not report.F0.is_zero:
         raise ValueError("Yang-Mills residual needs curvature with no primitive part")
     phi_top = wedge(report.Phi, omega_power(conn.n, conn.n - 1))
-    return covariant_d_end(conn, MatrixForm(phi_top.entries, 2 * conn.n - 2))
+    return covariant_d_end(conn, phi_top)

@@ -11,11 +11,25 @@ Conventions, fixed once for the whole package:
 
 Forms are homogeneous.  The degree is a plain label: forms whose degree
 falls outside 0..2n are allowed but must be zero (they appear transiently
-as images of degree-shifting operators).  Three fiber flavors share the
-same operations: plain `Form`, `VectorForm` (rank-r column of forms of
-equal degree) and `MatrixForm` (r x r).  The wedge of fiber-valued forms
-composes fibers in input order with no extra sign beyond the scalar Koszul
-sign; for matrices that is matrix multiplication over the wedge.
+as images of degree-shifting operators).  Every operation returns its
+algebraic degree, zero results included.
+
+A scalar `Form` is one fiber flavor; the other two are `FiberForm`s: a
+`VectorForm` (rank-r column of forms of one degree) and a `MatrixForm`
+(r x r).  `FiberForm` implements every fiber operation once over the
+entries in row-major order (``flat``); the subclasses add only their shape
+and their named constructors.  The wedge of fiber-valued forms composes
+fibers in input order with no extra sign beyond the scalar Koszul sign;
+for matrices that is matrix multiplication over the wedge.
+
+Validation happens at the public constructors: ``Form(n, degree, terms)``
+checks every index tuple and coefficient, and ``VectorForm(...)`` /
+``MatrixForm(...)`` check the shape, the chart and the degree of their
+entries.  Forms are immutable in use, so the fiber constructors keep the
+caller's entries and only re-label zero entries to the fiber degree.
+Internal producers build their results from already-valid data through the
+trusted constructors ``Form._trusted`` and ``FiberForm._from_flat``, which
+check nothing.
 """
 
 from __future__ import annotations
@@ -78,11 +92,21 @@ class Form:
                     clean[idx] = poly
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, n: int, degree: int, terms: dict[FormIndex, Poly]) -> "Form":
+        """Internal constructor: ``terms`` must already be valid for (n, degree)
+        with no zero coefficient; the form takes ownership of the dict."""
+        form = object.__new__(cls)
+        form.n = n
+        form.degree = degree
+        form.terms = terms
+        return form
+
     # ---------- constructors ----------
 
     @classmethod
     def zero(cls, n: int, degree: int) -> "Form":
-        return cls(n, degree)
+        return cls._trusted(n, degree, {})
 
     @classmethod
     def from_poly(cls, poly: Poly) -> "Form":
@@ -129,14 +153,11 @@ class Form:
                 out.pop(idx, None)
             else:
                 out[idx] = summed
-        result = Form(self.n, degree)
-        result.terms = out
-        return result
+        return Form._trusted(self.n, degree, out)
 
     def __neg__(self) -> "Form":
-        result = Form(self.n, self.degree)
-        result.terms = {idx: -poly for idx, poly in self.terms.items()}
-        return result
+        return Form._trusted(self.n, self.degree,
+                             {idx: -poly for idx, poly in self.terms.items()})
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
@@ -148,14 +169,12 @@ class Form:
                 prod = value * poly
                 if not prod.is_zero:
                     out[idx] = prod
-            result = Form(self.n, self.degree)
-            result.terms = out
-            return result
+            return Form._trusted(self.n, self.degree, out)
         frac = _as_fraction(value)
-        result = Form(self.n, self.degree)
-        if frac:
-            result.terms = {idx: poly.scaled(frac) for idx, poly in self.terms.items()}
-        return result
+        if not frac:
+            return Form._trusted(self.n, self.degree, {})
+        return Form._trusted(self.n, self.degree,
+                             {idx: poly.scaled(frac) for idx, poly in self.terms.items()})
 
     @property
     def is_zero(self) -> bool:
@@ -182,36 +201,49 @@ class Form:
         return f"Form(n={self.n}, degree={self.degree}, terms={self.terms!r})"
 
 
-class VectorForm:
-    """Rank-r column of forms of one degree (a fiber-valued form)."""
+class FiberForm:
+    """A form with values in a fiber: entries are forms of one degree.
+
+    Every operation acts entrywise over ``flat`` (the entries in row-major
+    order); subclasses give the nesting of ``entries`` through ``_shape``.
+    """
 
     __slots__ = ("n", "degree", "entries")
 
-    def __init__(self, entries: Sequence[Form], degree: Optional[int] = None):
-        entries = list(entries)
-        if not entries:
-            raise ValueError("vector form needs at least one entry")
-        n = entries[0].n
+    @staticmethod
+    def _checked(flat: list[Form], degree: Optional[int], what: str
+                 ) -> tuple[int, int, list[Form]]:
+        """(n, degree, entries) of a public constructor's entry list."""
+        n = flat[0].n
         if degree is None:
-            degree = entries[0].degree
-        for e in entries:
+            degree = flat[0].degree
+        for e in flat:
             if e.n != n:
-                raise ValueError("chart dimension mismatch in vector entries")
+                raise ValueError(f"chart dimension mismatch in {what} entries")
             if e.terms and e.degree != degree:
-                raise ValueError("vector entries of mixed degree")
-        self.n = n
-        self.degree = degree
-        self.entries = [Form(n, degree, e.terms) for e in entries]
+                raise ValueError(f"{what} entries of mixed degree")
+        zero = Form.zero(n, degree)
+        return n, degree, [e if e.terms or e.degree == degree else zero for e in flat]
 
-    @classmethod
-    def zero(cls, n: int, degree: int, rank: int) -> "VectorForm":
-        return cls([Form.zero(n, degree) for _ in range(rank)], degree)
+    @property
+    def flat(self) -> list[Form]:
+        raise NotImplementedError
 
-    @classmethod
-    def unit(cls, n: int, rank: int, which: int) -> "VectorForm":
-        entries = [Form.zero(n, 0) for _ in range(rank)]
-        entries[which] = Form.const(n, 1)
-        return cls(entries, 0)
+    def _shape(self, flat: list):
+        raise NotImplementedError
+
+    def _from_flat(self, flat: list[Form], degree: int):
+        """Trusted constructor: the same fiber shape with new entries, which
+        must be forms on this chart, nonzero ones of the given degree."""
+        out = object.__new__(type(self))
+        out.n = self.n
+        out.degree = degree
+        out.entries = self._shape(flat)
+        return out
+
+    def nested(self, fn: Callable[[Form], object]) -> list:
+        """``fn`` of every entry, in the nesting of ``entries``."""
+        return self._shape([fn(e) for e in self.flat])
 
     @property
     def rank(self) -> int:
@@ -219,69 +251,88 @@ class VectorForm:
 
     @property
     def is_zero(self) -> bool:
-        return all(e.is_zero for e in self.entries)
+        return all(e.is_zero for e in self.flat)
 
-    def map(self, fn: Callable[[Form], Form], degree: Optional[int] = None) -> "VectorForm":
-        mapped = [fn(e) for e in self.entries]
-        return VectorForm(mapped, degree if degree is not None else _mapped_degree(mapped))
+    def map(self, fn: Callable[[Form], Form], degree: int):
+        """Entrywise image under ``fn``, which sends this degree to ``degree``."""
+        return self._from_flat([fn(e) for e in self.flat], degree)
 
-    def __add__(self, other: "VectorForm") -> "VectorForm":
-        if not isinstance(other, VectorForm):
+    def __add__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        deg = self.degree if not self.is_zero else other.degree
-        return VectorForm([a + b for a, b in zip(self.entries, other.entries)], deg)
+        degree = self.degree if not self.is_zero else other.degree
+        return self._from_flat([a + b for a, b in zip(self.flat, other.flat)], degree)
 
-    def __neg__(self) -> "VectorForm":
-        return self.map(lambda e: -e, self.degree)
+    def __neg__(self):
+        return self.map(Form.__neg__, self.degree)
 
-    def __sub__(self, other: "VectorForm") -> "VectorForm":
+    def __sub__(self, other):
         return self + (-other)
 
-    def scaled(self, value) -> "VectorForm":
+    def scaled(self, value):
         return self.map(lambda e: e.scaled(value), self.degree)
 
     def coefficient_degree(self) -> Optional[int]:
-        degrees = [d for d in (e.coefficient_degree() for e in self.entries) if d is not None]
+        degrees = [d for d in (e.coefficient_degree() for e in self.flat) if d is not None]
         return max(degrees) if degrees else None
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VectorForm):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.rank == other.rank and all(
-            a == b for a, b in zip(self.entries, other.entries))
+        return self.rank == other.rank and self.flat == other.flat
 
     def __repr__(self) -> str:
-        return f"VectorForm({self.entries!r})"
+        return f"{type(self).__name__}({self.entries!r})"
 
 
-class MatrixForm:
+class VectorForm(FiberForm):
+    """Rank-r column of forms of one degree (a fiber-valued form)."""
+
+    __slots__ = ()
+
+    def __init__(self, entries: Sequence[Form], degree: Optional[int] = None):
+        flat = list(entries)
+        if not flat:
+            raise ValueError("vector form needs at least one entry")
+        self.n, self.degree, self.entries = self._checked(flat, degree, "vector")
+
+    @classmethod
+    def zero(cls, n: int, degree: int, rank: int) -> "VectorForm":
+        return cls([Form.zero(n, degree)] * rank, degree)
+
+    @classmethod
+    def unit(cls, n: int, rank: int, which: int) -> "VectorForm":
+        entries = [Form.zero(n, 0)] * rank
+        entries[which] = Form.const(n, 1)
+        return cls(entries, 0)
+
+    @property
+    def flat(self) -> list[Form]:
+        return self.entries
+
+    def _shape(self, flat: list) -> list:
+        return flat
+
+
+class MatrixForm(FiberForm):
     """r x r matrix of forms of one degree (endomorphism-valued form)."""
 
-    __slots__ = ("n", "degree", "entries")
+    __slots__ = ()
 
     def __init__(self, entries: Sequence[Sequence[Form]], degree: Optional[int] = None):
         rows = [list(row) for row in entries]
         r = len(rows)
         if r == 0 or any(len(row) != r for row in rows):
             raise ValueError("matrix form must be square and non-empty")
-        n = rows[0][0].n
-        if degree is None:
-            degree = rows[0][0].degree
-        for row in rows:
-            for e in row:
-                if e.n != n:
-                    raise ValueError("chart dimension mismatch in matrix entries")
-                if e.terms and e.degree != degree:
-                    raise ValueError("matrix entries of mixed degree")
-        self.n = n
-        self.degree = degree
-        self.entries = [[Form(n, degree, e.terms) for e in row] for row in rows]
+        self.n, self.degree, flat = self._checked(
+            [e for row in rows for e in row], degree, "matrix")
+        self.entries = [flat[i * r:(i + 1) * r] for i in range(r)]
 
     @classmethod
     def zero(cls, n: int, degree: int, rank: int) -> "MatrixForm":
-        return cls([[Form.zero(n, degree) for _ in range(rank)] for _ in range(rank)], degree)
+        return cls([[Form.zero(n, degree)] * rank for _ in range(rank)], degree)
 
     @classmethod
     def identity(cls, n: int, rank: int) -> "MatrixForm":
@@ -299,60 +350,12 @@ class MatrixForm:
                    form.degree)
 
     @property
-    def rank(self) -> int:
-        return len(self.entries)
+    def flat(self) -> list[Form]:
+        return [e for row in self.entries for e in row]
 
-    @property
-    def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.entries for e in row)
-
-    def map(self, fn: Callable[[Form], Form], degree: Optional[int] = None) -> "MatrixForm":
-        mapped = [[fn(e) for e in row] for row in self.entries]
-        deg = degree if degree is not None else _mapped_degree(
-            [e for row in mapped for e in row])
-        return MatrixForm(mapped, deg)
-
-    def __add__(self, other: "MatrixForm") -> "MatrixForm":
-        if not isinstance(other, MatrixForm):
-            return NotImplemented
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        deg = self.degree if not self.is_zero else other.degree
-        return MatrixForm([[a + b for a, b in zip(ra, rb)]
-                           for ra, rb in zip(self.entries, other.entries)], deg)
-
-    def __neg__(self) -> "MatrixForm":
-        return self.map(lambda e: -e, self.degree)
-
-    def __sub__(self, other: "MatrixForm") -> "MatrixForm":
-        return self + (-other)
-
-    def scaled(self, value) -> "MatrixForm":
-        return self.map(lambda e: e.scaled(value), self.degree)
-
-    def coefficient_degree(self) -> Optional[int]:
-        degrees = [d for d in (e.coefficient_degree() for row in self.entries for e in row)
-                   if d is not None]
-        return max(degrees) if degrees else None
-
-    def apply_to(self, vector: VectorForm) -> VectorForm:
-        return wedge(self, vector)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MatrixForm):
-            return NotImplemented
-        return self.rank == other.rank and all(
-            a == b for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb))
-
-    def __repr__(self) -> str:
-        return f"MatrixForm({self.entries!r})"
-
-
-def _mapped_degree(forms: Sequence[Form]) -> int:
-    for f in forms:
-        if f.terms:
-            return f.degree
-    return forms[0].degree
+    def _shape(self, flat: list) -> list[list]:
+        r = len(self.entries)
+        return [flat[i * r:(i + 1) * r] for i in range(r)]
 
 
 # ---------- wedge ----------
@@ -361,10 +364,9 @@ def _wedge_forms(a: Form, b: Form) -> Form:
     if a.n != b.n:
         raise ValueError("chart dimension mismatch")
     degree = a.degree + b.degree
-    result = Form(a.n, degree)
-    if a.is_zero or b.is_zero or degree > 2 * a.n:
-        return result
     out: dict[FormIndex, Poly] = {}
+    if a.is_zero or b.is_zero or degree > 2 * a.n:
+        return Form._trusted(a.n, degree, out)
     for idx_a, poly_a in a.terms.items():
         for idx_b, poly_b in b.terms.items():
             merged = merge_indices(idx_a, idx_b)
@@ -380,8 +382,14 @@ def _wedge_forms(a: Form, b: Form) -> Form:
                 out.pop(idx, None)
             else:
                 out[idx] = summed
-    result.terms = out
-    return result
+    return Form._trusted(a.n, degree, out)
+
+
+def _compose(n: int, degree: int, row: Sequence[Form], column: Sequence[Form]) -> Form:
+    acc = Form.zero(n, degree)
+    for x, y in zip(row, column):
+        acc = acc + _wedge_forms(x, y)
+    return acc
 
 
 def wedge(a: AnyForm, b: AnyForm) -> AnyForm:
@@ -391,38 +399,20 @@ def wedge(a: AnyForm, b: AnyForm) -> AnyForm:
     matrix.vector.  vector.vector and vector.matrix have no fiber
     composition and raise.
     """
+    degree = a.degree + b.degree
     if isinstance(a, Form):
         if isinstance(b, Form):
             return _wedge_forms(a, b)
-        return b.map(lambda e: _wedge_forms(a, e), a.degree + b.degree)
+        return b.map(lambda e: _wedge_forms(a, e), degree)
     if isinstance(b, Form):
-        return a.map(lambda e: _wedge_forms(e, b), a.degree + b.degree)
-    if isinstance(a, MatrixForm) and isinstance(b, MatrixForm):
+        return a.map(lambda e: _wedge_forms(e, b), degree)
+    if isinstance(a, MatrixForm) and isinstance(b, FiberForm):
         if a.rank != b.rank:
             raise ValueError("rank mismatch")
-        degree = a.degree + b.degree
-        r = a.rank
-        rows = []
-        for i in range(r):
-            row = []
-            for k in range(r):
-                acc = Form.zero(a.n, degree)
-                for j in range(r):
-                    acc = acc + _wedge_forms(a.entries[i][j], b.entries[j][k])
-                row.append(acc)
-            rows.append(row)
-        return MatrixForm(rows, degree)
-    if isinstance(a, MatrixForm) and isinstance(b, VectorForm):
-        if a.rank != b.rank:
-            raise ValueError("rank mismatch")
-        degree = a.degree + b.degree
-        out = []
-        for i in range(a.rank):
-            acc = Form.zero(a.n, degree)
-            for j in range(a.rank):
-                acc = acc + _wedge_forms(a.entries[i][j], b.entries[j])
-            out.append(acc)
-        return VectorForm(out, degree)
+        # a vector is a single column
+        columns = list(zip(*b.entries)) if isinstance(b, MatrixForm) else [b.entries]
+        return b._from_flat([_compose(a.n, degree, row, col)
+                             for row in a.entries for col in columns], degree)
     raise TypeError(
         f"no fiber composition for {type(a).__name__} wedge {type(b).__name__}")
 
@@ -432,10 +422,9 @@ def wedge(a: AnyForm, b: AnyForm) -> AnyForm:
 def _d_form(a: Form) -> Form:
     n = a.n
     degree = a.degree + 1
-    result = Form(n, degree)
-    if a.is_zero or degree > 2 * n:
-        return result
     out: dict[FormIndex, Poly] = {}
+    if a.is_zero or degree > 2 * n:
+        return Form._trusted(n, degree, out)
     for idx, poly in a.terms.items():
         for coord in range(2 * n):
             derivative = poly.partial(coord)
@@ -453,8 +442,7 @@ def _d_form(a: Form) -> Form:
                 out.pop(new_idx, None)
             else:
                 out[new_idx] = summed
-    result.terms = out
-    return result
+    return Form._trusted(n, degree, out)
 
 
 def exterior_d(a: AnyForm) -> AnyForm:
@@ -466,8 +454,6 @@ def exterior_d(a: AnyForm) -> AnyForm:
 
 def interior_product(coord: int, a: Form) -> Form:
     """Contraction with the coordinate frame vector of ``coord``."""
-    n = a.n
-    result = Form(n, a.degree - 1)
     out: dict[FormIndex, Poly] = {}
     for idx, poly in a.terms.items():
         try:
@@ -482,8 +468,7 @@ def interior_product(coord: int, a: Form) -> Form:
             out.pop(new_idx, None)
         else:
             out[new_idx] = summed
-    result.terms = out
-    return result
+    return Form._trusted(a.n, a.degree - 1, out)
 
 
 def contract_lambda(a: Form) -> Form:
@@ -493,7 +478,7 @@ def contract_lambda(a: Form) -> Form:
     when this vanishes on every scalar component.
     """
     n = a.n
-    result = Form(n, a.degree - 2)
+    result = Form.zero(n, a.degree - 2)
     if a.degree < 2:
         return result
     for i in range(n):
@@ -514,8 +499,7 @@ def graded_commutator(a: MatrixForm, b: MatrixForm) -> MatrixForm:
 
 def omega(n: int) -> Form:
     """The Darboux symplectic form sum_i dx_i /\\ dy_i."""
-    terms = {(i, n + i): Poly.const(n, 1) for i in range(n)}
-    return Form(n, 2, terms)
+    return Form._trusted(n, 2, {(i, n + i): Poly.const(n, 1) for i in range(n)})
 
 
 def omega_power(n: int, p: int) -> Form:
@@ -530,7 +514,7 @@ def omega_power(n: int, p: int) -> Form:
 
 def lambda_standard(n: int) -> Form:
     """sum_i x_i dy_i; d of it is omega."""
-    return Form(n, 1, {(n + i,): Poly.variable(n, i) for i in range(n)})
+    return Form._trusted(n, 1, {(n + i,): Poly.variable(n, i) for i in range(n)})
 
 
 def lambda_symmetric(n: int) -> Form:
@@ -540,7 +524,7 @@ def lambda_symmetric(n: int) -> Form:
     for i in range(n):
         terms[(n + i,)] = Poly.variable(n, i).scaled(half)
         terms[(i,)] = Poly.variable(n, n + i).scaled(-half)
-    return Form(n, 1, terms)
+    return Form._trusted(n, 1, terms)
 
 
 LAMBDA_CHOICES: dict[str, Callable[[int], Form]] = {

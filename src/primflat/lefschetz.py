@@ -32,11 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import InternalInvariantError
-from .forms import (AnyForm, Form, FormIndex, MatrixForm, VectorForm, all_indices,
-                    contract_lambda, exterior_d, merge_indices, omega_power, wedge)
+from .forms import (AnyForm, Form, FormIndex, all_indices, contract_lambda, exterior_d,
+                    merge_indices, omega_power, wedge)
 from .linalg import Echelon
 from .scalars import Poly
 
@@ -103,7 +102,8 @@ def _primitive_coords_solver(n: int, s: int) -> Echelon:
     ech = Echelon(track=True)
     for bi, vec in enumerate(primitive_fiber_basis(n, s)):
         if ech.add(vec, bi) is not None:
-            raise InternalInvariantError("primitive fiber basis is dependent")
+            raise InternalInvariantError(
+                f"primitive fiber basis of {s}-forms (n={n}) is dependent")
     _PRIM_COORDS.setdefault(key, ech)
     return _PRIM_COORDS[key]
 
@@ -112,7 +112,7 @@ def primitive_fiber_coords(n: int, s: int, const_form: ConstForm) -> dict[int, F
     """Coordinates of a constant primitive s-form in the cached fiber basis."""
     combo = _primitive_coords_solver(n, s).solve(const_form)
     if combo is None:
-        raise InternalInvariantError("constant form is not primitive")
+        raise InternalInvariantError(f"constant {s}-form (n={n}) is not primitive")
     return combo
 
 
@@ -132,14 +132,16 @@ def _decomp_table(n: int, degree: int) -> dict[FormIndex, dict[int, ConstForm]]:
             image = wedge(wr, _const_to_form(n, s, bvec))
             col = {idx: p.constant_value() for idx, p in image.terms.items()}
             if ech.add(col, (r, bi)) is not None:
-                raise InternalInvariantError("Lefschetz fiber system is singular")
+                raise InternalInvariantError(
+                    f"Lefschetz fiber system of {degree}-forms (n={n}) is singular")
             basis_vectors[(r, bi)] = bvec
 
     table: dict[FormIndex, dict[int, ConstForm]] = {}
     for idx in all_indices(n, degree):
         combo = ech.solve({idx: Fraction(1)})
         if combo is None:
-            raise InternalInvariantError("Lefschetz fiber system does not span")
+            raise InternalInvariantError(
+                f"Lefschetz fiber system of {degree}-forms (n={n}) does not span")
         components: dict[int, ConstForm] = {}
         for (r, bi), coeff in combo.items():
             comp = components.setdefault(r, {})
@@ -208,9 +210,6 @@ class LefschetzComponents:
     degree: int
     components: dict[int, AnyForm]
 
-    def component(self, r: int) -> Optional[AnyForm]:
-        return self.components.get(r)
-
     def reassemble(self) -> AnyForm:
         total = None
         for r, beta in self.components.items():
@@ -223,41 +222,33 @@ class LefschetzComponents:
 
 def _decompose_scalar(a: Form) -> dict[int, Form]:
     table = _decomp_table(a.n, a.degree)
-    out: dict[int, Form] = {}
+    out: dict[int, dict[FormIndex, Poly]] = {}
     for idx, poly in a.terms.items():
         for r, const in table[idx].items():
-            comp = out.setdefault(r, Form.zero(a.n, a.degree - 2 * r))
-            add = Form(a.n, a.degree - 2 * r,
-                       {bidx: poly.scaled(c) for bidx, c in const.items()})
-            out[r] = comp + add
-    return {r: f for r, f in out.items() if not f.is_zero}
+            comp = out.setdefault(r, {})
+            for bidx, c in const.items():
+                term = poly.scaled(c)
+                acc = comp.get(bidx)
+                summed = term if acc is None else acc + term
+                if summed.is_zero:
+                    comp.pop(bidx, None)
+                else:
+                    comp[bidx] = summed
+    return {r: Form._trusted(a.n, a.degree - 2 * r, terms)
+            for r, terms in out.items() if terms}
 
 
 def decompose(a: AnyForm) -> LefschetzComponents:
     """Exact Lefschetz decomposition; components carry the fiber of the input."""
     if isinstance(a, Form):
-        comps = _decompose_scalar(a)
-        return LefschetzComponents(a.n, a.degree, comps)
-    if isinstance(a, VectorForm):
-        per_entry = [_decompose_scalar(e) for e in a.entries]
-        rs = sorted({r for comps in per_entry for r in comps})
-        out = {}
-        for r in rs:
-            deg = a.degree - 2 * r
-            out[r] = VectorForm(
-                [comps.get(r, Form.zero(a.n, deg)) for comps in per_entry], deg)
-        return LefschetzComponents(a.n, a.degree, out)
-    if isinstance(a, MatrixForm):
-        per_entry = [[_decompose_scalar(e) for e in row] for row in a.entries]
-        rs = sorted({r for row in per_entry for comps in row for r in comps})
-        out = {}
-        for r in rs:
-            deg = a.degree - 2 * r
-            out[r] = MatrixForm(
-                [[comps.get(r, Form.zero(a.n, deg)) for comps in row]
-                 for row in per_entry], deg)
-        return LefschetzComponents(a.n, a.degree, out)
-    raise TypeError(f"cannot decompose {type(a).__name__}")
+        return LefschetzComponents(a.n, a.degree, _decompose_scalar(a))
+    per_entry = [_decompose_scalar(e) for e in a.flat]
+    out = {}
+    for r in sorted({r for comps in per_entry for r in comps}):
+        degree = a.degree - 2 * r
+        zero = Form.zero(a.n, degree)
+        out[r] = a._from_flat([comps.get(r, zero) for comps in per_entry], degree)
+    return LefschetzComponents(a.n, a.degree, out)
 
 
 def is_primitive(a: AnyForm) -> bool:
@@ -268,19 +259,13 @@ def is_primitive(a: AnyForm) -> bool:
     """
     if isinstance(a, Form):
         return contract_lambda(a).is_zero and (a.degree <= a.n or a.is_zero)
-    if isinstance(a, VectorForm):
-        return all(is_primitive(e) for e in a.entries)
-    if isinstance(a, MatrixForm):
-        return all(is_primitive(e) for row in a.entries for e in row)
-    raise TypeError(f"cannot test primitivity of {type(a).__name__}")
+    return all(is_primitive(e) for e in a.flat)
 
 
 def is_primitive_by_wedge(a: AnyForm) -> bool:
     """Independent primitivity oracle: omega^(n-s+1) /\\ a == 0 (degree s <= n)."""
-    if isinstance(a, (VectorForm, MatrixForm)):
-        forms = a.entries if isinstance(a, VectorForm) else [
-            e for row in a.entries for e in row]
-        return all(is_primitive_by_wedge(f) for f in forms)
+    if not isinstance(a, Form):
+        return all(is_primitive_by_wedge(e) for e in a.flat)
     if a.degree > a.n:
         return a.is_zero
     power = a.n - a.degree + 1
@@ -347,6 +332,4 @@ def _require_primitive(b: AnyForm, who: str) -> None:
 def _zero_like(a: AnyForm, degree: int) -> AnyForm:
     if isinstance(a, Form):
         return Form.zero(a.n, degree)
-    if isinstance(a, VectorForm):
-        return VectorForm.zero(a.n, degree, a.rank)
-    return MatrixForm.zero(a.n, degree, a.rank)
+    return type(a).zero(a.n, degree, a.rank)

@@ -30,8 +30,8 @@ from .connection import Connection, analyze_flatness, covariant_d
 from .errors import InternalInvariantError
 from .forms import VectorForm, wedge
 from .lefschetz import L_power, is_primitive, pi_p
-from .ainfinity import (MINUS, PLUS, Element, PrimElement, ZERO, _ZeroElement,
-                  add_elements, apply_m, m1, m2, m3, scale_element)
+from .ainfinity import (MINUS, PLUS, Element, PrimElement, ZERO, _ZeroElement, _element,
+                        add_elements, apply_m, m1, m2, m3, scale_element)
 
 
 def delta_sign(k: int) -> int:
@@ -67,15 +67,12 @@ def connection_element(conn: Connection) -> Element:
     return PrimElement(PLUS, 1, conn.A)
 
 
-def twisting_series(conn: Connection, b: Element, cutoff: int = 3) -> Element:
-    """sum_k delta_k m_k(A^(k-1), B), truncated at the given tensor length.
-
-    The algebra at hand has m_k = 0 for k >= 4, so cutoff 3 is exact here;
-    the evaluator accepts any cutoff for reuse with richer map tables.
-    """
+def twisting_series(conn: Connection, b: Element) -> Element:
+    """sum_k delta_k m_k(A^(k-1), B); the algebra has m_k = 0 for k >= 4,
+    so the terms k = 1, 2, 3 are the whole series."""
     a_elem = connection_element(conn)
     total: Element = ZERO
-    for k in range(1, cutoff + 1):
+    for k in range(1, 4):
         if k > 1 and isinstance(a_elem, _ZeroElement):
             break
         args = [a_elem] * (k - 1) + [b]
@@ -99,15 +96,15 @@ def twisted_m1(conn: Connection, a: Element, verify: bool = True) -> Element:
     n = conn.n
     if a.side == PLUS:
         if a.s < n:
-            value = _element_at(PLUS, a.s + 1, del_plus_A(conn, a.payload))
+            value = _element(PLUS, a.s + 1, del_plus_A(conn, a.payload))
         else:
             phi = analyze_flatness(conn).Phi
             composite = -del_plus_A(conn, del_minus_A(conn, a.payload))
-            value = _element_at(MINUS, n, composite + wedge(phi, a.payload))
+            value = _element(MINUS, n, composite + wedge(phi, a.payload))
     elif a.s == 0:
         value = ZERO
     else:
-        value = _element_at(MINUS, a.s - 1, -del_minus_A(conn, a.payload))
+        value = _element(MINUS, a.s - 1, -del_minus_A(conn, a.payload))
     if verify:
         series = twisting_series(conn, a)
         diff = add_elements(series, scale_element(-1, value))
@@ -116,12 +113,6 @@ def twisted_m1(conn: Connection, a: Element, verify: bool = True) -> Element:
                 "branch table and twisting series disagree on "
                 f"P{a.s}{a.side}: {diff!r}")
     return value
-
-
-def _element_at(side: str, s: int, payload: VectorForm) -> Element:
-    if payload.is_zero:
-        return ZERO
-    return PrimElement(side, s, payload)
 
 
 def m1_prime_of_A(conn: Connection) -> Element:

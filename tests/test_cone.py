@@ -4,18 +4,21 @@ import random
 
 import pytest
 
+from primflat import cone
 from primflat.cone import (ConeElement, check_chain_identities, cone_d,
                            cone_split, homotopy_G, map_f, map_g,
                            residual_f_chain, residual_fg_identity,
                            residual_g_chain, residual_homotopy,
                            residual_phi_exactness)
 from primflat.connection import Connection, generate_flat
+from primflat.errors import InternalInvariantError
 from primflat.forms import (Form, MatrixForm, VectorForm, lambda_standard,
                             omega, omega_power, wedge)
 from primflat.sampling import (rand_cone_element, rand_element_at_grading,
                                rand_flat_connection, rand_primitive_vector)
 from primflat.scalars import Poly
 from primflat.ainfinity import MINUS, PLUS, PrimElement, add_elements, scale_element
+from primflat.lefschetz import LefschetzComponents
 
 
 def zero_vec(n, degree, rank=1):
@@ -71,6 +74,18 @@ def test_cone_split_examples():
     split_b = cone_split(b)
     assert split_b.xi_components == {0: beta}
 
+
+
+def test_cone_split_check_names_grading_and_exponent(monkeypatch):
+    # a decomposition that calls omega^2 primitive breaks the shape at grading 4
+    n = 2
+    monkeypatch.setattr(cone, "decompose",
+                        lambda a: LefschetzComponents(a.n, a.degree, {0: a}))
+    a = ConeElement(4, VectorForm([omega_power(n, 2)], 4), zero_vec(n, 3))
+    with pytest.raises(InternalInvariantError,
+                       match=r"^cone grading 4: eta slot above the middle has a "
+                             r"component omega\^0, needs omega\^2 or higher$"):
+        cone_split(a)
 
 def test_cone_split_round_trip_above_middle():
     # assemble a grading > n element from known primitive data, then split

@@ -6,7 +6,7 @@ import pytest
 
 from primflat.forms import (Form, MatrixForm, VectorForm, contract_lambda,
                             exterior_d, graded_commutator, lambda_standard,
-                            lambda_symmetric, omega, wedge)
+                            lambda_symmetric, omega, omega_power, wedge)
 from primflat.sampling import rand_form, rand_poly
 from primflat.scalars import Poly
 
@@ -154,3 +154,97 @@ def test_form_constructors_validate():
         Form.dx(2, 3)
     # zero forms may carry out-of-range degree labels
     assert Form.zero(1, 5).is_zero
+
+
+def test_fiber_constructors_validate():
+    n = 2
+    dx, dy = Form.dx(n, 1), Form.dy(n, 1)
+    with pytest.raises(ValueError, match="at least one entry"):
+        VectorForm([])
+    with pytest.raises(ValueError, match="square and non-empty"):
+        MatrixForm([])
+    with pytest.raises(ValueError, match="square and non-empty"):
+        MatrixForm([[dx, dx], [dx]])  # ragged
+    with pytest.raises(ValueError, match="square and non-empty"):
+        MatrixForm([[dx, dx]])  # 1 x 2
+    with pytest.raises(ValueError, match="mixed degree"):
+        VectorForm([dx, omega(n)])
+    with pytest.raises(ValueError, match="mixed degree"):
+        MatrixForm([[dx, dy], [dx, Form.const(n, 1)]])
+    with pytest.raises(ValueError, match="mixed degree"):
+        VectorForm([dx], 2)
+    with pytest.raises(ValueError, match="chart dimension"):
+        VectorForm([dx, Form.dx(1, 1)])
+    with pytest.raises(ValueError, match="chart dimension"):
+        MatrixForm([[dx, Form.dx(3, 1)], [dx, dx]])
+    with pytest.raises(ValueError):
+        VectorForm.zero(n, 1, 0)
+    with pytest.raises(ValueError):
+        MatrixForm.zero(n, 1, 0)
+
+
+def test_fiber_constructors_keep_entries_and_relabel_zeros():
+    n = 2
+    dx = Form.dx(n, 1)
+    v = VectorForm([dx, Form.zero(n, 0)], 1)
+    assert v.entries[0] is dx
+    assert v.degree == 1 and v.entries[1].is_zero and v.entries[1].degree == 1
+    m = MatrixForm([[dx, Form.zero(n, 5)], [Form.zero(n, 0), dx]])
+    assert m.degree == 1 and [[e.degree for e in row] for row in m.entries] == [[1, 1], [1, 1]]
+    assert m.entries[1][1] is dx
+
+
+def _labelled(x, degree):
+    entries = [x] if isinstance(x, Form) else x.flat
+    return x.degree == degree and all(e.degree == degree for e in entries)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_zero_results_carry_their_algebraic_degree(n):
+    from primflat.cone import ConeElement, cone_d, homotopy_G, map_g
+    from primflat.connection import Connection, covariant_d, generate_flat
+    from primflat.lefschetz import L_power, pi_p
+    from primflat.ainfinity import MINUS, PLUS, PrimElement
+
+    r = 2
+    one = VectorForm.unit(n, r, 0)
+    zero_v = VectorForm.zero(n, 1, r)
+    zero_m = MatrixForm.zero(n, 1, r)
+    for x in (zero_v, zero_m, one):
+        assert _labelled(x + x.scaled(0), x.degree)
+        assert _labelled(x - x, x.degree)
+        assert _labelled(-x.scaled(0), x.degree)
+    assert _labelled(Form.dx(n, 1) - Form.dx(n, 1), 1)
+    assert _labelled(wedge(Form.dx(n, 1), zero_v), 2)
+    assert _labelled(wedge(zero_v, omega(n)), 3)
+    assert _labelled(wedge(zero_m, zero_m), 2)
+    assert _labelled(wedge(zero_m, one), 1)
+    assert _labelled(wedge(omega_power(n, n), VectorForm([Form.dx(n, 1)] * r)), 2 * n + 1)
+    assert _labelled(exterior_d(one), 1)
+    assert _labelled(exterior_d(exterior_d(lambda_standard(n))), 3)
+    assert _labelled(exterior_d(MatrixForm.identity(n, r)), 1)
+    assert _labelled(L_power(-1, one), -2)
+    assert _labelled(L_power(-1, VectorForm([Form.dx(n, 1)] * r)), -1)
+    assert _labelled(L_power(n + 1, one), 2 * n + 2)
+    assert _labelled(pi_p(0, VectorForm([omega(n)] * r)), 2)
+    assert _labelled(pi_p(0, zero_m), 1)
+
+    flat = Connection(n, r, MatrixForm.zero(n, 1, r))
+    assert _labelled(covariant_d(flat, one), 1)
+    assert _labelled(covariant_d(generate_flat(n, r, [[0, 0], [0, 0]]), zero_v), 2)
+    conn = generate_flat(n, r, [[1, 0], [0, 2]])
+    for grading in range(0, 2 * n + 2):
+        image = cone_d(conn, ConeElement.zero(n, r, grading))
+        assert _labelled(image.eta, grading + 1) and _labelled(image.xi, grading)
+        lowered = homotopy_G(ConeElement.zero(n, r, grading))
+        assert _labelled(lowered.eta, grading - 1) and _labelled(lowered.xi, grading - 2)
+    # a primitive eta has no omega component, so L^{-1} eta is zero
+    lowered = homotopy_G(ConeElement(1, VectorForm([Form.dx(n, 1)] * r),
+                                     VectorForm.zero(n, 0, r)))
+    assert _labelled(lowered.eta, 0) and _labelled(lowered.xi, -1)
+    # plus side: xi = -del_minus_A(unit) vanishes in the zero connection
+    plus = map_g(flat, PrimElement(PLUS, 0, one))
+    assert _labelled(plus.eta, 0) and _labelled(plus.xi, -1)
+    minus = map_g(flat, PrimElement(MINUS, n, VectorForm.zero(n, n, r)))
+    assert minus.grading == n + 1
+    assert _labelled(minus.eta, n + 1) and _labelled(minus.xi, n)
