@@ -39,7 +39,17 @@ class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems with exit code 1."""
 
     def error(self, message):
-        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+        self.exit(USAGE_ERROR, f"primflat: error: {message}\n")
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer >= low (argparse names the flag on error)."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def _form_json(a: AnyForm):
@@ -65,8 +75,10 @@ def load_connection(path: str) -> Connection:
         rows = data["A"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"connection file {path}: expected n, rank, A fields") from exc
-    if len(rows) != rank or any(len(row) != rank for row in rows):
-        raise ValueError(f"connection file {path}: A must be {rank}x{rank}")
+    if not (isinstance(rows, list) and len(rows) == rank and all(
+            isinstance(row, list) and len(row) == rank
+            and all(isinstance(text, str) for text in row) for row in rows)):
+        raise ValueError(f"connection file {path}: A must be {rank} lists of {rank} strings")
     entries = []
     for row in rows:
         parsed_row = []
@@ -210,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="Lefschetz-decompose a form")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--form", required=True)
     p.set_defaults(fn=_cmd_decompose)
 
@@ -219,18 +231,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_flatness)
 
     p = sub.add_parser("ainfty-check", help="randomized Stasheff identities")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--trials", type=_int_at_least(1), default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-deg", type=int, default=2)
-    p.add_argument("--rank", type=int, default=1)
+    p.add_argument("--max-deg", type=_int_at_least(0), default=2)
+    p.add_argument("--rank", type=_int_at_least(1), default=1)
     p.set_defaults(fn=_cmd_ainfty_check)
 
     p = sub.add_parser("twist-square", help="square of the twisted differential")
     p.add_argument("--connection", required=True)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_int_at_least(1), default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-deg", type=int, default=2)
+    p.add_argument("--max-deg", type=_int_at_least(0), default=2)
     p.set_defaults(fn=_cmd_twist_square)
 
     p = sub.add_parser("cohomology", help="twisted cohomology dimensions")
@@ -247,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cone-verify", help="cone comparison identities")
     p.add_argument("--connection", required=True)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_int_at_least(1), default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_cone_verify)
 

@@ -63,7 +63,7 @@ from .errors import InternalInvariantError
 from .forms import Form, LAMBDA_CHOICES, VectorForm, all_indices, merge_indices, wedge
 from .lefschetz import (FiberTable, fiber_d_table, primitive_fiber_basis,
                         primitive_fiber_coords)
-from .linalg import Echelon, Vec, kernel_basis
+from .linalg import Echelon, Vec, kernel_basis, vec_add_scaled
 from .scalars import Monomial, Poly, monomials_up_to
 from .ainfinity import (Element, MINUS, PLUS, PrimElement, _ZeroElement, _element,
                         add_elements, grading_position, m1, m2, scale_element)
@@ -621,14 +621,7 @@ def closedlem_check(conn: Connection, trials: int = 100, seed: int = 0,
             coords: Vec = {}
             for _pick in range(rng.randint(1, min(3, len(kernel)))):
                 vec = rng.choice(kernel)
-                scale = Fraction(rng.randint(-2, 2))
-                if scale:
-                    for key, val in vec.items():
-                        acc = coords.get(key, Fraction(0)) + scale * val
-                        if acc:
-                            coords[key] = acc
-                        else:
-                            coords.pop(key, None)
+                vec_add_scaled(coords, Fraction(rng.randint(-2, 2)), vec)
             if not coords:
                 continue
             beta = space.element_from_coords(coords)

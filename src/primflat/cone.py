@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 from .connection import Connection, analyze_flatness, covariant_d
 from .errors import InternalInvariantError
-from .forms import VectorForm, omega, omega_power, wedge
+from .forms import VectorForm, omega, wedge
 from .lefschetz import L_power, decompose
 from .ainfinity import Element, MINUS, PLUS, PrimElement, ZERO, _ZeroElement
 from .twist import del_minus_A, del_plus_A, twisted_m1
@@ -172,7 +172,7 @@ def map_g(conn: Connection, b: Element) -> Optional[ConeElement]:
         xi = -del_minus_A(conn, b.payload)
         return ConeElement(b.s, b.payload, xi)
     k = b.s
-    xi = -wedge(omega_power(n, n - k), b.payload)
+    xi = -L_power(n - k, b.payload)
     grading = 2 * n + 1 - k
     return ConeElement(grading, VectorForm.zero(n, grading, rank), xi)
 

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .errors import InternalInvariantError
 from .forms import (LAMBDA_CHOICES, MatrixForm, VectorForm, exterior_d,
-                    graded_commutator, omega, omega_power, wedge)
+                    graded_commutator, omega, wedge)
 from .lefschetz import L_power, pi_p
 from .scalars import Scalar, _as_fraction
 
@@ -169,5 +169,5 @@ def yang_mills_residual(conn: Connection) -> MatrixForm:
     report = analyze_flatness(conn)
     if not report.F0.is_zero:
         raise ValueError("Yang-Mills residual needs curvature with no primitive part")
-    phi_top = wedge(report.Phi, omega_power(conn.n, conn.n - 1))
+    phi_top = L_power(conn.n - 1, report.Phi)
     return covariant_d_end(conn, phi_top)

@@ -67,6 +67,16 @@ def merge_indices(left: FormIndex, right: FormIndex) -> Optional[tuple[int, Form
     return sign, tuple(out)
 
 
+def _accumulate(out: dict, key, poly: Poly) -> None:
+    """Add ``poly`` into ``out[key]``, dropping the key when the sum cancels."""
+    acc = out.get(key)
+    summed = poly if acc is None else acc + poly
+    if summed.is_zero:
+        out.pop(key, None)
+    else:
+        out[key] = summed
+
+
 class Form:
     """Homogeneous exterior form with polynomial coefficients."""
 
@@ -147,12 +157,7 @@ class Form:
         degree = self.degree if self.terms else other.degree
         out = dict(self.terms)
         for idx, poly in other.terms.items():
-            acc = out.get(idx)
-            summed = poly if acc is None else acc + poly
-            if summed.is_zero:
-                out.pop(idx, None)
-            else:
-                out[idx] = summed
+            _accumulate(out, idx, poly)
         return Form._trusted(self.n, degree, out)
 
     def __neg__(self) -> "Form":
@@ -374,14 +379,7 @@ def _wedge_forms(a: Form, b: Form) -> Form:
                 continue
             sign, idx = merged
             prod = poly_a * poly_b
-            if sign < 0:
-                prod = -prod
-            acc = out.get(idx)
-            summed = prod if acc is None else acc + prod
-            if summed.is_zero:
-                out.pop(idx, None)
-            else:
-                out[idx] = summed
+            _accumulate(out, idx, -prod if sign < 0 else prod)
     return Form._trusted(a.n, degree, out)
 
 
@@ -434,14 +432,7 @@ def _d_form(a: Form) -> Form:
             if merged is None:
                 continue
             sign, new_idx = merged
-            if sign < 0:
-                derivative = -derivative
-            acc = out.get(new_idx)
-            summed = derivative if acc is None else acc + derivative
-            if summed.is_zero:
-                out.pop(new_idx, None)
-            else:
-                out[new_idx] = summed
+            _accumulate(out, new_idx, -derivative if sign < 0 else derivative)
     return Form._trusted(n, degree, out)
 
 
@@ -460,14 +451,7 @@ def interior_product(coord: int, a: Form) -> Form:
             pos = idx.index(coord)
         except ValueError:
             continue
-        new_idx = idx[:pos] + idx[pos + 1:]
-        signed = poly if pos % 2 == 0 else -poly
-        acc = out.get(new_idx)
-        summed = signed if acc is None else acc + signed
-        if summed.is_zero:
-            out.pop(new_idx, None)
-        else:
-            out[new_idx] = summed
+        _accumulate(out, idx[:pos] + idx[pos + 1:], poly if pos % 2 == 0 else -poly)
     return Form._trusted(a.n, a.degree - 1, out)
 
 

@@ -8,7 +8,9 @@ exterior-algebra fiber, cached, and extended linearly over polynomial
 coefficients.  The caches are filled idempotently from pure computations;
 concurrent readers can at worst recompute an identical entry.
 
-Operators built on the split:
+Operators built on the split, each a cached constant fiber map read from
+the decomposition table (``_omega_map``), so no omega power is wedged at
+run time:
 
 * ``L_power(p, a)``: wedge with omega^p for p >= 0; for p < 0 shift every
   component down by |p| powers of omega, dropping components that run out.
@@ -34,9 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInvariantError
-from .forms import (AnyForm, Form, FormIndex, all_indices, contract_lambda, exterior_d,
-                    merge_indices, omega_power, wedge)
-from .linalg import Echelon
+from .forms import (AnyForm, Form, FormIndex, _accumulate, all_indices, contract_lambda,
+                    exterior_d, merge_indices, omega_power, wedge)
+from .linalg import Echelon, vec_add_scaled
 from .scalars import Poly
 
 ConstForm = dict  # FormIndex -> Fraction, a form with constant coefficients
@@ -44,6 +46,7 @@ ConstForm = dict  # FormIndex -> Fraction, a form with constant coefficients
 _PRIM_BASIS: dict[tuple[int, int], list[ConstForm]] = {}
 _PRIM_COORDS: dict[tuple[int, int], Echelon] = {}
 _DECOMP: dict[tuple[int, int], dict[FormIndex, dict[int, ConstForm]]] = {}
+_OMEGA_MAPS: dict[tuple[int, int, int, int], dict] = {}
 # table[c][f] lists the (target index, coefficient) pairs of one constant
 # fiber map applied to dx_c /\ (basis element f)
 FiberTable = list
@@ -144,13 +147,7 @@ def _decomp_table(n: int, degree: int) -> dict[FormIndex, dict[int, ConstForm]]:
                 f"Lefschetz fiber system of {degree}-forms (n={n}) does not span")
         components: dict[int, ConstForm] = {}
         for (r, bi), coeff in combo.items():
-            comp = components.setdefault(r, {})
-            for bidx, bcoeff in basis_vectors[(r, bi)].items():
-                acc = comp.get(bidx, Fraction(0)) + coeff * bcoeff
-                if acc:
-                    comp[bidx] = acc
-                else:
-                    comp.pop(bidx, None)
+            vec_add_scaled(components.setdefault(r, {}), coeff, basis_vectors[(r, bi)])
         table[idx] = {r: comp for r, comp in components.items() if comp}
     _DECOMP.setdefault(key, table)
     return _DECOMP[key]
@@ -227,13 +224,7 @@ def _decompose_scalar(a: Form) -> dict[int, Form]:
         for r, const in table[idx].items():
             comp = out.setdefault(r, {})
             for bidx, c in const.items():
-                term = poly.scaled(c)
-                acc = comp.get(bidx)
-                summed = term if acc is None else acc + term
-                if summed.is_zero:
-                    comp.pop(bidx, None)
-                else:
-                    comp[bidx] = summed
+                _accumulate(comp, bidx, poly.scaled(c))
     return {r: Form._trusted(a.n, a.degree - 2 * r, terms)
             for r, terms in out.items() if terms}
 
@@ -272,21 +263,41 @@ def is_primitive_by_wedge(a: AnyForm) -> bool:
     return wedge(omega_power(a.n, power), a).is_zero
 
 
+def _omega_map(n: int, degree: int, shift: int, top: int) -> dict:
+    """``table[idx]``: the (target index, coefficient) pairs of the constant
+    form sum omega^(r+shift) /\\ beta_r over the components beta_r of the
+    basis form idx with r <= top and r + shift >= 0."""
+    key = (n, degree, shift, top)
+    cached = _OMEGA_MAPS.get(key)
+    if cached is not None:
+        return cached
+    table = {}
+    for idx, components in _decomp_table(n, degree).items():
+        image = sum((wedge(omega_power(n, r + shift), _const_to_form(n, degree - 2 * r, beta))
+                     for r, beta in components.items() if r <= top and r + shift >= 0),
+                    Form.zero(n, degree + 2 * shift))
+        table[idx] = [(tidx, poly.constant_value()) for tidx, poly in image.terms.items()]
+    _OMEGA_MAPS.setdefault(key, table)
+    return _OMEGA_MAPS[key]
+
+
+def _apply_omega_map(a: AnyForm, shift: int, top: int) -> AnyForm:
+    """The constant fiber map ``_omega_map(n, a.degree, shift, top)`` applied
+    to a; the result has degree a.degree + 2 shift, zero or not."""
+    degree = a.degree + 2 * shift
+    if not isinstance(a, Form):
+        return a.map(lambda e: _apply_omega_map(e, shift, top), degree)
+    table = _omega_map(a.n, a.degree, shift, top)
+    out: dict[FormIndex, Poly] = {}
+    for idx, poly in a.terms.items():
+        for tidx, c in table[idx]:
+            _accumulate(out, tidx, poly.scaled(c))
+    return Form._trusted(a.n, degree, out)
+
+
 def L_power(p: int, a: AnyForm) -> AnyForm:
     """Add p powers of omega (p >= 0) or strip |p| powers componentwise (p < 0)."""
-    if p >= 0:
-        return wedge(omega_power(a.n, p), a)
-    dec = decompose(a)
-    total = None
-    n = a.n
-    for r, beta in dec.components.items():
-        if r + p < 0:
-            continue
-        piece = wedge(omega_power(n, r + p), beta)
-        total = piece if total is None else total + piece
-    if total is None:
-        return _zero_like(a, a.degree + 2 * p)
-    return total
+    return _apply_omega_map(a, p, a.n)
 
 
 def pi_p(p: int, a: AnyForm) -> AnyForm:
@@ -294,17 +305,7 @@ def pi_p(p: int, a: AnyForm) -> AnyForm:
     onto the primitive component."""
     if p < 0:
         raise ValueError("pi_p wants p >= 0")
-    dec = decompose(a)
-    total = None
-    n = a.n
-    for r, beta in dec.components.items():
-        if r > p:
-            continue
-        piece = wedge(omega_power(n, r), beta)
-        total = piece if total is None else total + piece
-    if total is None:
-        return _zero_like(a, a.degree)
-    return total
+    return _apply_omega_map(a, 0, p)
 
 
 def star_r(a: AnyForm) -> AnyForm:
@@ -327,9 +328,3 @@ def del_minus(b: AnyForm) -> AnyForm:
 def _require_primitive(b: AnyForm, who: str) -> None:
     if not is_primitive(b):
         raise ValueError(f"{who} is defined on primitive forms only")
-
-
-def _zero_like(a: AnyForm, degree: int) -> AnyForm:
-    if isinstance(a, Form):
-        return Form.zero(a.n, degree)
-    return type(a).zero(a.n, degree, a.rank)

@@ -48,6 +48,15 @@ class Poly:
                     clean[tuple(mono)] = frac
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, n: int, terms: dict[Monomial, Fraction]) -> "Poly":
+        """Internal constructor: ``terms`` must already be valid for n with no
+        zero coefficient; the polynomial takes ownership of the dict."""
+        poly = object.__new__(cls)
+        poly.n = n
+        poly.terms = terms
+        return poly
+
     # ---------- constructors ----------
 
     @classmethod
@@ -94,14 +103,10 @@ class Poly:
                     out[mono] = acc
                 else:
                     del out[mono]
-        result = Poly(self.n)
-        result.terms = out
-        return result
+        return Poly._trusted(self.n, out)
 
     def __neg__(self) -> "Poly":
-        result = Poly(self.n)
-        result.terms = {mono: -coeff for mono, coeff in self.terms.items()}
-        return result
+        return Poly._trusted(self.n, {mono: -coeff for mono, coeff in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -125,9 +130,7 @@ class Poly:
                         out[mono] = acc
                     else:
                         del out[mono]
-        result = Poly(self.n)
-        result.terms = out
-        return result
+        return Poly._trusted(self.n, out)
 
     def __rmul__(self, other: Scalar) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -136,10 +139,9 @@ class Poly:
 
     def scaled(self, value: Scalar) -> "Poly":
         frac = _as_fraction(value)
-        result = Poly(self.n)
-        if frac:
-            result.terms = {mono: frac * coeff for mono, coeff in self.terms.items()}
-        return result
+        if not frac:
+            return Poly._trusted(self.n, {})
+        return Poly._trusted(self.n, {mono: frac * coeff for mono, coeff in self.terms.items()})
 
     def __pow__(self, power: int) -> "Poly":
         if not isinstance(power, int) or power < 0:
@@ -167,9 +169,7 @@ class Poly:
             lowered = list(mono)
             lowered[coord] = e - 1
             out[tuple(lowered)] = coeff * e
-        result = Poly(self.n)
-        result.terms = out
-        return result
+        return Poly._trusted(self.n, out)
 
     def total_degree(self) -> Optional[int]:
         """Max total degree of stored monomials; None for the zero polynomial."""

@@ -1,16 +1,22 @@
-"""Symbolic reference columns and shared connections for the cohomology tests.
+"""Reference implementations and shared connections for the tests.
 
 ``symbolic_column`` applies ``twisted_m1`` (prim) or ``cone_d`` (cone) to a
 basis element and reads back its coordinates.  It shares nothing with the
 fiber-table assembly in ``primflat.cohomology`` except the truncated-space
 coordinates, so tests use it as the oracle for every table column.
+
+``L_power_by_wedge`` and ``pi_p_by_wedge`` decompose a form and wedge omega
+powers back onto its components.  They share only the decomposition table
+with the cached operator maps of ``primflat.lefschetz``, which tests compare
+with them.
 """
 
 from primflat.cohomology import _space
 from primflat.cone import cone_d
 from primflat.connection import generate_flat
 from primflat.dsl import parse_form
-from primflat.forms import Form, MatrixForm
+from primflat.forms import Form, MatrixForm, omega_power, wedge
+from primflat.lefschetz import decompose
 from primflat.twist import twisted_m1
 
 
@@ -25,6 +31,34 @@ def symbolic_columns(conn, kind, grading):
     """Drop-in for ``cohomology._differential_columns``, built symbolically."""
     space = _space(conn, kind, grading)
     return lambda key: symbolic_column(conn, kind, space, key)
+
+
+def labelled(x, degree):
+    """True when x and every entry of a fiber form carry the degree label."""
+    entries = [x] if isinstance(x, Form) else x.flat
+    return x.degree == degree and all(e.degree == degree for e in entries)
+
+
+def _rewedge(a, shift, keep):
+    """sum of omega^(r+shift) /\\ beta_r over the components beta_r of a
+    with keep(r); zero results carry the degree a.degree + 2 shift."""
+    degree = a.degree + 2 * shift
+    total = (Form.zero(a.n, degree) if isinstance(a, Form)
+             else type(a).zero(a.n, degree, a.rank))
+    for r, beta in decompose(a).components.items():
+        if keep(r):
+            total = total + wedge(omega_power(a.n, r + shift), beta)
+    return total
+
+
+def L_power_by_wedge(p, a):
+    if p >= 0:
+        return wedge(omega_power(a.n, p), a)
+    return _rewedge(a, p, lambda r: r + p >= 0)
+
+
+def pi_p_by_wedge(p, a):
+    return _rewedge(a, 0, lambda r: r <= p)
 
 
 def diag(*values):

@@ -37,7 +37,7 @@ def run_json(argv):
     return code, json.loads(buf.getvalue())
 
 
-def test_load_connection_validates(tmp_path):
+def test_load_connection_validates(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "rank": 2, "A": [["dx1"]]}))
     with pytest.raises(ValueError):
@@ -45,6 +45,14 @@ def test_load_connection_validates(tmp_path):
     path.write_text(json.dumps({"n": 2, "rank": 1, "A": [["dx1/\\dy1"]]}))
     with pytest.raises(ValueError):
         load_connection(str(path))
+    for rows in (5, [[5]]):
+        path.write_text(json.dumps({"n": 1, "rank": 1, "A": rows}))
+        with pytest.raises(ValueError, match="bad.json"):
+            load_connection(str(path))
+    buf = io.StringIO()
+    assert run(["flatness", "--connection", str(path)], stdout=buf) == USAGE_ERROR
+    assert buf.getvalue() == ""
+    assert capsys.readouterr().err.startswith("primflat: error: connection file ")
 
 
 def test_flatness_report(flat_file):
@@ -122,15 +130,24 @@ def test_cone_verify_report(flat_file):
     assert report["all_passed"] is True
 
 
-def test_deterministic_output(flat_file):
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--n", "2", "--form", r"(x1)*dx1/\dy1 + dx2/\dy2"],
+    ["flatness", "--connection", "{conn}"],
+    ["ainfty-check", "--n", "1", "--trials", "3", "--seed", "42", "--rank", "2"],
+    ["twist-square", "--connection", "{conn}", "--trials", "10", "--seed", "42"],
+    ["cone-verify", "--connection", "{conn}", "--trials", "3", "--seed", "42"],
+    ["cohomology", "--connection", "{conn}", "--complex", "prim", "--truncation", "2"],
+    ["cohomology", "--connection", "{conn}", "--complex", "cone", "--truncation", "2"],
+], ids=["decompose", "flatness", "ainfty-check", "twist-square", "cone-verify",
+        "cohomology-prim", "cohomology-cone"])
+def test_deterministic_output(flat_file, argv):
+    argv = [flat_file if a == "{conn}" else a for a in argv]
     first, second = io.StringIO(), io.StringIO()
-    argv = ["twist-square", "--connection", flat_file, "--trials", "10",
-            "--seed", "42"]
     assert run(argv, stdout=first) == run(argv, stdout=second)
     assert first.getvalue() == second.getvalue()
 
 
-def test_usage_and_parse_errors_exit_one(tmp_path):
+def test_usage_and_parse_errors_exit_one(tmp_path, flat_file, capsys):
     assert run(["no-such-command"], stdout=io.StringIO()) == USAGE_ERROR
     assert run(["decompose", "--n", "2", "--form", "dx9"],
                stdout=io.StringIO()) == USAGE_ERROR
@@ -141,6 +158,21 @@ def test_usage_and_parse_errors_exit_one(tmp_path):
     bad.write_text("{not json")
     assert run(["flatness", "--connection", str(bad)],
                stdout=io.StringIO()) == USAGE_ERROR
+    capsys.readouterr()
+    for argv, flag in [
+        (["ainfty-check", "--n", "1", "--trials", "-3"], "--trials"),
+        (["ainfty-check", "--n", "1", "--rank", "-2"], "--rank"),
+        (["ainfty-check", "--n", "0"], "--n"),
+        (["ainfty-check", "--n", "1", "--max-deg", "-1"], "--max-deg"),
+        (["decompose", "--n", "0", "--form", "dx1"], "--n"),
+        (["twist-square", "--connection", flat_file, "--trials", "0"], "--trials"),
+        (["twist-square", "--connection", flat_file, "--max-deg", "-1"], "--max-deg"),
+        (["cone-verify", "--connection", flat_file, "--trials", "0"], "--trials"),
+    ]:
+        buf = io.StringIO()
+        assert run(argv, stdout=buf) == USAGE_ERROR
+        assert buf.getvalue() == ""
+        assert capsys.readouterr().err.startswith(f"primflat: error: argument {flag}: ")
 
 
 def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):

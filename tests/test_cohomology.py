@@ -486,6 +486,7 @@ def test_fiber_table_check_names_position_and_component(monkeypatch):
     analyze_flatness(conn)  # cached before the decomposition is broken
     monkeypatch.setattr(lefschetz, "_decomp_table", with_extra_component)
     monkeypatch.setattr(lefschetz, "_FIBER_D", {})
+    monkeypatch.setattr(lefschetz, "_OMEGA_MAPS", {})
     with pytest.raises(InternalInvariantError,
                        match=r"^P1-: L\^-1\(dx0 \^ b1\) on primitive 1-forms \(n=2\) "
                              r"has a component omega\^2 at form index \(\)$"):

@@ -10,6 +10,8 @@ from primflat.forms import (Form, MatrixForm, VectorForm, contract_lambda,
 from primflat.sampling import rand_form, rand_poly
 from primflat.scalars import Poly
 
+from oracle import labelled
+
 
 def test_wedge_antisymmetry_on_basis():
     n = 1
@@ -194,11 +196,6 @@ def test_fiber_constructors_keep_entries_and_relabel_zeros():
     assert m.entries[1][1] is dx
 
 
-def _labelled(x, degree):
-    entries = [x] if isinstance(x, Form) else x.flat
-    return x.degree == degree and all(e.degree == degree for e in entries)
-
-
 @pytest.mark.parametrize("n", [1, 2])
 def test_zero_results_carry_their_algebraic_degree(n):
     from primflat.cone import ConeElement, cone_d, homotopy_G, map_g
@@ -211,40 +208,40 @@ def test_zero_results_carry_their_algebraic_degree(n):
     zero_v = VectorForm.zero(n, 1, r)
     zero_m = MatrixForm.zero(n, 1, r)
     for x in (zero_v, zero_m, one):
-        assert _labelled(x + x.scaled(0), x.degree)
-        assert _labelled(x - x, x.degree)
-        assert _labelled(-x.scaled(0), x.degree)
-    assert _labelled(Form.dx(n, 1) - Form.dx(n, 1), 1)
-    assert _labelled(wedge(Form.dx(n, 1), zero_v), 2)
-    assert _labelled(wedge(zero_v, omega(n)), 3)
-    assert _labelled(wedge(zero_m, zero_m), 2)
-    assert _labelled(wedge(zero_m, one), 1)
-    assert _labelled(wedge(omega_power(n, n), VectorForm([Form.dx(n, 1)] * r)), 2 * n + 1)
-    assert _labelled(exterior_d(one), 1)
-    assert _labelled(exterior_d(exterior_d(lambda_standard(n))), 3)
-    assert _labelled(exterior_d(MatrixForm.identity(n, r)), 1)
-    assert _labelled(L_power(-1, one), -2)
-    assert _labelled(L_power(-1, VectorForm([Form.dx(n, 1)] * r)), -1)
-    assert _labelled(L_power(n + 1, one), 2 * n + 2)
-    assert _labelled(pi_p(0, VectorForm([omega(n)] * r)), 2)
-    assert _labelled(pi_p(0, zero_m), 1)
+        assert labelled(x + x.scaled(0), x.degree)
+        assert labelled(x - x, x.degree)
+        assert labelled(-x.scaled(0), x.degree)
+    assert labelled(Form.dx(n, 1) - Form.dx(n, 1), 1)
+    assert labelled(wedge(Form.dx(n, 1), zero_v), 2)
+    assert labelled(wedge(zero_v, omega(n)), 3)
+    assert labelled(wedge(zero_m, zero_m), 2)
+    assert labelled(wedge(zero_m, one), 1)
+    assert labelled(wedge(omega_power(n, n), VectorForm([Form.dx(n, 1)] * r)), 2 * n + 1)
+    assert labelled(exterior_d(one), 1)
+    assert labelled(exterior_d(exterior_d(lambda_standard(n))), 3)
+    assert labelled(exterior_d(MatrixForm.identity(n, r)), 1)
+    assert labelled(L_power(-1, one), -2)
+    assert labelled(L_power(-1, VectorForm([Form.dx(n, 1)] * r)), -1)
+    assert labelled(L_power(n + 1, one), 2 * n + 2)
+    assert labelled(pi_p(0, VectorForm([omega(n)] * r)), 2)
+    assert labelled(pi_p(0, zero_m), 1)
 
     flat = Connection(n, r, MatrixForm.zero(n, 1, r))
-    assert _labelled(covariant_d(flat, one), 1)
-    assert _labelled(covariant_d(generate_flat(n, r, [[0, 0], [0, 0]]), zero_v), 2)
+    assert labelled(covariant_d(flat, one), 1)
+    assert labelled(covariant_d(generate_flat(n, r, [[0, 0], [0, 0]]), zero_v), 2)
     conn = generate_flat(n, r, [[1, 0], [0, 2]])
     for grading in range(0, 2 * n + 2):
         image = cone_d(conn, ConeElement.zero(n, r, grading))
-        assert _labelled(image.eta, grading + 1) and _labelled(image.xi, grading)
+        assert labelled(image.eta, grading + 1) and labelled(image.xi, grading)
         lowered = homotopy_G(ConeElement.zero(n, r, grading))
-        assert _labelled(lowered.eta, grading - 1) and _labelled(lowered.xi, grading - 2)
+        assert labelled(lowered.eta, grading - 1) and labelled(lowered.xi, grading - 2)
     # a primitive eta has no omega component, so L^{-1} eta is zero
     lowered = homotopy_G(ConeElement(1, VectorForm([Form.dx(n, 1)] * r),
                                      VectorForm.zero(n, 0, r)))
-    assert _labelled(lowered.eta, 0) and _labelled(lowered.xi, -1)
+    assert labelled(lowered.eta, 0) and labelled(lowered.xi, -1)
     # plus side: xi = -del_minus_A(unit) vanishes in the zero connection
     plus = map_g(flat, PrimElement(PLUS, 0, one))
-    assert _labelled(plus.eta, 0) and _labelled(plus.xi, -1)
+    assert labelled(plus.eta, 0) and labelled(plus.xi, -1)
     minus = map_g(flat, PrimElement(MINUS, n, VectorForm.zero(n, n, r)))
     assert minus.grading == n + 1
-    assert _labelled(minus.eta, n + 1) and _labelled(minus.xi, n)
+    assert labelled(minus.eta, n + 1) and labelled(minus.xi, n)

@@ -12,6 +12,8 @@ from primflat.lefschetz import (L_power, decompose, del_minus, del_plus,
 from primflat.sampling import rand_form, rand_primitive_form
 from primflat.scalars import Poly
 
+from oracle import L_power_by_wedge, labelled, pi_p_by_wedge
+
 
 def half(n, value=1):
     return Fraction(value, 2)
@@ -172,3 +174,26 @@ def test_primitive_fiber_dimensions():
             expected = comb(2 * n, s) - (comb(2 * n, s - 2) if s >= 2 else 0)
             assert len(primitive_fiber_basis(n, s)) == expected
         assert primitive_fiber_basis(n, n + 1) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_operator_tables_match_rewedge_oracle(n):
+    rng = random.Random(400 + n)
+    for k in range(0, 2 * n + 1):
+        for _ in range(3):
+            samples = [rand_form(rng, n, k), Form.zero(n, k),
+                       VectorForm([rand_form(rng, n, k) for _ in range(2)], k),
+                       MatrixForm([[rand_form(rng, n, k) for _ in range(2)]
+                                   for _ in range(2)], k)]
+            for a in samples:
+                for p in range(-(n + 1), n + 2):
+                    got = L_power(p, a)
+                    assert got == L_power_by_wedge(p, a)
+                    assert labelled(got, k + 2 * p)
+                for p in range(0, n + 2):
+                    got = pi_p(p, a)
+                    assert got == pi_p_by_wedge(p, a)
+                    assert labelled(got, k)
+                got = star_r(a)
+                assert got == L_power_by_wedge(n - k, a)
+                assert labelled(got, 2 * n - k)
