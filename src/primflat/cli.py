@@ -52,6 +52,22 @@ def _int_at_least(low: int):
     return integer
 
 
+def _margins(text: str) -> tuple[int, ...]:
+    """argparse type for --margins: comma-separated integers >= 0, at least
+    two distinct, since stabilization compares the two largest."""
+    try:
+        values = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+    if min(values) < 0:
+        raise argparse.ArgumentTypeError(f"margins must be >= 0, got {text!r}")
+    if len(set(values)) < 2:
+        raise argparse.ArgumentTypeError(
+            f"need at least two distinct margins, got {text!r}")
+    return values
+
+
 def _form_json(a: AnyForm):
     """Printed form; entrywise, in the nesting of ``entries``, for a fiber form."""
     return print_form(a) if isinstance(a, Form) else a.nested(print_form)
@@ -171,7 +187,7 @@ def _cmd_twist_square(args) -> tuple:
 
 def _cmd_cohomology(args) -> tuple:
     conn = load_connection(args.connection)
-    margins = tuple(int(s) for s in args.margins.split(","))
+    margins = args.margins
     kind = "prim" if args.complex == "prim" else "cone"
     rep = cohomology_mod.cohomology_dims(conn, kind, D=args.truncation,
                                          stab_margins=margins,
@@ -180,9 +196,8 @@ def _cmd_cohomology(args) -> tuple:
     for pos in rep.positions:
         if not pos.stabilized:
             # the margins probe the image of the differential from the position
-            # below (at the bottom, where a single margin is the only cause,
-            # the growth of its own differential)
-            growth = cohomology_mod.connection_growth(conn, kind, max(pos.grading - 1, 0))
+            # below; the bottom position has none and always stabilizes
+            growth = cohomology_mod.connection_growth(conn, kind, pos.grading - 1)
             sys.stderr.write(f"primflat: {pos.label} did not stabilize (connection_growth "
                              f"{growth}); try --margins {growth},{growth + 1}\n")
         positions.append({
@@ -249,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connection", required=True)
     p.add_argument("--complex", choices=["prim", "cone"], default="prim")
     p.add_argument("--truncation", type=int, default=5)
-    p.add_argument("--margins", default="2,3",
-                   help="comma-separated margins s >= 0; images come from degree "
+    p.add_argument("--margins", type=_margins, default="2,3",
+                   help="comma-separated margins s >= 0, at least two distinct; "
+                        "images come from degree "
                         "<= truncation + s.  A position that does not "
                         "stabilize needs larger margins (a densely gauged "
                         "connection can grow degrees by more than 3), not "

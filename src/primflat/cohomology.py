@@ -476,8 +476,9 @@ def cohomology_dims(conn: Connection, kind: str = "prim", D: int = 5,
     if D < 0:
         raise ValueError(f"truncation must be >= 0, got {D}")
     margins = tuple(sorted(set(int(s) for s in stab_margins)))
-    if not margins:
-        raise ValueError("need at least one stabilization margin")
+    if len(margins) < 2:
+        raise ValueError("need at least two distinct stabilization margins, got "
+                         f"{list(stab_margins)}")
     if margins[0] < 0:
         raise ValueError("stabilization margins must be non-negative")
     n = conn.n
@@ -509,9 +510,8 @@ def cohomology_dims(conn: Connection, kind: str = "prim", D: int = 5,
         image = next_image
         values = [dims_by_margin[s] for s in margins]
         # the estimates shrink as the margin grows; agreement of the last
-        # two consecutive margins is the stabilization criterion, so a
-        # single-margin scan never counts as stabilized
-        stabilized = len(values) >= 2 and values[-1] == values[-2]
+        # two consecutive margins is the stabilization criterion
+        stabilized = values[-1] == values[-2]
         dim = values[-1] if stabilized else None
         witnesses = ([space.element_from_coords(vec) for vec in witness_coords]
                      if with_witnesses else [])

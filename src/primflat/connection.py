@@ -79,15 +79,33 @@ def analyze_flatness(conn: Connection) -> FlatnessReport:
     F = curvature(conn)
     F0 = pi_p(0, F)
     Phi = L_power(-1, F)
-    if not (pi_p(0, F0) == F0 and F0 + wedge(omega(conn.n), Phi) == F):
-        raise InternalInvariantError("curvature does not reassemble from its split")
+    split = f"curvature does not reassemble from its split (n={conn.n}, rank={conn.rank})"
+    projected = pi_p(0, F0)
+    if not projected == F0:
+        raise InternalInvariantError(
+            f"{split}: F0 is not primitive at {_first_nonzero(projected - F0)}")
+    reassembled = F0 + wedge(omega(conn.n), Phi)
+    if not reassembled == F:
+        raise InternalInvariantError(
+            f"{split}: F0 + omega Phi differs from F at {_first_nonzero(reassembled - F)}")
     dAPhi = covariant_d_end(conn, Phi)
     if F0.is_zero and conn.n >= 2 and not dAPhi.is_zero:
-        raise InternalInvariantError("Bianchi identity violated: F0 = 0 but dAPhi != 0")
+        raise InternalInvariantError(
+            f"Bianchi identity violated (n={conn.n}, rank={conn.rank}): F0 = 0 but "
+            f"dAPhi is nonzero at {_first_nonzero(dAPhi)}")
     report = FlatnessReport(F, F0, Phi, dAPhi,
                             F0.is_zero and dAPhi.is_zero)
     object.__setattr__(conn, "_analysis", report)
     return report
+
+
+def _first_nonzero(m: MatrixForm) -> str:
+    """Where a matrix form is first nonzero, for invariant messages."""
+    for i, row in enumerate(m.entries):
+        for j, entry in enumerate(row):
+            if not entry.is_zero:
+                return f"entry ({i}, {j}), form index {min(entry.terms)}"
+    return "no entry"
 
 
 def covariant_d(conn: Connection, v: VectorForm) -> VectorForm:
@@ -147,8 +165,11 @@ def generate_flat(n: int, rank: int, phi0: Sequence[Sequence[Scalar]],
         lam = LAMBDA_CHOICES[lambda_choice](n)
     except KeyError:
         raise ValueError(f"unknown lambda choice {lambda_choice!r}") from None
-    if not exterior_d(lam) == omega(n):
-        raise InternalInvariantError("potential does not differentiate to omega")
+    residual = exterior_d(lam) - omega(n)
+    if not residual.is_zero:
+        raise InternalInvariantError(
+            f"potential {lambda_choice!r} (n={n}, rank={rank}) does not differentiate "
+            f"to omega: d(lambda) - omega is nonzero at form index {min(residual.terms)}")
     rows = [[_as_fraction(v) for v in row] for row in phi0]
     if len(rows) != rank or any(len(row) != rank for row in rows):
         raise ValueError("phi0 must be rank x rank")

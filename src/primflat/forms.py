@@ -424,14 +424,12 @@ def _d_form(a: Form) -> Form:
     if a.is_zero or degree > 2 * n:
         return Form._trusted(n, degree, out)
     for idx, poly in a.terms.items():
-        for coord in range(2 * n):
+        # a coordinate missing from every monomial, or already in idx,
+        # contributes nothing
+        present = {c for mono in poly.terms for c, e in enumerate(mono) if e}
+        for coord in sorted(present.difference(idx)):
             derivative = poly.partial(coord)
-            if derivative.is_zero:
-                continue
-            merged = merge_indices((coord,), idx)
-            if merged is None:
-                continue
-            sign, new_idx = merged
+            sign, new_idx = merge_indices((coord,), idx)
             _accumulate(out, new_idx, -derivative if sign < 0 else derivative)
     return Form._trusted(n, degree, out)
 

@@ -5,13 +5,30 @@ Vectors are plain dicts mapping totally ordered hashable keys to nonzero
 uses to label basis elements (monomial/index tuples), so vectors from
 different truncations of the same space compose without re-indexing.
 
-`Echelon` maintains an incremental row-echelon basis: each stored vector is
-normalized so its largest key (the pivot) has coefficient 1, and every key
-of a stored vector is <= its pivot.  Reducing an incoming vector cancels its
-largest key whenever that key is a pivot, so the largest key strictly
+`Echelon` maintains an incremental row-echelon basis: every key of a stored
+row is <= its largest key (the pivot).  Reducing an incoming vector cancels
+its largest key whenever that key is a pivot, so the largest key strictly
 decreases and one forward sweep terminates.  A vector lies in the current
-span iff it reduces to the empty dict.  Stored vectors are never mutated,
+span iff it reduces to the empty dict.  Stored rows are never mutated,
 which makes `clone` a shallow dict copy.
+
+Elimination runs on Python ints, never on `Fraction`s.  An incoming vector
+is scaled once by the lcm of its denominators, and a tracking echelon
+remembers that scale per tag.  Each step is the fraction-free update
+``res = alpha * res - beta * P`` with ``alpha = b / g``, ``beta = a / g``,
+where ``a`` and ``b`` are the pivot-key entries of ``res`` and of the row
+``P``, and ``g = gcd(a, b)`` (Bareiss 1968 without the division, since rows
+are kept primitive instead).  A stored row has a positive pivot entry and
+no common factor: on its own when stored untracked, jointly with its
+combination when stored tracked.  Combinations are int dicts over tags,
+and results cross back to `Fraction` once, at the `add`/`solve` boundary.
+
+The answers do not depend on these internals.  Which fed vectors are
+independent depends only on the order they are fed in.  A kernel relation
+normalized to ``k[tag] == 1`` writes the dependent vector in the earlier
+independent ones, and a `solve` answer writes its target in the independent
+ones, so both are unique.  Elimination over `Fraction` gives the same
+relations and answers, and the tests compare the two.
 
 All arithmetic is exact; there is no pivot-magnitude heuristic because
 there is nothing to round.
@@ -20,6 +37,7 @@ there is nothing to round.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Any, Hashable, Iterable, Optional
 
 Vec = dict  # key -> Fraction, no zero entries stored
@@ -41,14 +59,36 @@ def vec_add_scaled(target: Vec, coeff: Fraction, source: Vec) -> None:
                 del target[key]
 
 
-def vec_scaled(source: Vec, coeff: Fraction) -> Vec:
-    return {key: coeff * value for key, value in source.items()}
+def _integral(vec: Vec) -> tuple[dict, int]:
+    """``(scale * vec, scale)`` with scale the lcm of the denominators."""
+    scale = lcm(*{value.denominator for value in vec.values()})
+    if scale == 1:
+        return {key: value.numerator for key, value in vec.items()}, 1
+    return ({key: value.numerator * (scale // value.denominator)
+             for key, value in vec.items()}, scale)
+
+
+def _combine(alpha: int, target: dict, beta: int, source: dict) -> None:
+    """In place target = alpha * target - beta * source over ints."""
+    if alpha != 1:
+        for key in target:
+            target[key] *= alpha
+    for key, value in source.items():
+        acc = target.get(key)
+        if acc is None:
+            target[key] = -beta * value
+        else:
+            acc -= beta * value
+            if acc:
+                target[key] = acc
+            else:
+                del target[key]
 
 
 class _Pivot:
     __slots__ = ("vec", "combo")
 
-    def __init__(self, vec: Vec, combo: Optional[Vec]):
+    def __init__(self, vec: dict, combo: Optional[dict]):
         self.vec = vec
         self.combo = combo
 
@@ -56,15 +96,17 @@ class _Pivot:
 class Echelon:
     """Incremental exact echelon basis with optional combination tracking.
 
-    With ``track=True`` every stored vector remembers its expression as a
-    combination of the original vectors fed in (keyed by their tags), which
-    is what kernel extraction and preimage solving need.  Tracking costs
-    memory quadratic in the rank, so leave it off for pure rank counting.
+    With ``track=True`` every stored row remembers its expression as a
+    combination of the original vectors fed in (keyed by their tags, which
+    must be distinct), which is what kernel extraction and preimage solving
+    need.  Tracking costs memory quadratic in the rank, so leave it off for
+    pure rank counting.
     """
 
     def __init__(self, track: bool = False):
         self.track = track
         self._pivots: dict[Any, _Pivot] = {}
+        self._scales: dict[Hashable, int] = {}  # tag -> lcm of its denominators
 
     @property
     def rank(self) -> int:
@@ -73,62 +115,83 @@ class Echelon:
     def clone(self) -> "Echelon":
         other = Echelon(self.track)
         other._pivots = dict(self._pivots)
+        other._scales = dict(self._scales)
         return other
 
     def untracked(self) -> "Echelon":
-        """Same span without the combinations; the stored vectors are shared."""
+        """Same span without the combinations; the stored rows are shared."""
         other = Echelon()
         other._pivots = {key: _Pivot(pivot.vec, None)
                          for key, pivot in self._pivots.items()}
         return other
 
-    def reduce(self, vec: Vec) -> tuple[Vec, Vec]:
-        """Reduce against the stored basis.
+    def _reduce(self, vec: Vec) -> tuple[dict, dict, int, int]:
+        """Reduce over ints against the stored rows.
 
-        Returns ``(residual, combo)`` with
-        ``vec == residual + sum(combo[tag] * original_vector_tag)``.
-        The combo is empty (and meaningless) on untracked echelons.
+        Returns ``(residual, combo, mult, scale)`` with ``scale * vec``
+        integral and ``residual == mult * scale * vec + sum(combo[t] * w_t)``,
+        where ``w_t`` is the fed vector of tag ``t`` times its scale.  The
+        combo is empty (and meaningless) on untracked echelons.
         """
-        vec = dict(vec)
-        combo: Vec = {}
-        while vec:
-            key = max(vec)
-            pivot = self._pivots.get(key)
+        res, scale = _integral(vec)
+        combo: dict = {}
+        mult = 1
+        pivots = self._pivots
+        track = self.track
+        while res:
+            key = max(res)
+            pivot = pivots.get(key)
             if pivot is None:
                 break
-            coeff = vec[key]
-            vec_add_scaled(vec, -coeff, pivot.vec)
-            if self.track:
-                vec_add_scaled(combo, coeff, pivot.combo)
-        return vec, combo
+            a = res[key]
+            b = pivot.vec[key]
+            if b == 1:
+                alpha, beta = 1, a
+            else:
+                g = gcd(a, b)
+                alpha, beta = b // g, a // g
+            _combine(alpha, res, beta, pivot.vec)
+            if track:
+                _combine(alpha, combo, beta, pivot.combo)
+                mult *= alpha
+        return res, combo, mult, scale
+
+    def _to_fractions(self, combo: dict, den: int) -> Vec:
+        """``{t: combo[t] * scale_t / den}``, back over the rationals."""
+        scales = self._scales
+        return {tag: Fraction(c * scales[tag], den) for tag, c in combo.items()}
 
     def add(self, vec: Vec, tag: Hashable = None) -> Optional[Vec]:
         """Feed one vector.
 
         If it is independent of the span so far it is stored and None is
         returned.  If it is dependent, the kernel combination ``k`` with
-        ``sum(k[t] * original_vector_t) == 0`` (including this vector under
-        ``tag``) is returned when tracking, else an empty dict.
+        ``sum(k[t] * original_vector_t) == 0`` and ``k[tag] == 1`` is
+        returned when tracking, else an empty dict.
         """
-        residual, combo = self.reduce(vec)
+        residual, combo, mult, scale = self._reduce(vec)
         if not residual:
             if not self.track:
                 return {}
             kernel = {tag: Fraction(1)}
-            vec_add_scaled(kernel, Fraction(-1), combo)
+            kernel.update(self._to_fractions(combo, mult * scale))
             return kernel
         lead = max(residual)
-        inv = Fraction(1) / residual[lead]
-        stored = vec_scaled(residual, inv)
-        stored_combo = None
         if self.track:
-            stored_combo = {tag: inv}
-            vec_add_scaled(stored_combo, -inv, combo)
-        self._pivots[lead] = _Pivot(stored, stored_combo)
+            combo = {tag: mult, **combo}
+            self._scales[tag] = scale
+        # the joint content; combo is empty when untracked
+        content = gcd(*residual.values(), *combo.values())
+        if residual[lead] < 0:
+            content = -content
+        if content != 1:
+            residual = {key: value // content for key, value in residual.items()}
+            combo = {t: c // content for t, c in combo.items()}
+        self._pivots[lead] = _Pivot(residual, combo if self.track else None)
         return None
 
     def contains(self, vec: Vec) -> bool:
-        residual, _ = self.reduce(vec)
+        residual, _, _, _ = self._reduce(vec)
         return not residual
 
     def solve(self, vec: Vec) -> Optional[Vec]:
@@ -138,10 +201,10 @@ class Echelon:
         """
         if not self.track:
             raise ValueError("solve requires a tracking Echelon")
-        residual, combo = self.reduce(vec)
+        residual, combo, mult, scale = self._reduce(vec)
         if residual:
             return None
-        return combo
+        return self._to_fractions(combo, -mult * scale)
 
 
 def kernel_basis(columns: Iterable[tuple[Hashable, Vec]]) -> tuple[list[Vec], Echelon]:

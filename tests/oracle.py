@@ -9,7 +9,13 @@ coordinates, so tests use it as the oracle for every table column.
 powers back onto its components.  They share only the decomposition table
 with the cached operator maps of ``primflat.lefschetz``, which tests compare
 with them.
+
+``FractionEchelon`` is the elimination over ``Fraction`` that
+``primflat.linalg.Echelon`` replaced: unit pivots, rational combinations.
+It shares no arithmetic with the integer echelon, so tests compare the two.
 """
+
+from fractions import Fraction
 
 from primflat.cohomology import _space
 from primflat.cone import cone_d
@@ -17,6 +23,7 @@ from primflat.connection import generate_flat
 from primflat.dsl import parse_form
 from primflat.forms import Form, MatrixForm, omega_power, wedge
 from primflat.lefschetz import decompose
+from primflat.linalg import vec_add_scaled
 from primflat.twist import twisted_m1
 
 
@@ -31,6 +38,74 @@ def symbolic_columns(conn, kind, grading):
     """Drop-in for ``cohomology._differential_columns``, built symbolically."""
     space = _space(conn, kind, grading)
     return lambda key: symbolic_column(conn, kind, space, key)
+
+
+class FractionEchelon:
+    """Incremental echelon over ``Fraction``, with the interface of ``Echelon``.
+
+    Each stored vector is scaled so its pivot (largest key) is 1, and with
+    ``track=True`` it keeps its combination of the fed vectors by tag.
+    """
+
+    def __init__(self, track=False):
+        self.track = track
+        self._pivots = {}  # pivot key -> (vector, combination or None)
+
+    @property
+    def rank(self):
+        return len(self._pivots)
+
+    def clone(self):
+        other = FractionEchelon(self.track)
+        other._pivots = dict(self._pivots)
+        return other
+
+    def untracked(self):
+        other = FractionEchelon()
+        other._pivots = {key: (vec, None) for key, (vec, _) in self._pivots.items()}
+        return other
+
+    def reduce(self, vec):
+        """``(residual, combo)`` with vec == residual + sum(combo[t] * fed_t)."""
+        vec = dict(vec)
+        combo = {}
+        while vec:
+            key = max(vec)
+            if key not in self._pivots:
+                break
+            pivot, pivot_combo = self._pivots[key]
+            coeff = vec[key]
+            vec_add_scaled(vec, -coeff, pivot)
+            if self.track:
+                vec_add_scaled(combo, coeff, pivot_combo)
+        return vec, combo
+
+    def add(self, vec, tag=None):
+        residual, combo = self.reduce(vec)
+        if not residual:
+            if not self.track:
+                return {}
+            kernel = {tag: Fraction(1)}
+            vec_add_scaled(kernel, Fraction(-1), combo)
+            return kernel
+        lead = max(residual)
+        inv = Fraction(1) / residual[lead]
+        stored_combo = None
+        if self.track:
+            stored_combo = {tag: inv}
+            vec_add_scaled(stored_combo, -inv, combo)
+        self._pivots[lead] = ({key: inv * value for key, value in residual.items()},
+                              stored_combo)
+        return None
+
+    def contains(self, vec):
+        return not self.reduce(vec)[0]
+
+    def solve(self, vec):
+        if not self.track:
+            raise ValueError("solve requires a tracking Echelon")
+        residual, combo = self.reduce(vec)
+        return None if residual else combo
 
 
 def labelled(x, degree):

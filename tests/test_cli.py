@@ -196,6 +196,30 @@ def test_negative_truncation_exits_one(flat_file, capsys):
     assert "truncation must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("margins,problem", [
+    ("2", "need at least two distinct margins, got '2'"),
+    ("2,2", "need at least two distinct margins, got '2,2'"),
+    ("abc", "expected comma-separated integers, got 'abc'"),
+    ("-1,0", "margins must be >= 0, got '-1,0'"),
+])
+def test_bad_margins_exit_one_naming_the_flag(flat_file, capsys, margins, problem):
+    # one margin can never stabilize, so it is refused before any elimination
+    buf = io.StringIO()
+    argv = ["cohomology", "--connection", flat_file, "--truncation", "1",
+            f"--margins={margins}"]
+    assert run(argv, stdout=buf) == USAGE_ERROR
+    assert buf.getvalue() == ""
+    assert capsys.readouterr().err == f"primflat: error: argument --margins: {problem}\n"
+
+
+def test_two_margins_are_reported_as_given(flat_file):
+    code, report = run_json(["cohomology", "--connection", flat_file,
+                             "--truncation", "1", "--margins", "1,2"])
+    assert code == (0 if report["all_stabilized"] else CHECK_FAILED)
+    assert report["margins"] == [1, 2]
+    assert all(set(p["dims_by_margin"]) == {"1", "2"} for p in report["positions"])
+
+
 def test_unstabilized_position_gets_a_margin_hint(tmp_path, capsys):
     conn = dense_gauge_rank4()
     path = tmp_path / "dense.json"

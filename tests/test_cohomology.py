@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from primflat import cohomology, lefschetz
+from primflat import cohomology, lefschetz, linalg
 from primflat.cohomology import (TruncatedSpace, assemble_operator,
                                  closedlem_check, cohomology_dims,
                                  cone_cohomology_dims, exactness_witness,
                                  _kernel_sweep, _space)
 from primflat.connection import Connection, analyze_flatness, generate_flat
+from primflat.dsl import parse_form
 from primflat.errors import InternalInvariantError
 from primflat.forms import Form, MatrixForm, VectorForm, lambda_standard, wedge
 from primflat.linalg import Echelon, kernel_basis
@@ -19,7 +20,8 @@ from primflat.scalars import Poly
 from primflat.ainfinity import PLUS, PrimElement
 from primflat.twist import twisted_m1
 
-from oracle import dense_gauge_rank4, diag, symbolic_column, symbolic_columns
+from oracle import (FractionEchelon, dense_gauge_rank4, diag, symbolic_column,
+                    symbolic_columns)
 
 
 def test_assemble_untwisted_functions():
@@ -378,6 +380,21 @@ def test_sweep_matches_from_scratch_oracle(label, make, kind, D, margins):
         assert differing
 
 
+@pytest.mark.slow
+def test_gauged_n3_table():
+    # Phi0 = diag(1, 0) conjugated by g = 1 + N, N linear in x1 and y2: the
+    # bottom is dim ker Phi0, the next dim coker Phi0, the rest vanishes
+    n = 3
+    gauge = MatrixForm([[Form.const(n, 1), parse_form("2*x1 - 1/3*y2", n)],
+                        [Form.zero(n, 0), Form.const(n, 1)]], 0)
+    conn = generate_flat(n, 2, diag(1, 0), gauge=gauge)
+    assert conn.A.coefficient_degree() == 2
+    for kind, D in (("prim", 1), ("prim", 2), ("cone", 1)):
+        report = cohomology_dims(conn, kind, D=D, stab_margins=(2, 3))
+        assert report.all_stabilized, (kind, D)
+        assert report.dim_vector() == [1, 1, 0, 0, 0, 0, 0, 0], (kind, D)
+
+
 def test_small_margins_leave_dense_gauge_unstabilized():
     # the growth [4, 8, 4, 4] exceeds the default margins: with 2,3 the
     # bottom of the minus side has not settled, with 4,5 every position
@@ -398,6 +415,14 @@ def test_negative_margins_are_rejected():
     conn = generate_flat(1, 1, [[1]])
     with pytest.raises(ValueError):
         cohomology_dims(conn, "prim", D=1, stab_margins=(-1, 0))
+
+
+@pytest.mark.parametrize("margins", [(), (2,), (3, 3)])
+def test_fewer_than_two_distinct_margins_are_rejected(margins):
+    # stabilization compares the two largest margins
+    conn = generate_flat(1, 1, [[1]])
+    with pytest.raises(ValueError, match="need at least two distinct stabilization margins"):
+        cohomology_dims(conn, "prim", D=1, stab_margins=margins)
 
 
 def test_negative_truncations_are_rejected():
@@ -459,6 +484,25 @@ def test_reports_match_symbolic_assembly(monkeypatch, label, make, kind, D, marg
     tables = summary(cohomology_dims(conn, kind, D=D, stab_margins=margins,
                                      with_witnesses=True))
     monkeypatch.setattr(cohomology, "_differential_columns", symbolic_columns)
+    assert tables == summary(cohomology_dims(conn, kind, D=D, stab_margins=margins,
+                                             with_witnesses=True))
+
+
+@pytest.mark.parametrize("label,make,kind,D,margins", SWEEP_CASES,
+                         ids=[case[0] for case in SWEEP_CASES])
+def test_reports_match_fraction_elimination(monkeypatch, label, make, kind, D, margins):
+    # the same report, witnesses included, when every sweep eliminates over Fraction
+    conn = make()
+
+    def summary(report):
+        return [(p.kernel_dim, p.dims_by_margin,
+                 [_space(conn, kind, p.grading).coords_of(w) for w in p.witnesses])
+                for p in report.positions]
+
+    tables = summary(cohomology_dims(conn, kind, D=D, stab_margins=margins,
+                                     with_witnesses=True))
+    monkeypatch.setattr(linalg, "Echelon", FractionEchelon)
+    assert isinstance(linalg.kernel_basis([])[1], FractionEchelon)
     assert tables == summary(cohomology_dims(conn, kind, D=D, stab_margins=margins,
                                              with_witnesses=True))
 

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from primflat import connection
 from primflat.connection import (Connection, analyze_flatness, covariant_d,
                                  covariant_d_end, curvature, gauge_apply,
                                  generate_flat, unipotent_inverse,
                                  yang_mills_residual)
+from primflat.errors import InternalInvariantError
 from primflat.forms import (Form, MatrixForm, lambda_standard,
                             omega, wedge)
 from primflat.sampling import (rand_connection, rand_constant_matrix,
@@ -202,3 +204,34 @@ def test_yang_mills_requires_no_primitive_curvature():
     conn = scalar_connection(n, Form(n, 1, {(1,): Poly.variable(n, 0)}))
     with pytest.raises(ValueError):
         yang_mills_residual(conn)
+
+
+def test_broken_split_names_n_rank_and_component(monkeypatch):
+    # a doubled Phi no longer reassembles F = omega Phi0
+    real = connection.L_power
+    monkeypatch.setattr(connection, "L_power", lambda p, a: real(p, a) + real(p, a))
+    with pytest.raises(InternalInvariantError,
+                       match=r"^curvature does not reassemble from its split \(n=1, rank=2\): "
+                             r"F0 \+ omega Phi differs from F at entry \(0, 0\), "
+                             r"form index \(0, 1\)$"):
+        analyze_flatness(generate_flat(1, 2, [[1, 0], [0, 0]]))
+
+
+def test_broken_bianchi_names_n_rank_and_component(monkeypatch):
+    # d_A Phi replaced by Phi itself: the constant diag(0, 3) is not covariantly zero
+    monkeypatch.setattr(connection, "covariant_d_end", lambda conn, m: m)
+    with pytest.raises(InternalInvariantError,
+                       match=r"^Bianchi identity violated \(n=2, rank=2\): F0 = 0 but "
+                             r"dAPhi is nonzero at entry \(1, 1\), form index \(\)$"):
+        analyze_flatness(generate_flat(2, 2, [[0, 0], [0, 3]]))
+
+
+def test_broken_potential_names_choice_n_rank_and_index(monkeypatch):
+    # x1 dy1 misses the dx2 /\ dy2 part of omega on n = 2
+    monkeypatch.setitem(connection.LAMBDA_CHOICES, "partial",
+                        lambda n: Form(n, 1, {(2,): Poly(n, {(1, 0, 0, 0): 1})}))
+    with pytest.raises(InternalInvariantError,
+                       match=r"^potential 'partial' \(n=2, rank=1\) does not differentiate "
+                             r"to omega: d\(lambda\) - omega is nonzero at form index "
+                             r"\(1, 3\)$"):
+        generate_flat(2, 1, [[1]], lambda_choice="partial")
