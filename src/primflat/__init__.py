@@ -12,15 +12,14 @@ from .connection import (Connection, FlatnessReport, analyze_flatness, curvature
                          unipotent_inverse, yang_mills_residual)
 from .cone import (ConeElement, check_chain_identities, cone_d, cone_split,
                    homotopy_G, map_f, map_g)
-from .cohomology import (CohomologyReport, LinOpMatrix, TruncatedSpace,
-                         assemble_operator, closedlem_check, cohomology_dims,
-                         cone_cohomology_dims, exactness_witness)
+from .cohomology import (CohomologyReport, TruncatedSpace, closedlem_check,
+                         cohomology_dims, cone_cohomology_dims, exactness_witness)
 from .dsl import ParseError, parse_form, parse_poly, print_form, print_poly
 from .forms import (Form, MatrixForm, VectorForm, contract_lambda, exterior_d,
                     graded_commutator, lambda_standard, lambda_symmetric, omega,
                     omega_power, wedge)
 from .lefschetz import (LefschetzComponents, L_power, decompose, del_minus,
-                        del_plus, is_primitive, is_primitive_by_wedge, pi_p, star_r)
+                        del_plus, is_primitive, pi_p, star_r)
 from .scalars import Poly
 from .ainfinity import (PLUS, MINUS, PrimElement, ZERO, add_elements, check_stasheff,
                   m1, m2, m3, scale_element)

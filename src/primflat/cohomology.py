@@ -39,6 +39,20 @@ the omega /\\ . and Phi blocks.  ``twisted_m1`` and ``cone_d`` remain the
 symbolic definitions; the test suite checks every table column against
 them, and ``exactness_witness`` re-checks its answer with them.
 
+Columns are int dicts, so assembly does no ``Fraction`` arithmetic.  Each
+fiber table is scaled once, and the coefficient lists of A and Phi once per
+column function, by the lcm of their own denominators.  A covariant pass
+multiplies its d part by the A scale so that both parts share one scale;
+the middle map combines its two passes and Phi, and the cone its pass and
+Phi, at the lcm of their scales.  So every column of one position is one
+positive int ``scale`` times the true column, and ``_differential_columns``
+returns the two together.  A uniform non-zero scale changes nothing that
+elimination reports: the span, which columns are independent of the
+earlier ones (that depends only on the order), and each kernel relation
+normalized to ``k[tag] = 1`` are the same as for the true columns.  Only a
+preimage solve sees the scale, as an answer divided by it, so
+``exactness_witness`` multiplies its answer back before the re-check.
+
 Each differential column is built and eliminated once per report: the
 sweep of one position gives its kernel at degree <= D, and its echelon,
 untracked, is the image in the next position, extended by the margin
@@ -54,6 +68,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Callable, Optional, Sequence, Union
 
@@ -68,24 +83,6 @@ from .scalars import Monomial, Poly, monomials_up_to
 from .ainfinity import (Element, MINUS, PLUS, PrimElement, _ZeroElement, _element,
                         add_elements, grading_position, m1, m2, scale_element)
 from .twist import twisted_m1
-
-Position = Union[tuple[str, int], int]
-
-
-def _grading_of_position(kind: str, n: int, position: Position) -> int:
-    if kind == "prim":
-        side, s = position
-        pos = grading_position(n, s if side == PLUS else 2 * n + 1 - s)
-        if pos != (side, s):
-            raise ValueError(f"no position P{s}{side} for n={n}")
-        return s if side == PLUS else 2 * n + 1 - s
-    if kind == "cone":
-        grading = int(position)
-        if not 0 <= grading <= 2 * n + 1:
-            raise ValueError(f"no cone grading {grading} for n={n}")
-        return grading
-    raise ValueError(f"unknown complex kind {kind!r}")
-
 
 def position_label(kind: str, n: int, grading: int) -> str:
     if kind == "cone":
@@ -205,29 +202,32 @@ def _space(conn: Connection, kind: str, grading: int) -> TruncatedSpace:
     return TruncatedSpace(kind, conn.n, conn.rank, grading)
 
 
-Column = Callable[[tuple], Vec]
+Column = Callable[[tuple], dict]
 
 
 def _mono_add(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
 
 
-def _acc(out: dict, key, value) -> None:
-    acc = out.get(key)
-    out[key] = value if acc is None else acc + value
+def _nonzero(out: dict) -> dict:
+    return {key: x for key, x in out.items() if x}
 
 
-def _nonzero(out: dict) -> Vec:
-    # int entries (sums of signs) become Fractions, cancelled entries drop
-    return {key: x if isinstance(x, Fraction) else Fraction(x)
-            for key, x in out.items() if x}
+def _integral_terms(terms: list) -> tuple[list, int]:
+    """Per-u lists of tuples ending in a Fraction, with that Fraction
+    replaced by ``scale`` times it, an int; scale is the lcm of all their
+    denominators and is returned beside the lists."""
+    scale = lcm(*(t[-1].denominator for per_u in terms for t in per_u))
+    return [[(*t[:-1], int(t[-1] * scale)) for t in per_u] for per_u in terms], scale
 
 
-def _connection_terms(conn: Connection) -> tuple[list, list]:
-    """A and Phi flattened by source fiber u.
+def _connection_terms(conn: Connection) -> tuple[list, int, list, int]:
+    """A and Phi flattened by source fiber u, over ints.
 
-    ``a_terms[u]`` lists ``(c, v, mono, coeff)``: the dx_c coefficient of
-    A[v][u] term by term; ``phi_terms[u]`` lists ``(v, mono, coeff)`` of Phi[v][u].
+    ``a_terms[u]`` lists ``(c, v, mono, a_scale * coeff)``: the dx_c
+    coefficient of A[v][u] term by term; ``phi_terms[u]`` lists
+    ``(v, mono, phi_scale * coeff)`` of Phi[v][u].  Each scale is the lcm
+    of the denominators of its own coefficients.
     """
     phi = analyze_flatness(conn).Phi
     a_terms: list = [[] for _ in range(conn.rank)]
@@ -238,68 +238,80 @@ def _connection_terms(conn: Connection) -> tuple[list, list]:
                 a_terms[u] += [(c, v, mono, coeff) for mono, coeff in poly.terms.items()]
             for poly in phi.entries[v][u].terms.values():
                 phi_terms[u] += [(v, mono, coeff) for mono, coeff in poly.terms.items()]
-    return a_terms, phi_terms
+    return (*_integral_terms(a_terms), *_integral_terms(phi_terms))
 
 
-def _covariant_pass(table: FiberTable, a_terms: list, mono: Monomial, f, u: int,
-                    coeff, out: dict) -> None:
-    """out += coeff * T(d_A(mono (x) f (x) e_u)) for a fiber table T of dx_c /\\ .
+def _covariant_pass(table: FiberTable, a_terms: list, a_scale: int, mono: Monomial,
+                    f, u: int, coeff: int, out: dict) -> None:
+    """out += coeff * a_scale * T(d_A(mono (x) f (x) e_u)) for an int fiber
+    table T of dx_c /\\ . (scaled A terms, see ``_connection_terms``).
 
-    d contributes sum_c d_c(mono) (x) T_c f (x) e_u, and A contributes
+    d contributes sum_c d_c(mono) (x) T_c f (x) e_u, multiplied by a_scale
+    so that it shares the scale of the A part, and A contributes
     sum_{c,v} (A_c)_vu mono (x) T_c f (x) e_v.
     """
     for c, e in enumerate(mono):
         if e:
             lowered = mono[:c] + (e - 1,) + mono[c + 1:]
-            scale = coeff * e
+            scale = coeff * e * a_scale
             for g, t in table[c][f]:
-                _acc(out, (lowered, g, u), scale * t)
+                key = (lowered, g, u)
+                out[key] = out.get(key, 0) + scale * t
     for c, v, amono, acoeff in a_terms[u]:
         pairs = table[c][f]
         if pairs:
             shifted = _mono_add(mono, amono)
             scale = coeff * acoeff
             for g, t in pairs:
-                _acc(out, (shifted, g, v), scale * t)
+                key = (shifted, g, v)
+                out[key] = out.get(key, 0) + scale * t
 
 
-def _prim_columns(conn: Connection, grading: int) -> Column:
+def _prim_columns(conn: Connection, grading: int) -> tuple[Column, int]:
     n = conn.n
     side, s = grading_position(n, grading)
-    a_terms, phi_terms = _connection_terms(conn)
+    a_terms, a_scale, phi_terms, phi_scale = _connection_terms(conn)
     if side == MINUS and s == 0:
-        return lambda key: {}
+        return (lambda key: {}), 1
     if side == MINUS or s < n:
         # -L^{-1} d_A above the middle, Pi d_A below it
-        table = fiber_d_table(n, s, 1 if side == MINUS else 0)
+        table, t_scale = fiber_d_table(n, s, 1 if side == MINUS else 0)
         sign = -1 if side == MINUS else 1
 
-        def column(key) -> Vec:
+        def column(key) -> dict:
             out: dict = {}
-            _covariant_pass(table, a_terms, *key, sign, out)
+            _covariant_pass(table, a_terms, a_scale, *key, sign, out)
             return _nonzero(out)
-        return column
-    lower, upper = fiber_d_table(n, n, 1), fiber_d_table(n, n - 1, 0)
+        return column, t_scale * a_scale
+    (lower, l_scale), (upper, u_scale) = fiber_d_table(n, n, 1), fiber_d_table(n, n - 1, 0)
+    # the two passes carry l_scale * u_scale * a_scale^2, Phi its own scale
+    pass_scale = l_scale * u_scale * a_scale * a_scale
+    scale = lcm(pass_scale, phi_scale)
+    outer, phi_mult = -(scale // pass_scale), scale // phi_scale
 
-    def middle(key) -> Vec:
+    def middle(key) -> dict:
         # -del_plus_A del_minus_A + Phi
         mono, fi, u = key
         inner: dict = {}
-        _covariant_pass(lower, a_terms, mono, fi, u, 1, inner)
+        _covariant_pass(lower, a_terms, a_scale, mono, fi, u, 1, inner)
         out: dict = {}
         for (imono, ifi, w), coeff in inner.items():
             if coeff:
-                _covariant_pass(upper, a_terms, imono, ifi, w, -coeff, out)
+                _covariant_pass(upper, a_terms, a_scale, imono, ifi, w, outer * coeff, out)
         for v, pmono, pcoeff in phi_terms[u]:
-            _acc(out, (_mono_add(mono, pmono), fi, v), pcoeff)
+            target = (_mono_add(mono, pmono), fi, v)
+            out[target] = out.get(target, 0) + phi_mult * pcoeff
         return _nonzero(out)
-    return middle
+    return middle, scale
 
 
-def _cone_columns(conn: Connection, grading: int) -> Column:
+def _cone_columns(conn: Connection, grading: int) -> tuple[Column, int]:
     """D(eta, xi) = (d_A eta + omega /\\ xi, -(Phi eta + d_A xi)) key by key."""
     n = conn.n
-    a_terms, phi_terms = _connection_terms(conn)
+    a_terms, a_scale, phi_terms, phi_scale = _connection_terms(conn)
+    # the sign tables below have scale 1, so the passes carry a_scale
+    scale = lcm(a_scale, phi_scale)
+    d_mult, phi_mult = scale // a_scale, scale // phi_scale
 
     # dx_c /\\ dx_I and omega /\\ dx_I as (J, sign) pairs
     def pairs(merged) -> tuple:
@@ -313,27 +325,29 @@ def _cone_columns(conn: Connection, grading: int) -> Column:
     omega_xi = {idx: sum((pairs(merge_indices((i, n + i), idx)) for i in range(n)), ())
                 for idx in all_indices(n, grading - 1)}
 
-    def column(key) -> Vec:
+    def column(key) -> dict:
         slot, mono, idx, u = key
         eta: dict = {}
         xi: dict = {}
         if slot == 0:
-            _covariant_pass(d_eta, a_terms, mono, idx, u, 1, eta)
+            _covariant_pass(d_eta, a_terms, a_scale, mono, idx, u, d_mult, eta)
             for v, pmono, pcoeff in phi_terms[u]:
-                _acc(xi, (_mono_add(mono, pmono), idx, v), -pcoeff)
+                target = (_mono_add(mono, pmono), idx, v)
+                xi[target] = xi.get(target, 0) - phi_mult * pcoeff
         else:
             for widx, sign in omega_xi[idx]:
-                _acc(eta, (mono, widx, u), sign)
-            _covariant_pass(d_xi, a_terms, mono, idx, u, -1, xi)
+                eta[mono, widx, u] = sign * scale  # distinct widx for distinct i
+            _covariant_pass(d_xi, a_terms, a_scale, mono, idx, u, -d_mult, xi)
         return {(target, *k): x for target, part in ((0, eta), (1, xi))
-                for k, x in _nonzero(part).items()}
-    return column
+                for k, x in part.items() if x}
+    return column, scale
 
 
-def _differential_columns(conn: Connection, kind: str, grading: int) -> Column:
-    """Column of the twisted differential at a position, key by key, from the
-    fiber tables (see the module docstring).  A broken fiber table raises
-    `InternalInvariantError` naming the position."""
+def _differential_columns(conn: Connection, kind: str, grading: int) -> tuple[Column, int]:
+    """``(column, scale)``: the column of the twisted differential at a
+    position, key by key, from the fiber tables, as an int dict equal to
+    ``scale`` times the true column (see the module docstring).  A broken
+    fiber table raises `InternalInvariantError` naming the position."""
     try:
         return (_prim_columns if kind == "prim" else _cone_columns)(conn, grading)
     except InternalInvariantError as exc:
@@ -342,18 +356,21 @@ def _differential_columns(conn: Connection, kind: str, grading: int) -> Column:
 
 
 def _kernel_sweep(conn: Connection, kind: str, space: TruncatedSpace,
-                  D: int) -> tuple[list[Vec], Optional[Echelon]]:
-    """Kernel of the differential on degree <= D, and the tracked echelon
-    of its columns (None at the top of the complex, where it is zero).
+                  D: int) -> tuple[list[Vec], Optional[Echelon], int]:
+    """Kernel of the differential on degree <= D, the tracked echelon of its
+    columns (None at the top of the complex, where it is zero), and the
+    scale of those columns.
 
     This is the one place where differential columns are eliminated with
     tracking; kernels, images and preimages all come from its echelon.
+    The kernel and the span do not depend on the scale; a preimage solved
+    in the echelon is the true one divided by it.
     """
     keys = space.basis_keys(D)
     if space.grading == 2 * space.n + 1:
-        return [{key: Fraction(1)} for key in keys], None
-    column = _differential_columns(conn, kind, space.grading)
-    return kernel_basis((key, column(key)) for key in keys)
+        return [{key: Fraction(1)} for key in keys], None, 1
+    column, scale = _differential_columns(conn, kind, space.grading)
+    return (*kernel_basis((key, column(key)) for key in keys), scale)
 
 
 def connection_growth(conn: Connection, kind: str, grading: int) -> int:
@@ -373,61 +390,6 @@ def connection_growth(conn: Connection, kind: str, grading: int) -> int:
             return max(0, 2 * ga, gphi)
         return ga
     return max(ga, gphi)
-
-
-@dataclass
-class LinOpMatrix:
-    """Exact matrix of one differential between two truncated spaces."""
-
-    source: TruncatedSpace
-    target: TruncatedSpace
-    D_source: int
-    D_target: int
-    source_keys: list
-    columns: list  # aligned with source_keys; sparse dicts over target keys
-
-    @property
-    def num_cols(self) -> int:
-        return len(self.source_keys)
-
-    @property
-    def num_rows(self) -> int:
-        return self.target.dimension(self.D_target)
-
-
-def assemble_operator(conn: Connection, kind: str, position: Position,
-                      D_source: int, D_target: Optional[int] = None) -> LinOpMatrix:
-    """Exact matrix of the twisted differential at one position.
-
-    ``D_target`` must dominate ``D_source`` plus the operator's coefficient
-    growth so that every image coordinate is representable; it defaults to
-    exactly that bound.
-    """
-    if D_source < 0:
-        raise ValueError(f"source truncation must be >= 0, got {D_source}")
-    grading = _grading_of_position(kind, conn.n, position)
-    growth = connection_growth(conn, kind, grading)
-    required = D_source + growth
-    if D_target is None:
-        D_target = required
-    if D_target < required:
-        raise ValueError(
-            f"insufficient target truncation: need >= {required}, got {D_target}")
-    source = _space(conn, kind, grading)
-    target = _space(conn, kind, grading + 1)
-    keys = source.basis_keys(D_source)
-    column = _differential_columns(conn, kind, grading)
-    columns = []
-    for key in keys:
-        col = column(key)
-        for ckey in col:
-            mono = ckey[0] if kind == "prim" else ckey[1]
-            if sum(mono) > D_target:
-                raise InternalInvariantError(
-                    f"{source.label}: image of source key {key!r} escaped the "
-                    f"declared target truncation {D_target} at target key {ckey!r}")
-        columns.append(col)
-    return LinOpMatrix(source, target, D_source, D_target, keys, columns)
 
 
 # ---------- cohomology dimension reports ----------
@@ -486,7 +448,7 @@ def cohomology_dims(conn: Connection, kind: str = "prim", D: int = 5,
     image: Optional[Echelon] = None  # image of degree <= D from the position below
     for grading in range(0, 2 * n + 2):
         space = _space(conn, kind, grading)
-        kernel, sweep = _kernel_sweep(conn, kind, space, D)
+        kernel, sweep, _ = _kernel_sweep(conn, kind, space, D)
         # drop the combinations before the image from below grows
         next_image = sweep.untracked() if sweep is not None else None
         del sweep
@@ -494,7 +456,7 @@ def cohomology_dims(conn: Connection, kind: str = "prim", D: int = 5,
         witness_coords = kernel
         if image is not None:
             below = _space(conn, kind, grading - 1)
-            column = _differential_columns(conn, kind, grading - 1)
+            column, _ = _differential_columns(conn, kind, grading - 1)
             previous = 0
             for s in margins:
                 for key in below.basis_keys(D + s, above=D + previous):
@@ -553,11 +515,13 @@ def exactness_witness(conn: Connection, kind: str,
         return None
     target = _space(conn, kind, grading)
     below = _space(conn, kind, grading - 1)
-    _, ech = _kernel_sweep(conn, kind, below, D_search)
+    _, ech, scale = _kernel_sweep(conn, kind, below, D_search)
     coords = target.coords_of(element)
     combo = ech.solve(coords)
     if combo is None:
         return None
+    # combo writes coords in columns that are scale times the true ones
+    combo = {key: scale * coeff for key, coeff in combo.items()}
     witness = below.element_from_coords(combo)
     # the symbolic differential re-checks the table columns on the answer
     image = (twisted_m1(conn, witness, verify=False) if kind == "prim"
@@ -610,7 +574,7 @@ def closedlem_check(conn: Connection, trials: int = 100, seed: int = 0,
         if side == MINUS and s == n:
             continue  # closedness there already makes the identity trivial
         space = _space(conn, "prim", grading)
-        kernel, _ = _kernel_sweep(conn, "prim", space, D)
+        kernel = _kernel_sweep(conn, "prim", space, D)[0]
         label = space.label
         if not kernel:
             reports.append(ClosedIdentityReport(label, 0, 0))

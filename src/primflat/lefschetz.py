@@ -24,7 +24,10 @@ run time:
 The fiber tables ``fiber_d_table(n, s, r)`` hold, for each coordinate c and
 primitive basis form b, the primitive coordinates of pi_p(0, dx_c /\\ b)
 (r = 0) or of L^{-1}(dx_c /\\ b) (r = 1); the cohomology assembly builds
-every twisted differential column from them.
+every twisted differential column from them.  Each table is stored over
+ints: its entries are one positive scale (the lcm of the coordinates'
+denominators) times the coordinates, and the scale is returned beside the
+table, so column assembly multiplies ints only.
 
 Note that L^{-1} here is the component-shift operator of the decomposition,
 not the sl(2) lowering operator: the two differ by combinatorial factors.
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InternalInvariantError
 from .forms import (AnyForm, Form, FormIndex, _accumulate, all_indices, contract_lambda,
@@ -50,7 +54,7 @@ _OMEGA_MAPS: dict[tuple[int, int, int, int], dict] = {}
 # table[c][f] lists the (target index, coefficient) pairs of one constant
 # fiber map applied to dx_c /\ (basis element f)
 FiberTable = list
-_FIBER_D: dict[tuple[int, int, int], FiberTable] = {}
+_FIBER_D: dict[tuple[int, int, int], tuple[FiberTable, int]] = {}
 
 
 def _const_to_form(n: int, degree: int, entries: ConstForm) -> Form:
@@ -153,9 +157,11 @@ def _decomp_table(n: int, degree: int) -> dict[FormIndex, dict[int, ConstForm]]:
     return _DECOMP[key]
 
 
-def fiber_d_table(n: int, s: int, r: int) -> FiberTable:
-    """``table[c][fi]``: prim coordinates of the omega^r component of
-    dx_c /\\ b_fi, b_fi in ``primitive_fiber_basis(n, s)``.
+def fiber_d_table(n: int, s: int, r: int) -> tuple[FiberTable, int]:
+    """``(table, scale)``: ``table[c][fi]`` lists the prim coordinates of the
+    omega^r component of dx_c /\\ b_fi, b_fi in ``primitive_fiber_basis(n, s)``,
+    as ``(fj, scale * coordinate)`` int pairs.  ``scale`` is the lcm of the
+    coordinates' denominators, one positive int per table.
 
     r = 0 is pi_p(0, dx_c /\\ .), the fiber of del_plus; r = 1 is
     L^{-1}(dx_c /\\ .), the fiber of del_minus, and there every component
@@ -166,7 +172,7 @@ def fiber_d_table(n: int, s: int, r: int) -> FiberTable:
     if cached is not None:
         return cached
     decomp = _decomp_table(n, s + 1)
-    table: FiberTable = []
+    rows = []
     for c in range(2 * n):
         row = []
         for fi, b in enumerate(primitive_fiber_basis(n, s)):
@@ -188,9 +194,12 @@ def fiber_d_table(n: int, s: int, r: int) -> FiberTable:
                         f"component omega^{comp_r} at form index {min(comp)}")
             image = comps.get(r)
             coords = primitive_fiber_coords(n, s + 1 - 2 * r, image) if image else {}
-            row.append(tuple(sorted((fj, v) for fj, v in coords.items() if v)))
-        table.append(row)
-    _FIBER_D.setdefault(key, table)
+            row.append(sorted((fj, v) for fj, v in coords.items() if v))
+        rows.append(row)
+    scale = lcm(*(v.denominator for row in rows for pairs in row for _, v in pairs))
+    table: FiberTable = [[tuple((fj, int(v * scale)) for fj, v in pairs) for pairs in row]
+                         for row in rows]
+    _FIBER_D.setdefault(key, (table, scale))
     return _FIBER_D[key]
 
 
@@ -251,16 +260,6 @@ def is_primitive(a: AnyForm) -> bool:
     if isinstance(a, Form):
         return contract_lambda(a).is_zero and (a.degree <= a.n or a.is_zero)
     return all(is_primitive(e) for e in a.flat)
-
-
-def is_primitive_by_wedge(a: AnyForm) -> bool:
-    """Independent primitivity oracle: omega^(n-s+1) /\\ a == 0 (degree s <= n)."""
-    if not isinstance(a, Form):
-        return all(is_primitive_by_wedge(e) for e in a.flat)
-    if a.degree > a.n:
-        return a.is_zero
-    power = a.n - a.degree + 1
-    return wedge(omega_power(a.n, power), a).is_zero
 
 
 def _omega_map(n: int, degree: int, shift: int, top: int) -> dict:

@@ -1,7 +1,9 @@
 """Sparse exact linear algebra over the rationals.
 
 Vectors are plain dicts mapping totally ordered hashable keys to nonzero
-`Fraction`s; the zero vector is the empty dict.  Keys are whatever a caller
+`Fraction`s; the zero vector is the empty dict.  The echelon also takes
+vectors of ints as they are (an int is a rational with denominator 1), and
+it drops zero entries of the vectors it is given.  Keys are whatever a caller
 uses to label basis elements (monomial/index tuples), so vectors from
 different truncations of the same space compose without re-indexing.
 
@@ -13,12 +15,13 @@ span iff it reduces to the empty dict.  Stored rows are never mutated,
 which makes `clone` a shallow dict copy.
 
 Elimination runs on Python ints, never on `Fraction`s.  An incoming vector
-is scaled once by the lcm of its denominators, and a tracking echelon
-remembers that scale per tag.  Each step is the fraction-free update
-``res = alpha * res - beta * P`` with ``alpha = b / g``, ``beta = a / g``,
-where ``a`` and ``b`` are the pivot-key entries of ``res`` and of the row
-``P``, and ``g = gcd(a, b)`` (Bareiss 1968 without the division, since rows
-are kept primitive instead).  A stored row has a positive pivot entry and
+is scaled once by the lcm of its denominators (1 for an int vector, which
+is only copied), and a tracking echelon remembers that scale per tag.  Each
+step is the fraction-free update ``res = alpha * res - beta * P`` with
+``alpha = b / g``, ``beta = a / g``, where ``a`` and ``b`` are the
+pivot-key entries of ``res`` and of the row ``P``, and ``g = gcd(a, b)``
+(Bareiss 1968 without the division, since rows are kept primitive
+instead).  A stored row has a positive pivot entry and
 no common factor: on its own when stored untracked, jointly with its
 combination when stored tracked.  Combinations are int dicts over tags,
 and results cross back to `Fraction` once, at the `add`/`solve` boundary.
@@ -40,7 +43,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Any, Hashable, Iterable, Optional
 
-Vec = dict  # key -> Fraction, no zero entries stored
+Vec = dict  # key -> Fraction (or int, on input), no zero entries stored
 
 
 def vec_add_scaled(target: Vec, coeff: Fraction, source: Vec) -> None:
@@ -60,12 +63,14 @@ def vec_add_scaled(target: Vec, coeff: Fraction, source: Vec) -> None:
 
 
 def _integral(vec: Vec) -> tuple[dict, int]:
-    """``(scale * vec, scale)`` with scale the lcm of the denominators."""
+    """``(scale * vec, scale)`` over ints, with scale the lcm of the
+    denominators; zero entries drop (a stored zero at a pivot key would
+    never cancel)."""
     scale = lcm(*{value.denominator for value in vec.values()})
     if scale == 1:
-        return {key: value.numerator for key, value in vec.items()}, 1
+        return {key: value.numerator for key, value in vec.items() if value}, 1
     return ({key: value.numerator * (scale // value.denominator)
-             for key, value in vec.items()}, scale)
+             for key, value in vec.items() if value}, scale)
 
 
 def _combine(alpha: int, target: dict, beta: int, source: dict) -> None:

@@ -116,7 +116,11 @@ def rand_constant_matrix(rng: random.Random, rank: int) -> list[list[Fraction]]:
 
 
 def rand_unipotent(rng: random.Random, n: int, rank: int, max_degree: int = 1) -> MatrixForm:
-    """Identity plus a strictly upper-triangular polynomial matrix."""
+    """Identity plus a strictly upper-triangular polynomial matrix.
+
+    At rank >= 2 the corner entry (0, rank - 1) is never zero, so the result
+    is never the identity.
+    """
     rows = []
     for i in range(rank):
         row = []
@@ -124,7 +128,8 @@ def rand_unipotent(rng: random.Random, n: int, rank: int, max_degree: int = 1) -
             if i == j:
                 row.append(Form.const(n, 1))
             elif i < j:
-                row.append(Form.from_poly(rand_poly(rng, n, max_degree)))
+                corner = (i, j) == (0, rank - 1)
+                row.append(Form.from_poly(rand_poly(rng, n, max_degree, zero_ok=not corner)))
             else:
                 row.append(Form.zero(n, 0))
         rows.append(row)

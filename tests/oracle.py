@@ -13,14 +13,24 @@ with them.
 ``FractionEchelon`` is the elimination over ``Fraction`` that
 ``primflat.linalg.Echelon`` replaced: unit pivots, rational combinations.
 It shares no arithmetic with the integer echelon, so tests compare the two.
+
+``assemble_operator`` is the exact ``Fraction`` matrix of one differential
+between two truncations, the table columns divided by their scale;
+``is_primitive_by_wedge`` tests primitivity by wedging with an omega power
+instead of contracting.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
-from primflat.cohomology import _space
+from primflat import cohomology
+from primflat.ainfinity import PLUS, grading_position
+from primflat.cohomology import TruncatedSpace, _space
 from primflat.cone import cone_d
 from primflat.connection import generate_flat
 from primflat.dsl import parse_form
+from primflat.errors import InternalInvariantError
 from primflat.forms import Form, MatrixForm, omega_power, wedge
 from primflat.lefschetz import decompose
 from primflat.linalg import vec_add_scaled
@@ -35,9 +45,86 @@ def symbolic_column(conn, kind, space, key):
 
 
 def symbolic_columns(conn, kind, grading):
-    """Drop-in for ``cohomology._differential_columns``, built symbolically."""
+    """Drop-in for ``cohomology._differential_columns``, built symbolically
+    (so with scale 1)."""
     space = _space(conn, kind, grading)
-    return lambda key: symbolic_column(conn, kind, space, key)
+    return (lambda key: symbolic_column(conn, kind, space, key)), 1
+
+
+def is_primitive_by_wedge(a):
+    """Primitivity as omega^(n-s+1) /\\ a == 0 (degree s <= n)."""
+    if not isinstance(a, Form):
+        return all(is_primitive_by_wedge(e) for e in a.flat)
+    if a.degree > a.n:
+        return a.is_zero
+    power = a.n - a.degree + 1
+    return wedge(omega_power(a.n, power), a).is_zero
+
+
+def _grading_of_position(kind, n, position):
+    if kind == "prim":
+        side, s = position
+        grading = s if side == PLUS else 2 * n + 1 - s
+        if grading_position(n, grading) != (side, s):
+            raise ValueError(f"no position P{s}{side} for n={n}")
+        return grading
+    grading = int(position)
+    if not 0 <= grading <= 2 * n + 1:
+        raise ValueError(f"no cone grading {grading} for n={n}")
+    return grading
+
+
+@dataclass
+class LinOpMatrix:
+    """Exact matrix of one differential between two truncated spaces."""
+
+    source: TruncatedSpace
+    target: TruncatedSpace
+    D_source: int
+    D_target: int
+    source_keys: list
+    columns: list  # aligned with source_keys; sparse Fraction dicts over target keys
+
+    @property
+    def num_cols(self):
+        return len(self.source_keys)
+
+    @property
+    def num_rows(self):
+        return self.target.dimension(self.D_target)
+
+
+def assemble_operator(conn, kind, position, D_source, D_target: Optional[int] = None):
+    """Exact matrix of the twisted differential at one position.
+
+    ``D_target`` must dominate ``D_source`` plus the operator's coefficient
+    growth so that every image coordinate is representable; it defaults to
+    exactly that bound.
+    """
+    if D_source < 0:
+        raise ValueError(f"source truncation must be >= 0, got {D_source}")
+    grading = _grading_of_position(kind, conn.n, position)
+    required = D_source + cohomology.connection_growth(conn, kind, grading)
+    if D_target is None:
+        D_target = required
+    if D_target < required:
+        raise ValueError(
+            f"insufficient target truncation: need >= {required}, got {D_target}")
+    source = _space(conn, kind, grading)
+    target = _space(conn, kind, grading + 1)
+    keys = source.basis_keys(D_source)
+    column, scale = cohomology._differential_columns(conn, kind, grading)
+    columns = []
+    for key in keys:
+        col = {ckey: Fraction(x, scale) for ckey, x in column(key).items()}
+        for ckey in col:
+            mono = ckey[0] if kind == "prim" else ckey[1]
+            if sum(mono) > D_target:
+                raise InternalInvariantError(
+                    f"{source.label}: image of source key {key!r} escaped the "
+                    f"declared target truncation {D_target} at target key {ckey!r}")
+        columns.append(col)
+    return LinOpMatrix(source, target, D_source, D_target, keys, columns)
 
 
 class FractionEchelon:
@@ -67,7 +154,7 @@ class FractionEchelon:
 
     def reduce(self, vec):
         """``(residual, combo)`` with vec == residual + sum(combo[t] * fed_t)."""
-        vec = dict(vec)
+        vec = {key: value for key, value in vec.items() if value}
         combo = {}
         while vec:
             key = max(vec)

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from primflat import cohomology, lefschetz, linalg
-from primflat.cohomology import (TruncatedSpace, assemble_operator,
-                                 closedlem_check, cohomology_dims,
+from primflat.cohomology import (TruncatedSpace, closedlem_check, cohomology_dims,
                                  cone_cohomology_dims, exactness_witness,
                                  _kernel_sweep, _space)
 from primflat.connection import Connection, analyze_flatness, generate_flat
@@ -18,10 +17,11 @@ from primflat.linalg import Echelon, kernel_basis
 from primflat.sampling import rand_unipotent
 from primflat.scalars import Poly
 from primflat.ainfinity import PLUS, PrimElement
+from primflat.cone import cone_d
 from primflat.twist import twisted_m1
 
-from oracle import (FractionEchelon, dense_gauge_rank4, diag, symbolic_column,
-                    symbolic_columns)
+from oracle import (FractionEchelon, assemble_operator, dense_gauge_rank4, diag,
+                    symbolic_column, symbolic_columns)
 
 
 def test_assemble_untwisted_functions():
@@ -168,7 +168,7 @@ def test_cone_class_generator_at_grading_one():
     assert position.dim == 1 and len(position.witnesses) == 1
     lam = lambda_standard(n)
     generator = None
-    from primflat.cone import ConeElement, cone_d
+    from primflat.cone import ConeElement
     generator = ConeElement(
         1,
         VectorForm([Form.zero(n, 1), lam], 1),
@@ -261,7 +261,7 @@ def test_exactness_witness_for_phi_times_closed():
     phi = analyze_flatness(conn).Phi
     rng = random.Random(1)
     space = _space(conn, "prim", 1)
-    kernel, _ = _kernel_sweep(conn, "prim", space, 3)
+    kernel = _kernel_sweep(conn, "prim", space, 3)[0]
     found = tried = 0
     for _ in range(30):
         coords = {}
@@ -298,6 +298,28 @@ def test_exactness_witness_for_image_of_phi_constants():
     assert witness is not None
     image = twisted_m1(conn, witness, verify=True)
     assert image.payload == element.payload
+
+
+@pytest.mark.parametrize("kind", ["prim", "cone"])
+def test_exactness_witness_undoes_the_column_scale(kind):
+    # the gauge's fractional coefficients give the columns below grading 1 a
+    # scale > 1, so an answer solved in their echelon must be multiplied by it
+    n = 1
+    gauge = MatrixForm([[Form.const(n, 1), parse_form("1/3*x1 - 1/2*y1", n)],
+                        [Form.zero(n, 0), Form.const(n, 1)]], 0)
+    conn = generate_flat(n, 2, diag(1, 0), gauge=gauge)
+    assert cohomology._differential_columns(conn, kind, 0)[1] > 1
+    below, target = _space(conn, kind, 0), _space(conn, kind, 1)
+    keys = below.basis_keys(1)
+    source = below.element_from_coords({key: Fraction(i + 1, 2) for i, key in enumerate(keys)})
+
+    def differential(x):
+        return twisted_m1(conn, x, verify=False) if kind == "prim" else cone_d(conn, x)
+
+    element = differential(source)
+    witness = exactness_witness(conn, kind, element)
+    assert witness is not None
+    assert target.coords_of(differential(witness)) == target.coords_of(element)
 
 
 def test_no_witness_for_cokernel_classes():
@@ -395,6 +417,18 @@ def test_gauged_n3_table():
         assert report.dim_vector() == [1, 1, 0, 0, 0, 0, 0, 0], (kind, D)
 
 
+@pytest.mark.parametrize("phi0,D,expected", [
+    ([[0]], 1, [1, 1] + [0] * 8),
+    ([[0]], 2, [1, 1] + [0] * 8),
+    ([[1]], 1, [0] * 10),
+])
+def test_n4_constant_frame_table(phi0, D, expected):
+    # rank 1 at n = 4: dim ker Phi0 at the bottom, dim coker Phi0 next, 0 above
+    report = cohomology_dims(generate_flat(4, 1, phi0), "prim", D=D, stab_margins=(2, 3))
+    assert report.all_stabilized
+    assert report.dim_vector() == expected
+
+
 def test_small_margins_leave_dense_gauge_unstabilized():
     # the growth [4, 8, 4, 4] exceeds the default margins: with 2,3 the
     # bottom of the minus side has not settled, with 4,5 every position
@@ -449,8 +483,8 @@ ORACLE_CASES = [
                            gauge=rand_unipotent(random.Random(12), 2, 2, max_degree=1)), 1, 4),
     ("n3-frame-standard", lambda: generate_flat(3, 2, diag(1, 0)), 0, 2),
     ("n3-gauged-symmetric",
-     lambda: generate_flat(3, 1, [[1]], lambda_choice="symmetric",
-                           gauge=rand_unipotent(random.Random(13), 3, 1, max_degree=1)), 0, 2),
+     lambda: generate_flat(3, 2, diag(1, 2), lambda_choice="symmetric",
+                           gauge=rand_unipotent(random.Random(13), 3, 2, max_degree=1)), 0, 2),
     ("n1-dense-gauge", dense_gauge_rank4, 1, 3),
 ]
 
@@ -459,15 +493,20 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("label,make,D_all,D_sample", ORACLE_CASES,
                          ids=[case[0] for case in ORACLE_CASES])
 def test_table_columns_match_symbolic_oracle(label, make, D_all, D_sample, kind):
-    # every key at D_all, a seeded sample of the keys of degree in (D_all, D_sample]
+    # every key at D_all, a seeded sample of the keys of degree in (D_all, D_sample];
+    # each table column is an int dict, its position's scale times the true one
     conn = make()
     rng = random.Random(label)
     for grading in range(2 * conn.n + 2):
         space = _space(conn, kind, grading)
-        column = cohomology._differential_columns(conn, kind, grading)
+        column, scale = cohomology._differential_columns(conn, kind, grading)
+        assert type(scale) is int and scale > 0
         later = space.basis_keys(D_sample, above=D_all)
         for key in space.basis_keys(D_all) + rng.sample(later, min(12, len(later))):
-            assert column(key) == symbolic_column(conn, kind, space, key), (grading, key)
+            table = column(key)
+            assert all(type(value) is int for value in table.values()), (grading, key)
+            expected = {k: scale * v for k, v in symbolic_column(conn, kind, space, key).items()}
+            assert table == expected, (grading, key)
 
 
 @pytest.mark.parametrize("label,make,kind,D,margins", SWEEP_CASES,

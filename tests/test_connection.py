@@ -118,6 +118,14 @@ def test_unipotent_inverse_is_exact():
         assert wedge(ginv, g) == MatrixForm.identity(2, r)
 
 
+@pytest.mark.parametrize("rank", [2, 3])
+def test_random_unipotent_is_never_the_identity(rank):
+    # a "gauged" test connection must really be gauged
+    for seed in range(100):
+        g = rand_unipotent(random.Random(seed), 1, rank)
+        assert g != MatrixForm.identity(1, rank), seed
+
+
 def test_unipotent_inverse_rejects_non_nilpotent():
     with pytest.raises(ValueError):
         unipotent_inverse(MatrixForm.from_constant(2, [[2, 0], [0, 1]]))

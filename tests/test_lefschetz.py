@@ -7,12 +7,11 @@ import pytest
 
 from primflat.forms import Form, MatrixForm, VectorForm, exterior_d, lambda_standard, omega, omega_power, wedge
 from primflat.lefschetz import (L_power, decompose, del_minus, del_plus,
-                                is_primitive, is_primitive_by_wedge, pi_p,
-                                primitive_fiber_basis, star_r)
+                                is_primitive, pi_p, primitive_fiber_basis, star_r)
 from primflat.sampling import rand_form, rand_primitive_form
 from primflat.scalars import Poly
 
-from oracle import L_power_by_wedge, labelled, pi_p_by_wedge
+from oracle import L_power_by_wedge, is_primitive_by_wedge, labelled, pi_p_by_wedge
 
 
 def half(n, value=1):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -114,6 +115,32 @@ def test_untracked_and_clone_leave_the_original_alone(seed):
     assert not fast.contains(outside)
     with pytest.raises(ValueError):
         fast.untracked().solve({})
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_uniformly_scaled_int_columns_keep_every_relation(seed):
+    # int columns, all scale times the Fraction ones: the same independence
+    # pattern and kernel relations, and solve answers divided by the scale
+    rng, columns, fast, _, results = fed_pair(seed)
+    scale = 3 * lcm(*(value.denominator for column in columns for value in column.values()))
+    ech = Echelon(track=True)
+    for tag, column in enumerate(columns):
+        relation = ech.add({key: int(scale * value) for key, value in column.items()}, tag)
+        assert relation == results[tag][0], tag
+    hit = combination({tag: random_entry(rng) for tag in range(len(columns))}, columns)
+    assert ech.solve(hit) == {tag: c / scale for tag, c in fast.solve(hit).items()}
+
+
+@pytest.mark.parametrize("make", [Echelon, FractionEchelon])
+def test_explicit_zero_entries_are_dropped(make):
+    # a zero stored at a pivot key would never cancel, and reduction would not end
+    ech = make(track=True)
+    assert ech.add({(1,): Fraction(2), (0,): Fraction(1)}, "a") is None
+    for zero in (0, Fraction(0)):
+        assert ech.contains({(1,): zero})
+        assert ech.solve({(1,): Fraction(4), (0,): 2, (5,): zero}) == {"a": 2}
+    assert ech.add({(1,): 0, (0,): 3}, "b") is None
+    assert ech.rank == 2
 
 
 def test_untracked_add_reports_dependence_without_relations():
