@@ -13,7 +13,7 @@ from .connection import (Connection, FlatnessReport, analyze_flatness, curvature
 from .cone import (ConeElement, check_chain_identities, cone_d, cone_split,
                    homotopy_G, map_f, map_g)
 from .cohomology import (CohomologyReport, TruncatedSpace, closedlem_check,
-                         cohomology_dims, cone_cohomology_dims, exactness_witness)
+                         cohomology_dims, exactness_witness)
 from .dsl import ParseError, parse_form, parse_poly, print_form, print_poly
 from .forms import (Form, MatrixForm, VectorForm, contract_lambda, exterior_d,
                     graded_commutator, lambda_standard, lambda_symmetric, omega,

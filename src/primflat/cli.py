@@ -26,7 +26,7 @@ from .dsl import ParseError, parse_form, print_form
 from .errors import InternalInvariantError
 from .forms import AnyForm, Form, MatrixForm
 from .lefschetz import decompose
-from .sampling import rand_prim_element
+from .sampling import rand_prim_element, run_trials
 from .ainfinity import PrimElement, _ZeroElement, check_stasheff
 from .twist import check_square_zero
 
@@ -84,7 +84,10 @@ def _element_json(e: Union[PrimElement, ConeElement, _ZeroElement, None]):
 
 def load_connection(path: str) -> Connection:
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"connection file {path}: JSON nested too deeply") from None
     try:
         n = int(data["n"])
         rank = int(data["rank"])
@@ -147,17 +150,15 @@ def _cmd_ainfty_check(args) -> tuple:
     total_failures = 0
     fiber = "matrix" if args.rank > 1 else "scalar"
     for k in (1, 2, 3, 4):
-        failures = 0
-        first = None
-        for _ in range(args.trials):
-            elems = [rand_prim_element(rng, args.n, fiber, args.rank,
-                                       max_degree=args.max_deg) for _ in range(k)]
-            residual = check_stasheff(k, elems)
-            if not residual.is_zero:
-                failures += 1
-                if first is None:
-                    first = {"inputs": [_element_json(e) for e in elems],
-                             "residual": _element_json(residual)}
+        failures, first = run_trials(
+            args.trials,
+            lambda: [rand_prim_element(rng, args.n, fiber, args.rank, max_degree=args.max_deg)
+                     for _ in range(k)],
+            lambda elems: check_stasheff(k, elems))
+        if first is not None:
+            elems, residual = first
+            first = {"inputs": [_element_json(e) for e in elems],
+                     "residual": _element_json(residual)}
         total_failures += failures
         relations.append({"k": k, "trials": args.trials, "failures": failures,
                           "first_counterexample": first})
@@ -188,16 +189,14 @@ def _cmd_twist_square(args) -> tuple:
 def _cmd_cohomology(args) -> tuple:
     conn = load_connection(args.connection)
     margins = args.margins
-    kind = "prim" if args.complex == "prim" else "cone"
-    rep = cohomology_mod.cohomology_dims(conn, kind, D=args.truncation,
-                                         stab_margins=margins,
-                                         with_witnesses=True)
+    rep = cohomology_mod.cohomology_dims(conn, args.complex, D=args.truncation,
+                                         stab_margins=margins)
     positions = []
     for pos in rep.positions:
         if not pos.stabilized:
             # the margins probe the image of the differential from the position
             # below; the bottom position has none and always stabilizes
-            growth = cohomology_mod.connection_growth(conn, kind, pos.grading - 1)
+            growth = cohomology_mod.connection_growth(conn, args.complex, pos.grading - 1)
             sys.stderr.write(f"primflat: {pos.label} did not stabilize (connection_growth "
                              f"{growth}); try --margins {growth},{growth + 1}\n")
         positions.append({

@@ -66,7 +66,7 @@ statements in every configuration exercised by the test suite.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add
@@ -82,7 +82,9 @@ from .linalg import Echelon, Vec, kernel_basis, vec_add_scaled
 from .scalars import Monomial, Poly, monomials_up_to
 from .ainfinity import (Element, MINUS, PLUS, PrimElement, _ZeroElement, _element,
                         add_elements, grading_position, m1, m2, scale_element)
-from .twist import twisted_m1
+from .sampling import run_trials
+from .twist import del_minus_A, del_plus_A, twisted_m1
+
 
 def position_label(kind: str, n: int, grading: int) -> str:
     if kind == "cone":
@@ -402,7 +404,7 @@ class PositionReport:
     dims_by_margin: dict[int, int]
     stabilized: bool
     dim: Optional[int]
-    witnesses: list = field(default_factory=list)
+    witnesses: list
 
 
 @dataclass
@@ -424,8 +426,7 @@ class CohomologyReport:
 
 
 def cohomology_dims(conn: Connection, kind: str = "prim", D: int = 5,
-                    stab_margins: Sequence[int] = (2, 3),
-                    with_witnesses: bool = False) -> CohomologyReport:
+                    stab_margins: Sequence[int] = (2, 3)) -> CohomologyReport:
     """Dimensions and witnesses of the twisted cohomology at truncation D.
 
     For each position the kernel is exact (images are never truncated);
@@ -475,18 +476,10 @@ def cohomology_dims(conn: Connection, kind: str = "prim", D: int = 5,
         # two consecutive margins is the stabilization criterion
         stabilized = values[-1] == values[-2]
         dim = values[-1] if stabilized else None
-        witnesses = ([space.element_from_coords(vec) for vec in witness_coords]
-                     if with_witnesses else [])
+        witnesses = [space.element_from_coords(vec) for vec in witness_coords]
         reports.append(PositionReport(space.label, grading, len(kernel),
                                       dims_by_margin, stabilized, dim, witnesses))
     return CohomologyReport(kind, D, margins, reports)
-
-
-def cone_cohomology_dims(conn: Connection, D: int = 5,
-                         stab_margins: Sequence[int] = (2, 3),
-                         with_witnesses: bool = False) -> CohomologyReport:
-    """Same machinery on the cone complex; gradings correspond one-to-one."""
-    return cohomology_dims(conn, "cone", D, stab_margins, with_witnesses)
 
 
 def exactness_witness(conn: Connection, kind: str,
@@ -579,27 +572,25 @@ def closedlem_check(conn: Connection, trials: int = 100, seed: int = 0,
         if not kernel:
             reports.append(ClosedIdentityReport(label, 0, 0))
             continue
-        failures = 0
         count = max(1, trials // (2 * n + 1))
-        for _ in range(count):
+
+        def sample() -> Optional[PrimElement]:
+            # a random combination of kernel vectors; None when it cancels
             coords: Vec = {}
             for _pick in range(rng.randint(1, min(3, len(kernel)))):
                 vec = rng.choice(kernel)
                 vec_add_scaled(coords, Fraction(rng.randint(-2, 2)), vec)
-            if not coords:
-                continue
-            beta = space.element_from_coords(coords)
-            residual = _closed_identity_residual(conn, lam_elem, beta)
-            if not residual.is_zero:
-                failures += 1
+            return space.element_from_coords(coords) if coords else None
+
+        failures, _ = run_trials(
+            count, sample,
+            lambda beta: None if beta is None else _closed_identity_residual(conn, lam_elem, beta))
         reports.append(ClosedIdentityReport(label, count, failures))
     return reports
 
 
 def _closed_identity_residual(conn: Connection, lam_elem: PrimElement,
                               beta: PrimElement) -> Element:
-    from .twist import del_minus_A, del_plus_A
-
     if beta.side == PLUS:
         partner = _element(PLUS, beta.s - 1, del_minus_A(conn, beta.payload))
         combination = add_elements(beta, scale_element(-1, m2(lam_elem, partner)))

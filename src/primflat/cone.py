@@ -35,7 +35,9 @@ from .connection import Connection, analyze_flatness, covariant_d
 from .errors import InternalInvariantError
 from .forms import VectorForm, omega, wedge
 from .lefschetz import L_power, decompose
-from .ainfinity import Element, MINUS, PLUS, PrimElement, ZERO, _ZeroElement
+from .ainfinity import (Element, MINUS, PLUS, PrimElement, ZERO, _ZeroElement, add_elements,
+                        scale_element)
+from .sampling import rand_cone_element, rand_element_at_grading, run_trials
 from .twist import del_minus_A, del_plus_A, twisted_m1
 
 
@@ -87,12 +89,6 @@ class ConeElement:
 
     def __neg__(self) -> "ConeElement":
         return ConeElement(self.grading, -self.eta, -self.xi)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConeElement):
-            return NotImplemented
-        return (self.grading == other.grading and self.eta == other.eta
-                and self.xi == other.xi)
 
 
 def cone_d(conn: Connection, a: ConeElement) -> ConeElement:
@@ -194,8 +190,6 @@ def _as_cone(conn: Connection, value: Element, grading: int, rank: int,
 
 def residual_f_chain(conn: Connection, a: ConeElement) -> Element:
     """f(D a) - m1'(f(a)); zero for every element when f is a chain map."""
-    from .ainfinity import add_elements, scale_element
-
     lhs = map_f(conn, cone_d(conn, a))
     rhs = twisted_m1(conn, map_f(conn, a), verify=False)
     return add_elements(lhs, scale_element(-1, rhs))
@@ -213,8 +207,6 @@ def residual_g_chain(conn: Connection, b: Element) -> Optional[ConeElement]:
 
 def residual_fg_identity(conn: Connection, b: Element) -> Element:
     """f(g(b)) - b; the left-inverse law."""
-    from .ainfinity import add_elements, scale_element
-
     if isinstance(b, _ZeroElement):
         return ZERO
     lhs = map_f(conn, map_g(conn, b))
@@ -252,8 +244,6 @@ def check_chain_identities(conn: Connection, trials: int = 100, seed: int = 0,
     a genuine complex).  Gradings are swept uniformly, so the boundary
     cases j = n and j = n+1 always occur for trials >= a few dozen.
     """
-    from .sampling import rand_cone_element, rand_element_at_grading
-
     if not analyze_flatness(conn).is_symplectically_flat:
         raise ValueError("chain identities need a symplectically flat connection")
     rng = random.Random(seed)
@@ -262,16 +252,8 @@ def check_chain_identities(conn: Connection, trials: int = 100, seed: int = 0,
 
     def run(name: str, sampler: Callable[[], object],
             residual: Callable[[object], object]) -> None:
-        failures = 0
-        example = None
-        for _ in range(trials):
-            x = sampler()
-            res = residual(x)
-            bad = res is not None and not res.is_zero
-            if bad:
-                failures += 1
-                if example is None:
-                    example = repr(x)
+        failures, first = run_trials(trials, sampler, residual)
+        example = repr(first[0]) if first is not None else None
         reports.append(ChainIdentityReport(name, trials, failures, example))
 
     def cone_sampler():

@@ -9,9 +9,10 @@ Grammar (the wedge token is ``/\\`` so ``^`` stays scalar exponentiation):
     VAR    := x<i> | y<i>          BASIS := dx<i> | dy<i>
 
 A factor may contain at most one atom of positive form degree; scalar atoms
-multiply into its polynomial coefficient.  The printer emits every term as
-``(coefficient)*basis`` with a canonical ordering, and ``parse(print(f))``
-returns a form equal to ``f`` exactly.
+multiply into its polynomial coefficient.  A zero denominator and
+parentheses nested deeper than ``MAX_NESTING`` are parse errors.  The
+printer emits every term as ``(coefficient)*basis`` with a canonical
+ordering, and ``parse(print(f))`` returns a form equal to ``f`` exactly.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ class ParseError(ValueError):
         super().__init__(f"{message} (column {column + 1})")
         self.column = column
 
+
+# each level of parentheses costs four parser frames, well inside the
+# interpreter's recursion limit
+MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z]+\d+)"
                     r"|(?P<wedge>/\\)|(?P<op>[-+*^/()]))")
@@ -64,6 +69,7 @@ class _Parser:
         self.n = n
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -143,13 +149,19 @@ class _Parser:
                 dkind, dvalue, dcol = self.next()
                 if dkind != "num":
                     raise ParseError("expected a denominator", dcol)
+                if int(dvalue) == 0:
+                    raise ParseError("division by zero", dcol)
                 return Form.const(self.n, Fraction(numerator, int(dvalue)))
             return Form.const(self.n, numerator)
         if kind == "name":
             return self._named_atom(value, col)
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", col)
+            self.depth += 1
             inner = self.parse_form()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected {value or 'end of input'!r}", col)
 

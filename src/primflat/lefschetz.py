@@ -5,8 +5,10 @@ primitive beta's (a form is primitive when the lowering contraction
 `contract_lambda` kills it).  The split is pointwise linear algebra with
 constant coefficients, so it is solved once per (n, degree) on the constant
 exterior-algebra fiber, cached, and extended linearly over polynomial
-coefficients.  The caches are filled idempotently from pure computations;
-concurrent readers can at worst recompute an identical entry.
+coefficients.  Every table is a pure function of its small integer
+arguments, memoized with ``functools.cache`` (so ``cache_info()`` gives its
+hits and misses); concurrent first calls can at worst compute an identical
+entry twice.
 
 Operators built on the split, each a cached constant fiber map read from
 the decomposition table (``_omega_map``), so no omega power is wedged at
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .errors import InternalInvariantError
@@ -46,15 +49,9 @@ from .linalg import Echelon, vec_add_scaled
 from .scalars import Poly
 
 ConstForm = dict  # FormIndex -> Fraction, a form with constant coefficients
-
-_PRIM_BASIS: dict[tuple[int, int], list[ConstForm]] = {}
-_PRIM_COORDS: dict[tuple[int, int], Echelon] = {}
-_DECOMP: dict[tuple[int, int], dict[FormIndex, dict[int, ConstForm]]] = {}
-_OMEGA_MAPS: dict[tuple[int, int, int, int], dict] = {}
 # table[c][f] lists the (target index, coefficient) pairs of one constant
 # fiber map applied to dx_c /\ (basis element f)
 FiberTable = list
-_FIBER_D: dict[tuple[int, int, int], tuple[FiberTable, int]] = {}
 
 
 def _const_to_form(n: int, degree: int, entries: ConstForm) -> Form:
@@ -75,15 +72,12 @@ def component_range(n: int, degree: int) -> list[int]:
     return out
 
 
+@cache
 def primitive_fiber_basis(n: int, s: int) -> list[ConstForm]:
     """Basis of the constant primitive s-forms (kernel of the lowering map).
 
     Dimension is C(2n, s) - C(2n, s-2) for s <= n and 0 beyond.
     """
-    key = (n, s)
-    cached = _PRIM_BASIS.get(key)
-    if cached is not None:
-        return cached
     basis: list[ConstForm] = []
     if 0 <= s <= n:
         if s < 2:
@@ -96,23 +90,18 @@ def primitive_fiber_basis(n: int, s: int) -> list[ConstForm]:
                 relation = ech.add(vec, idx)
                 if relation is not None:
                     basis.append(relation)
-    _PRIM_BASIS.setdefault(key, basis)
-    return _PRIM_BASIS[key]
+    return basis
 
 
+@cache
 def _primitive_coords_solver(n: int, s: int) -> Echelon:
     """Tracking echelon whose fed columns are the primitive fiber basis."""
-    key = (n, s)
-    cached = _PRIM_COORDS.get(key)
-    if cached is not None:
-        return cached
     ech = Echelon(track=True)
     for bi, vec in enumerate(primitive_fiber_basis(n, s)):
         if ech.add(vec, bi) is not None:
             raise InternalInvariantError(
                 f"primitive fiber basis of {s}-forms (n={n}) is dependent")
-    _PRIM_COORDS.setdefault(key, ech)
-    return _PRIM_COORDS[key]
+    return ech
 
 
 def primitive_fiber_coords(n: int, s: int, const_form: ConstForm) -> dict[int, Fraction]:
@@ -123,12 +112,8 @@ def primitive_fiber_coords(n: int, s: int, const_form: ConstForm) -> dict[int, F
     return combo
 
 
+@cache
 def _decomp_table(n: int, degree: int) -> dict[FormIndex, dict[int, ConstForm]]:
-    key = (n, degree)
-    cached = _DECOMP.get(key)
-    if cached is not None:
-        return cached
-
     rs = component_range(n, degree)
     ech = Echelon(track=True)
     basis_vectors: dict[tuple[int, int], ConstForm] = {}
@@ -153,10 +138,10 @@ def _decomp_table(n: int, degree: int) -> dict[FormIndex, dict[int, ConstForm]]:
         for (r, bi), coeff in combo.items():
             vec_add_scaled(components.setdefault(r, {}), coeff, basis_vectors[(r, bi)])
         table[idx] = {r: comp for r, comp in components.items() if comp}
-    _DECOMP.setdefault(key, table)
-    return _DECOMP[key]
+    return table
 
 
+@cache
 def fiber_d_table(n: int, s: int, r: int) -> tuple[FiberTable, int]:
     """``(table, scale)``: ``table[c][fi]`` lists the prim coordinates of the
     omega^r component of dx_c /\\ b_fi, b_fi in ``primitive_fiber_basis(n, s)``,
@@ -167,10 +152,6 @@ def fiber_d_table(n: int, s: int, r: int) -> tuple[FiberTable, int]:
     L^{-1}(dx_c /\\ .), the fiber of del_minus, and there every component
     beyond r = 1 must vanish: a 1-form times a primitive form has none.
     """
-    key = (n, s, r)
-    cached = _FIBER_D.get(key)
-    if cached is not None:
-        return cached
     decomp = _decomp_table(n, s + 1)
     rows = []
     for c in range(2 * n):
@@ -199,8 +180,7 @@ def fiber_d_table(n: int, s: int, r: int) -> tuple[FiberTable, int]:
     scale = lcm(*(v.denominator for row in rows for pairs in row for _, v in pairs))
     table: FiberTable = [[tuple((fj, int(v * scale)) for fj, v in pairs) for pairs in row]
                          for row in rows]
-    _FIBER_D.setdefault(key, (table, scale))
-    return _FIBER_D[key]
+    return table, scale
 
 
 @dataclass
@@ -262,22 +242,18 @@ def is_primitive(a: AnyForm) -> bool:
     return all(is_primitive(e) for e in a.flat)
 
 
+@cache
 def _omega_map(n: int, degree: int, shift: int, top: int) -> dict:
     """``table[idx]``: the (target index, coefficient) pairs of the constant
     form sum omega^(r+shift) /\\ beta_r over the components beta_r of the
     basis form idx with r <= top and r + shift >= 0."""
-    key = (n, degree, shift, top)
-    cached = _OMEGA_MAPS.get(key)
-    if cached is not None:
-        return cached
     table = {}
     for idx, components in _decomp_table(n, degree).items():
         image = sum((wedge(omega_power(n, r + shift), _const_to_form(n, degree - 2 * r, beta))
                      for r, beta in components.items() if r <= top and r + shift >= 0),
                     Form.zero(n, degree + 2 * shift))
         table[idx] = [(tidx, poly.constant_value()) for tidx, poly in image.terms.items()]
-    _OMEGA_MAPS.setdefault(key, table)
-    return _OMEGA_MAPS[key]
+    return table
 
 
 def _apply_omega_map(a: AnyForm, shift: int, top: int) -> AnyForm:

@@ -1,4 +1,5 @@
-"""Seeded random generators for forms, algebra elements and connections.
+"""Seeded random generators for forms, algebra elements and connections,
+and the trial loop of every randomized identity check.
 
 Every generator takes an explicit `random.Random`; one seed drives a whole
 randomized check, which keeps counterexamples reproducible and CLI reports
@@ -11,13 +12,34 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from .connection import Connection, generate_flat
 from .forms import Form, MatrixForm, VectorForm, all_indices
 from .lefschetz import pi_p
 from .scalars import Poly
 from .ainfinity import MINUS, PLUS, PrimElement, grading_position
+
+
+def run_trials(trials: int, sample: Callable[[], Any],
+               residual: Callable[[Any], Any]) -> tuple[int, Optional[tuple]]:
+    """``(failures, first)`` over ``trials`` draws of ``sample()``.
+
+    A draw fails when ``residual(draw)`` is neither None nor zero
+    (``.is_zero``); ``first`` is the first failing ``(draw, residual)``, or
+    None.  Draws are taken one at a time, each followed by its residual, so
+    a seeded sampler draws in the same order whatever the residuals are.
+    """
+    failures = 0
+    first = None
+    for _ in range(trials):
+        drawn = sample()
+        value = residual(drawn)
+        if value is not None and not value.is_zero:
+            failures += 1
+            if first is None:
+                first = (drawn, value)
+    return failures, first
 
 
 def rand_fraction(rng: random.Random, zero_ok: bool = True) -> Fraction:
@@ -152,7 +174,7 @@ def rand_vector_form(rng: random.Random, n: int, degree: int, rank: int,
 def rand_cone_element(rng: random.Random, conn, grading: int,
                       max_degree: int = 2):
     """Random element of the cone complex at the given grading."""
-    from .cone import ConeElement
+    from .cone import ConeElement  # deferred: cone imports this module
 
     n, rank = conn.n, conn.rank
     return ConeElement(grading,

@@ -32,6 +32,7 @@ from .forms import VectorForm, wedge
 from .lefschetz import L_power, is_primitive, pi_p
 from .ainfinity import (MINUS, PLUS, Element, PrimElement, ZERO, _ZeroElement, _element,
                         add_elements, apply_m, m1, m2, m3, scale_element)
+from .sampling import rand_prim_element, run_trials
 
 
 def delta_sign(k: int) -> int:
@@ -147,20 +148,11 @@ def check_square_zero(conn: Connection, trials: int = 100, seed: int = 0,
     For a symplectically flat connection every residual vanishes; otherwise
     the first nonzero residual is reported as a witness.
     """
-    from .sampling import rand_prim_element  # deferred: sampling imports this package
-
     rng = random.Random(seed)
     flat = analyze_flatness(conn).is_symplectically_flat
-    failures = 0
-    witness = None
-    witness_residual = None
-    for _ in range(trials):
-        element = rand_prim_element(rng, conn.n, "vector", conn.rank,
-                                    max_degree=max_degree)
-        residual = twisted_m1(conn, twisted_m1(conn, element))
-        if not residual.is_zero:
-            failures += 1
-            if witness is None:
-                witness = element
-                witness_residual = residual
+    failures, first = run_trials(
+        trials,
+        lambda: rand_prim_element(rng, conn.n, "vector", conn.rank, max_degree=max_degree),
+        lambda element: twisted_m1(conn, twisted_m1(conn, element)))
+    witness, witness_residual = first or (None, None)
     return SquareZeroReport(flat, trials, failures, witness, witness_residual)

@@ -13,7 +13,7 @@ import pytest
 
 from primflat.cli import CHECK_FAILED, run
 from primflat.cohomology import (_kernel_sweep, _space, closedlem_check,
-                                 cohomology_dims, cone_cohomology_dims,
+                                 cohomology_dims,
                                  exactness_witness)
 from primflat.cone import check_chain_identities
 from primflat.connection import (Connection, analyze_flatness, generate_flat,
@@ -163,7 +163,7 @@ def test_criterion_05_vanishing_for_invertible():
                            ([[1, 2], [3, 4]], "dense")):
             conn = generate_flat(n, 2, phi0)
             prim = cohomology_dims(conn, "prim", D=4, stab_margins=(2, 3))
-            cone = cone_cohomology_dims(conn, D=4, stab_margins=(2, 3))
+            cone = cohomology_dims(conn, "cone", D=4, stab_margins=(2, 3))
             if any(v != 0 for v in prim.dims().values()):
                 ok = False
             if any(v != 0 for v in cone.dims().values()):
@@ -178,7 +178,7 @@ def test_criterion_06_cone_isomorphism(phi0, dim_ker, dim_coker, name):
     for n in (1, 2):
         conn = generate_flat(n, 2, phi0)
         prim = cohomology_dims(conn, "prim", D=5, stab_margins=(2, 3))
-        cone = cone_cohomology_dims(conn, D=5, stab_margins=(2, 3))
+        cone = cohomology_dims(conn, "cone", D=5, stab_margins=(2, 3))
         if prim.dim_vector() != cone.dim_vector():
             ok = False
         if not (prim.all_stabilized and cone.all_stabilized):

@@ -175,6 +175,31 @@ def test_usage_and_parse_errors_exit_one(tmp_path, flat_file, capsys):
         assert capsys.readouterr().err.startswith(f"primflat: error: argument {flag}: ")
 
 
+@pytest.mark.parametrize("form,message", [
+    ("1/0", "division by zero (column 3)"),
+    ("(" * 3000 + "x1" + ")" * 3000, "parentheses nested deeper than 100 (column 101)"),
+], ids=["zero-denominator", "deep-nesting"])
+def test_bad_form_text_exits_one_naming_the_column(tmp_path, capsys, form, message):
+    path = tmp_path / "conn.json"
+    path.write_text(json.dumps({"n": 1, "rank": 1, "A": [[f"{form}*dx1"]]}))
+    for argv in (["decompose", "--n", "1", "--form", form],
+                 ["flatness", "--connection", str(path)]):
+        buf = io.StringIO()
+        assert run(argv, stdout=buf) == USAGE_ERROR
+        assert buf.getvalue() == ""
+        assert capsys.readouterr().err == f"primflat: error: {message}\n"
+
+
+def test_deeply_nested_connection_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    buf = io.StringIO()
+    assert run(["flatness", "--connection", str(path)], stdout=buf) == USAGE_ERROR
+    assert buf.getvalue() == ""
+    assert capsys.readouterr().err == (f"primflat: error: connection file {path}: "
+                                       "JSON nested too deeply\n")
+
+
 def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
     def broken(args):
         raise InternalInvariantError("fiber system is singular")

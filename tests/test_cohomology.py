@@ -7,8 +7,7 @@ import pytest
 
 from primflat import cohomology, lefschetz, linalg
 from primflat.cohomology import (TruncatedSpace, closedlem_check, cohomology_dims,
-                                 cone_cohomology_dims, exactness_witness,
-                                 _kernel_sweep, _space)
+                                 exactness_witness, _kernel_sweep, _space)
 from primflat.connection import Connection, analyze_flatness, generate_flat
 from primflat.dsl import parse_form
 from primflat.errors import InternalInvariantError
@@ -114,7 +113,7 @@ def test_vanishing_for_invertible_phi():
             conn = generate_flat(n, 2, phi0)
             prim = cohomology_dims(conn, "prim", D=3)
             assert all(v == 0 for v in prim.dims().values())
-            cone = cone_cohomology_dims(conn, D=3)
+            cone = cohomology_dims(conn, "cone", D=3)
             assert all(v == 0 for v in cone.dims().values())
 
 
@@ -130,8 +129,7 @@ def test_untwisted_rank_one_dimensions_and_lambda_class():
     # A = 0, rank 1: constants at the bottom and the class of lambda above
     n = 2
     conn = Connection(n, 1, MatrixForm.zero(n, 1, 1))
-    report = cohomology_dims(conn, "prim", D=4, stab_margins=(2, 3),
-                             with_witnesses=True)
+    report = cohomology_dims(conn, "prim", D=4, stab_margins=(2, 3))
     dims = report.dims()
     assert dims["P0+"] == 1 and dims["P1+"] == 1
     assert all(v == 0 for label, v in dims.items() if label not in ("P0+", "P1+"))
@@ -155,7 +153,7 @@ def test_cone_dimensions_match_primitive():
     for phi0 in (diag(1, 0), diag(0, 0)):
         conn = generate_flat(1, 2, phi0)
         prim = cohomology_dims(conn, "prim", D=4)
-        cone = cone_cohomology_dims(conn, D=4)
+        cone = cohomology_dims(conn, "cone", D=4)
         assert prim.dim_vector() == cone.dim_vector()
 
 
@@ -163,7 +161,7 @@ def test_cone_class_generator_at_grading_one():
     # the grading-1 cone class is spanned by (lambda v, -v), v in coker Phi0
     n = 2
     conn = generate_flat(n, 2, diag(1, 0))
-    report = cone_cohomology_dims(conn, D=3, with_witnesses=True)
+    report = cohomology_dims(conn, "cone", D=3)
     position = report.positions[1]
     assert position.dim == 1 and len(position.witnesses) == 1
     lam = lambda_standard(n)
@@ -442,7 +440,7 @@ def test_small_margins_leave_dense_gauge_unstabilized():
     large = cohomology_dims(conn, "prim", D=2, stab_margins=(4, 5))
     assert large.all_stabilized
     assert large.dim_vector() == [2, 2, 0, 0]
-    assert cone_cohomology_dims(conn, D=2).dim_vector() == [2, 2, 0, 0]
+    assert cohomology_dims(conn, "cone", D=2).dim_vector() == [2, 2, 0, 0]
 
 
 def test_negative_margins_are_rejected():
@@ -520,11 +518,9 @@ def test_reports_match_symbolic_assembly(monkeypatch, label, make, kind, D, marg
                  [_space(conn, kind, p.grading).coords_of(w) for w in p.witnesses])
                 for p in report.positions]
 
-    tables = summary(cohomology_dims(conn, kind, D=D, stab_margins=margins,
-                                     with_witnesses=True))
+    tables = summary(cohomology_dims(conn, kind, D=D, stab_margins=margins))
     monkeypatch.setattr(cohomology, "_differential_columns", symbolic_columns)
-    assert tables == summary(cohomology_dims(conn, kind, D=D, stab_margins=margins,
-                                             with_witnesses=True))
+    assert tables == summary(cohomology_dims(conn, kind, D=D, stab_margins=margins))
 
 
 @pytest.mark.parametrize("label,make,kind,D,margins", SWEEP_CASES,
@@ -538,12 +534,10 @@ def test_reports_match_fraction_elimination(monkeypatch, label, make, kind, D, m
                  [_space(conn, kind, p.grading).coords_of(w) for w in p.witnesses])
                 for p in report.positions]
 
-    tables = summary(cohomology_dims(conn, kind, D=D, stab_margins=margins,
-                                     with_witnesses=True))
+    tables = summary(cohomology_dims(conn, kind, D=D, stab_margins=margins))
     monkeypatch.setattr(linalg, "Echelon", FractionEchelon)
     assert isinstance(linalg.kernel_basis([])[1], FractionEchelon)
-    assert tables == summary(cohomology_dims(conn, kind, D=D, stab_margins=margins,
-                                             with_witnesses=True))
+    assert tables == summary(cohomology_dims(conn, kind, D=D, stab_margins=margins))
 
 
 def test_escaped_image_names_position_and_keys(monkeypatch):
@@ -565,12 +559,19 @@ def test_fiber_table_check_names_position_and_component(monkeypatch):
         return {idx: {**comps, 2: {(): Fraction(1)}}
                 for idx, comps in real(n, degree).items()}
 
+    def clear_tables():
+        # tables built from the broken decomposition must not outlive the test
+        lefschetz.fiber_d_table.cache_clear()
+        lefschetz._omega_map.cache_clear()
+
     conn = generate_flat(2, 1, [[1]])
     analyze_flatness(conn)  # cached before the decomposition is broken
+    clear_tables()
     monkeypatch.setattr(lefschetz, "_decomp_table", with_extra_component)
-    monkeypatch.setattr(lefschetz, "_FIBER_D", {})
-    monkeypatch.setattr(lefschetz, "_OMEGA_MAPS", {})
-    with pytest.raises(InternalInvariantError,
-                       match=r"^P1-: L\^-1\(dx0 \^ b1\) on primitive 1-forms \(n=2\) "
-                             r"has a component omega\^2 at form index \(\)$"):
-        cohomology._differential_columns(conn, "prim", 4)
+    try:
+        with pytest.raises(InternalInvariantError,
+                           match=r"^P1-: L\^-1\(dx0 \^ b1\) on primitive 1-forms \(n=2\) "
+                                 r"has a component omega\^2 at form index \(\)$"):
+            cohomology._differential_columns(conn, "prim", 4)
+    finally:
+        clear_tables()

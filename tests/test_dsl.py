@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from primflat.dsl import ParseError, parse_form, parse_poly, print_form, print_poly
+from primflat.dsl import (MAX_NESTING, ParseError, parse_form, parse_poly, print_form,
+                          print_poly)
 from primflat.forms import Form, lambda_standard, omega
 from primflat.sampling import rand_form
 from primflat.scalars import Poly
@@ -58,6 +59,21 @@ def test_syntax_errors_carry_column():
         parse_form("(x1", 2)
     with pytest.raises(ParseError):
         parse_form("x1 + dx1", 2)  # mixed degrees cannot be added
+
+
+@pytest.mark.parametrize("src,column", [("1/0", 3), ("1/0*dx1", 3), ("x1 + 3/00*y1", 8)])
+def test_zero_denominator_is_a_parse_error(src, column):
+    with pytest.raises(ParseError, match=rf"^division by zero \(column {column}\)$"):
+        parse_form(src, 1)
+
+
+def test_deep_nesting_is_a_parse_error():
+    nested = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+    assert parse_form(nested, 1) == parse_form("x1", 1)
+    for depth in (MAX_NESTING + 1, 3000):
+        with pytest.raises(ParseError, match=rf"^parentheses nested deeper than {MAX_NESTING} "
+                                             rf"\(column {MAX_NESTING + 1}\)$"):
+            parse_form("(" * depth + "x1" + ")" * depth, 1)
 
 
 def test_degree_zero_and_zero_forms():

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from primflat.forms import Form, MatrixForm, VectorForm, exterior_d, lambda_standard, omega, omega_power, wedge
-from primflat.lefschetz import (L_power, decompose, del_minus, del_plus,
-                                is_primitive, pi_p, primitive_fiber_basis, star_r)
+from primflat.lefschetz import (L_power, _omega_map, decompose, del_minus, del_plus,
+                                fiber_d_table, is_primitive, pi_p, primitive_fiber_basis,
+                                star_r)
 from primflat.sampling import rand_form, rand_primitive_form
 from primflat.scalars import Poly
 
@@ -196,3 +197,12 @@ def test_operator_tables_match_rewedge_oracle(n):
                 got = star_r(a)
                 assert got == L_power_by_wedge(n - k, a)
                 assert labelled(got, 2 * n - k)
+
+
+@pytest.mark.parametrize("table,args", [(fiber_d_table, (2, 1, 0)), (_omega_map, (2, 2, -1, 2))],
+                         ids=["fiber_d_table", "_omega_map"])
+def test_repeated_table_call_is_a_cache_hit(table, args):
+    first = table(*args)
+    hits = table.cache_info().hits
+    assert table(*args) is first
+    assert table.cache_info().hits == hits + 1

@@ -1,0 +1,37 @@
+"""The shared trial loop of the randomized identity checks."""
+
+import random
+
+from primflat.sampling import run_trials
+from primflat.scalars import Poly
+
+
+def test_run_trials_counts_failures_and_keeps_the_first():
+    # draws 0 and 1 pass (residual None and zero); every larger draw fails
+    rng = random.Random(4)
+    events = []
+
+    def sample():
+        x = rng.randint(0, 5)
+        events.append(("sample", x))
+        return x
+
+    def residual(x):
+        events.append(("residual", x))
+        return None if x == 0 else Poly.const(1, x - 1)
+
+    failures, first = run_trials(60, sample, residual)
+    replay = random.Random(4)
+    drawn = [replay.randint(0, 5) for _ in range(60)]
+    # one draw, then its residual, trial after trial, failing or not
+    assert events == [event for x in drawn for event in (("sample", x), ("residual", x))]
+    assert {0, 1} <= set(drawn)
+    bad = [x for x in drawn if x > 1]
+    assert failures == len(bad)
+    assert first == (bad[0], Poly.const(1, bad[0] - 1))
+
+
+def test_run_trials_with_no_failure_reports_none():
+    assert run_trials(5, lambda: 0, lambda x: None) == (0, None)
+    assert run_trials(5, lambda: 0, lambda x: Poly.zero(1)) == (0, None)
+    assert run_trials(0, lambda: 1 / 0, lambda x: x) == (0, None)
