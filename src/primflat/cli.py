@@ -89,11 +89,14 @@ def load_connection(path: str) -> Connection:
         except RecursionError:
             raise ValueError(f"connection file {path}: JSON nested too deeply") from None
     try:
-        n = int(data["n"])
-        rank = int(data["rank"])
-        rows = data["A"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n, rank, rows = data["n"], data["rank"], data["A"]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"connection file {path}: expected n, rank, A fields") from exc
+    for field, value in (("n", n), ("rank", rank)):
+        # bool is an int subclass, but true is no size
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"connection file {path}: {field} must be an integer >= 1, "
+                             f"got {json.dumps(value)}")
     if not (isinstance(rows, list) and len(rows) == rank and all(
             isinstance(row, list) and len(row) == rank
             and all(isinstance(text, str) for text in row) for row in rows)):

@@ -35,9 +35,11 @@ T_c b (x) e_v, where T_c is the primitive part of dx_c /\\ . below the
 middle and its L^{-1} part above it (``fiber_d_table``, cached per
 (n, s, r) in lefschetz).  The middle map is two such passes plus Phi; the
 cone differential is one pass with T_c = dx_c /\\ . on form indices, plus
-the omega /\\ . and Phi blocks.  ``twisted_m1`` and ``cone_d`` remain the
-symbolic definitions; the test suite checks every table column against
-them, and ``exactness_witness`` re-checks its answer with them.
+the omega /\\ . and Phi blocks; its sign tables for dx_c /\\ . and
+omega /\\ . come from the constant wedge ``lefschetz.const_wedge``.
+``twisted_m1`` and ``cone_d`` remain the symbolic definitions; the test
+suite checks every table column against them, and ``exactness_witness``
+re-checks its answer with them.
 
 Columns are int dicts, so assembly does no ``Fraction`` arithmetic.  Each
 fiber table is scaled once, and the coefficient lists of A and Phi once per
@@ -75,9 +77,9 @@ from typing import Callable, Optional, Sequence, Union
 from .connection import Connection, analyze_flatness
 from .cone import ConeElement, cone_d
 from .errors import InternalInvariantError
-from .forms import Form, LAMBDA_CHOICES, VectorForm, all_indices, merge_indices, wedge
-from .lefschetz import (FiberTable, fiber_d_table, primitive_fiber_basis,
-                        primitive_fiber_coords)
+from .forms import Form, LAMBDA_CHOICES, VectorForm, all_indices, wedge
+from .lefschetz import (FiberTable, const_wedge, fiber_d_table, omega_const,
+                        primitive_fiber_basis, primitive_fiber_coords)
 from .linalg import Echelon, Vec, kernel_basis, vec_add_scaled
 from .scalars import Monomial, Poly, monomials_up_to
 from .ainfinity import (Element, MINUS, PLUS, PrimElement, _ZeroElement, _element,
@@ -316,16 +318,13 @@ def _cone_columns(conn: Connection, grading: int) -> tuple[Column, int]:
     d_mult, phi_mult = scale // a_scale, scale // phi_scale
 
     # dx_c /\\ dx_I and omega /\\ dx_I as (J, sign) pairs
-    def pairs(merged) -> tuple:
-        return () if merged is None else ((merged[1], merged[0]),)
+    def wedge_table(left: dict, degree: int) -> dict:
+        return {idx: tuple(const_wedge(left, {idx: 1}).items())
+                for idx in all_indices(n, degree)}
 
-    def dx_table(degree: int) -> FiberTable:
-        return [{idx: pairs(merge_indices((c,), idx)) for idx in all_indices(n, degree)}
-                for c in range(2 * n)]
-
-    d_eta, d_xi = dx_table(grading), dx_table(grading - 1)
-    omega_xi = {idx: sum((pairs(merge_indices((i, n + i), idx)) for i in range(n)), ())
-                for idx in all_indices(n, grading - 1)}
+    d_eta, d_xi = ([wedge_table({(c,): 1}, degree) for c in range(2 * n)]
+                   for degree in (grading, grading - 1))
+    omega_xi = wedge_table(omega_const(n, 1), grading - 1)
 
     def column(key) -> dict:
         slot, mono, idx, u = key

@@ -10,10 +10,18 @@ arguments, memoized with ``functools.cache`` (so ``cache_info()`` gives its
 hits and misses); concurrent first calls can at worst compute an identical
 entry twice.
 
-Operators built on the split, each a cached constant fiber map read from
-the decomposition table (``_omega_map``), so no omega power is wedged at
-run time:
+The fiber is one constant exterior algebra: a constant form is an
+``{index: coefficient}`` dict, ``const_wedge`` multiplies two of them by
+index merges (``merge_indices``), and ``omega_const(n, r)`` is omega^r.
+Every table below is built from these constant index merges; none wedges a
+symbolic form.
 
+Operators built on the split, each a cached constant fiber map read from
+the decomposition table (``_omega_map``):
+
+* ``decompose(a)``: component r is the map with shift -r and top r, which
+  keeps only the omega^r component and strips its r powers of omega; one
+  map per r in ``component_range``.
 * ``L_power(p, a)``: wedge with omega^p for p >= 0; for p < 0 shift every
   component down by |p| powers of omega, dropping components that run out.
 * ``pi_p(p, a)``: truncate the decomposition to components with r <= p
@@ -48,14 +56,30 @@ from .forms import (AnyForm, Form, FormIndex, _accumulate, all_indices, contract
 from .linalg import Echelon, vec_add_scaled
 from .scalars import Poly
 
-ConstForm = dict  # FormIndex -> Fraction, a form with constant coefficients
+ConstForm = dict  # FormIndex -> int or Fraction, a form with constant coefficients
 # table[c][f] lists the (target index, coefficient) pairs of one constant
 # fiber map applied to dx_c /\ (basis element f)
 FiberTable = list
 
 
-def _const_to_form(n: int, degree: int, entries: ConstForm) -> Form:
-    return Form(n, degree, {idx: Poly.const(n, c) for idx, c in entries.items()})
+def const_wedge(a: ConstForm, b: ConstForm) -> ConstForm:
+    """The wedge a /\\ b of two constant forms; cancelled entries drop."""
+    out: ConstForm = {}
+    for idx_a, ca in a.items():
+        for idx_b, cb in b.items():
+            merged = merge_indices(idx_a, idx_b)
+            if merged is not None:
+                sign, idx = merged
+                out[idx] = out.get(idx, 0) + sign * ca * cb
+    return {idx: c for idx, c in out.items() if c}
+
+
+@cache
+def omega_const(n: int, r: int) -> ConstForm:
+    """omega^r as a constant form (r >= 0); callers must not mutate it."""
+    if r == 0:
+        return {(): 1}
+    return const_wedge(omega_const(n, r - 1), {(i, n + i): 1 for i in range(n)})
 
 
 def component_range(n: int, degree: int) -> list[int]:
@@ -114,16 +138,11 @@ def primitive_fiber_coords(n: int, s: int, const_form: ConstForm) -> dict[int, F
 
 @cache
 def _decomp_table(n: int, degree: int) -> dict[FormIndex, dict[int, ConstForm]]:
-    rs = component_range(n, degree)
     ech = Echelon(track=True)
     basis_vectors: dict[tuple[int, int], ConstForm] = {}
-    for r in rs:
-        s = degree - 2 * r
-        wr = omega_power(n, r)
-        for bi, bvec in enumerate(primitive_fiber_basis(n, s)):
-            image = wedge(wr, _const_to_form(n, s, bvec))
-            col = {idx: p.constant_value() for idx, p in image.terms.items()}
-            if ech.add(col, (r, bi)) is not None:
+    for r in component_range(n, degree):
+        for bi, bvec in enumerate(primitive_fiber_basis(n, degree - 2 * r)):
+            if ech.add(const_wedge(omega_const(n, r), bvec), (r, bi)) is not None:
                 raise InternalInvariantError(
                     f"Lefschetz fiber system of {degree}-forms (n={n}) is singular")
             basis_vectors[(r, bi)] = bvec
@@ -158,16 +177,9 @@ def fiber_d_table(n: int, s: int, r: int) -> tuple[FiberTable, int]:
         row = []
         for fi, b in enumerate(primitive_fiber_basis(n, s)):
             comps: dict[int, ConstForm] = {}
-            for idx, coeff in b.items():
-                merged = merge_indices((c,), idx)
-                if merged is None:
-                    continue
-                sign, widx = merged
+            for widx, coeff in const_wedge({(c,): 1}, b).items():
                 for comp_r, const in decomp[widx].items():
-                    comp = comps.setdefault(comp_r, {})
-                    for bidx, bcoeff in const.items():
-                        comp[bidx] = comp.get(bidx, Fraction(0)) + sign * coeff * bcoeff
-            comps = {k: {bidx: v for bidx, v in comp.items() if v} for k, comp in comps.items()}
+                    vec_add_scaled(comps.setdefault(comp_r, {}), coeff, const)
             for comp_r, comp in comps.items():
                 if r == 1 and comp_r > 1 and comp:
                     raise InternalInvariantError(
@@ -206,29 +218,15 @@ class LefschetzComponents:
         return Form.zero(self.n, self.degree)
 
 
-def _decompose_scalar(a: Form) -> dict[int, Form]:
-    table = _decomp_table(a.n, a.degree)
-    out: dict[int, dict[FormIndex, Poly]] = {}
-    for idx, poly in a.terms.items():
-        for r, const in table[idx].items():
-            comp = out.setdefault(r, {})
-            for bidx, c in const.items():
-                _accumulate(comp, bidx, poly.scaled(c))
-    return {r: Form._trusted(a.n, a.degree - 2 * r, terms)
-            for r, terms in out.items() if terms}
-
-
 def decompose(a: AnyForm) -> LefschetzComponents:
-    """Exact Lefschetz decomposition; components carry the fiber of the input."""
-    if isinstance(a, Form):
-        return LefschetzComponents(a.n, a.degree, _decompose_scalar(a))
-    per_entry = [_decompose_scalar(e) for e in a.flat]
-    out = {}
-    for r in sorted({r for comps in per_entry for r in comps}):
-        degree = a.degree - 2 * r
-        zero = Form.zero(a.n, degree)
-        out[r] = a._from_flat([comps.get(r, zero) for comps in per_entry], degree)
-    return LefschetzComponents(a.n, a.degree, out)
+    """Exact Lefschetz decomposition; components carry the fiber of the input.
+
+    Component r is the constant fiber map that keeps the omega^r component
+    and strips its r powers of omega; zero components are left out.
+    """
+    components = {r: _apply_omega_map(a, -r, r) for r in component_range(a.n, a.degree)}
+    return LefschetzComponents(a.n, a.degree,
+                               {r: beta for r, beta in components.items() if not beta.is_zero})
 
 
 def is_primitive(a: AnyForm) -> bool:
@@ -249,10 +247,11 @@ def _omega_map(n: int, degree: int, shift: int, top: int) -> dict:
     basis form idx with r <= top and r + shift >= 0."""
     table = {}
     for idx, components in _decomp_table(n, degree).items():
-        image = sum((wedge(omega_power(n, r + shift), _const_to_form(n, degree - 2 * r, beta))
-                     for r, beta in components.items() if r <= top and r + shift >= 0),
-                    Form.zero(n, degree + 2 * shift))
-        table[idx] = [(tidx, poly.constant_value()) for tidx, poly in image.terms.items()]
+        image: ConstForm = {}
+        for r, beta in components.items():
+            if r <= top and r + shift >= 0:
+                vec_add_scaled(image, 1, const_wedge(omega_const(n, r + shift), beta))
+        table[idx] = list(image.items())
     return table
 
 

@@ -31,7 +31,7 @@ from .errors import InternalInvariantError
 from .forms import VectorForm, wedge
 from .lefschetz import L_power, is_primitive, pi_p
 from .ainfinity import (MINUS, PLUS, Element, PrimElement, ZERO, _ZeroElement, _element,
-                        add_elements, apply_m, m1, m2, m3, scale_element)
+                        add_elements, apply_m, scale_element)
 from .sampling import rand_prim_element, run_trials
 
 
@@ -123,11 +123,7 @@ def m1_prime_of_A(conn: Connection) -> Element:
     curvature and covariantly constant Phi); the n = 1 branch carries the
     d_A Phi obstruction that the primitive projection cannot see there.
     """
-    a_elem = connection_element(conn)
-    if isinstance(a_elem, _ZeroElement):
-        return ZERO
-    total = add_elements(m1(a_elem), m2(a_elem, a_elem))
-    return add_elements(total, scale_element(-1, m3(a_elem, a_elem, a_elem)))
+    return twisting_series(conn, connection_element(conn))
 
 
 @dataclass

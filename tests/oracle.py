@@ -5,10 +5,12 @@ basis element and reads back its coordinates.  It shares nothing with the
 fiber-table assembly in ``primflat.cohomology`` except the truncated-space
 coordinates, so tests use it as the oracle for every table column.
 
-``L_power_by_wedge`` and ``pi_p_by_wedge`` decompose a form and wedge omega
-powers back onto its components.  They share only the decomposition table
-with the cached operator maps of ``primflat.lefschetz``, which tests compare
-with them.
+``L_power_by_wedge`` and ``pi_p_by_wedge`` decompose a form, entrywise for
+fiber forms, by reading ``lefschetz._decomp_table`` directly and wedge omega
+powers back onto its components; ``omega_map_by_wedge`` builds a whole
+``_omega_map`` table that way.  They share only the decomposition table
+with the cached operator maps of ``primflat.lefschetz`` and with
+``decompose``, which reads those maps; tests compare the maps with them.
 
 ``FractionEchelon`` is the elimination over ``Fraction`` that
 ``primflat.linalg.Echelon`` replaced: unit pivots, rational combinations.
@@ -31,8 +33,8 @@ from primflat.cone import cone_d
 from primflat.connection import generate_flat
 from primflat.dsl import parse_form
 from primflat.errors import InternalInvariantError
-from primflat.forms import Form, MatrixForm, omega_power, wedge
-from primflat.lefschetz import decompose
+from primflat.forms import Form, MatrixForm, _accumulate, all_indices, omega_power, wedge
+from primflat.lefschetz import _decomp_table
 from primflat.linalg import vec_add_scaled
 from primflat.twist import twisted_m1
 
@@ -201,13 +203,28 @@ def labelled(x, degree):
     return x.degree == degree and all(e.degree == degree for e in entries)
 
 
+def _components_by_table(a):
+    """Lefschetz components {r: beta_r} of a scalar form, read straight
+    from the decomposition table; zero components are left out."""
+    table = _decomp_table(a.n, a.degree)
+    out = {}
+    for idx, poly in a.terms.items():
+        for r, const in table[idx].items():
+            comp = out.setdefault(r, {})
+            for bidx, c in const.items():
+                _accumulate(comp, bidx, poly.scaled(c))
+    return {r: Form(a.n, a.degree - 2 * r, terms) for r, terms in out.items() if terms}
+
+
 def _rewedge(a, shift, keep):
     """sum of omega^(r+shift) /\\ beta_r over the components beta_r of a
-    with keep(r); zero results carry the degree a.degree + 2 shift."""
+    with keep(r), entrywise on fiber forms; zero results carry the degree
+    a.degree + 2 shift."""
     degree = a.degree + 2 * shift
-    total = (Form.zero(a.n, degree) if isinstance(a, Form)
-             else type(a).zero(a.n, degree, a.rank))
-    for r, beta in decompose(a).components.items():
+    if not isinstance(a, Form):
+        return a.map(lambda e: _rewedge(e, shift, keep), degree)
+    total = Form.zero(a.n, degree)
+    for r, beta in _components_by_table(a).items():
         if keep(r):
             total = total + wedge(omega_power(a.n, r + shift), beta)
     return total
@@ -221,6 +238,18 @@ def L_power_by_wedge(p, a):
 
 def pi_p_by_wedge(p, a):
     return _rewedge(a, 0, lambda r: r <= p)
+
+
+def omega_map_by_wedge(n, degree, shift, top):
+    """``lefschetz._omega_map`` built symbolically: each basis form's image
+    is the sum of wedge(omega_power(n, r + shift), beta_r) over its
+    components beta_r with r <= top and r + shift >= 0, read back as
+    {target index: coefficient}."""
+    table = {}
+    for idx in all_indices(n, degree):
+        image = _rewedge(Form.basis(n, idx), shift, lambda r: r <= top and r + shift >= 0)
+        table[idx] = {tidx: poly.constant_value() for tidx, poly in image.terms.items()}
+    return table
 
 
 def diag(*values):

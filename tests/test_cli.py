@@ -49,6 +49,16 @@ def test_load_connection_validates(tmp_path, capsys):
         path.write_text(json.dumps({"n": 1, "rank": 1, "A": rows}))
         with pytest.raises(ValueError, match="bad.json"):
             load_connection(str(path))
+    # sizes are JSON integers >= 1, never truncated or read from bools or text
+    for field, value in (("n", 1.5), ("n", True), ("n", "1"), ("rank", 1.9), ("rank", 0)):
+        path.write_text(json.dumps({"n": 1, "rank": 1, "A": [["x1*dy1"]], field: value}))
+        with pytest.raises(ValueError, match=f"^connection file .*bad.json: {field} must be "
+                                             f"an integer >= 1, got {json.dumps(value)}$"):
+            load_connection(str(path))
+        buf = io.StringIO()
+        assert run(["flatness", "--connection", str(path)], stdout=buf) == USAGE_ERROR
+        assert buf.getvalue() == ""
+        assert capsys.readouterr().err.startswith("primflat: error: connection file ")
     buf = io.StringIO()
     assert run(["flatness", "--connection", str(path)], stdout=buf) == USAGE_ERROR
     assert buf.getvalue() == ""

@@ -4,8 +4,11 @@ Importing ``primflat.<name>`` runs the package ``__init__`` first, which
 fixes one import order.  Each check here instead registers a bare package
 object and imports one submodule first, in a fresh interpreter, so an import
 cycle that ``__init__`` happens to hide still fails.
+
+Each submodule also binds no module-level import name that it never reads.
 """
 
+import ast
 import subprocess
 import sys
 from importlib.util import find_spec
@@ -27,3 +30,22 @@ def test_submodule_imports_first(name):
             f"importlib.import_module('primflat.{name}')\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def _unused_imports(path):
+    """Names bound by a module-level import that the module never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_no_unused_module_imports(name):
+    assert _unused_imports(PACKAGE_DIR / f"{name}.py") == []

@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from primflat.forms import Form, MatrixForm, VectorForm, exterior_d, lambda_standard, omega, omega_power, wedge
-from primflat.lefschetz import (L_power, _omega_map, decompose, del_minus, del_plus,
-                                fiber_d_table, is_primitive, pi_p, primitive_fiber_basis,
-                                star_r)
+from primflat.forms import (Form, MatrixForm, VectorForm, all_indices, exterior_d,
+                            lambda_standard, omega, omega_power, wedge)
+from primflat.lefschetz import (L_power, _omega_map, const_wedge, decompose, del_minus,
+                                del_plus, fiber_d_table, is_primitive, omega_const, pi_p,
+                                primitive_fiber_basis, star_r)
 from primflat.sampling import rand_form, rand_primitive_form
 from primflat.scalars import Poly
 
-from oracle import L_power_by_wedge, is_primitive_by_wedge, labelled, pi_p_by_wedge
+from oracle import (L_power_by_wedge, is_primitive_by_wedge, labelled, omega_map_by_wedge,
+                    pi_p_by_wedge)
 
 
 def half(n, value=1):
@@ -197,6 +199,52 @@ def test_operator_tables_match_rewedge_oracle(n):
                 got = star_r(a)
                 assert got == L_power_by_wedge(n - k, a)
                 assert labelled(got, 2 * n - k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_omega_map_matches_wedge_oracle(n):
+    for degree in range(0, 2 * n + 1):
+        for shift in range(-(n + 1), n + 2):
+            for top in range(0, n + 1):
+                table = _omega_map(n, degree, shift, top)
+                expected = omega_map_by_wedge(n, degree, shift, top)
+                assert table.keys() == expected.keys()
+                for idx, pairs in table.items():
+                    assert len(dict(pairs)) == len(pairs)
+                    assert dict(pairs) == expected[idx], (degree, shift, top, idx)
+
+
+def const_values(form):
+    return {idx: poly.constant_value() for idx, poly in form.terms.items()}
+
+
+def as_form(n, const):
+    # a homogeneous constant form; the empty one gets degree 0
+    degree = len(next(iter(const), ()))
+    return Form(n, degree, {idx: Poly.const(n, c) for idx, c in const.items()})
+
+
+def test_const_wedge_matches_wedge():
+    n = 3
+    rng = random.Random(7)
+    # sums whose products cancel, and factors that share an index
+    samples = [({(0,): 1, (1,): 1}, {(0,): 1, (1,): 1}),
+               ({(0,): 2, (1,): 3}, {(0,): 3, (1,): 2}),
+               ({(0, 3): 1}, {(0, 3): 1, (1, 4): 1}),
+               ({(0, 3): 1, (1, 4): 1}, {(0, 3): 1, (1, 4): -1}),
+               ({(2,): 1}, {(2,): 1}), ({}, {(0,): 1}), ({(): Fraction(-2, 3)}, {(1, 5): 1})]
+    for _ in range(200):
+        pair = []
+        for _side in range(2):
+            indices = all_indices(n, rng.randint(0, 2 * n))
+            picks = rng.sample(indices, min(len(indices), rng.randint(1, 4)))
+            coeffs = {idx: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for idx in picks}
+            pair.append({idx: c for idx, c in coeffs.items() if c})
+        samples.append(pair)
+    for a, b in samples:
+        assert const_wedge(a, b) == const_values(wedge(as_form(n, a), as_form(n, b))), (a, b)
+    for r in range(0, n + 2):
+        assert omega_const(n, r) == const_values(omega_power(n, r))
 
 
 @pytest.mark.parametrize("table,args", [(fiber_d_table, (2, 1, 0)), (_omega_map, (2, 2, -1, 2))],
