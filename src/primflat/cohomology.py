@@ -36,7 +36,8 @@ middle and its L^{-1} part above it (``fiber_d_table``, cached per
 (n, s, r) in lefschetz).  The middle map is two such passes plus Phi; the
 cone differential is one pass with T_c = dx_c /\\ . on form indices, plus
 the omega /\\ . and Phi blocks; its sign tables for dx_c /\\ . and
-omega /\\ . come from the constant wedge ``lefschetz.const_wedge``.
+omega /\\ . come from the constant wedge ``lefschetz.const_wedge``, cached
+per (n, degree) in ``_sign_tables``.
 ``twisted_m1`` and ``cone_d`` remain the symbolic definitions; the test
 suite checks every table column against them, and ``exactness_witness``
 re-checks its answer with them.
@@ -70,6 +71,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from operator import add
 from typing import Callable, Optional, Sequence, Union
@@ -309,22 +311,22 @@ def _prim_columns(conn: Connection, grading: int) -> tuple[Column, int]:
     return middle, scale
 
 
+@cache
+def _sign_tables(n: int, degree: int) -> tuple[FiberTable, dict]:
+    """dx_c /\\ dx_I for each c, and omega /\\ dx_I, as (J, sign) pairs per I."""
+    def table(left: dict) -> dict:
+        return {idx: tuple(const_wedge(left, {idx: 1}).items()) for idx in all_indices(n, degree)}
+    return [table({(c,): 1}) for c in range(2 * n)], table(omega_const(n, 1))
+
+
 def _cone_columns(conn: Connection, grading: int) -> tuple[Column, int]:
     """D(eta, xi) = (d_A eta + omega /\\ xi, -(Phi eta + d_A xi)) key by key."""
-    n = conn.n
     a_terms, a_scale, phi_terms, phi_scale = _connection_terms(conn)
-    # the sign tables below have scale 1, so the passes carry a_scale
+    # the sign tables have scale 1, so the passes carry a_scale
     scale = lcm(a_scale, phi_scale)
     d_mult, phi_mult = scale // a_scale, scale // phi_scale
-
-    # dx_c /\\ dx_I and omega /\\ dx_I as (J, sign) pairs
-    def wedge_table(left: dict, degree: int) -> dict:
-        return {idx: tuple(const_wedge(left, {idx: 1}).items())
-                for idx in all_indices(n, degree)}
-
-    d_eta, d_xi = ([wedge_table({(c,): 1}, degree) for c in range(2 * n)]
-                   for degree in (grading, grading - 1))
-    omega_xi = wedge_table(omega_const(n, 1), grading - 1)
+    d_eta = _sign_tables(conn.n, grading)[0]
+    d_xi, omega_xi = _sign_tables(conn.n, grading - 1)
 
     def column(key) -> dict:
         slot, mono, idx, u = key

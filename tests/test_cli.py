@@ -49,6 +49,10 @@ def test_load_connection_validates(tmp_path, capsys):
         path.write_text(json.dumps({"n": 1, "rank": 1, "A": rows}))
         with pytest.raises(ValueError, match="bad.json"):
             load_connection(str(path))
+    buf = io.StringIO()
+    assert run(["flatness", "--connection", str(path)], stdout=buf) == USAGE_ERROR
+    assert buf.getvalue() == ""
+    assert capsys.readouterr().err.startswith("primflat: error: connection file ")
     # sizes are JSON integers >= 1, never truncated or read from bools or text
     for field, value in (("n", 1.5), ("n", True), ("n", "1"), ("rank", 1.9), ("rank", 0)):
         path.write_text(json.dumps({"n": 1, "rank": 1, "A": [["x1*dy1"]], field: value}))
@@ -59,10 +63,6 @@ def test_load_connection_validates(tmp_path, capsys):
         assert run(["flatness", "--connection", str(path)], stdout=buf) == USAGE_ERROR
         assert buf.getvalue() == ""
         assert capsys.readouterr().err.startswith("primflat: error: connection file ")
-    buf = io.StringIO()
-    assert run(["flatness", "--connection", str(path)], stdout=buf) == USAGE_ERROR
-    assert buf.getvalue() == ""
-    assert capsys.readouterr().err.startswith("primflat: error: connection file ")
 
 
 def test_flatness_report(flat_file):

@@ -11,7 +11,8 @@ from primflat.cohomology import (TruncatedSpace, closedlem_check, cohomology_dim
 from primflat.connection import Connection, analyze_flatness, generate_flat
 from primflat.dsl import parse_form
 from primflat.errors import InternalInvariantError
-from primflat.forms import Form, MatrixForm, VectorForm, lambda_standard, wedge
+from primflat.forms import (Form, MatrixForm, VectorForm, all_indices, lambda_standard,
+                            merge_indices, wedge)
 from primflat.linalg import Echelon, kernel_basis
 from primflat.sampling import rand_unipotent
 from primflat.scalars import Poly
@@ -549,6 +550,20 @@ def test_escaped_image_names_position_and_keys(monkeypatch):
     message = str(info.value)
     assert message.startswith("P0+: image of source key ((")
     assert "escaped the declared target truncation 1 at target key ((" in message
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cone_sign_tables_match_index_merges(n):
+    # dx_c /\ . and omega /\ . on basis indices, built once per (n, degree)
+    for degree in range(-1, 2 * n + 1):
+        d_table, omega_table = cohomology._sign_tables(n, degree)
+        assert cohomology._sign_tables(n, degree)[0] is d_table
+        for idx in all_indices(n, degree):
+            for c in range(2 * n):
+                merged = merge_indices((c,), idx)
+                assert d_table[c][idx] == (() if merged is None else ((merged[1], merged[0]),))
+            merges = (merge_indices((i, n + i), idx) for i in range(n))
+            assert dict(omega_table[idx]) == {j: sign for sign, j in filter(None, merges)}
 
 
 def test_fiber_table_check_names_position_and_component(monkeypatch):
