@@ -199,9 +199,6 @@ class Form:
             return True
         return self.degree == other.degree and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.n, self.degree, frozenset((i, hash(p)) for i, p in self.terms.items())))
-
     def __repr__(self) -> str:
         return f"Form(n={self.n}, degree={self.degree}, terms={self.terms!r})"
 

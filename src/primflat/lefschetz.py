@@ -16,6 +16,13 @@ index merges (``merge_indices``), and ``omega_const(n, r)`` is omega^r.
 Every table below is built from these constant index merges; none wedges a
 symbolic form.
 
+The decomposition table ``_decomp_table(n, degree)`` stays in primitive
+coordinates: row idx is ``{(r, bi): coefficient}``, the basis form idx
+written in the split basis omega^r /\\ b_bi with b_bi in
+``primitive_fiber_basis(n, degree - 2r)``.  The products omega^k /\\ b_bi
+are built once per (n, s, k) in ``_lefschetz_image``; the decomposition
+solves against them and every operator map sums them.
+
 Operators built on the split, each a cached constant fiber map read from
 the decomposition table (``_omega_map``):
 
@@ -33,11 +40,13 @@ the decomposition table (``_omega_map``):
 
 The fiber tables ``fiber_d_table(n, s, r)`` hold, for each coordinate c and
 primitive basis form b, the primitive coordinates of pi_p(0, dx_c /\\ b)
-(r = 0) or of L^{-1}(dx_c /\\ b) (r = 1); the cohomology assembly builds
-every twisted differential column from them.  Each table is stored over
-ints: its entries are one positive scale (the lcm of the coordinates'
-denominators) times the coordinates, and the scale is returned beside the
-table, so column assembly multiplies ints only.
+(r = 0) or of L^{-1}(dx_c /\\ b) (r = 1): the decomposition rows of
+dx_c /\\ b summed, keeping the coordinates of component r.  The cohomology
+assembly builds every twisted differential column from them.  Each table is
+stored over ints: its entries are one positive scale (the lcm of the
+coordinates' denominators) times the coordinates, and the scale is returned
+beside the table, so column assembly multiplies ints only.
+``primitive_fiber_coords`` sums the same rows for one primitive form.
 
 Note that L^{-1} here is the component-shift operator of the decomposition,
 not the sl(2) lowering operator: the two differ by combinatorial factors.
@@ -104,60 +113,60 @@ def primitive_fiber_basis(n: int, s: int) -> list[ConstForm]:
     """
     basis: list[ConstForm] = []
     if 0 <= s <= n:
-        if s < 2:
-            basis = [{idx: Fraction(1)} for idx in all_indices(n, s)]
-        else:
-            ech = Echelon(track=True)
-            for idx in all_indices(n, s):
-                lowered = contract_lambda(Form.basis(n, idx))
-                vec = {i: p.constant_value() for i, p in lowered.terms.items()}
-                relation = ech.add(vec, idx)
-                if relation is not None:
-                    basis.append(relation)
+        ech = Echelon(track=True)
+        for idx in all_indices(n, s):
+            lowered = contract_lambda(Form.basis(n, idx))
+            vec = {i: p.constant_value() for i, p in lowered.terms.items()}
+            relation = ech.add(vec, idx)
+            if relation is not None:
+                basis.append(relation)
     return basis
 
 
 @cache
-def _primitive_coords_solver(n: int, s: int) -> Echelon:
-    """Tracking echelon whose fed columns are the primitive fiber basis."""
-    ech = Echelon(track=True)
-    for bi, vec in enumerate(primitive_fiber_basis(n, s)):
-        if ech.add(vec, bi) is not None:
-            raise InternalInvariantError(
-                f"primitive fiber basis of {s}-forms (n={n}) is dependent")
-    return ech
-
-
-def primitive_fiber_coords(n: int, s: int, const_form: ConstForm) -> dict[int, Fraction]:
-    """Coordinates of a constant primitive s-form in the cached fiber basis."""
-    combo = _primitive_coords_solver(n, s).solve(const_form)
-    if combo is None:
-        raise InternalInvariantError(f"constant {s}-form (n={n}) is not primitive")
-    return combo
+def _lefschetz_image(n: int, s: int, k: int) -> list[ConstForm]:
+    """``omega^k /\\ b`` for each b in ``primitive_fiber_basis(n, s)``."""
+    return [const_wedge(omega_const(n, k), b) for b in primitive_fiber_basis(n, s)]
 
 
 @cache
-def _decomp_table(n: int, degree: int) -> dict[FormIndex, dict[int, ConstForm]]:
+def _decomp_table(n: int, degree: int) -> dict[FormIndex, dict[tuple[int, int], Fraction]]:
+    """``table[idx]``: the coordinates ``{(r, bi): coefficient}`` of the basis
+    form idx in the split basis omega^r /\\ b_bi, b_bi in
+    ``primitive_fiber_basis(n, degree - 2r)``; like every solve answer it
+    holds no zero coordinates."""
     ech = Echelon(track=True)
-    basis_vectors: dict[tuple[int, int], ConstForm] = {}
     for r in component_range(n, degree):
-        for bi, bvec in enumerate(primitive_fiber_basis(n, degree - 2 * r)):
-            if ech.add(const_wedge(omega_const(n, r), bvec), (r, bi)) is not None:
+        for bi, column in enumerate(_lefschetz_image(n, degree - 2 * r, r)):
+            if ech.add(column, (r, bi)) is not None:
                 raise InternalInvariantError(
                     f"Lefschetz fiber system of {degree}-forms (n={n}) is singular")
-            basis_vectors[(r, bi)] = bvec
-
-    table: dict[FormIndex, dict[int, ConstForm]] = {}
+    table = {}
     for idx in all_indices(n, degree):
         combo = ech.solve({idx: Fraction(1)})
         if combo is None:
             raise InternalInvariantError(
                 f"Lefschetz fiber system of {degree}-forms (n={n}) does not span")
-        components: dict[int, ConstForm] = {}
-        for (r, bi), coeff in combo.items():
-            vec_add_scaled(components.setdefault(r, {}), coeff, basis_vectors[(r, bi)])
-        table[idx] = {r: comp for r, comp in components.items() if comp}
+        table[idx] = combo
     return table
+
+
+def _split_coords(n: int, degree: int, const_form: ConstForm) -> dict[tuple[int, int], Fraction]:
+    """The ``{(r, bi): coefficient}`` coordinates of a constant form, summed
+    from the rows of ``_decomp_table``."""
+    table = _decomp_table(n, degree)
+    coords: dict[tuple[int, int], Fraction] = {}
+    for idx, coeff in const_form.items():
+        vec_add_scaled(coords, coeff, table[idx])
+    return coords
+
+
+def primitive_fiber_coords(n: int, s: int, const_form: ConstForm) -> dict[int, Fraction]:
+    """Coordinates of a constant primitive s-form in the cached fiber basis."""
+    coords = _split_coords(n, s, const_form)
+    if any(r for r, _ in coords):
+        raise InternalInvariantError(f"constant {s}-form (n={n}) is not primitive")
+    return {bi: coeff for (_, bi), coeff in coords.items()}
 
 
 @cache
@@ -171,23 +180,17 @@ def fiber_d_table(n: int, s: int, r: int) -> tuple[FiberTable, int]:
     L^{-1}(dx_c /\\ .), the fiber of del_minus, and there every component
     beyond r = 1 must vanish: a 1-form times a primitive form has none.
     """
-    decomp = _decomp_table(n, s + 1)
     rows = []
     for c in range(2 * n):
         row = []
         for fi, b in enumerate(primitive_fiber_basis(n, s)):
-            comps: dict[int, ConstForm] = {}
-            for widx, coeff in const_wedge({(c,): 1}, b).items():
-                for comp_r, const in decomp[widx].items():
-                    vec_add_scaled(comps.setdefault(comp_r, {}), coeff, const)
-            for comp_r, comp in comps.items():
-                if r == 1 and comp_r > 1 and comp:
+            coords = _split_coords(n, s + 1, const_wedge({(c,): 1}, b))
+            for comp_r, fj in coords:
+                if r == 1 and comp_r > 1:
                     raise InternalInvariantError(
                         f"L^-1(dx{c} ^ b{fi}) on primitive {s}-forms (n={n}) has a "
-                        f"component omega^{comp_r} at form index {min(comp)}")
-            image = comps.get(r)
-            coords = primitive_fiber_coords(n, s + 1 - 2 * r, image) if image else {}
-            row.append(sorted((fj, v) for fj, v in coords.items() if v))
+                        f"component omega^{comp_r} along basis form b{fj}")
+            row.append(sorted((fj, v) for (comp_r, fj), v in coords.items() if comp_r == r))
         rows.append(row)
     scale = lcm(*(v.denominator for row in rows for pairs in row for _, v in pairs))
     table: FiberTable = [[tuple((fj, int(v * scale)) for fj, v in pairs) for pairs in row]
@@ -246,11 +249,11 @@ def _omega_map(n: int, degree: int, shift: int, top: int) -> dict:
     form sum omega^(r+shift) /\\ beta_r over the components beta_r of the
     basis form idx with r <= top and r + shift >= 0."""
     table = {}
-    for idx, components in _decomp_table(n, degree).items():
+    for idx, coords in _decomp_table(n, degree).items():
         image: ConstForm = {}
-        for r, beta in components.items():
+        for (r, bi), coeff in coords.items():
             if r <= top and r + shift >= 0:
-                vec_add_scaled(image, 1, const_wedge(omega_const(n, r + shift), beta))
+                vec_add_scaled(image, coeff, _lefschetz_image(n, degree - 2 * r, r + shift)[bi])
         table[idx] = list(image.items())
     return table
 

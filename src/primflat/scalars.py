@@ -198,9 +198,6 @@ class Poly:
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
     def __repr__(self) -> str:
         if not self.terms:
             return f"Poly({self.n}, 0)"

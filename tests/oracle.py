@@ -6,8 +6,10 @@ fiber-table assembly in ``primflat.cohomology`` except the truncated-space
 coordinates, so tests use it as the oracle for every table column.
 
 ``L_power_by_wedge`` and ``pi_p_by_wedge`` decompose a form, entrywise for
-fiber forms, by reading ``lefschetz._decomp_table`` directly and wedge omega
-powers back onto its components; ``omega_map_by_wedge`` builds a whole
+fiber forms, by reading the ``{(r, bi): coefficient}`` coordinates of
+``lefschetz._decomp_table`` directly, expanding them through
+``primitive_fiber_basis`` into components, and wedging omega powers back
+onto those symbolically; ``omega_map_by_wedge`` builds a whole
 ``_omega_map`` table that way.  They share only the decomposition table
 with the cached operator maps of ``primflat.lefschetz`` and with
 ``decompose``, which reads those maps; tests compare the maps with them.
@@ -34,7 +36,7 @@ from primflat.connection import generate_flat
 from primflat.dsl import parse_form
 from primflat.errors import InternalInvariantError
 from primflat.forms import Form, MatrixForm, _accumulate, all_indices, omega_power, wedge
-from primflat.lefschetz import _decomp_table
+from primflat.lefschetz import _decomp_table, primitive_fiber_basis
 from primflat.linalg import vec_add_scaled
 from primflat.twist import twisted_m1
 
@@ -205,14 +207,15 @@ def labelled(x, degree):
 
 def _components_by_table(a):
     """Lefschetz components {r: beta_r} of a scalar form, read straight
-    from the decomposition table; zero components are left out."""
+    from the decomposition table's coordinates and expanded through the
+    primitive fiber bases; zero components are left out."""
     table = _decomp_table(a.n, a.degree)
     out = {}
     for idx, poly in a.terms.items():
-        for r, const in table[idx].items():
+        for (r, bi), c in table[idx].items():
             comp = out.setdefault(r, {})
-            for bidx, c in const.items():
-                _accumulate(comp, bidx, poly.scaled(c))
+            for bidx, bc in primitive_fiber_basis(a.n, a.degree - 2 * r)[bi].items():
+                _accumulate(comp, bidx, poly.scaled(c * bc))
     return {r: Form(a.n, a.degree - 2 * r, terms) for r, terms in out.items() if terms}
 
 

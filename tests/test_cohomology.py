@@ -571,8 +571,8 @@ def test_fiber_table_check_names_position_and_component(monkeypatch):
     real = lefschetz._decomp_table
 
     def with_extra_component(n, degree):
-        return {idx: {**comps, 2: {(): Fraction(1)}}
-                for idx, comps in real(n, degree).items()}
+        return {idx: {**coords, (2, 0): Fraction(1)}
+                for idx, coords in real(n, degree).items()}
 
     def clear_tables():
         # tables built from the broken decomposition must not outlive the test
@@ -586,7 +586,7 @@ def test_fiber_table_check_names_position_and_component(monkeypatch):
     try:
         with pytest.raises(InternalInvariantError,
                            match=r"^P1-: L\^-1\(dx0 \^ b1\) on primitive 1-forms \(n=2\) "
-                                 r"has a component omega\^2 at form index \(\)$"):
+                                 r"has a component omega\^2 along basis form b0$"):
             cohomology._differential_columns(conn, "prim", 4)
     finally:
         clear_tables()

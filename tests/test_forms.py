@@ -245,3 +245,12 @@ def test_zero_results_carry_their_algebraic_degree(n):
     minus = map_g(flat, PrimElement(MINUS, n, VectorForm.zero(n, n, r)))
     assert minus.grading == n + 1
     assert labelled(minus.eta, n + 1) and labelled(minus.xi, n)
+
+
+def test_forms_and_polys_are_unhashable():
+    # a hash would have to agree across these equalities, which cross labels
+    assert Form.zero(1, 0) == Form.zero(1, 2) and Poly.const(1, 3) == 3
+    for value in (Form.zero(1, 0), Form.dx(2, 1), Poly.const(1, 3), Poly.variable(1, 0),
+                  VectorForm.zero(1, 0, 2), MatrixForm.zero(1, 0, 2)):
+        with pytest.raises(TypeError):
+            hash(value)

@@ -5,7 +5,8 @@ fixes one import order.  Each check here instead registers a bare package
 object and imports one submodule first, in a fresh interpreter, so an import
 cycle that ``__init__`` happens to hide still fails.
 
-Each submodule also binds no module-level import name that it never reads.
+Each submodule, and each test module here, also binds no module-level import
+name that it never reads.
 """
 
 import ast
@@ -19,6 +20,9 @@ import pytest
 # located without running the package, so a broken import fails one check each
 PACKAGE_DIR = Path(find_spec("primflat").submodule_search_locations[0])
 SUBMODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
+# every submodule by name, and every module of this test directory
+SOURCES = {**{name: PACKAGE_DIR / f"{name}.py" for name in SUBMODULES},
+           **{f"tests/{p.stem}": p for p in sorted(Path(__file__).parent.glob("*.py"))}}
 
 
 @pytest.mark.parametrize("name", SUBMODULES)
@@ -46,6 +50,6 @@ def _unused_imports(path):
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
-@pytest.mark.parametrize("name", SUBMODULES)
+@pytest.mark.parametrize("name", SOURCES)
 def test_no_unused_module_imports(name):
-    assert _unused_imports(PACKAGE_DIR / f"{name}.py") == []
+    assert _unused_imports(SOURCES[name]) == []

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from primflat.errors import InternalInvariantError
 from primflat.forms import (Form, MatrixForm, VectorForm, all_indices, exterior_d,
                             lambda_standard, omega, omega_power, wedge)
 from primflat.lefschetz import (L_power, _omega_map, const_wedge, decompose, del_minus,
                                 del_plus, fiber_d_table, is_primitive, omega_const, pi_p,
-                                primitive_fiber_basis, star_r)
+                                primitive_fiber_basis, primitive_fiber_coords, star_r)
 from primflat.sampling import rand_form, rand_primitive_form
+from primflat.linalg import vec_add_scaled
 from primflat.scalars import Poly
 
 from oracle import (L_power_by_wedge, is_primitive_by_wedge, labelled, omega_map_by_wedge,
@@ -177,6 +179,26 @@ def test_primitive_fiber_dimensions():
             assert len(primitive_fiber_basis(n, s)) == expected
         assert primitive_fiber_basis(n, n + 1) == []
 
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_primitive_fiber_coords_recover_combinations(n):
+    rng = random.Random(600 + n)
+    for s in range(0, n + 1):
+        basis = primitive_fiber_basis(n, s)
+        for _ in range(5):
+            coords = {bi: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                      for bi in rng.sample(range(len(basis)), rng.randint(1, len(basis)))}
+            coords = {bi: c for bi, c in coords.items() if c}
+            form = {}
+            for bi, c in coords.items():
+                vec_add_scaled(form, c, basis[bi])
+            assert primitive_fiber_coords(n, s, form) == coords
+    if n >= 2:
+        # omega itself: a constant 2-form with no primitive part
+        with pytest.raises(InternalInvariantError,
+                           match=rf"^constant 2-form \(n={n}\) is not primitive$"):
+            primitive_fiber_coords(n, 2, omega_const(n, 1))
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_operator_tables_match_rewedge_oracle(n):
