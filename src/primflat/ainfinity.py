@@ -7,7 +7,11 @@ Elements live in the graded space
 where a plus-side element of primitive degree s has grading s and a
 minus-side element grading 2n+1-s.  A `PrimElement` stores the side, the
 primitive degree and a primitive payload that may be scalar, vector- or
-matrix-valued; the grading is always derived, never stored.
+matrix-valued; the grading is always derived, never stored.  The public
+constructor checks that the payload is primitive; the maps below, whose
+payloads are primitive by construction, build their results through the
+trusted ``PrimElement._trusted`` (by way of ``_element``), which checks
+nothing.
 
 The maps:
 
@@ -85,6 +89,16 @@ class PrimElement:
         if not is_primitive(self.payload):
             raise ValueError("payload is not primitive")
 
+    @classmethod
+    def _trusted(cls, side: str, s: int, payload: AnyForm) -> "PrimElement":
+        """Internal constructor: ``payload`` must already be a primitive form
+        of degree s (or zero) on a chart with s <= n; nothing is checked."""
+        element = object.__new__(cls)
+        object.__setattr__(element, "side", side)
+        object.__setattr__(element, "s", s)
+        object.__setattr__(element, "payload", payload)
+        return element
+
     @property
     def n(self) -> int:
         return self.payload.n
@@ -98,7 +112,7 @@ class PrimElement:
         return self.payload.is_zero
 
     def scaled(self, value: Scalar) -> "PrimElement":
-        return PrimElement(self.side, self.s, self.payload.scaled(value))
+        return PrimElement._trusted(self.side, self.s, self.payload.scaled(value))
 
     def __repr__(self) -> str:
         return f"PrimElement(P{self.s}{self.side}, {self.payload!r})"
@@ -114,9 +128,11 @@ def grading_position(n: int, grading: int) -> Optional[tuple[str, int]]:
 
 
 def _element(side: str, s: int, payload: AnyForm) -> Element:
+    """The element of a primitive payload built by the maps below, or ZERO;
+    the payload is trusted, not re-checked."""
     if payload.is_zero:
         return ZERO
-    return PrimElement(side, s, payload)
+    return PrimElement._trusted(side, s, payload)
 
 
 def add_elements(a: Element, b: Element) -> Element:

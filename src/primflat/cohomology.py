@@ -156,7 +156,9 @@ class TruncatedSpace:
                 for idx, base_coeff in basis[fi].items():
                     acc = entries[u].setdefault(idx, {})
                     acc[mono] = acc.get(mono, Fraction(0)) + coeff * base_coeff
-            return PrimElement(side, s, VectorForm([_form(n, s, e) for e in entries], s))
+            # a combination of primitive basis forms is primitive
+            return PrimElement._trusted(side, s,
+                                        VectorForm([_form(n, s, e) for e in entries], s))
         slots = {0: [dict() for _ in range(rank)], 1: [dict() for _ in range(rank)]}
         for (slot, mono, idx, u), coeff in coords.items():
             acc = slots[slot][u].setdefault(idx, {})
@@ -220,11 +222,13 @@ def _nonzero(out: dict) -> dict:
 
 
 def _integral_terms(terms: list) -> tuple[list, int]:
-    """Per-u lists of tuples ending in a Fraction, with that Fraction
-    replaced by ``scale`` times it, an int; scale is the lcm of all their
-    denominators and is returned beside the lists."""
-    scale = lcm(*(t[-1].denominator for per_u in terms for t in per_u))
-    return [[(*t[:-1], int(t[-1] * scale)) for t in per_u] for per_u in terms], scale
+    """Per-u lists of ``(head, poly)`` pairs expanded term by term into
+    tuples ``(*head, mono, scale * coefficient)``, the last an int; scale is
+    the lcm of the polys' denominators and is returned beside the lists."""
+    scale = lcm(*(poly.den for per_u in terms for _, poly in per_u))
+    return [[(*head, mono, c * (scale // poly.den))
+             for head, poly in per_u for mono, c in poly.num.items()]
+            for per_u in terms], scale
 
 
 def _connection_terms(conn: Connection) -> tuple[list, int, list, int]:
@@ -240,10 +244,8 @@ def _connection_terms(conn: Connection) -> tuple[list, int, list, int]:
     phi_terms: list = [[] for _ in range(conn.rank)]
     for v in range(conn.rank):
         for u in range(conn.rank):
-            for (c,), poly in conn.A.entries[v][u].terms.items():
-                a_terms[u] += [(c, v, mono, coeff) for mono, coeff in poly.terms.items()]
-            for poly in phi.entries[v][u].terms.values():
-                phi_terms[u] += [(v, mono, coeff) for mono, coeff in poly.terms.items()]
+            a_terms[u] += [((c, v), poly) for (c,), poly in conn.A.entries[v][u].terms.items()]
+            phi_terms[u] += [((v,), poly) for poly in phi.entries[v][u].terms.values()]
     return (*_integral_terms(a_terms), *_integral_terms(phi_terms))
 
 

@@ -35,7 +35,7 @@ from .connection import Connection, analyze_flatness, covariant_d
 from .errors import InternalInvariantError
 from .forms import VectorForm, omega, wedge
 from .lefschetz import L_power, decompose
-from .ainfinity import (Element, MINUS, PLUS, PrimElement, ZERO, _ZeroElement, add_elements,
+from .ainfinity import (Element, MINUS, PLUS, ZERO, _ZeroElement, _element, add_elements,
                         scale_element)
 from .sampling import rand_cone_element, rand_element_at_grading, run_trials
 from .twist import del_minus_A, del_plus_A, twisted_m1
@@ -145,16 +145,11 @@ def map_f(conn: Connection, a: ConeElement) -> Element:
     split = cone_split(a)
     if a.grading <= n:
         beta = split.eta_components.get(0)
-        if beta is None or beta.is_zero:
-            return ZERO
-        return PrimElement(PLUS, a.grading, beta)
+        return ZERO if beta is None else _element(PLUS, a.grading, beta)
     k = 2 * n + 1 - a.grading
     beta_k = split.xi_components.get(n - k, VectorForm.zero(n, k, a.rank))
     beta_km1 = split.eta_components.get(n - k + 1, VectorForm.zero(n, k - 1, a.rank))
-    value = -(beta_k + del_plus_A(conn, beta_km1))
-    if value.is_zero:
-        return ZERO
-    return PrimElement(MINUS, k, value)
+    return _element(MINUS, k, -(beta_k + del_plus_A(conn, beta_km1)))
 
 
 def map_g(conn: Connection, b: Element) -> Optional[ConeElement]:

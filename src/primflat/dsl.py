@@ -214,8 +214,9 @@ def print_poly(poly: Poly) -> str:
     if poly.is_zero:
         return "0"
     bits: list[str] = []
-    for mono in sorted(poly.terms, key=lambda m: (sum(m), m)):
-        coeff = poly.terms[mono]
+    terms = poly.terms
+    for mono in sorted(terms, key=lambda m: (sum(m), m)):
+        coeff = terms[mono]
         factors = []
         magnitude = abs(coeff)
         if magnitude != 1 or not any(mono):

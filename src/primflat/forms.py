@@ -423,7 +423,7 @@ def _d_form(a: Form) -> Form:
     for idx, poly in a.terms.items():
         # a coordinate missing from every monomial, or already in idx,
         # contributes nothing
-        present = {c for mono in poly.terms for c, e in enumerate(mono) if e}
+        present = {c for mono in poly.num for c, e in enumerate(mono) if e}
         for coord in sorted(present.difference(idx)):
             derivative = poly.partial(coord)
             sign, new_idx = merge_indices((coord,), idx)

@@ -5,15 +5,27 @@ of dimension ``n`` carries ``2n`` coordinates, ordered x1..xn, y1..yn and
 indexed 0..2n-1 internally (coordinate ``i < n`` is x_{i+1}, coordinate
 ``n + i`` is y_{i+1}).
 
-A polynomial maps exponent tuples of length ``2n`` to nonzero ``Fraction``
-coefficients; the zero polynomial stores no terms.  All operations are
-exact and return canonical results.  Values are immutable in use: no
-operation mutates its inputs, so sharing across threads is safe.
+A polynomial stores int numerators over one positive int denominator:
+``num`` maps exponent tuples of length ``2n`` to nonzero ints and the
+polynomial is ``sum(num[m] * x^m) / den``.  The pair is kept canonical:
+``gcd(den, *num.values()) == 1``, and the zero polynomial is ``{}`` over 1.
+So two polynomials are equal exactly when their ``num`` dicts and ``den``
+ints are, and every ring operation runs on ints and ends with one
+``math.gcd`` to restore the canonical form.
+
+``Fraction`` appears only at the boundary: the public constructor takes
+``int`` or ``Fraction`` coefficients, ``constant_value`` returns one, and
+the ``terms`` property builds a fresh ``{mono: Fraction}`` dict for the
+readers that want rational coefficients (printing, coordinates, repr).
+Hot paths read ``num`` and ``den`` directly.  Values are immutable in use:
+no operation mutates its inputs, so sharing across threads is safe.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 from typing import Mapping, Optional, Union
 
 Monomial = tuple[int, ...]
@@ -28,33 +40,54 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-class Poly:
-    """Sparse polynomial in the 2n chart coordinates."""
+def _ratio(value: Scalar) -> tuple[int, int]:
+    """(numerator, positive denominator) of an exact rational, in lowest terms."""
+    if isinstance(value, int):
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
-    __slots__ = ("n", "terms")
+
+class Poly:
+    """Sparse polynomial in the 2n chart coordinates: ``num`` over ``den``."""
+
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, terms: Optional[Mapping[Monomial, Scalar]] = None):
         if n < 1:
             raise ValueError("chart dimension n must be >= 1")
         self.n = n
-        clean: dict[Monomial, Fraction] = {}
+        ratios: dict[Monomial, tuple[int, int]] = {}
         if terms:
             width = 2 * n
             for mono, coeff in terms.items():
                 if len(mono) != width or any(e < 0 for e in mono):
                     raise ValueError(f"bad exponent tuple {mono!r} for n={n}")
-                frac = _as_fraction(coeff)
-                if frac:
-                    clean[tuple(mono)] = frac
-        self.terms = clean
+                p, q = _ratio(coeff)
+                if p:
+                    ratios[tuple(mono)] = p, q
+        # over the lcm of the reduced denominators no prime divides them all
+        den = lcm(*(q for _, q in ratios.values()))
+        self.num = {mono: p * (den // q) for mono, (p, q) in ratios.items()}
+        self.den = den
 
     @classmethod
-    def _trusted(cls, n: int, terms: dict[Monomial, Fraction]) -> "Poly":
-        """Internal constructor: ``terms`` must already be valid for n with no
-        zero coefficient; the polynomial takes ownership of the dict."""
+    def _reduced(cls, n: int, num: dict[Monomial, int], den: int) -> "Poly":
+        """Internal constructor from nonzero int numerators over a positive
+        ``den`` that may share a factor with them: divides that factor out
+        and takes ownership of the dict."""
+        if not num:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {mono: c // g for mono, c in num.items()}
         poly = object.__new__(cls)
         poly.n = n
-        poly.terms = terms
+        poly.num = num
+        poly.den = den
         return poly
 
     # ---------- constructors ----------
@@ -65,22 +98,31 @@ class Poly:
 
     @classmethod
     def const(cls, n: int, value: Scalar) -> "Poly":
-        frac = _as_fraction(value)
-        if not frac:
-            return cls(n)
-        return cls(n, {(0,) * (2 * n): frac})
+        return cls(n, {(0,) * (2 * n): value})
 
     @classmethod
     def variable(cls, n: int, coord: int) -> "Poly":
         cls._check_coord(n, coord)
         expo = [0] * (2 * n)
         expo[coord] = 1
-        return cls(n, {tuple(expo): Fraction(1)})
+        return cls(n, {tuple(expo): 1})
 
     @staticmethod
     def _check_coord(n: int, coord: int) -> None:
         if not 0 <= coord < 2 * n:
             raise IndexError(f"coordinate {coord} out of range for n={n}")
+
+    # ---------- boundary views ----------
+
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """A fresh ``{mono: Fraction}`` dict of the coefficients."""
+        den = self.den
+        return {mono: Fraction(c, den) for mono, c in self.num.items()}
+
+    def constant_value(self) -> Fraction:
+        """The coefficient of the constant monomial (0 if absent)."""
+        return Fraction(self.num.get((0,) * (2 * self.n), 0), self.den)
 
     # ---------- ring operations ----------
 
@@ -92,21 +134,28 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same_chart(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
+        den_a, den_b = self.den, other.den
+        if den_a == den_b:
+            out, mult_b = dict(self.num), 1
+        else:
+            g = gcd(den_a, den_b)
+            mult_a, mult_b = den_b // g, den_a // g
+            den_a *= mult_a
+            out = {mono: c * mult_a for mono, c in self.num.items()}
+        for mono, c in other.num.items():
             acc = out.get(mono)
             if acc is None:
-                out[mono] = coeff
+                out[mono] = c * mult_b
             else:
-                acc = acc + coeff
+                acc += c * mult_b
                 if acc:
                     out[mono] = acc
                 else:
                     del out[mono]
-        return Poly._trusted(self.n, out)
+        return Poly._reduced(self.n, out, den_a)
 
     def __neg__(self) -> "Poly":
-        return Poly._trusted(self.n, {mono: -coeff for mono, coeff in self.terms.items()})
+        return Poly._reduced(self.n, {mono: -c for mono, c in self.num.items()}, self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -117,20 +166,20 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same_chart(other)
-        out: dict[Monomial, Fraction] = {}
-        for mono_a, coeff_a in self.terms.items():
-            for mono_b, coeff_b in other.terms.items():
-                mono = tuple(a + b for a, b in zip(mono_a, mono_b))
+        out: dict[Monomial, int] = {}
+        for mono_a, coeff_a in self.num.items():
+            for mono_b, coeff_b in other.num.items():
+                mono = tuple(map(add, mono_a, mono_b))
                 acc = out.get(mono)
                 if acc is None:
                     out[mono] = coeff_a * coeff_b
                 else:
-                    acc = acc + coeff_a * coeff_b
+                    acc += coeff_a * coeff_b
                     if acc:
                         out[mono] = acc
                     else:
                         del out[mono]
-        return Poly._trusted(self.n, out)
+        return Poly._reduced(self.n, out, self.den * other.den)
 
     def __rmul__(self, other: Scalar) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -138,10 +187,11 @@ class Poly:
         return NotImplemented
 
     def scaled(self, value: Scalar) -> "Poly":
-        frac = _as_fraction(value)
-        if not frac:
-            return Poly._trusted(self.n, {})
-        return Poly._trusted(self.n, {mono: frac * coeff for mono, coeff in self.terms.items()})
+        p, q = _ratio(value)
+        if not p:
+            return Poly._reduced(self.n, {}, 1)
+        return Poly._reduced(self.n, {mono: c * p for mono, c in self.num.items()},
+                             self.den * q)
 
     def __pow__(self, power: int) -> "Poly":
         if not isinstance(power, int) or power < 0:
@@ -161,33 +211,26 @@ class Poly:
     def partial(self, coord: int) -> "Poly":
         """Formal partial derivative in the given coordinate (0-based)."""
         self._check_coord(self.n, coord)
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
+        out: dict[Monomial, int] = {}
+        for mono, c in self.num.items():
             e = mono[coord]
-            if e == 0:
-                continue
-            lowered = list(mono)
-            lowered[coord] = e - 1
-            out[tuple(lowered)] = coeff * e
-        return Poly._trusted(self.n, out)
+            if e:
+                out[mono[:coord] + (e - 1,) + mono[coord + 1:]] = c * e
+        return Poly._reduced(self.n, out, self.den)
 
     def total_degree(self) -> Optional[int]:
         """Max total degree of stored monomials; None for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return None
-        return max(sum(mono) for mono in self.terms)
+        return max(sum(mono) for mono in self.num)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def constant_value(self) -> Fraction:
-        """The coefficient of the constant monomial (0 if absent)."""
-        return self.terms.get((0,) * (2 * self.n), Fraction(0))
+        return not self.num
 
     @property
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and (0,) * (2 * self.n) in self.terms)
+        return not self.num or (len(self.num) == 1 and (0,) * (2 * self.n) in self.num)
 
     # ---------- comparison / display ----------
 
@@ -196,14 +239,15 @@ class Poly:
             other = Poly.const(self.n, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.n == other.n and self.den == other.den and self.num == other.num
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return f"Poly({self.n}, 0)"
+        terms = self.terms
         bits = []
-        for mono in sorted(self.terms, key=lambda m: (sum(m), m)):
-            factors = [str(self.terms[mono])]
+        for mono in sorted(terms, key=lambda m: (sum(m), m)):
+            factors = [str(terms[mono])]
             factors += [f"{coordinate_name(self.n, c)}^{e}" if e > 1
                         else coordinate_name(self.n, c)
                         for c, e in enumerate(mono) if e]

@@ -63,9 +63,7 @@ def _require_primitive(beta: VectorForm) -> None:
 
 def connection_element(conn: Connection) -> Element:
     """The connection form as a matrix-valued degree-1 algebra element."""
-    if conn.A.is_zero:
-        return ZERO
-    return PrimElement(PLUS, 1, conn.A)
+    return _element(PLUS, 1, conn.A)  # every 1-form is primitive
 
 
 def twisting_series(conn: Connection, b: Element) -> Element:

@@ -18,6 +18,10 @@ with the cached operator maps of ``primflat.lefschetz`` and with
 ``primflat.linalg.Echelon`` replaced: unit pivots, rational combinations.
 It shares no arithmetic with the integer echelon, so tests compare the two.
 
+``FractionPoly`` is the polynomial over ``Fraction`` coefficients that
+``primflat.scalars.Poly`` (int numerators over one denominator) replaced;
+it shares no arithmetic with it, so tests compare the two.
+
 ``assemble_operator`` is the exact ``Fraction`` matrix of one differential
 between two truncations, the table columns divided by their scale;
 ``is_primitive_by_wedge`` tests primitivity by wedging with an omega power
@@ -197,6 +201,67 @@ class FractionEchelon:
             raise ValueError("solve requires a tracking Echelon")
         residual, combo = self.reduce(vec)
         return None if residual else combo
+
+
+class FractionPoly:
+    """Sparse polynomial with nonzero ``Fraction`` coefficients in ``terms``."""
+
+    def __init__(self, n, terms=None):
+        self.n = n
+        self.terms = {tuple(mono): Fraction(c) for mono, c in (terms or {}).items() if c}
+
+    @classmethod
+    def const(cls, n, value):
+        return cls(n, {(0,) * (2 * n): value})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            out[mono] = out.get(mono, 0) + coeff
+        return FractionPoly(self.n, out)  # cancelled terms drop here
+
+    def __neg__(self):
+        return self.scaled(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        total = FractionPoly(self.n)
+        for mono_a, coeff_a in self.terms.items():
+            total = total + FractionPoly(self.n, {
+                tuple(a + b for a, b in zip(mono_a, mono_b)): coeff_a * coeff_b
+                for mono_b, coeff_b in other.terms.items()})
+        return total
+
+    def scaled(self, value):
+        return FractionPoly(self.n, {mono: value * c for mono, c in self.terms.items()})
+
+    def __pow__(self, power):
+        result = FractionPoly.const(self.n, 1)
+        for _ in range(power):
+            result = result * self
+        return result
+
+    def partial(self, coord):
+        return FractionPoly(self.n, {
+            mono[:coord] + (mono[coord] - 1,) + mono[coord + 1:]: c * mono[coord]
+            for mono, c in self.terms.items() if mono[coord]})
+
+    def total_degree(self):
+        return max((sum(mono) for mono in self.terms), default=None)
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def constant_value(self):
+        return self.terms.get((0,) * (2 * self.n), Fraction(0))
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionPoly.const(self.n, other)
+        return self.n == other.n and self.terms == other.terms
 
 
 def labelled(x, degree):

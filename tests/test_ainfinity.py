@@ -1,5 +1,6 @@
 """The primitive A-infinity algebra: maps, gradings, Stasheff identities."""
 
+import dataclasses
 import random
 
 import pytest
@@ -227,3 +228,12 @@ def test_grading_position_map():
 def test_payload_must_be_primitive():
     with pytest.raises(ValueError):
         PrimElement(PLUS, 2, wedge(Form.dx(2, 1), Form.dy(2, 1)))
+
+
+def test_trusted_element_equals_checked_one():
+    beta = rand_primitive_form(random.Random(3), 2, 2)
+    trusted = PrimElement._trusted(MINUS, 2, beta)
+    assert trusted == PrimElement(MINUS, 2, beta)
+    assert trusted.grading == 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trusted.s = 1

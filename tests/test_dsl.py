@@ -105,6 +105,20 @@ def test_round_trip_is_byte_stable():
     assert print_form(parse_form(text, 2)) == text
 
 
+@pytest.mark.parametrize("src,text", [
+    ("1/2*x1 + 1/3*y1", "1/3*y1 + 1/2*x1"),
+    ("-2/4*x1^2*dx1", "(-1/2*x1^2)*dx1"),
+    ("(1/6)*x1*dy1 - 5/6*y1*dx1", "(-5/6*y1)*dx1 + (1/6*x1)*dy1"),
+    ("1/4*x1*dy1 + 1/6*x1*dy1 - 5/12*x1*dy1", "0"),
+])
+def test_round_trip_mixed_denominators(src, text):
+    # printing reads each coefficient polynomial's rational view once
+    form = parse_form(src, 1)
+    assert print_form(form) == text
+    assert parse_form(text, 1) == form
+    assert print_form(parse_form(text, 1)) == text
+
+
 def test_huge_exponent_parses_fast_and_round_trips():
     start = time.perf_counter()
     form = parse_form("x1^1000000000*dx1", 1)

@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from primflat.scalars import Poly, coordinate_name, monomials_up_to
+
+from oracle import FractionPoly
 
 
 def x(n, i):
@@ -132,3 +135,92 @@ def test_power_matches_repeated_multiplication(power):
     for _ in range(power):
         expected = expected * p
     assert p ** power == expected
+
+
+def _rand_terms(rng, n):
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        mono = [0] * (2 * n)
+        for _ in range(rng.randint(0, 3)):
+            mono[rng.randrange(2 * n)] += 1
+        terms[tuple(mono)] = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+    return terms
+
+
+def _partner_terms(rng, n, terms):
+    """Independent terms, a copy, the negation (the sum cancels to zero) or
+    the negation with new terms over part of it."""
+    pick = rng.random()
+    if pick < 0.4:
+        return _rand_terms(rng, n)
+    if pick < 0.5:
+        return dict(terms)
+    negated = {mono: -c for mono, c in terms.items()}
+    if pick < 0.75:
+        return negated
+    return {**negated, **_rand_terms(rng, n)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_poly_matches_fraction_oracle(n):
+    rng = random.Random(3000 + n)
+    cancelled = 0
+    for _ in range(70):
+        ta = _rand_terms(rng, n)
+        tb = _partner_terms(rng, n, ta)
+        a, b = Poly(n, ta), Poly(n, tb)
+        fa, fb = FractionPoly(n, ta), FractionPoly(n, tb)
+        value = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+        coord, power = rng.randrange(2 * n), rng.randint(0, 3)
+        for poly, fpoly in [(a, fa), (a + b, fa + fb), (a - b, fa - fb), (-a, -fa),
+                            (a * b, fa * fb), (a.scaled(value), fa.scaled(value)),
+                            (a.partial(coord), fa.partial(coord)),
+                            (a ** power, fa ** power)]:
+            assert poly.terms == fpoly.terms
+            assert poly.constant_value() == fpoly.constant_value()
+            assert poly.total_degree() == fpoly.total_degree()
+        assert (a == b) == (fa == fb)
+        assert (a == value) == (fa == value)
+        cancelled += (a + b).is_zero and not a.is_zero
+    assert cancelled >= 10
+
+
+def _assert_canonical(p):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.num.values())
+    assert gcd(p.den, *p.num.values()) == 1
+    if not p.num:
+        assert p.den == 1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_every_result_is_canonical(n):
+    rng = random.Random(4000 + n)
+    for _ in range(60):
+        ta = _rand_terms(rng, n)
+        a, b = Poly(n, ta), Poly(n, _partner_terms(rng, n, ta))
+        value = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+        coord = rng.randrange(2 * n)
+        for p in [a, b, a + b, a - b, b - a, -a, a * b, a.scaled(value), value * a,
+                  a * 4, a.scaled(0), a.partial(coord), a ** rng.randint(0, 3),
+                  Poly.const(n, value), Poly.variable(n, coord)]:
+            _assert_canonical(p)
+    zero = Poly.variable(n, 0) - Poly.variable(n, 0)
+    assert (zero.num, zero.den) == ({}, 1)
+    assert (Poly.zero(n).num, Poly.zero(n).den) == ({}, 1)
+
+
+def test_canonical_form_makes_equality_exact():
+    m = (1, 0)
+    half = Poly(1, {m: Fraction(1, 2)})
+    assert Poly(1, {m: Fraction(2, 4)}) == half
+    assert Poly.const(1, 3) == 3
+    assert 3 == Poly.const(1, 3)
+    assert Poly.const(1, 3) != Fraction(3, 2)
+    whole = half + half
+    assert (whole.num, whole.den) == ({m: 1}, 1)
+    assert whole == Poly.variable(1, 0)
+    # 1/6 + 1/3 = 1/2: the common factor 3 of the sum is divided out
+    mixed = Poly.const(1, Fraction(1, 6)) + Poly.const(1, Fraction(1, 3))
+    assert (mixed.num, mixed.den) == ({(0, 0): 1}, 2)
+    assert mixed.constant_value() == Fraction(1, 2)
