@@ -15,8 +15,9 @@ nothing.
 
 The maps:
 
-* m1 is the differential: del_plus on P^k_+ for k < n, minus del_plus
-  del_minus on P^n_+, minus del_minus on P^k_-.
+* m1 is the differential: Pi d on P^k_+ for k < n, -Pi d L^{-1} d on
+  P^n_+, -L^{-1} d on P^k_-.  `_differential` is this table with d as an
+  argument; `twist.twisted_m1` runs it with d_A and Phi.
 * m2 is the graded-commutative product, in four cases by the sides of its
   inputs.  Case (+,+) has two terms that live in different degrees; exactly
   one of them can be nonzero (the other is checked to vanish rather than
@@ -41,11 +42,11 @@ when a tensor-slot operator is applied to elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import InternalInvariantError
 from .forms import AnyForm, exterior_d, wedge
-from .lefschetz import L_power, del_minus, del_plus, is_primitive, pi_p, star_r
+from .lefschetz import L_power, is_primitive, pi_p, star_r
 from .scalars import Scalar
 
 PLUS = "+"
@@ -151,18 +152,30 @@ def scale_element(value: Scalar, a: Element) -> Element:
     return _element(a.side, a.s, a.payload.scaled(value))
 
 
-def m1(a: Element) -> Element:
-    """The differential of the primitive complex; raises grading by one."""
+def _differential(a: Element, d: Callable[[AnyForm], AnyForm],
+                  phi: Optional[AnyForm] = None) -> Element:
+    """The branch table of the differential with d as exterior derivative:
+    Pi d below the middle, -Pi d L^{-1} d (plus phi /\\ b when phi is given)
+    at the middle, -L^{-1} d above it, zero at P^0_-.  The payload is
+    trusted primitive, so no operator re-checks it."""
     if isinstance(a, _ZeroElement):
         return ZERO
-    n = a.n
+    n, b = a.n, a.payload
     if a.side == PLUS:
         if a.s < n:
-            return _element(PLUS, a.s + 1, del_plus(a.payload))
-        return _element(MINUS, n, -del_plus(del_minus(a.payload)))
+            return _element(PLUS, a.s + 1, pi_p(0, d(b)))
+        value = -pi_p(0, d(L_power(-1, d(b))))
+        if phi is not None:
+            value = value + wedge(phi, b)
+        return _element(MINUS, n, value)
     if a.s == 0:
         return ZERO
-    return _element(MINUS, a.s - 1, -del_minus(a.payload))
+    return _element(MINUS, a.s - 1, -L_power(-1, d(b)))
+
+
+def m1(a: Element) -> Element:
+    """The differential of the primitive complex; raises grading by one."""
+    return _differential(a, exterior_d)
 
 
 def m2(a: Element, b: Element) -> Element:
@@ -178,9 +191,9 @@ def m2(a: Element, b: Element) -> Element:
         product = wedge(pa, pb)
         head = pi_p(0, product)
         bracket = -exterior_d(L_power(-1, product))
-        bracket = bracket + wedge(del_minus(pa), pb)
+        bracket = bracket + wedge(L_power(-1, exterior_d(pa)), pb)
         tail_sign = -1 if j % 2 else 1
-        bracket = bracket + wedge(pa, del_minus(pb)).scaled(tail_sign)
+        bracket = bracket + wedge(pa, L_power(-1, exterior_d(pb))).scaled(tail_sign)
         tail = pi_p(0, star_r(bracket))
         if j + k <= n:
             if not tail.is_zero:

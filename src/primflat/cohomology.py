@@ -76,18 +76,18 @@ from math import lcm
 from operator import add
 from typing import Callable, Optional, Sequence, Union
 
-from .connection import Connection, analyze_flatness
+from .connection import Connection, analyze_flatness, covariant_d
 from .cone import ConeElement, cone_d
 from .errors import InternalInvariantError
 from .forms import Form, LAMBDA_CHOICES, VectorForm, all_indices, wedge
-from .lefschetz import (FiberTable, const_wedge, fiber_d_table, omega_const,
+from .lefschetz import (FiberTable, L_power, const_wedge, fiber_d_table, omega_const, pi_p,
                         primitive_fiber_basis, primitive_fiber_coords)
 from .linalg import Echelon, Vec, kernel_basis, vec_add_scaled
 from .scalars import Monomial, Poly, monomials_up_to
 from .ainfinity import (Element, MINUS, PLUS, PrimElement, _ZeroElement, _element,
                         add_elements, grading_position, m1, m2, scale_element)
 from .sampling import run_trials
-from .twist import del_minus_A, del_plus_A, twisted_m1
+from .twist import twisted_m1
 
 
 def position_label(kind: str, n: int, grading: int) -> str:
@@ -595,9 +595,9 @@ def closedlem_check(conn: Connection, trials: int = 100, seed: int = 0,
 def _closed_identity_residual(conn: Connection, lam_elem: PrimElement,
                               beta: PrimElement) -> Element:
     if beta.side == PLUS:
-        partner = _element(PLUS, beta.s - 1, del_minus_A(conn, beta.payload))
+        partner = _element(PLUS, beta.s - 1, L_power(-1, covariant_d(conn, beta.payload)))
         combination = add_elements(beta, scale_element(-1, m2(lam_elem, partner)))
     else:
-        partner = _element(MINUS, beta.s + 1, del_plus_A(conn, beta.payload))
+        partner = _element(MINUS, beta.s + 1, pi_p(0, covariant_d(conn, beta.payload)))
         combination = add_elements(beta, m2(lam_elem, partner))
     return m1(combination)

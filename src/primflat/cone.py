@@ -34,11 +34,11 @@ from typing import Callable, Optional
 from .connection import Connection, analyze_flatness, covariant_d
 from .errors import InternalInvariantError
 from .forms import VectorForm, omega, wedge
-from .lefschetz import L_power, decompose
+from .lefschetz import L_power, decompose, pi_p
 from .ainfinity import (Element, MINUS, PLUS, ZERO, _ZeroElement, _element, add_elements,
                         scale_element)
 from .sampling import rand_cone_element, rand_element_at_grading, run_trials
-from .twist import del_minus_A, del_plus_A, twisted_m1
+from .twist import twisted_m1
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def map_f(conn: Connection, a: ConeElement) -> Element:
     k = 2 * n + 1 - a.grading
     beta_k = split.xi_components.get(n - k, VectorForm.zero(n, k, a.rank))
     beta_km1 = split.eta_components.get(n - k + 1, VectorForm.zero(n, k - 1, a.rank))
-    return _element(MINUS, k, -(beta_k + del_plus_A(conn, beta_km1)))
+    return _element(MINUS, k, -(beta_k + pi_p(0, covariant_d(conn, beta_km1))))
 
 
 def map_g(conn: Connection, b: Element) -> Optional[ConeElement]:
@@ -160,7 +160,7 @@ def map_g(conn: Connection, b: Element) -> Optional[ConeElement]:
         raise TypeError("map_g wants vector-fiber elements")
     n, rank = b.n, b.payload.rank
     if b.side == PLUS:
-        xi = -del_minus_A(conn, b.payload)
+        xi = -L_power(-1, covariant_d(conn, b.payload))
         return ConeElement(b.s, b.payload, xi)
     k = b.s
     xi = -L_power(n - k, b.payload)

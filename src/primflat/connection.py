@@ -27,7 +27,7 @@ from .errors import InternalInvariantError
 from .forms import (LAMBDA_CHOICES, MatrixForm, VectorForm, exterior_d,
                     graded_commutator, omega, wedge)
 from .lefschetz import L_power, pi_p
-from .scalars import Scalar, _as_fraction
+from .scalars import Scalar
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ def generate_flat(n: int, rank: int, phi0: Sequence[Sequence[Scalar]],
         raise InternalInvariantError(
             f"potential {lambda_choice!r} (n={n}, rank={rank}) does not differentiate "
             f"to omega: d(lambda) - omega is nonzero at form index {min(residual.terms)}")
-    rows = [[_as_fraction(v) for v in row] for row in phi0]
+    rows = [list(row) for row in phi0]
     if len(rows) != rank or any(len(row) != rank for row in rows):
         raise ValueError("phi0 must be rank x rank")
     conn = Connection(n, rank, MatrixForm.from_scalar_form(rows, lam))

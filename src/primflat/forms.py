@@ -38,7 +38,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .scalars import Poly, Scalar, _as_fraction
+from .scalars import Poly, Scalar, _ratio
 
 FormIndex = tuple[int, ...]
 AnyForm = Union["Form", "VectorForm", "MatrixForm"]
@@ -175,11 +175,10 @@ class Form:
                 if not prod.is_zero:
                     out[idx] = prod
             return Form._trusted(self.n, self.degree, out)
-        frac = _as_fraction(value)
-        if not frac:
+        if not _ratio(value)[0]:
             return Form._trusted(self.n, self.degree, {})
         return Form._trusted(self.n, self.degree,
-                             {idx: poly.scaled(frac) for idx, poly in self.terms.items()})
+                             {idx: poly.scaled(value) for idx, poly in self.terms.items()})
 
     @property
     def is_zero(self) -> bool:
@@ -348,7 +347,7 @@ class MatrixForm(FiberForm):
     @classmethod
     def from_scalar_form(cls, matrix: Sequence[Sequence[Scalar]], form: Form) -> "MatrixForm":
         """Constant matrix times a scalar form (entrywise scaling)."""
-        return cls([[form.scaled(_as_fraction(v)) for v in row] for row in matrix],
+        return cls([[form.scaled(Fraction(*_ratio(v))) for v in row] for row in matrix],
                    form.degree)
 
     @property

@@ -36,7 +36,8 @@ the decomposition table (``_omega_map``):
 * ``star_r(a)``: L^(n-k) on a form of degree k.
 * ``del_plus / del_minus``: the two pieces of d on primitive forms,
   d(b) == del_plus(b) + omega /\\ del_minus(b), with del_plus = pi_p(0, d b)
-  and del_minus = L_power(-1, d b).
+  and del_minus = L_power(-1, d b).  Only these and ``twist``'s d_A versions
+  check primitivity (``_require_primitive``); internal callers do not.
 
 The fiber tables ``fiber_d_table(n, s, r)`` hold, for each coordinate c and
 primitive basis form b, the primitive coordinates of pi_p(0, dx_c /\\ b)

@@ -32,14 +32,6 @@ Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
-
 def _ratio(value: Scalar) -> tuple[int, int]:
     """(numerator, positive denominator) of an exact rational, in lowest terms."""
     if isinstance(value, int):

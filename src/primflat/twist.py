@@ -3,7 +3,8 @@
 Two routes compute the twisted differential on a vector-valued element:
 
 * the closed-form branch table — Pi d_A below the middle, the composite
-  (-del_plus_A del_minus_A + Phi) at the middle, -L^{-1} d_A above it;
+  (-del_plus_A del_minus_A + Phi) at the middle, -L^{-1} d_A above it:
+  m1's table `ainfinity._differential` with d_A for d, plus Phi;
 * the generic series sum_k delta_k m_k(A, ..., A, B) with
   delta_k = (-1)^((k-1)(k-2)/2), which for this algebra truncates at k = 3:
   m1(B) + m2(A, B) - m3(A, A, B).
@@ -28,10 +29,10 @@ from typing import Optional
 
 from .connection import Connection, analyze_flatness, covariant_d
 from .errors import InternalInvariantError
-from .forms import VectorForm, wedge
-from .lefschetz import L_power, is_primitive, pi_p
-from .ainfinity import (MINUS, PLUS, Element, PrimElement, ZERO, _ZeroElement, _element,
-                        add_elements, apply_m, scale_element)
+from .forms import VectorForm
+from .lefschetz import L_power, _require_primitive, pi_p
+from .ainfinity import (PLUS, Element, PrimElement, ZERO, _ZeroElement, _differential,
+                        _element, add_elements, apply_m, scale_element)
 from .sampling import rand_prim_element, run_trials
 
 
@@ -44,21 +45,18 @@ def delta_sign(k: int) -> int:
 
 def del_plus_A(conn: Connection, beta: VectorForm) -> VectorForm:
     """Primitive part of the covariant differential of a primitive form."""
-    _require_primitive(beta)
+    if not isinstance(beta, VectorForm):
+        raise TypeError("del_plus_A acts on vector-valued forms")
+    _require_primitive(beta, "del_plus_A")
     return pi_p(0, covariant_d(conn, beta))
 
 
 def del_minus_A(conn: Connection, beta: VectorForm) -> VectorForm:
     """omega-component of the covariant differential of a primitive form."""
-    _require_primitive(beta)
-    return L_power(-1, covariant_d(conn, beta))
-
-
-def _require_primitive(beta: VectorForm) -> None:
     if not isinstance(beta, VectorForm):
-        raise TypeError("twisted operators act on vector-valued forms")
-    if not is_primitive(beta):
-        raise ValueError("twisted operators are defined on primitive forms only")
+        raise TypeError("del_minus_A acts on vector-valued forms")
+    _require_primitive(beta, "del_minus_A")
+    return L_power(-1, covariant_d(conn, beta))
 
 
 def connection_element(conn: Connection) -> Element:
@@ -92,18 +90,7 @@ def twisted_m1(conn: Connection, a: Element, verify: bool = True) -> Element:
         raise TypeError("twisted_m1 acts on vector-fiber elements")
     if a.payload.rank != conn.rank or a.n != conn.n:
         raise ValueError("element does not match the connection's chart or rank")
-    n = conn.n
-    if a.side == PLUS:
-        if a.s < n:
-            value = _element(PLUS, a.s + 1, del_plus_A(conn, a.payload))
-        else:
-            phi = analyze_flatness(conn).Phi
-            composite = -del_plus_A(conn, del_minus_A(conn, a.payload))
-            value = _element(MINUS, n, composite + wedge(phi, a.payload))
-    elif a.s == 0:
-        value = ZERO
-    else:
-        value = _element(MINUS, a.s - 1, -del_minus_A(conn, a.payload))
+    value = _differential(a, lambda b: covariant_d(conn, b), analyze_flatness(conn).Phi)
     if verify:
         series = twisting_series(conn, a)
         diff = add_elements(series, scale_element(-1, value))

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from primflat.forms import Form, lambda_standard, wedge
-from primflat.lefschetz import L_power, del_minus, pi_p, star_r
+from primflat.lefschetz import L_power, del_minus, del_plus, pi_p, star_r
 from primflat.sampling import rand_prim_element, rand_primitive_form
 from primflat.scalars import Poly
 from primflat.ainfinity import (MINUS, PLUS, PrimElement, add_elements,
@@ -39,6 +39,28 @@ def test_m1_squared_zero_random():
 def test_m1_bottom_of_complex():
     a = scalar_elem(MINUS, 0, Form.const(2, 5))
     assert m1(a).is_zero
+
+
+def _assert_element(value, side, s, payload):
+    expected = PrimElement(side, s, payload)
+    assert add_elements(value, scale_element(-1, expected)).is_zero
+
+
+@pytest.mark.parametrize("fiber", ["scalar", "matrix"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_m1_branches_match_the_checked_operators(n, fiber):
+    # m1 runs the shared branch table, not del_plus/del_minus: tie the two
+    rng = random.Random(30 + n)
+    for _ in range(3):
+        for s in range(n + 1):
+            b = rand_prim_element(rng, n, fiber, 2, side=PLUS, s=s).payload
+            plus = m1(PrimElement(PLUS, s, b))
+            if s < n:
+                _assert_element(plus, PLUS, s + 1, del_plus(b))
+            else:
+                _assert_element(plus, MINUS, n, -del_plus(del_minus(b)))
+            if s > 0:
+                _assert_element(m1(PrimElement(MINUS, s, b)), MINUS, s - 1, -del_minus(b))
 
 
 def test_m1_raises_grading_by_one():

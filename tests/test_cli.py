@@ -1,5 +1,6 @@
 """Command-line contract: reports, determinism, exit codes."""
 
+import hashlib
 import io
 import json
 
@@ -269,3 +270,59 @@ def test_unstabilized_position_gets_a_margin_hint(tmp_path, capsys):
     report = json.loads(buf.getvalue())
     assert [p["stabilized"] for p in report["positions"]] == [True, True, True, False]
     assert "connection_growth" not in buf.getvalue()
+
+
+# Connection texts of the pinned reports: a flat and a non-flat n = 2 file,
+# and a flat n = 1 rank-2 file whose Phi0 = [[1, 1], [0, 0]] has a kernel.
+PINNED_CONNECTIONS = {
+    "flat": {"n": 2, "rank": 2, "A": [["(x1)*dy1 + (x2)*dy2", "0"], ["0", "0"]]},
+    "nonflat": {"n": 2, "rank": 1, "A": [["(x1)*dx2"]]},
+    "n1": {"n": 1, "rank": 2, "A": [["x1*dy1", "x1*dy1"], ["0", "0"]]},
+}
+
+PINNED_REPORTS = [
+    ("decompose", ["decompose", "--n", "2", "--form", r"(x1)*dx1/\dy1 + dx2/\dy2"], 0,
+     "606157e29ca5a0ec6e0781f4f9f8dee884309a18641fef3ae42ab78de1f27b40"),
+    ("flatness", ["flatness", "--connection", "{flat}"], 0,
+     "c64a3555dc3b074bcfe40e44314d15cc593a91192c54eec61f8b20dc2fc719f3"),
+    ("ainfty-check", ["ainfty-check", "--n", "2", "--rank", "2", "--trials", "3",
+                      "--seed", "3"], 0,
+     "67cf2f40736a4d814d63eb0958931786de02878da2ddf37b22f013142f7ab814"),
+    ("twist-square-flat", ["twist-square", "--connection", "{flat}", "--trials", "10",
+                           "--seed", "1"], 0,
+     "dbfbdcc4f13958c3bf0370f657c814cba120a2a83928c29a0305f1e6d2780ab4"),
+    ("twist-square-nonflat", ["twist-square", "--connection", "{nonflat}", "--trials", "10",
+                              "--seed", "1"], CHECK_FAILED,
+     "2cc14b63dc2d5b29dd6d887cff00e5322518fca4d22d67957f1192c017b3218e"),
+    ("cone-verify", ["cone-verify", "--connection", "{flat}", "--trials", "3",
+                     "--seed", "4"], 0,
+     "3f714923fd0410dab2c8ed83e60814d438e57bf1bf74c743d86e2a15b43f0d8b"),
+    ("cohomology-prim", ["cohomology", "--connection", "{n1}", "--complex", "prim",
+                         "--truncation", "2"], 0,
+     "c2a6119dd9d41f98afe8dfa5232da9e2c1a6372775dc71e7a29e8c762b8bafa9"),
+    ("cohomology-cone", ["cohomology", "--connection", "{n1}", "--complex", "cone",
+                         "--truncation", "2"], 0,
+     "69981ac591a8e9eef0df9ece156ddacd216a7173e194e6a9d161af240ba37e71"),
+]
+
+
+def pinned_report_digest(tmp_path, argv):
+    """Exit code and sha256 of the report, re-emitted without its
+    ``connection`` key (the file path); the other bytes are the CLI's own."""
+    for name, data in PINNED_CONNECTIONS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    argv = [str(tmp_path / f"{a[1:-1]}.json") if a.startswith("{") else a for a in argv]
+    buf = io.StringIO()
+    code = run(argv, stdout=buf)
+    report = json.loads(buf.getvalue())
+    assert buf.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    report.pop("connection", None)
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return code, hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv,code,digest", [case[1:] for case in PINNED_REPORTS],
+                         ids=[case[0] for case in PINNED_REPORTS])
+def test_report_digests_are_pinned(tmp_path, argv, code, digest):
+    # a changed digest is a changed report: record why in CHANGES.md
+    assert pinned_report_digest(tmp_path, argv) == (code, digest)

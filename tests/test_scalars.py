@@ -7,6 +7,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from primflat.connection import generate_flat
+from primflat.forms import Form, MatrixForm, lambda_standard
 from primflat.scalars import Poly, coordinate_name, monomials_up_to
 
 from oracle import FractionPoly
@@ -224,3 +226,15 @@ def test_canonical_form_makes_equality_exact():
     mixed = Poly.const(1, Fraction(1, 6)) + Poly.const(1, Fraction(1, 3))
     assert (mixed.num, mixed.den) == ({(0, 0): 1}, 2)
     assert mixed.constant_value() == Fraction(1, 2)
+
+
+def test_exact_rational_contract_rejects_floats():
+    # every scalar entry point coerces through one helper; a float is refused
+    lam = lambda_standard(1)
+    for build in (lambda: Poly.const(1, 0.5),
+                  lambda: lam.scaled(0.5),
+                  lambda: Form.zero(1, 1).scaled(0.5),
+                  lambda: MatrixForm.from_scalar_form([[0.5]], lam),
+                  lambda: generate_flat(1, 1, [[0.5]])):
+        with pytest.raises(TypeError, match="expected an exact rational, got float"):
+            build()

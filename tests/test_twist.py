@@ -52,8 +52,29 @@ def test_twisted_operators_on_constant_section():
 def test_twisted_operators_reject_non_primitive():
     rng = random.Random(1)
     conn = rand_connection(rng, 2, 1)
-    with pytest.raises(ValueError):
-        del_plus_A(conn, VectorForm([omega(2)], 2))
+    for operator in (del_plus_A, del_minus_A):
+        with pytest.raises(ValueError, match="primitive forms only"):
+            operator(conn, VectorForm([omega(2)], 2))
+
+
+@pytest.mark.parametrize("operator", [del_plus_A, del_minus_A])
+def test_twisted_operators_reject_scalar_and_matrix_payloads(operator):
+    conn = rand_connection(random.Random(5), 2, 1)
+    lam = lambda_standard(2)  # primitive, so only the fiber type is wrong
+    for payload in (lam, MatrixForm.from_scalar_form([[1]], lam)):
+        with pytest.raises(TypeError, match="vector-valued forms"):
+            operator(conn, payload)
+
+
+def test_twisted_m1_rejects_foreign_elements():
+    conn = rand_connection(random.Random(6), 2, 1)
+    lam = lambda_standard(2)
+    with pytest.raises(TypeError, match="vector-fiber elements"):
+        twisted_m1(conn, PrimElement(PLUS, 1, lam))
+    for payload in (VectorForm([lam, lam], 1),  # rank 2 against rank 1
+                    VectorForm([lambda_standard(1)], 1)):  # chart n = 1 against n = 2
+        with pytest.raises(ValueError, match="chart or rank"):
+            twisted_m1(conn, PrimElement(PLUS, 1, payload))
 
 
 def test_covariant_split_identity():
