@@ -34,6 +34,9 @@ USAGE_ERROR = 1
 CHECK_FAILED = 2
 INTERNAL_ERROR = 3
 
+# the largest --max-deg: sampling draws once per unit of coefficient degree
+MAX_DEG = 1000
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems with exit code 1."""
@@ -50,6 +53,14 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
     return integer
+
+
+def _max_deg(text: str) -> int:
+    """argparse type for --max-deg: an integer in 0..MAX_DEG."""
+    value = _int_at_least(0)(text)
+    if value > MAX_DEG:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_DEG}, got {value}")
+    return value
 
 
 def _margins(text: str) -> tuple[int, ...]:
@@ -251,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--trials", type=_int_at_least(1), default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-deg", type=_int_at_least(0), default=2)
+    p.add_argument("--max-deg", type=_max_deg, default=2)
     p.add_argument("--rank", type=_int_at_least(1), default=1)
     p.set_defaults(fn=_cmd_ainfty_check)
 
@@ -259,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connection", required=True)
     p.add_argument("--trials", type=_int_at_least(1), default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-deg", type=_int_at_least(0), default=2)
+    p.add_argument("--max-deg", type=_max_deg, default=2)
     p.set_defaults(fn=_cmd_twist_square)
 
     p = sub.add_parser("cohomology", help="twisted cohomology dimensions")

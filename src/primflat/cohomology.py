@@ -36,7 +36,7 @@ middle and its L^{-1} part above it (``fiber_d_table``, cached per
 (n, s, r) in lefschetz).  The middle map is two such passes plus Phi; the
 cone differential is one pass with T_c = dx_c /\\ . on form indices, plus
 the omega /\\ . and Phi blocks; its sign tables for dx_c /\\ . and
-omega /\\ . come from the constant wedge ``lefschetz.const_wedge``, cached
+omega /\\ . come from the one constant wedge ``forms.wedge_terms``, cached
 per (n, degree) in ``_sign_tables``.
 ``twisted_m1`` and ``cone_d`` remain the symbolic definitions; the test
 suite checks every table column against them, and ``exactness_witness``
@@ -79,10 +79,11 @@ from typing import Callable, Optional, Sequence, Union
 from .connection import Connection, analyze_flatness, covariant_d
 from .cone import ConeElement, cone_d
 from .errors import InternalInvariantError
-from .forms import Form, LAMBDA_CHOICES, VectorForm, all_indices, wedge
-from .lefschetz import (FiberTable, L_power, const_wedge, fiber_d_table, omega_const, pi_p,
-                        primitive_fiber_basis, primitive_fiber_coords)
-from .linalg import Echelon, Vec, kernel_basis, vec_add_scaled
+from .forms import (Form, LAMBDA_CHOICES, VectorForm, add_terms, all_indices, omega_const,
+                    wedge, wedge_terms)
+from .lefschetz import (FiberTable, L_power, fiber_d_table, pi_p, primitive_fiber_basis,
+                        primitive_fiber_coords)
+from .linalg import Echelon, Vec, kernel_basis
 from .scalars import Monomial, Poly, monomials_up_to
 from .ainfinity import (Element, MINUS, PLUS, PrimElement, _ZeroElement, _element,
                         add_elements, grading_position, m1, m2, scale_element)
@@ -317,7 +318,8 @@ def _prim_columns(conn: Connection, grading: int) -> tuple[Column, int]:
 def _sign_tables(n: int, degree: int) -> tuple[FiberTable, dict]:
     """dx_c /\\ dx_I for each c, and omega /\\ dx_I, as (J, sign) pairs per I."""
     def table(left: dict) -> dict:
-        return {idx: tuple(const_wedge(left, {idx: 1}).items()) for idx in all_indices(n, degree)}
+        return {idx: tuple(wedge_terms([(left, {idx: 1})]).items())
+                for idx in all_indices(n, degree)}
     return [table({(c,): 1}) for c in range(2 * n)], table(omega_const(n, 1))
 
 
@@ -582,7 +584,9 @@ def closedlem_check(conn: Connection, trials: int = 100, seed: int = 0,
             coords: Vec = {}
             for _pick in range(rng.randint(1, min(3, len(kernel)))):
                 vec = rng.choice(kernel)
-                vec_add_scaled(coords, Fraction(rng.randint(-2, 2)), vec)
+                coeff = rng.randint(-2, 2)
+                if coeff:
+                    add_terms(coords, ((key, coeff * v) for key, v in vec.items()))
             return space.element_from_coords(coords) if coords else None
 
         failures, _ = run_trials(

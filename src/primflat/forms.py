@@ -9,6 +9,12 @@ Conventions, fixed once for the whole package:
   length k to `Poly` coefficients;
 * the symplectic form is ``omega = sum_i dx_i /\\ dy_i``.
 
+The algebra is three helpers on ``{index: coefficient}`` maps over int,
+``Fraction`` or `Poly` coefficients: the index-merge wedge ``wedge_terms``,
+the lowering contraction ``contract_terms`` and the accumulator
+``add_terms``, which drops a key only when its sum cancels.  `Form` applies
+them to `Poly` maps and the Lefschetz tables to constant ones.
+
 Forms are homogeneous.  The degree is a plain label: forms whose degree
 falls outside 0..2n are allowed but must be zero (they appear transiently
 as images of degree-shifting operators).  Every operation returns its
@@ -36,7 +42,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Union
+from functools import cache
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .scalars import Poly, Scalar, _ratio
 
@@ -67,14 +74,51 @@ def merge_indices(left: FormIndex, right: FormIndex) -> Optional[tuple[int, Form
     return sign, tuple(out)
 
 
-def _accumulate(out: dict, key, poly: Poly) -> None:
-    """Add ``poly`` into ``out[key]``, dropping the key when the sum cancels."""
-    acc = out.get(key)
-    summed = poly if acc is None else acc + poly
-    if summed.is_zero:
-        out.pop(key, None)
-    else:
-        out[key] = summed
+def add_terms(out: dict, terms: Iterable[tuple]) -> dict:
+    """Add the nonzero ``(key, value)`` terms into ``out`` and return it; a key
+    drops only when its sum cancels, so ``out`` never holds a zero."""
+    for key, value in terms:
+        acc = out.get(key)
+        if acc is None:
+            out[key] = value
+        else:
+            acc = acc + value
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
+    return out
+
+
+def wedge_terms(pairs: Iterable[tuple[Mapping, Mapping]]) -> dict:
+    """The sum of a /\\ b over ``(a, b)`` pairs of ``{index: coefficient}``
+    maps with no zero coefficient (a product of two nonzero coefficients is
+    nonzero in every ring used here)."""
+    def products():
+        for a, b in pairs:
+            for idx_a, ca in a.items():
+                for idx_b, cb in b.items():
+                    merged = merge_indices(idx_a, idx_b)
+                    if merged is not None:
+                        prod = ca * cb
+                        yield merged[1], (-prod if merged[0] < 0 else prod)
+    return add_terms({}, products())
+
+
+def contract_terms(n: int, terms: Mapping) -> dict:
+    """The sl(2) lowering contraction of an ``{index: coefficient}`` map:
+    sum_i of the contraction by d/dx_i, then by d/dy_i.  An index tuple that
+    holds x_i at position p and y_i at position q loses both, with sign
+    (-1)^(p+q+1)."""
+    def lowered():
+        for idx, c in terms.items():
+            for p, i in enumerate(idx):
+                if i >= n:
+                    break
+                if n + i in idx:
+                    q = idx.index(n + i)
+                    yield idx[:p] + idx[p + 1:q] + idx[q + 1:], (c if (p + q) % 2 else -c)
+    return add_terms({}, lowered())
 
 
 class Form:
@@ -155,10 +199,7 @@ class Form:
             return NotImplemented
         self._check_compatible(other)
         degree = self.degree if self.terms else other.degree
-        out = dict(self.terms)
-        for idx, poly in other.terms.items():
-            _accumulate(out, idx, poly)
-        return Form._trusted(self.n, degree, out)
+        return Form._trusted(self.n, degree, add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "Form":
         return Form._trusted(self.n, self.degree,
@@ -362,28 +403,7 @@ class MatrixForm(FiberForm):
 # ---------- wedge ----------
 
 def _wedge_forms(a: Form, b: Form) -> Form:
-    if a.n != b.n:
-        raise ValueError("chart dimension mismatch")
-    degree = a.degree + b.degree
-    out: dict[FormIndex, Poly] = {}
-    if a.is_zero or b.is_zero or degree > 2 * a.n:
-        return Form._trusted(a.n, degree, out)
-    for idx_a, poly_a in a.terms.items():
-        for idx_b, poly_b in b.terms.items():
-            merged = merge_indices(idx_a, idx_b)
-            if merged is None:
-                continue
-            sign, idx = merged
-            prod = poly_a * poly_b
-            _accumulate(out, idx, -prod if sign < 0 else prod)
-    return Form._trusted(a.n, degree, out)
-
-
-def _compose(n: int, degree: int, row: Sequence[Form], column: Sequence[Form]) -> Form:
-    acc = Form.zero(n, degree)
-    for x, y in zip(row, column):
-        acc = acc + _wedge_forms(x, y)
-    return acc
+    return Form._trusted(a.n, a.degree + b.degree, wedge_terms([(a.terms, b.terms)]))
 
 
 def wedge(a: AnyForm, b: AnyForm) -> AnyForm:
@@ -393,6 +413,8 @@ def wedge(a: AnyForm, b: AnyForm) -> AnyForm:
     matrix.vector.  vector.vector and vector.matrix have no fiber
     composition and raise.
     """
+    if a.n != b.n:
+        raise ValueError("chart dimension mismatch")
     degree = a.degree + b.degree
     if isinstance(a, Form):
         if isinstance(b, Form):
@@ -405,8 +427,9 @@ def wedge(a: AnyForm, b: AnyForm) -> AnyForm:
             raise ValueError("rank mismatch")
         # a vector is a single column
         columns = list(zip(*b.entries)) if isinstance(b, MatrixForm) else [b.entries]
-        return b._from_flat([_compose(a.n, degree, row, col)
-                             for row in a.entries for col in columns], degree)
+        return b._from_flat([Form._trusted(a.n, degree, wedge_terms(
+            (x.terms, y.terms) for x, y in zip(row, col)))
+            for row in a.entries for col in columns], degree)
     raise TypeError(
         f"no fiber composition for {type(a).__name__} wedge {type(b).__name__}")
 
@@ -414,20 +437,16 @@ def wedge(a: AnyForm, b: AnyForm) -> AnyForm:
 # ---------- exterior derivative and contractions ----------
 
 def _d_form(a: Form) -> Form:
-    n = a.n
-    degree = a.degree + 1
-    out: dict[FormIndex, Poly] = {}
-    if a.is_zero or degree > 2 * n:
-        return Form._trusted(n, degree, out)
-    for idx, poly in a.terms.items():
-        # a coordinate missing from every monomial, or already in idx,
-        # contributes nothing
-        present = {c for mono in poly.num for c, e in enumerate(mono) if e}
-        for coord in sorted(present.difference(idx)):
-            derivative = poly.partial(coord)
-            sign, new_idx = merge_indices((coord,), idx)
-            _accumulate(out, new_idx, -derivative if sign < 0 else derivative)
-    return Form._trusted(n, degree, out)
+    def derivatives():
+        for idx, poly in a.terms.items():
+            # a coordinate missing from every monomial, or already in idx,
+            # contributes nothing
+            present = {c for mono in poly.num for c, e in enumerate(mono) if e}
+            for coord in sorted(present.difference(idx)):
+                derivative = poly.partial(coord)
+                sign, new_idx = merge_indices((coord,), idx)
+                yield new_idx, (-derivative if sign < 0 else derivative)
+    return Form._trusted(a.n, a.degree + 1, add_terms({}, derivatives()))
 
 
 def exterior_d(a: AnyForm) -> AnyForm:
@@ -437,31 +456,13 @@ def exterior_d(a: AnyForm) -> AnyForm:
     return a.map(_d_form, a.degree + 1)
 
 
-def interior_product(coord: int, a: Form) -> Form:
-    """Contraction with the coordinate frame vector of ``coord``."""
-    out: dict[FormIndex, Poly] = {}
-    for idx, poly in a.terms.items():
-        try:
-            pos = idx.index(coord)
-        except ValueError:
-            continue
-        _accumulate(out, idx[:pos] + idx[pos + 1:], poly if pos % 2 == 0 else -poly)
-    return Form._trusted(a.n, a.degree - 1, out)
-
-
 def contract_lambda(a: Form) -> Form:
-    """The sl(2) lowering operator: sum_i of contraction by d/dy_i then d/dx_i.
+    """The sl(2) lowering operator (``contract_terms``) on a scalar form.
 
     Applied to omega it returns the constant n; a form is primitive exactly
     when this vanishes on every scalar component.
     """
-    n = a.n
-    result = Form.zero(n, a.degree - 2)
-    if a.degree < 2:
-        return result
-    for i in range(n):
-        result = result + interior_product(n + i, interior_product(i, a))
-    return result
+    return Form._trusted(a.n, a.degree - 2, contract_terms(a.n, a.terms))
 
 
 def graded_commutator(a: MatrixForm, b: MatrixForm) -> MatrixForm:
@@ -475,19 +476,23 @@ def graded_commutator(a: MatrixForm, b: MatrixForm) -> MatrixForm:
 
 # ---------- distinguished forms ----------
 
-def omega(n: int) -> Form:
-    """The Darboux symplectic form sum_i dx_i /\\ dy_i."""
-    return Form._trusted(n, 2, {(i, n + i): Poly.const(n, 1) for i in range(n)})
+@cache
+def omega_const(n: int, r: int) -> dict[FormIndex, int]:
+    """omega^r as an ``{index: int}`` map (r >= 0); callers must not mutate it."""
+    if r == 0:
+        return {(): 1}
+    return wedge_terms([(omega_const(n, r - 1), {(i, n + i): 1 for i in range(n)})])
 
 
 def omega_power(n: int, p: int) -> Form:
     if p < 0:
         raise ValueError("omega_power wants p >= 0")
-    result = Form.const(n, 1)
-    w = omega(n)
-    for _ in range(p):
-        result = _wedge_forms(result, w)
-    return result
+    return Form._trusted(n, 2 * p, {idx: Poly.const(n, c) for idx, c in omega_const(n, p).items()})
+
+
+def omega(n: int) -> Form:
+    """The Darboux symplectic form sum_i dx_i /\\ dy_i."""
+    return omega_power(n, 1)
 
 
 def lambda_standard(n: int) -> Form:

@@ -10,11 +10,11 @@ arguments, memoized with ``functools.cache`` (so ``cache_info()`` gives its
 hits and misses); concurrent first calls can at worst compute an identical
 entry twice.
 
-The fiber is one constant exterior algebra: a constant form is an
-``{index: coefficient}`` dict, ``const_wedge`` multiplies two of them by
-index merges (``merge_indices``), and ``omega_const(n, r)`` is omega^r.
-Every table below is built from these constant index merges; none wedges a
-symbolic form.
+The fiber is the exterior algebra of ``forms`` on constant coefficients: a
+constant form is an ``{index: coefficient}`` dict, multiplied by
+``wedge_terms``, lowered by ``contract_terms`` and summed by ``add_terms``,
+and ``omega_const(n, r)`` is omega^r.  Every table below is built from these
+maps; none wedges a symbolic form.
 
 The decomposition table ``_decomp_table(n, degree)`` stays in primitive
 coordinates: row idx is ``{(r, bi): coefficient}``, the basis form idx
@@ -61,35 +61,14 @@ from functools import cache
 from math import lcm
 
 from .errors import InternalInvariantError
-from .forms import (AnyForm, Form, FormIndex, _accumulate, all_indices, contract_lambda,
-                    exterior_d, merge_indices, omega_power, wedge)
-from .linalg import Echelon, vec_add_scaled
-from .scalars import Poly
+from .forms import (AnyForm, Form, FormIndex, add_terms, all_indices, contract_terms,
+                    exterior_d, omega_const, omega_power, wedge, wedge_terms)
+from .linalg import Echelon
 
 ConstForm = dict  # FormIndex -> int or Fraction, a form with constant coefficients
 # table[c][f] lists the (target index, coefficient) pairs of one constant
 # fiber map applied to dx_c /\ (basis element f)
 FiberTable = list
-
-
-def const_wedge(a: ConstForm, b: ConstForm) -> ConstForm:
-    """The wedge a /\\ b of two constant forms; cancelled entries drop."""
-    out: ConstForm = {}
-    for idx_a, ca in a.items():
-        for idx_b, cb in b.items():
-            merged = merge_indices(idx_a, idx_b)
-            if merged is not None:
-                sign, idx = merged
-                out[idx] = out.get(idx, 0) + sign * ca * cb
-    return {idx: c for idx, c in out.items() if c}
-
-
-@cache
-def omega_const(n: int, r: int) -> ConstForm:
-    """omega^r as a constant form (r >= 0); callers must not mutate it."""
-    if r == 0:
-        return {(): 1}
-    return const_wedge(omega_const(n, r - 1), {(i, n + i): 1 for i in range(n)})
 
 
 def component_range(n: int, degree: int) -> list[int]:
@@ -116,9 +95,7 @@ def primitive_fiber_basis(n: int, s: int) -> list[ConstForm]:
     if 0 <= s <= n:
         ech = Echelon(track=True)
         for idx in all_indices(n, s):
-            lowered = contract_lambda(Form.basis(n, idx))
-            vec = {i: p.constant_value() for i, p in lowered.terms.items()}
-            relation = ech.add(vec, idx)
+            relation = ech.add(contract_terms(n, {idx: 1}), idx)
             if relation is not None:
                 basis.append(relation)
     return basis
@@ -127,7 +104,7 @@ def primitive_fiber_basis(n: int, s: int) -> list[ConstForm]:
 @cache
 def _lefschetz_image(n: int, s: int, k: int) -> list[ConstForm]:
     """``omega^k /\\ b`` for each b in ``primitive_fiber_basis(n, s)``."""
-    return [const_wedge(omega_const(n, k), b) for b in primitive_fiber_basis(n, s)]
+    return [wedge_terms([(omega_const(n, k), b)]) for b in primitive_fiber_basis(n, s)]
 
 
 @cache
@@ -156,10 +133,8 @@ def _split_coords(n: int, degree: int, const_form: ConstForm) -> dict[tuple[int,
     """The ``{(r, bi): coefficient}`` coordinates of a constant form, summed
     from the rows of ``_decomp_table``."""
     table = _decomp_table(n, degree)
-    coords: dict[tuple[int, int], Fraction] = {}
-    for idx, coeff in const_form.items():
-        vec_add_scaled(coords, coeff, table[idx])
-    return coords
+    return add_terms({}, ((key, coeff * v) for idx, coeff in const_form.items()
+                          for key, v in table[idx].items()))
 
 
 def primitive_fiber_coords(n: int, s: int, const_form: ConstForm) -> dict[int, Fraction]:
@@ -185,7 +160,7 @@ def fiber_d_table(n: int, s: int, r: int) -> tuple[FiberTable, int]:
     for c in range(2 * n):
         row = []
         for fi, b in enumerate(primitive_fiber_basis(n, s)):
-            coords = _split_coords(n, s + 1, const_wedge({(c,): 1}, b))
+            coords = _split_coords(n, s + 1, wedge_terms([({(c,): 1}, b)]))
             for comp_r, fj in coords:
                 if r == 1 and comp_r > 1:
                     raise InternalInvariantError(
@@ -240,7 +215,7 @@ def is_primitive(a: AnyForm) -> bool:
     above n admit no nonzero primitive forms and only the zero form passes.
     """
     if isinstance(a, Form):
-        return contract_lambda(a).is_zero and (a.degree <= a.n or a.is_zero)
+        return not contract_terms(a.n, a.terms) and (a.degree <= a.n or a.is_zero)
     return all(is_primitive(e) for e in a.flat)
 
 
@@ -251,11 +226,10 @@ def _omega_map(n: int, degree: int, shift: int, top: int) -> dict:
     basis form idx with r <= top and r + shift >= 0."""
     table = {}
     for idx, coords in _decomp_table(n, degree).items():
-        image: ConstForm = {}
-        for (r, bi), coeff in coords.items():
-            if r <= top and r + shift >= 0:
-                vec_add_scaled(image, coeff, _lefschetz_image(n, degree - 2 * r, r + shift)[bi])
-        table[idx] = list(image.items())
+        terms = ((tidx, coeff * v) for (r, bi), coeff in coords.items()
+                 if r <= top and r + shift >= 0
+                 for tidx, v in _lefschetz_image(n, degree - 2 * r, r + shift)[bi].items())
+        table[idx] = list(add_terms({}, terms).items())
     return table
 
 
@@ -266,11 +240,8 @@ def _apply_omega_map(a: AnyForm, shift: int, top: int) -> AnyForm:
     if not isinstance(a, Form):
         return a.map(lambda e: _apply_omega_map(e, shift, top), degree)
     table = _omega_map(a.n, a.degree, shift, top)
-    out: dict[FormIndex, Poly] = {}
-    for idx, poly in a.terms.items():
-        for tidx, c in table[idx]:
-            _accumulate(out, tidx, poly.scaled(c))
-    return Form._trusted(a.n, degree, out)
+    terms = ((tidx, poly.scaled(c)) for idx, poly in a.terms.items() for tidx, c in table[idx])
+    return Form._trusted(a.n, degree, add_terms({}, terms))
 
 
 def L_power(p: int, a: AnyForm) -> AnyForm:

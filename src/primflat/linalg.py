@@ -46,22 +46,6 @@ from typing import Any, Hashable, Iterable, Optional
 Vec = dict  # key -> Fraction (or int, on input), no zero entries stored
 
 
-def vec_add_scaled(target: Vec, coeff: Fraction, source: Vec) -> None:
-    """In place target += coeff * source, dropping entries that cancel."""
-    if not coeff:
-        return
-    for key, value in source.items():
-        acc = target.get(key)
-        if acc is None:
-            target[key] = coeff * value
-        else:
-            acc = acc + coeff * value
-            if acc:
-                target[key] = acc
-            else:
-                del target[key]
-
-
 def _integral(vec: Vec) -> tuple[dict, int]:
     """``(scale * vec, scale)`` over ints, with scale the lcm of the
     denominators; zero entries drop (a stored zero at a pivot key would

@@ -220,6 +220,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.num
 
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
     @property
     def is_constant(self) -> bool:
         return not self.num or (len(self.num) == 1 and (0,) * (2 * self.n) in self.num)

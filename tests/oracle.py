@@ -16,7 +16,14 @@ with the cached operator maps of ``primflat.lefschetz`` and with
 
 ``FractionEchelon`` is the elimination over ``Fraction`` that
 ``primflat.linalg.Echelon`` replaced: unit pivots, rational combinations.
-It shares no arithmetic with the integer echelon, so tests compare the two.
+It shares no arithmetic with the integer echelon, so tests compare the two;
+``vec_add_scaled`` is its sparse ``target += coeff * source``.
+
+``wedge_by_sorting`` multiplies two ``{index: coefficient}`` maps by sorting
+each concatenated index tuple and counting its inversions, and
+``contract_lambda_by_interior`` lowers one by composing single
+contractions; neither shares code with ``forms.wedge_terms``,
+``forms.contract_terms`` or ``forms.add_terms``, so tests compare them.
 
 ``FractionPoly`` is the polynomial over ``Fraction`` coefficients that
 ``primflat.scalars.Poly`` (int numerators over one denominator) replaced;
@@ -39,9 +46,8 @@ from primflat.cone import cone_d
 from primflat.connection import generate_flat
 from primflat.dsl import parse_form
 from primflat.errors import InternalInvariantError
-from primflat.forms import Form, MatrixForm, _accumulate, all_indices, omega_power, wedge
+from primflat.forms import Form, MatrixForm, add_terms, all_indices, omega_power, wedge
 from primflat.lefschetz import _decomp_table, primitive_fiber_basis
-from primflat.linalg import vec_add_scaled
 from primflat.twist import twisted_m1
 
 
@@ -133,6 +139,68 @@ def assemble_operator(conn, kind, position, D_source, D_target: Optional[int] = 
                     f"declared target truncation {D_target} at target key {ckey!r}")
         columns.append(col)
     return LinOpMatrix(source, target, D_source, D_target, keys, columns)
+
+
+def vec_add_scaled(target, coeff, source):
+    """In place target += coeff * source, dropping entries that cancel."""
+    if not coeff:
+        return
+    for key, value in source.items():
+        acc = target.get(key)
+        if acc is None:
+            target[key] = coeff * value
+        else:
+            acc = acc + coeff * value
+            if acc:
+                target[key] = acc
+            else:
+                del target[key]
+
+
+def _sum_into(out, key, value):
+    out[key] = out[key] + value if key in out else value
+
+
+def _nonzero(out):
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def wedge_by_sorting(a, b):
+    """a /\\ b of two ``{index: coefficient}`` maps: a pair of index tuples
+    that share an index gives nothing, any other gives the sorted union with
+    the sign of the inversions of their concatenation."""
+    out = {}
+    for idx_a, ca in a.items():
+        for idx_b, cb in b.items():
+            joined = idx_a + idx_b
+            if len(set(joined)) < len(joined):
+                continue
+            inversions = sum(1 for i in range(len(joined)) for j in range(i + 1, len(joined))
+                             if joined[i] > joined[j])
+            prod = ca * cb
+            _sum_into(out, tuple(sorted(joined)), -prod if inversions % 2 else prod)
+    return _nonzero(out)
+
+
+def _interior_product(coord, terms):
+    """Contraction of an ``{index: coefficient}`` map with the frame vector
+    of ``coord``."""
+    out = {}
+    for idx, c in terms.items():
+        if coord in idx:
+            pos = idx.index(coord)
+            _sum_into(out, idx[:pos] + idx[pos + 1:], -c if pos % 2 else c)
+    return _nonzero(out)
+
+
+def contract_lambda_by_interior(n, terms):
+    """sum_i of the contraction by d/dx_i, then by d/dy_i, of an
+    ``{index: coefficient}`` map."""
+    out = {}
+    for i in range(n):
+        for idx, c in _interior_product(n + i, _interior_product(i, terms)).items():
+            _sum_into(out, idx, c)
+    return _nonzero(out)
 
 
 class FractionEchelon:
@@ -280,7 +348,7 @@ def _components_by_table(a):
         for (r, bi), c in table[idx].items():
             comp = out.setdefault(r, {})
             for bidx, bc in primitive_fiber_basis(a.n, a.degree - 2 * r)[bi].items():
-                _accumulate(comp, bidx, poly.scaled(c * bc))
+                add_terms(comp, [(bidx, poly.scaled(c * bc))])
     return {r: Form(a.n, a.degree - 2 * r, terms) for r, terms in out.items() if terms}
 
 

@@ -178,6 +178,9 @@ def test_usage_and_parse_errors_exit_one(tmp_path, flat_file, capsys):
         (["decompose", "--n", "0", "--form", "dx1"], "--n"),
         (["twist-square", "--connection", flat_file, "--trials", "0"], "--trials"),
         (["twist-square", "--connection", flat_file, "--max-deg", "-1"], "--max-deg"),
+        # sampling draws once per unit of degree, so a huge bound is refused
+        (["ainfty-check", "--n", "1", "--trials", "4", "--max-deg", "10000000"], "--max-deg"),
+        (["twist-square", "--connection", flat_file, "--max-deg", "10000000"], "--max-deg"),
         (["cone-verify", "--connection", flat_file, "--trials", "0"], "--trials"),
     ]:
         buf = io.StringIO()

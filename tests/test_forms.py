@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from primflat.forms import (Form, MatrixForm, VectorForm, contract_lambda,
-                            exterior_d, graded_commutator, lambda_standard,
+from primflat.forms import (Form, MatrixForm, VectorForm, all_indices, contract_lambda,
+                            contract_terms, exterior_d, graded_commutator, lambda_standard,
                             lambda_symmetric, omega, omega_power, wedge)
+from primflat.lefschetz import L_power, decompose, pi_p
 from primflat.sampling import rand_form, rand_poly
 from primflat.scalars import Poly
 
-from oracle import labelled
+from oracle import contract_lambda_by_interior, labelled
 
 
 def test_wedge_antisymmetry_on_basis():
@@ -85,6 +86,52 @@ def test_contract_lambda_primitive_two_form():
 def test_contract_lambda_unpaired_indices():
     n = 2
     assert contract_lambda(wedge(Form.dx(n, 1), Form.dx(n, 2))).is_zero
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_contract_lambda_matches_interior_oracle(n):
+    rng = random.Random(800 + n)
+    for k in range(0, 2 * n + 1):
+        for _ in range(3):
+            a = rand_form(rng, n, k) + rand_form(rng, n, k)
+            vec = VectorForm([rand_form(rng, n, k), a], k)
+            mat = MatrixForm([[rand_form(rng, n, k) for _ in range(2)] for _ in range(2)], k)
+            # a primitive projection lowers to zero through cancelling sums
+            for entry in [a, pi_p(0, a), *vec.flat, *mat.flat]:
+                got = contract_lambda(entry)
+                assert got.degree == k - 2
+                assert got.terms == contract_lambda_by_interior(n, entry.terms), entry
+        for idx in all_indices(n, k):
+            assert contract_terms(n, {idx: 1}) == contract_lambda_by_interior(n, {idx: 1})
+
+
+def stores_no_zero(x):
+    entries = [x] if isinstance(x, Form) else x.flat
+    return all(not poly.is_zero for e in entries for poly in e.terms.values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_internal_producers_store_no_zero_coefficient(n):
+    assert not Poly.zero(n) and Poly.const(n, 1)
+    rng = random.Random(900 + n)
+    one_forms = [rand_form(rng, n, 1) + rand_form(rng, n, 1) for _ in range(3)]
+    outputs = [omega_power(n, n + 1)]
+    outputs += [wedge(u, u) for u in one_forms]  # zero: odd degree
+    for k in range(0, 2 * n + 1):
+        for _ in range(3):
+            a, b = rand_form(rng, n, k), rand_form(rng, n, k)
+            beta = pi_p(0, a + b)
+            u, w = one_forms[0], one_forms[1]
+            # row 1 of mat /\ vec is a /\ u - a /\ (u + w): the a /\ u terms cancel
+            mat = MatrixForm([[a, a], [a, -a]], k)
+            vec = VectorForm([u, u + w], 1)
+            outputs += [a + (-a), (a + b) + (-a), exterior_d(exterior_d(a)),
+                        wedge(mat, vec), wedge(mat, mat), contract_lambda(beta),
+                        contract_lambda(a + b), L_power(n - k + 1, beta), L_power(-1, beta),
+                        pi_p(0, wedge(omega(n), a)), pi_p(1, a + b),
+                        *decompose(wedge(omega(n), a + b) - wedge(omega(n), a))
+                        .components.values()]
+    assert all(stores_no_zero(x) for x in outputs)
 
 
 def test_commutator_with_identity():

@@ -7,16 +7,16 @@ import pytest
 
 from primflat.errors import InternalInvariantError
 from primflat.forms import (Form, MatrixForm, VectorForm, all_indices, exterior_d,
-                            lambda_standard, omega, omega_power, wedge)
-from primflat.lefschetz import (L_power, _omega_map, const_wedge, decompose, del_minus,
-                                del_plus, fiber_d_table, is_primitive, omega_const, pi_p,
-                                primitive_fiber_basis, primitive_fiber_coords, star_r)
+                            lambda_standard, omega, omega_const, omega_power, wedge,
+                            wedge_terms)
+from primflat.lefschetz import (L_power, _omega_map, decompose, del_minus, del_plus,
+                                fiber_d_table, is_primitive, pi_p, primitive_fiber_basis,
+                                primitive_fiber_coords, star_r)
 from primflat.sampling import rand_form, rand_primitive_form
-from primflat.linalg import vec_add_scaled
 from primflat.scalars import Poly
 
 from oracle import (L_power_by_wedge, is_primitive_by_wedge, labelled, omega_map_by_wedge,
-                    pi_p_by_wedge)
+                    pi_p_by_wedge, vec_add_scaled, wedge_by_sorting)
 
 
 def half(n, value=1):
@@ -240,13 +240,7 @@ def const_values(form):
     return {idx: poly.constant_value() for idx, poly in form.terms.items()}
 
 
-def as_form(n, const):
-    # a homogeneous constant form; the empty one gets degree 0
-    degree = len(next(iter(const), ()))
-    return Form(n, degree, {idx: Poly.const(n, c) for idx, c in const.items()})
-
-
-def test_const_wedge_matches_wedge():
+def test_wedge_terms_matches_sorting_oracle():
     n = 3
     rng = random.Random(7)
     # sums whose products cancel, and factors that share an index
@@ -263,9 +257,29 @@ def test_const_wedge_matches_wedge():
             coeffs = {idx: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for idx in picks}
             pair.append({idx: c for idx, c in coeffs.items() if c})
         samples.append(pair)
-    for a, b in samples:
-        assert const_wedge(a, b) == const_values(wedge(as_form(n, a), as_form(n, b))), (a, b)
+    # the same samples over int (times 6 clears every denominator), Fraction
+    # and Poly (times the non-constant 1 + x1) coefficients
+    poly = Poly.const(n, 1) + Poly.variable(n, 0)
+    rings = [lambda c: int(6 * c), Fraction, poly.scaled]
+    for ring in rings:
+        maps = [tuple({idx: ring(c) for idx, c in side.items()} for side in pair)
+                for pair in samples]
+        for a, b in maps:
+            assert wedge_terms([(a, b)]) == wedge_by_sorting(a, b), (a, b)
+        # several pairs sum into one map
+        for first in range(0, len(maps) - 3, 3):
+            chunk = maps[first:first + 3]
+            expected = {}
+            for a, b in chunk:
+                for idx, c in wedge_by_sorting(a, b).items():
+                    expected[idx] = expected[idx] + c if idx in expected else c
+            expected = {idx: c for idx, c in expected.items() if c != 0}
+            assert wedge_terms(chunk) == expected, chunk
     for r in range(0, n + 2):
+        power = {(): 1}
+        for _ in range(r):
+            power = wedge_by_sorting(power, {(i, n + i): 1 for i in range(n)})
+        assert omega_const(n, r) == power
         assert omega_const(n, r) == const_values(omega_power(n, r))
 
 
