@@ -36,6 +36,9 @@ INTERNAL_ERROR = 3
 
 # the largest --max-deg: sampling draws once per unit of coefficient degree
 MAX_DEG = 1000
+# the largest chart dimension (--n, or n in a connection file): sampling and
+# every Lefschetz table build all C(2n, s) index tuples of a degree s
+MAX_N = 8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,12 +58,14 @@ def _int_at_least(low: int):
     return integer
 
 
-def _max_deg(text: str) -> int:
-    """argparse type for --max-deg: an integer in 0..MAX_DEG."""
-    value = _int_at_least(0)(text)
-    if value > MAX_DEG:
-        raise argparse.ArgumentTypeError(f"must be <= {MAX_DEG}, got {value}")
-    return value
+def _int_in(low: int, high: int):
+    """argparse type: an integer in low..high."""
+    def integer(text: str) -> int:
+        value = _int_at_least(low)(text)
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        return value
+    return integer
 
 
 def _margins(text: str) -> tuple[int, ...]:
@@ -108,6 +113,8 @@ def load_connection(path: str) -> Connection:
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValueError(f"connection file {path}: {field} must be an integer >= 1, "
                              f"got {json.dumps(value)}")
+    if n > MAX_N:
+        raise ValueError(f"connection file {path}: n must be <= {MAX_N}, got {n}")
     if not (isinstance(rows, list) and len(rows) == rank and all(
             isinstance(row, list) and len(row) == rank
             and all(isinstance(text, str) for text in row) for row in rows)):
@@ -250,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="Lefschetz-decompose a form")
-    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--n", type=_int_in(1, MAX_N), required=True)
     p.add_argument("--form", required=True)
     p.set_defaults(fn=_cmd_decompose)
 
@@ -259,10 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_flatness)
 
     p = sub.add_parser("ainfty-check", help="randomized Stasheff identities")
-    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--n", type=_int_in(1, MAX_N), required=True)
     p.add_argument("--trials", type=_int_at_least(1), default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-deg", type=_max_deg, default=2)
+    p.add_argument("--max-deg", type=_int_in(0, MAX_DEG), default=2)
     p.add_argument("--rank", type=_int_at_least(1), default=1)
     p.set_defaults(fn=_cmd_ainfty_check)
 
@@ -270,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connection", required=True)
     p.add_argument("--trials", type=_int_at_least(1), default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-deg", type=_max_deg, default=2)
+    p.add_argument("--max-deg", type=_int_in(0, MAX_DEG), default=2)
     p.set_defaults(fn=_cmd_twist_square)
 
     p = sub.add_parser("cohomology", help="twisted cohomology dimensions")

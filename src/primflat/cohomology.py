@@ -91,6 +91,11 @@ from .sampling import run_trials
 from .twist import twisted_m1
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in ("prim", "cone"):
+        raise ValueError(f"complex kind must be 'prim' or 'cone', got {kind!r}")
+
+
 def position_label(kind: str, n: int, grading: int) -> str:
     if kind == "cone":
         return f"C{grading}"
@@ -437,8 +442,9 @@ def cohomology_dims(conn: Connection, kind: str = "prim", D: int = 5,
     For each position the kernel is exact (images are never truncated);
     exactness is tested against images from the margin-enlarged source
     truncations, and the per-margin dimensions must agree to count as
-    stabilized.
+    stabilized.  ``kind`` is "prim" or "cone"; any other raises ValueError.
     """
+    _check_kind(kind)
     if not analyze_flatness(conn).is_symplectically_flat:
         raise ValueError("cohomology of the twisted complex needs a flat connection")
     if D < 0:
@@ -496,6 +502,7 @@ def exactness_witness(conn: Connection, kind: str,
     in the constant frame the exactness constructions grow witnesses by at
     most two degrees.
     """
+    _check_kind(kind)
     if isinstance(element, ConeElement):
         grading = element.grading
         elem_degree = max(

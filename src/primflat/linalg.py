@@ -16,15 +16,16 @@ which makes `clone` a shallow dict copy.
 
 Elimination runs on Python ints, never on `Fraction`s.  An incoming vector
 is scaled once by the lcm of its denominators (1 for an int vector, which
-is only copied), and a tracking echelon remembers that scale per tag.  Each
-step is the fraction-free update ``res = alpha * res - beta * P`` with
-``alpha = b / g``, ``beta = a / g``, where ``a`` and ``b`` are the
-pivot-key entries of ``res`` and of the row ``P``, and ``g = gcd(a, b)``
-(Bareiss 1968 without the division, since rows are kept primitive
-instead).  A stored row has a positive pivot entry and
+is only copied).  Each step is the fraction-free update
+``res = alpha * res - beta * P`` with ``alpha = b / g``, ``beta = a / g``,
+where ``a`` and ``b`` are the pivot-key entries of ``res`` and of the row
+``P``, and ``g = gcd(a, b)`` (Bareiss 1968 without the division, since rows
+are kept primitive instead).  A stored row has a positive pivot entry and
 no common factor: on its own when stored untracked, jointly with its
-combination when stored tracked.  Combinations are int dicts over tags,
-and results cross back to `Fraction` once, at the `add`/`solve` boundary.
+combination when stored tracked.  Combinations are int dicts over the tags
+of the fed vectors themselves, over a denominator that starts as the scale
+and takes each ``alpha``; results divide by it once, at the `add`/`solve`
+boundary.
 
 The answers do not depend on these internals.  Which fed vectors are
 independent depends only on the order they are fed in.  A kernel relation
@@ -74,28 +75,19 @@ def _combine(alpha: int, target: dict, beta: int, source: dict) -> None:
                 del target[key]
 
 
-class _Pivot:
-    __slots__ = ("vec", "combo")
-
-    def __init__(self, vec: dict, combo: Optional[dict]):
-        self.vec = vec
-        self.combo = combo
-
-
 class Echelon:
     """Incremental exact echelon basis with optional combination tracking.
 
-    With ``track=True`` every stored row remembers its expression as a
-    combination of the original vectors fed in (keyed by their tags, which
-    must be distinct), which is what kernel extraction and preimage solving
-    need.  Tracking costs memory quadratic in the rank, so leave it off for
-    pure rank counting.
+    With ``track=True`` every stored row remembers its expression as an int
+    combination of the original vectors fed in, unscaled (keyed by their
+    tags, which must be distinct), which is what kernel extraction and
+    preimage solving need.  Tracking costs memory quadratic in the rank, so
+    leave it off for pure rank counting.
     """
 
     def __init__(self, track: bool = False):
         self.track = track
-        self._pivots: dict[Any, _Pivot] = {}
-        self._scales: dict[Hashable, int] = {}  # tag -> lcm of its denominators
+        self._pivots: dict[Any, tuple[dict, Optional[dict]]] = {}
 
     @property
     def rank(self) -> int:
@@ -104,27 +96,24 @@ class Echelon:
     def clone(self) -> "Echelon":
         other = Echelon(self.track)
         other._pivots = dict(self._pivots)
-        other._scales = dict(self._scales)
         return other
 
     def untracked(self) -> "Echelon":
         """Same span without the combinations; the stored rows are shared."""
         other = Echelon()
-        other._pivots = {key: _Pivot(pivot.vec, None)
-                         for key, pivot in self._pivots.items()}
+        other._pivots = {key: (row, None) for key, (row, _) in self._pivots.items()}
         return other
 
-    def _reduce(self, vec: Vec) -> tuple[dict, dict, int, int]:
+    def _reduce(self, vec: Vec) -> tuple[dict, dict, int]:
         """Reduce over ints against the stored rows.
 
-        Returns ``(residual, combo, mult, scale)`` with ``scale * vec``
-        integral and ``residual == mult * scale * vec + sum(combo[t] * w_t)``,
-        where ``w_t`` is the fed vector of tag ``t`` times its scale.  The
-        combo is empty (and meaningless) on untracked echelons.
+        Returns ``(residual, combo, den)`` with
+        ``residual == den * vec + sum(combo[t] * v_t)`` over the fed vectors
+        ``v_t``; ``den`` is positive.  On untracked echelons the combo stays
+        empty and ``den`` is only the scale of ``vec``.
         """
-        res, scale = _integral(vec)
+        res, den = _integral(vec)
         combo: dict = {}
-        mult = 1
         pivots = self._pivots
         track = self.track
         while res:
@@ -132,43 +121,35 @@ class Echelon:
             pivot = pivots.get(key)
             if pivot is None:
                 break
+            row, row_combo = pivot
             a = res[key]
-            b = pivot.vec[key]
-            if b == 1:
-                alpha, beta = 1, a
-            else:
-                g = gcd(a, b)
-                alpha, beta = b // g, a // g
-            _combine(alpha, res, beta, pivot.vec)
+            b = row[key]
+            g = gcd(a, b)
+            alpha, beta = b // g, a // g
+            _combine(alpha, res, beta, row)
             if track:
-                _combine(alpha, combo, beta, pivot.combo)
-                mult *= alpha
-        return res, combo, mult, scale
-
-    def _to_fractions(self, combo: dict, den: int) -> Vec:
-        """``{t: combo[t] * scale_t / den}``, back over the rationals."""
-        scales = self._scales
-        return {tag: Fraction(c * scales[tag], den) for tag, c in combo.items()}
+                _combine(alpha, combo, beta, row_combo)
+                den *= alpha
+        return res, combo, den
 
     def add(self, vec: Vec, tag: Hashable = None) -> Optional[Vec]:
         """Feed one vector.
 
         If it is independent of the span so far it is stored and None is
         returned.  If it is dependent, the kernel combination ``k`` with
-        ``sum(k[t] * original_vector_t) == 0`` and ``k[tag] == 1`` is
-        returned when tracking, else an empty dict.
+        ``sum(k[t] * original_vector_t) == 0`` and ``k[tag] == 1``, that is
+        ``{tag: 1, t: combo[t] / den}``, is returned when tracking, else {}.
         """
-        residual, combo, mult, scale = self._reduce(vec)
+        residual, combo, den = self._reduce(vec)
         if not residual:
             if not self.track:
                 return {}
             kernel = {tag: Fraction(1)}
-            kernel.update(self._to_fractions(combo, mult * scale))
+            kernel.update({t: Fraction(c, den) for t, c in combo.items()})
             return kernel
         lead = max(residual)
         if self.track:
-            combo = {tag: mult, **combo}
-            self._scales[tag] = scale
+            combo = {tag: den, **combo}
         # the joint content; combo is empty when untracked
         content = gcd(*residual.values(), *combo.values())
         if residual[lead] < 0:
@@ -176,24 +157,24 @@ class Echelon:
         if content != 1:
             residual = {key: value // content for key, value in residual.items()}
             combo = {t: c // content for t, c in combo.items()}
-        self._pivots[lead] = _Pivot(residual, combo if self.track else None)
+        self._pivots[lead] = (residual, combo if self.track else None)
         return None
 
     def contains(self, vec: Vec) -> bool:
-        residual, _, _, _ = self._reduce(vec)
+        residual, _, _ = self._reduce(vec)
         return not residual
 
     def solve(self, vec: Vec) -> Optional[Vec]:
         """Combination of fed vectors equal to ``vec``, or None.
 
-        Requires tracking.  The returned dict maps tags to coefficients.
+        Requires tracking.  The returned dict maps tags to ``-combo[t] / den``.
         """
         if not self.track:
             raise ValueError("solve requires a tracking Echelon")
-        residual, combo, mult, scale = self._reduce(vec)
+        residual, combo, den = self._reduce(vec)
         if residual:
             return None
-        return self._to_fractions(combo, -mult * scale)
+        return {t: Fraction(-c, den) for t, c in combo.items()}
 
 
 def kernel_basis(columns: Iterable[tuple[Hashable, Vec]]) -> tuple[list[Vec], Echelon]:

@@ -18,6 +18,10 @@ with the cached operator maps of ``primflat.lefschetz`` and with
 ``primflat.linalg.Echelon`` replaced: unit pivots, rational combinations.
 It shares no arithmetic with the integer echelon, so tests compare the two;
 ``vec_add_scaled`` is its sparse ``target += coeff * source``.
+``GaussJordanEchelon`` changes the pivot rule as well: it pivots on the
+smallest key and keeps its rows fully reduced, so its relations and
+``solve`` answers equal ``Echelon``'s only because those do not depend on
+the pivot rule.
 
 ``wedge_by_sorting`` multiplies two ``{index: coefficient}`` maps by sorting
 each concatenated index tuple and counting its inversions, and
@@ -268,6 +272,62 @@ class FractionEchelon:
         if not self.track:
             raise ValueError("solve requires a tracking Echelon")
         residual, combo = self.reduce(vec)
+        return None if residual else combo
+
+
+class GaussJordanEchelon:
+    """Tracked Gauss-Jordan elimination over ``Fraction``.
+
+    Each stored row is scaled so its entry at its *smallest* key (the pivot)
+    is 1, and every row is kept fully reduced: no row has an entry at
+    another row's pivot key.  Each row keeps its combination of the fed
+    vectors by tag.
+    """
+
+    def __init__(self):
+        self._rows = {}  # pivot key -> (row, combination)
+
+    @property
+    def rank(self):
+        return len(self._rows)
+
+    def _reduce(self, vec):
+        """``(residual, combo)`` with vec == residual + sum(combo[t] * fed_t)."""
+        vec = {key: value for key, value in vec.items() if value}
+        combo = {}
+        # subtracting a fully reduced row changes no entry at another pivot key
+        for key in [key for key in vec if key in self._rows]:
+            row, row_combo = self._rows[key]
+            coeff = vec[key]
+            vec_add_scaled(vec, -coeff, row)
+            vec_add_scaled(combo, coeff, row_combo)
+        return vec, combo
+
+    def add(self, vec, tag):
+        """None when ``vec`` is independent, else its relation ``k`` with
+        ``k[tag] == 1``."""
+        residual, combo = self._reduce(vec)
+        if not residual:
+            kernel = {tag: Fraction(1)}
+            vec_add_scaled(kernel, Fraction(-1), combo)
+            return kernel
+        lead = min(residual)
+        inv = 1 / Fraction(residual[lead])
+        row = {key: inv * value for key, value in residual.items()}
+        row_combo = {tag: inv}
+        vec_add_scaled(row_combo, -inv, combo)
+        for key, (other, other_combo) in list(self._rows.items()):
+            coeff = other.get(lead)
+            if coeff:
+                other, other_combo = dict(other), dict(other_combo)
+                vec_add_scaled(other, -coeff, row)
+                vec_add_scaled(other_combo, -coeff, row_combo)
+                self._rows[key] = (other, other_combo)
+        self._rows[lead] = (row, row_combo)
+        return None
+
+    def solve(self, vec):
+        residual, combo = self._reduce(vec)
         return None if residual else combo
 
 

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from primflat import cli
-from primflat.cli import (INTERNAL_ERROR, USAGE_ERROR, CHECK_FAILED,
+from primflat.cli import (INTERNAL_ERROR, MAX_N, USAGE_ERROR, CHECK_FAILED,
                          load_connection, run)
 from primflat.dsl import print_form
 from primflat.errors import InternalInvariantError
@@ -64,6 +64,16 @@ def test_load_connection_validates(tmp_path, capsys):
         assert run(["flatness", "--connection", str(path)], stdout=buf) == USAGE_ERROR
         assert buf.getvalue() == ""
         assert capsys.readouterr().err.startswith("primflat: error: connection file ")
+    # every table builds all C(2n, s) index tuples, so n is bounded
+    path.write_text(json.dumps({"n": MAX_N + 1, "rank": 1, "A": [["x1*dy1"]]}))
+    with pytest.raises(ValueError, match=f"^connection file .*bad.json: n must be <= {MAX_N}, "
+                                         f"got {MAX_N + 1}$"):
+        load_connection(str(path))
+    buf = io.StringIO()
+    assert run(["twist-square", "--connection", str(path), "--trials", "1"],
+               stdout=buf) == USAGE_ERROR
+    assert buf.getvalue() == ""
+    assert capsys.readouterr().err.startswith("primflat: error: connection file ")
 
 
 def test_flatness_report(flat_file):
@@ -176,6 +186,9 @@ def test_usage_and_parse_errors_exit_one(tmp_path, flat_file, capsys):
         (["ainfty-check", "--n", "0"], "--n"),
         (["ainfty-check", "--n", "1", "--max-deg", "-1"], "--max-deg"),
         (["decompose", "--n", "0", "--form", "dx1"], "--n"),
+        # every table builds all C(2n, s) index tuples, so n is bounded
+        (["ainfty-check", "--n", str(MAX_N + 1), "--trials", "1"], "--n"),
+        (["decompose", "--n", str(MAX_N + 1), "--form", "dx1"], "--n"),
         (["twist-square", "--connection", flat_file, "--trials", "0"], "--trials"),
         (["twist-square", "--connection", flat_file, "--max-deg", "-1"], "--max-deg"),
         # sampling draws once per unit of degree, so a huge bound is refused

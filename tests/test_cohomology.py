@@ -469,6 +469,19 @@ def test_negative_truncations_are_rejected():
         exactness_witness(conn, "prim", element, D_search=-1)
 
 
+@pytest.mark.parametrize("kind", ["Prim", ""])
+def test_unknown_complex_kinds_are_rejected(kind):
+    # labels read every kind but "cone" as prim, columns every kind but "prim"
+    # as cone; a grading-0 element is refused before it meets the early return
+    conn = generate_flat(1, 1, [[0]])
+    with pytest.raises(ValueError, match="complex kind must be 'prim' or 'cone', got"):
+        cohomology_dims(conn, kind, D=1)
+    for space in (_space(conn, "prim", 0), _space(conn, "cone", 0)):
+        grading_0 = space.element_from_key(space.basis_keys(0)[0])
+        with pytest.raises(ValueError, match="complex kind must be 'prim' or 'cone', got"):
+            exactness_witness(conn, kind, grading_0)
+
+
 ORACLE_CASES = [
     # (label, connection factory, D for every key, D for the sampled keys)
     ("n1-frame-standard", lambda: generate_flat(1, 2, diag(1, 0)), 2, 5),

@@ -6,10 +6,13 @@ object and imports one submodule first, in a fresh interpreter, so an import
 cycle that ``__init__`` happens to hide still fails.
 
 Each submodule, and each test module here, also binds no module-level import
-name that it never reads.
+name that it never reads.  And every module-level function and class of a
+submodule, and every private method of its classes, is named somewhere in
+the package, the tests or the benchmark outside its own definition.
 """
 
 import ast
+import re
 import subprocess
 import sys
 from importlib.util import find_spec
@@ -23,6 +26,10 @@ SUBMODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__ini
 # every submodule by name, and every module of this test directory
 SOURCES = {**{name: PACKAGE_DIR / f"{name}.py" for name in SUBMODULES},
            **{f"tests/{p.stem}": p for p in sorted(Path(__file__).parent.glob("*.py"))}}
+# where a definition may be named: the package, the tests and the benchmark
+CORPUS = [p for top in (PACKAGE_DIR.parent, Path(__file__).parent,
+                        Path(__file__).parent.parent / "perfbench")
+          for p in sorted(top.rglob("*.py"))]
 
 
 @pytest.mark.parametrize("name", SUBMODULES)
@@ -53,3 +60,30 @@ def _unused_imports(path):
 @pytest.mark.parametrize("name", SOURCES)
 def test_no_unused_module_imports(name):
     assert _unused_imports(SOURCES[name]) == []
+
+
+def _definitions(tree):
+    """Module-level functions and classes, and private non-dunder methods."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, functions + (ast.ClassDef,)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body if isinstance(item, functions)
+                        and item.name.startswith("_") and not item.name.endswith("__"))
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_no_dead_definitions(name):
+    path = SOURCES[name]
+    text = path.read_text(encoding="utf-8")
+    others = [p.read_text(encoding="utf-8") for p in CORPUS if p.resolve() != path.resolve()]
+    lines = text.splitlines()
+    unnamed = []
+    for node in _definitions(ast.parse(text)):
+        start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        outside = "\n".join(lines[:start - 1] + lines[node.end_lineno:])
+        word = re.compile(rf"\b{re.escape(node.name)}\b")
+        if not any(word.search(source) for source in others + [outside]):
+            unnamed.append((node.lineno, node.name))
+    assert unnamed == []
