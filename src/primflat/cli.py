@@ -39,6 +39,10 @@ MAX_DEG = 1000
 # the largest chart dimension (--n, or n in a connection file): sampling and
 # every Lefschetz table build all C(2n, s) index tuples of a degree s
 MAX_N = 8
+# the largest fiber rank (--rank, or rank in a connection file): products of
+# rank x rank matrix forms cost about rank^3 (one n = 1 trial took 0.4 s at
+# rank 16 and 3.0 s at rank 32 on a 2-core VM)
+MAX_RANK = 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,13 +112,13 @@ def load_connection(path: str) -> Connection:
         n, rank, rows = data["n"], data["rank"], data["A"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"connection file {path}: expected n, rank, A fields") from exc
-    for field, value in (("n", n), ("rank", rank)):
+    for field, value, high in (("n", n, MAX_N), ("rank", rank, MAX_RANK)):
         # bool is an int subclass, but true is no size
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValueError(f"connection file {path}: {field} must be an integer >= 1, "
                              f"got {json.dumps(value)}")
-    if n > MAX_N:
-        raise ValueError(f"connection file {path}: n must be <= {MAX_N}, got {n}")
+        if value > high:
+            raise ValueError(f"connection file {path}: {field} must be <= {high}, got {value}")
     if not (isinstance(rows, list) and len(rows) == rank and all(
             isinstance(row, list) and len(row) == rank
             and all(isinstance(text, str) for text in row) for row in rows)):
@@ -270,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_int_at_least(1), default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-deg", type=_int_in(0, MAX_DEG), default=2)
-    p.add_argument("--rank", type=_int_at_least(1), default=1)
+    p.add_argument("--rank", type=_int_in(1, MAX_RANK), default=1)
     p.set_defaults(fn=_cmd_ainfty_check)
 
     p = sub.add_parser("twist-square", help="square of the twisted differential")

@@ -43,18 +43,19 @@ suite checks every table column against them, and ``exactness_witness``
 re-checks its answer with them.
 
 Columns are int dicts, so assembly does no ``Fraction`` arithmetic.  Each
-fiber table is scaled once, and the coefficient lists of A and Phi once per
-column function, by the lcm of their own denominators.  A covariant pass
-multiplies its d part by the A scale so that both parts share one scale;
-the middle map combines its two passes and Phi, and the cone its pass and
-Phi, at the lcm of their scales.  So every column of one position is one
-positive int ``scale`` times the true column, and ``_differential_columns``
-returns the two together.  A uniform non-zero scale changes nothing that
-elimination reports: the span, which columns are independent of the
-earlier ones (that depends only on the order), and each kernel relation
-normalized to ``k[tag] = 1`` are the same as for the true columns.  Only a
-preimage solve sees the scale, as an answer divided by it, so
-``exactness_witness`` multiplies its answer back before the re-check.
+fiber table is scaled once by the lcm of its own denominators, and A and
+Phi together, once per column function, by one connection scale: the lcm
+of all their coefficient denominators.  A covariant pass multiplies its d
+part by the connection scale to match its A part, and the middle map
+multiplies Phi by the scales of its two passes, less one connection scale.
+So every column of one position is one positive int ``scale`` times the
+true column, and ``_differential_columns`` returns the two together.  A
+uniform non-zero scale changes nothing that elimination reports: the span,
+which columns are independent of the earlier ones (that depends only on
+the order), and each kernel relation normalized to ``k[tag] = 1`` are the
+same as for the true columns.  Only a preimage solve sees the scale, as an
+answer divided by it, so ``exactness_witness`` multiplies its answer back
+before the re-check.
 
 Each differential column is built and eliminated once per report: the
 sweep of one position gives its kernel at degree <= D, and its echelon,
@@ -72,7 +73,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import comb, lcm
 from operator import add
 from typing import Callable, Optional, Sequence, Union
 
@@ -89,6 +90,11 @@ from .ainfinity import (Element, MINUS, PLUS, PrimElement, _ZeroElement, _elemen
                         add_elements, grading_position, m1, m2, scale_element)
 from .sampling import run_trials
 from .twist import twisted_m1
+
+# the most basis keys one position may have at degree <= D + max(margins):
+# elimination time grows with it (175,175 keys, the n = 3 cone at D = 6 with
+# A = 0, took 13.5 s on a 2-core VM)
+MAX_BASIS = 250_000
 
 
 def _check_kind(kind: str) -> None:
@@ -125,7 +131,8 @@ class TruncatedSpace:
         return eta + xi
 
     def dimension(self, D: int) -> int:
-        return len(monomials_up_to(self.n, D)) * self.fiber_dimension() * self.rank
+        # C(2n + D, 2n) monomials of degree <= D, counted without listing them
+        return comb(2 * self.n + D, 2 * self.n) * self.fiber_dimension() * self.rank
 
     def basis_keys(self, D: int, above: int = -1) -> list:
         """Basis keys with coefficient degree in (above, D], sorted."""
@@ -227,66 +234,57 @@ def _nonzero(out: dict) -> dict:
     return {key: x for key, x in out.items() if x}
 
 
-def _integral_terms(terms: list) -> tuple[list, int]:
-    """Per-u lists of ``(head, poly)`` pairs expanded term by term into
-    tuples ``(*head, mono, scale * coefficient)``, the last an int; scale is
-    the lcm of the polys' denominators and is returned beside the lists."""
-    scale = lcm(*(poly.den for per_u in terms for _, poly in per_u))
-    return [[(*head, mono, c * (scale // poly.den))
-             for head, poly in per_u for mono, c in poly.num.items()]
-            for per_u in terms], scale
+def _connection_terms(conn: Connection) -> tuple[list, list, int]:
+    """A and Phi flattened by source fiber u, over ints at one scale.
 
-
-def _connection_terms(conn: Connection) -> tuple[list, int, list, int]:
-    """A and Phi flattened by source fiber u, over ints.
-
-    ``a_terms[u]`` lists ``(c, v, mono, a_scale * coeff)``: the dx_c
+    ``a_terms[u]`` lists ``(c, v, mono, scale * coeff)``: the dx_c
     coefficient of A[v][u] term by term; ``phi_terms[u]`` lists
-    ``(v, mono, phi_scale * coeff)`` of Phi[v][u].  Each scale is the lcm
-    of the denominators of its own coefficients.
+    ``(v, mono, scale * coeff)`` of Phi[v][u].  ``scale`` is the lcm of the
+    denominators of all coefficients of A and Phi.
     """
     phi = analyze_flatness(conn).Phi
-    a_terms: list = [[] for _ in range(conn.rank)]
-    phi_terms: list = [[] for _ in range(conn.rank)]
-    for v in range(conn.rank):
-        for u in range(conn.rank):
-            a_terms[u] += [((c, v), poly) for (c,), poly in conn.A.entries[v][u].terms.items()]
-            phi_terms[u] += [((v,), poly) for poly in phi.entries[v][u].terms.values()]
-    return (*_integral_terms(a_terms), *_integral_terms(phi_terms))
+    rank = range(conn.rank)
+    scale = lcm(*(poly.den for matrix in (conn.A, phi) for row in matrix.entries
+                  for entry in row for poly in entry.terms.values()))
+    a_terms = [[(c, v, mono, k * (scale // poly.den))
+                for v in rank for (c,), poly in conn.A.entries[v][u].terms.items()
+                for mono, k in poly.num.items()] for u in rank]
+    phi_terms = [[(v, mono, k * (scale // poly.den))
+                  for v in rank for poly in phi.entries[v][u].terms.values()
+                  for mono, k in poly.num.items()] for u in rank]
+    return a_terms, phi_terms, scale
 
 
-def _covariant_pass(table: FiberTable, a_terms: list, a_scale: int, mono: Monomial,
+def _covariant_pass(table: FiberTable, a_terms: list, scale: int, mono: Monomial,
                     f, u: int, coeff: int, out: dict) -> None:
-    """out += coeff * a_scale * T(d_A(mono (x) f (x) e_u)) for an int fiber
-    table T of dx_c /\\ . (scaled A terms, see ``_connection_terms``).
+    """out += coeff * scale * T(d_A(mono (x) f (x) e_u)) for an int fiber
+    table T of dx_c /\\ . (A terms at ``scale``, see ``_connection_terms``).
 
-    d contributes sum_c d_c(mono) (x) T_c f (x) e_u, multiplied by a_scale
+    d contributes sum_c d_c(mono) (x) T_c f (x) e_u, multiplied by scale
     so that it shares the scale of the A part, and A contributes
     sum_{c,v} (A_c)_vu mono (x) T_c f (x) e_v.
     """
     for c, e in enumerate(mono):
         if e:
             lowered = mono[:c] + (e - 1,) + mono[c + 1:]
-            scale = coeff * e * a_scale
+            mult = coeff * e * scale
             for g, t in table[c][f]:
                 key = (lowered, g, u)
-                out[key] = out.get(key, 0) + scale * t
+                out[key] = out.get(key, 0) + mult * t
     for c, v, amono, acoeff in a_terms[u]:
         pairs = table[c][f]
         if pairs:
             shifted = _mono_add(mono, amono)
-            scale = coeff * acoeff
+            mult = coeff * acoeff
             for g, t in pairs:
                 key = (shifted, g, v)
-                out[key] = out.get(key, 0) + scale * t
+                out[key] = out.get(key, 0) + mult * t
 
 
 def _prim_columns(conn: Connection, grading: int) -> tuple[Column, int]:
     n = conn.n
     side, s = grading_position(n, grading)
-    a_terms, a_scale, phi_terms, phi_scale = _connection_terms(conn)
-    if side == MINUS and s == 0:
-        return (lambda key: {}), 1
+    a_terms, phi_terms, scale = _connection_terms(conn)
     if side == MINUS or s < n:
         # -L^{-1} d_A above the middle, Pi d_A below it
         table, t_scale = fiber_d_table(n, s, 1 if side == MINUS else 0)
@@ -294,29 +292,27 @@ def _prim_columns(conn: Connection, grading: int) -> tuple[Column, int]:
 
         def column(key) -> dict:
             out: dict = {}
-            _covariant_pass(table, a_terms, a_scale, *key, sign, out)
+            _covariant_pass(table, a_terms, scale, *key, sign, out)
             return _nonzero(out)
-        return column, t_scale * a_scale
+        return column, t_scale * scale
     (lower, l_scale), (upper, u_scale) = fiber_d_table(n, n, 1), fiber_d_table(n, n - 1, 0)
-    # the two passes carry l_scale * u_scale * a_scale^2, Phi its own scale
-    pass_scale = l_scale * u_scale * a_scale * a_scale
-    scale = lcm(pass_scale, phi_scale)
-    outer, phi_mult = -(scale // pass_scale), scale // phi_scale
+    # the two passes carry l_scale * u_scale * scale^2, Phi only scale
+    phi_mult = l_scale * u_scale * scale
 
     def middle(key) -> dict:
         # -del_plus_A del_minus_A + Phi
         mono, fi, u = key
         inner: dict = {}
-        _covariant_pass(lower, a_terms, a_scale, mono, fi, u, 1, inner)
+        _covariant_pass(lower, a_terms, scale, mono, fi, u, 1, inner)
         out: dict = {}
         for (imono, ifi, w), coeff in inner.items():
             if coeff:
-                _covariant_pass(upper, a_terms, a_scale, imono, ifi, w, outer * coeff, out)
+                _covariant_pass(upper, a_terms, scale, imono, ifi, w, -coeff, out)
         for v, pmono, pcoeff in phi_terms[u]:
             target = (_mono_add(mono, pmono), fi, v)
             out[target] = out.get(target, 0) + phi_mult * pcoeff
         return _nonzero(out)
-    return middle, scale
+    return middle, phi_mult * scale
 
 
 @cache
@@ -329,11 +325,9 @@ def _sign_tables(n: int, degree: int) -> tuple[FiberTable, dict]:
 
 
 def _cone_columns(conn: Connection, grading: int) -> tuple[Column, int]:
-    """D(eta, xi) = (d_A eta + omega /\\ xi, -(Phi eta + d_A xi)) key by key."""
-    a_terms, a_scale, phi_terms, phi_scale = _connection_terms(conn)
-    # the sign tables have scale 1, so the passes carry a_scale
-    scale = lcm(a_scale, phi_scale)
-    d_mult, phi_mult = scale // a_scale, scale // phi_scale
+    """D(eta, xi) = (d_A eta + omega /\\ xi, -(Phi eta + d_A xi)) key by key;
+    the sign tables have scale 1, so every part carries the connection's."""
+    a_terms, phi_terms, scale = _connection_terms(conn)
     d_eta = _sign_tables(conn.n, grading)[0]
     d_xi, omega_xi = _sign_tables(conn.n, grading - 1)
 
@@ -342,14 +336,14 @@ def _cone_columns(conn: Connection, grading: int) -> tuple[Column, int]:
         eta: dict = {}
         xi: dict = {}
         if slot == 0:
-            _covariant_pass(d_eta, a_terms, a_scale, mono, idx, u, d_mult, eta)
+            _covariant_pass(d_eta, a_terms, scale, mono, idx, u, 1, eta)
             for v, pmono, pcoeff in phi_terms[u]:
                 target = (_mono_add(mono, pmono), idx, v)
-                xi[target] = xi.get(target, 0) - phi_mult * pcoeff
+                xi[target] = xi.get(target, 0) - pcoeff
         else:
             for widx, sign in omega_xi[idx]:
                 eta[mono, widx, u] = sign * scale  # distinct widx for distinct i
-            _covariant_pass(d_xi, a_terms, a_scale, mono, idx, u, -d_mult, xi)
+            _covariant_pass(d_xi, a_terms, scale, mono, idx, u, -1, xi)
         return {(target, *k): x for target, part in ((0, eta), (1, xi))
                 for k, x in part.items() if x}
     return column, scale
@@ -368,21 +362,18 @@ def _differential_columns(conn: Connection, kind: str, grading: int) -> tuple[Co
 
 
 def _kernel_sweep(conn: Connection, kind: str, space: TruncatedSpace,
-                  D: int) -> tuple[list[Vec], Optional[Echelon], int]:
+                  D: int) -> tuple[list[Vec], Echelon, int]:
     """Kernel of the differential on degree <= D, the tracked echelon of its
-    columns (None at the top of the complex, where it is zero), and the
-    scale of those columns.
+    columns, and the scale of those columns.
 
     This is the one place where differential columns are eliminated with
     tracking; kernels, images and preimages all come from its echelon.
     The kernel and the span do not depend on the scale; a preimage solved
-    in the echelon is the true one divided by it.
+    in the echelon is the true one divided by it.  At the top of the
+    complex the tables give zero columns: every key is a kernel vector.
     """
-    keys = space.basis_keys(D)
-    if space.grading == 2 * space.n + 1:
-        return [{key: Fraction(1)} for key in keys], None, 1
     column, scale = _differential_columns(conn, kind, space.grading)
-    return (*kernel_basis((key, column(key)) for key in keys), scale)
+    return (*kernel_basis((key, column(key)) for key in space.basis_keys(D)), scale)
 
 
 def connection_growth(conn: Connection, kind: str, grading: int) -> int:
@@ -442,7 +433,9 @@ def cohomology_dims(conn: Connection, kind: str = "prim", D: int = 5,
     For each position the kernel is exact (images are never truncated);
     exactness is tested against images from the margin-enlarged source
     truncations, and the per-margin dimensions must agree to count as
-    stabilized.  ``kind`` is "prim" or "cone"; any other raises ValueError.
+    stabilized.  ``kind`` is "prim" or "cone"; any other raises ValueError,
+    as does a position with more than ``MAX_BASIS`` keys at degree
+    <= D + max(margins), before any column is built.
     """
     _check_kind(kind)
     if not analyze_flatness(conn).is_symplectically_flat:
@@ -456,13 +449,17 @@ def cohomology_dims(conn: Connection, kind: str = "prim", D: int = 5,
     if margins[0] < 0:
         raise ValueError("stabilization margins must be non-negative")
     n = conn.n
+    size = max(_space(conn, kind, g).dimension(D + margins[-1]) for g in range(2 * n + 2))
+    if size > MAX_BASIS:
+        raise ValueError(f"truncation {D} with margin {margins[-1]} needs {size} basis keys "
+                         f"at one position, more than MAX_BASIS = {MAX_BASIS}")
     reports = []
     image: Optional[Echelon] = None  # image of degree <= D from the position below
     for grading in range(0, 2 * n + 2):
         space = _space(conn, kind, grading)
         kernel, sweep, _ = _kernel_sweep(conn, kind, space, D)
         # drop the combinations before the image from below grows
-        next_image = sweep.untracked() if sweep is not None else None
+        next_image = sweep.untracked()
         del sweep
         dims_by_margin = dict.fromkeys(margins, len(kernel))
         witness_coords = kernel

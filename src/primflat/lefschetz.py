@@ -63,7 +63,7 @@ from math import lcm
 from .errors import InternalInvariantError
 from .forms import (AnyForm, Form, FormIndex, add_terms, all_indices, contract_terms,
                     exterior_d, omega_const, omega_power, wedge, wedge_terms)
-from .linalg import Echelon
+from .linalg import Echelon, kernel_basis
 
 ConstForm = dict  # FormIndex -> int or Fraction, a form with constant coefficients
 # table[c][f] lists the (target index, coefficient) pairs of one constant
@@ -91,14 +91,9 @@ def primitive_fiber_basis(n: int, s: int) -> list[ConstForm]:
 
     Dimension is C(2n, s) - C(2n, s-2) for s <= n and 0 beyond.
     """
-    basis: list[ConstForm] = []
-    if 0 <= s <= n:
-        ech = Echelon(track=True)
-        for idx in all_indices(n, s):
-            relation = ech.add(contract_terms(n, {idx: 1}), idx)
-            if relation is not None:
-                basis.append(relation)
-    return basis
+    if not 0 <= s <= n:
+        return []
+    return kernel_basis((idx, contract_terms(n, {idx: 1})) for idx in all_indices(n, s))[0]
 
 
 @cache

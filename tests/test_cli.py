@@ -7,8 +7,9 @@ import json
 import pytest
 
 from primflat import cli
-from primflat.cli import (INTERNAL_ERROR, MAX_N, USAGE_ERROR, CHECK_FAILED,
+from primflat.cli import (INTERNAL_ERROR, MAX_N, MAX_RANK, USAGE_ERROR, CHECK_FAILED,
                          load_connection, run)
+from primflat.cohomology import MAX_BASIS
 from primflat.dsl import print_form
 from primflat.errors import InternalInvariantError
 
@@ -64,16 +65,18 @@ def test_load_connection_validates(tmp_path, capsys):
         assert run(["flatness", "--connection", str(path)], stdout=buf) == USAGE_ERROR
         assert buf.getvalue() == ""
         assert capsys.readouterr().err.startswith("primflat: error: connection file ")
-    # every table builds all C(2n, s) index tuples, so n is bounded
-    path.write_text(json.dumps({"n": MAX_N + 1, "rank": 1, "A": [["x1*dy1"]]}))
-    with pytest.raises(ValueError, match=f"^connection file .*bad.json: n must be <= {MAX_N}, "
-                                         f"got {MAX_N + 1}$"):
-        load_connection(str(path))
-    buf = io.StringIO()
-    assert run(["twist-square", "--connection", str(path), "--trials", "1"],
-               stdout=buf) == USAGE_ERROR
-    assert buf.getvalue() == ""
-    assert capsys.readouterr().err.startswith("primflat: error: connection file ")
+    # every table builds all C(2n, s) index tuples, so n is bounded; matrix
+    # products cost about rank^3, so rank is bounded too
+    for field, high in (("n", MAX_N), ("rank", MAX_RANK)):
+        path.write_text(json.dumps({"n": 1, "rank": 1, "A": [["x1*dy1"]], field: high + 1}))
+        with pytest.raises(ValueError, match=f"^connection file .*bad.json: {field} must be "
+                                             f"<= {high}, got {high + 1}$"):
+            load_connection(str(path))
+        buf = io.StringIO()
+        assert run(["twist-square", "--connection", str(path), "--trials", "1"],
+                   stdout=buf) == USAGE_ERROR
+        assert buf.getvalue() == ""
+        assert capsys.readouterr().err.startswith("primflat: error: connection file ")
 
 
 def test_flatness_report(flat_file):
@@ -189,6 +192,7 @@ def test_usage_and_parse_errors_exit_one(tmp_path, flat_file, capsys):
         # every table builds all C(2n, s) index tuples, so n is bounded
         (["ainfty-check", "--n", str(MAX_N + 1), "--trials", "1"], "--n"),
         (["decompose", "--n", str(MAX_N + 1), "--form", "dx1"], "--n"),
+        (["ainfty-check", "--n", "1", "--trials", "1", "--rank", str(MAX_RANK + 1)], "--rank"),
         (["twist-square", "--connection", flat_file, "--trials", "0"], "--trials"),
         (["twist-square", "--connection", flat_file, "--max-deg", "-1"], "--max-deg"),
         # sampling draws once per unit of degree, so a huge bound is refused
@@ -248,6 +252,23 @@ def test_negative_truncation_exits_one(flat_file, capsys):
     assert "truncation must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--connection", "{n4}", "--truncation", "6"],
+    ["--connection", "{flat}", "--truncation", "1", "--margins", "0,100000"],
+], ids=["truncation", "margin"])
+def test_oversized_truncation_exits_one(tmp_path, flat_file, capsys, argv):
+    # the basis is counted, not listed, so the refusal comes at once
+    n4 = tmp_path / "n4.json"
+    n4.write_text(json.dumps({"n": 4, "rank": 1, "A": [["0"]]}))
+    argv = [{"{n4}": str(n4), "{flat}": flat_file}.get(a, a) for a in argv]
+    buf = io.StringIO()
+    assert run(["cohomology", *argv], stdout=buf) == USAGE_ERROR
+    assert buf.getvalue() == ""
+    err = capsys.readouterr().err
+    assert err.startswith("primflat: error: truncation ")
+    assert err.endswith(f" basis keys at one position, more than MAX_BASIS = {MAX_BASIS}\n")
+
+
 @pytest.mark.parametrize("margins,problem", [
     ("2", "need at least two distinct margins, got '2'"),
     ("2,2", "need at least two distinct margins, got '2,2'"),
@@ -289,11 +310,15 @@ def test_unstabilized_position_gets_a_margin_hint(tmp_path, capsys):
 
 
 # Connection texts of the pinned reports: a flat and a non-flat n = 2 file,
-# and a flat n = 1 rank-2 file whose Phi0 = [[1, 1], [0, 0]] has a kernel.
+# a flat n = 1 rank-2 file whose Phi0 = [[1, 1], [0, 0]] has a kernel, and a
+# gauged n = 1 rank-2 file with fractional coefficients.
 PINNED_CONNECTIONS = {
     "flat": {"n": 2, "rank": 2, "A": [["(x1)*dy1 + (x2)*dy2", "0"], ["0", "0"]]},
     "nonflat": {"n": 2, "rank": 1, "A": [["(x1)*dx2"]]},
     "n1": {"n": 1, "rank": 2, "A": [["x1*dy1", "x1*dy1"], ["0", "0"]]},
+    # diag(1, 0) gauged by [[1, 1/3*x1 - 1/2*y1], [0, 1]]: column scales > 1
+    "gauged": {"n": 1, "rank": 2, "A": [
+        ["(x1)*dy1", "(-1/3)*dx1 + (1/2 + 1/2*x1*y1 - 1/3*x1^2)*dy1"], ["0", "0"]]},
 }
 
 PINNED_REPORTS = [
@@ -319,6 +344,12 @@ PINNED_REPORTS = [
     ("cohomology-cone", ["cohomology", "--connection", "{n1}", "--complex", "cone",
                          "--truncation", "2"], 0,
      "69981ac591a8e9eef0df9ece156ddacd216a7173e194e6a9d161af240ba37e71"),
+    ("cohomology-prim-gauged", ["cohomology", "--connection", "{gauged}", "--complex", "prim",
+                                "--truncation", "2"], 0,
+     "87ed2b8ab30f40d4a668808092818bad45d19704c5c37184ba09129547bb6a8c"),
+    ("cohomology-cone-gauged", ["cohomology", "--connection", "{gauged}", "--complex", "cone",
+                                "--truncation", "2"], 0,
+     "19e43a2f0c5379fe29f7503e8509c58b6dc9d9deee35256ef735e64d1593eaaf"),
 ]
 
 

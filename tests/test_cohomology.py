@@ -469,6 +469,30 @@ def test_negative_truncations_are_rejected():
         exactness_witness(conn, "prim", element, D_search=-1)
 
 
+def test_oversized_truncations_are_refused_before_assembly(monkeypatch):
+    # n = 4, D = 6 with margins 2,3 would eliminate over a million keys at P3+
+    def no_columns(*args):
+        raise AssertionError("columns built for an oversized truncation")
+
+    conn = generate_flat(4, 1, [[0]])
+    size = max(_space(conn, "prim", grading).dimension(9) for grading in range(10))
+    assert size == _space(conn, "prim", 3).dimension(9) == 1_166_880 > cohomology.MAX_BASIS
+    monkeypatch.setattr(cohomology, "_differential_columns", no_columns)
+    with pytest.raises(ValueError, match=f"^truncation 6 with margin 3 needs {size} basis keys "
+                                         f"at one position, more than MAX_BASIS = {cohomology.MAX_BASIS}$"):
+        cohomology_dims(conn, "prim", D=6)
+
+
+@pytest.mark.parametrize("kind", ["prim", "cone"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dimension_counts_the_basis_keys(kind, n):
+    # the size bound counts keys without listing them
+    for grading in range(2 * n + 2):
+        space = TruncatedSpace(kind, n, 2, grading)
+        for D in range(3):
+            assert space.dimension(D) == len(space.basis_keys(D))
+
+
 @pytest.mark.parametrize("kind", ["Prim", ""])
 def test_unknown_complex_kinds_are_rejected(kind):
     # labels read every kind but "cone" as prim, columns every kind but "prim"
