@@ -57,10 +57,15 @@ same as for the true columns.  Only a preimage solve sees the scale, as an
 answer divided by it, so ``exactness_witness`` multiplies its answer back
 before the re-check.
 
-Each differential column is built and eliminated once per report: the
-sweep of one position gives its kernel at degree <= D, and its echelon,
-untracked, is the image in the next position, extended by the margin
-degrees only.
+Each differential column is built and eliminated at most once per report:
+the sweep of one position gives its kernel at degree <= D, and its echelon,
+untracked, is the image in the next position, extended one coefficient
+degree at a time (D+1, D+2, ...) and only while a kernel vector survives:
+one independent of the image and of the earlier kernel vectors.  The
+images are nested, so the survivors at s+1, probed in order, are exactly
+the survivors at s re-probed in order.  Once none survives, every larger
+margin reads 0 by that nesting (proved, not assumed), so no further column
+is built, and a position with an empty kernel builds no margin column.
 
 The coefficient model (polynomials instead of smooth functions) is a
 modeling choice of this workbench; the dimension answers match the smooth
@@ -433,7 +438,9 @@ def cohomology_dims(conn: Connection, kind: str = "prim", D: int = 5,
     For each position the kernel is exact (images are never truncated);
     exactness is tested against images from the margin-enlarged source
     truncations, and the per-margin dimensions must agree to count as
-    stabilized.  ``kind`` is "prim" or "cone"; any other raises ValueError,
+    stabilized; the image grows one degree at a time while a kernel vector
+    survives, and later margins read 0 (see the module docstring).
+    ``kind`` is "prim" or "cone"; any other raises ValueError,
     as does a position with more than ``MAX_BASIS`` keys at degree
     <= D + max(margins), before any column is built.
     """
@@ -462,29 +469,27 @@ def cohomology_dims(conn: Connection, kind: str = "prim", D: int = 5,
         next_image = sweep.untracked()
         del sweep
         dims_by_margin = dict.fromkeys(margins, len(kernel))
-        witness_coords = kernel
+        survivors = kernel
         if image is not None:
             below = _space(conn, kind, grading - 1)
             column, _ = _differential_columns(conn, kind, grading - 1)
-            previous = 0
-            for s in margins:
-                for key in below.basis_keys(D + s, above=D + previous):
-                    image.add(column(key))
-                previous = s
-                probe = image.clone()
-                survivors = []
-                for vec in kernel:
-                    if probe.add(vec) is None:
-                        survivors.append(vec)
-                dims_by_margin[s] = len(survivors)
-                witness_coords = survivors
+            # nested images: the survivors of s, re-probed, are those of s + 1
+            for s in range(margins[-1] + 1):
+                if survivors:
+                    if s:  # margin 0 probes the degree <= D image as it is
+                        for key in below.basis_keys(D + s, above=D + s - 1):
+                            image.add(column(key))
+                    probe = image.clone()
+                    survivors = [vec for vec in survivors if probe.add(vec) is None]
+                if s in dims_by_margin:
+                    dims_by_margin[s] = len(survivors)
         image = next_image
         values = [dims_by_margin[s] for s in margins]
         # the estimates shrink as the margin grows; agreement of the last
         # two consecutive margins is the stabilization criterion
         stabilized = values[-1] == values[-2]
         dim = values[-1] if stabilized else None
-        witnesses = [space.element_from_coords(vec) for vec in witness_coords]
+        witnesses = [space.element_from_coords(vec) for vec in survivors]
         reports.append(PositionReport(space.label, grading, len(kernel),
                                       dims_by_margin, stabilized, dim, witnesses))
     return CohomologyReport(kind, D, margins, reports)

@@ -206,7 +206,12 @@ class Form:
                              {idx: -poly for idx, poly in self.terms.items()})
 
     def __sub__(self, other: "Form") -> "Form":
-        return self + (-other)
+        if not isinstance(other, Form):
+            return NotImplemented
+        self._check_compatible(other)
+        degree = self.degree if self.terms else other.degree
+        negated = ((idx, -poly) for idx, poly in other.terms.items())
+        return Form._trusted(self.n, degree, add_terms(dict(self.terms), negated))
 
     def scaled(self, value: Union[Poly, Scalar]) -> "Form":
         if isinstance(value, Poly):

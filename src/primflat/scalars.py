@@ -147,7 +147,10 @@ class Poly:
         return Poly._reduced(self.n, out, den_a)
 
     def __neg__(self) -> "Poly":
-        return Poly._reduced(self.n, {mono: -c for mono, c in self.num.items()}, self.den)
+        # negation keeps gcd(den, *num) == 1, so no gcd is needed
+        poly = object.__new__(Poly)
+        poly.n, poly.num, poly.den = self.n, {mono: -c for mono, c in self.num.items()}, self.den
+        return poly
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)

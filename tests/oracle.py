@@ -4,6 +4,9 @@
 basis element and reads back its coordinates.  It shares nothing with the
 fiber-table assembly in ``primflat.cohomology`` except the truncated-space
 coordinates, so tests use it as the oracle for every table column.
+``survivors_by_margin`` builds each margin's image from those columns in a
+fresh echelon and probes the whole kernel against it, so it shares nothing
+with the degree-by-degree margin loop of ``cohomology_dims`` either.
 
 ``L_power_by_wedge`` and ``pi_p_by_wedge`` decompose a form, entrywise for
 fiber forms, by reading the ``{(r, bi): coefficient}`` coordinates of
@@ -60,6 +63,22 @@ def symbolic_column(conn, kind, space, key):
     image = (twisted_m1(conn, element, verify=False) if kind == "prim"
              else cone_d(conn, element))
     return _space(conn, kind, space.grading + 1).coords_of(image)
+
+
+def survivors_by_margin(conn, kind, grading, D, margins, kernel):
+    """``{s: survivors}`` for each margin s: the kernel vectors, fed in order
+    after every symbolic column from degree <= D + s of the position below
+    into a fresh ``FractionEchelon``, that it stores.  Every margin starts
+    over and probes the whole kernel; at grading 0 every vector survives."""
+    out = {}
+    for s in margins:
+        image = FractionEchelon()
+        if grading > 0:
+            below = _space(conn, kind, grading - 1)
+            for key in below.basis_keys(D + s):
+                image.add(symbolic_column(conn, kind, below, key))
+        out[s] = [vec for vec in kernel if image.add(vec) is None]
+    return out
 
 
 def symbolic_columns(conn, kind, grading):

@@ -21,7 +21,7 @@ from primflat.cone import cone_d
 from primflat.twist import twisted_m1
 
 from oracle import (FractionEchelon, assemble_operator, dense_gauge_rank4, diag,
-                    symbolic_column, symbolic_columns)
+                    survivors_by_margin, symbolic_column, symbolic_columns)
 
 
 def test_assemble_untwisted_functions():
@@ -363,14 +363,19 @@ SWEEP_CASES = [
      "cone", 2, (1, 2)),
     # here the per-margin dimensions at P0- differ
     ("dense-gauge-prim", dense_gauge_rank4, "prim", 0, (1, 2, 3)),
+    # margin 0 probes the degree <= D image before any margin column
+    ("gauged-cone-margin0",
+     lambda: generate_flat(1, 2, diag(1, 0), gauge=rand_unipotent(random.Random(9), 1, 2)),
+     "cone", 1, (0, 2)),
 ]
 
 
 @pytest.mark.parametrize("label,make,kind,D,margins", SWEEP_CASES,
                          ids=[case[0] for case in SWEEP_CASES])
 def test_sweep_matches_from_scratch_oracle(label, make, kind, D, margins):
-    # every kernel_dim and dims_by_margin equals a computation that builds
-    # each position's kernel and each margin's image in fresh echelons
+    # every kernel_dim, dims_by_margin and witness equals a computation that
+    # builds each position's kernel and each margin's image in fresh echelons
+    # and probes the whole kernel at every margin
     conn = make()
     report = cohomology_dims(conn, kind, D=D, stab_margins=margins)
     differing = False
@@ -384,24 +389,26 @@ def test_sweep_matches_from_scratch_oracle(label, make, kind, D, margins):
                       {} if top else symbolic_column(conn, kind, space, key), key))
                   is not None]
         assert position.kernel_dim == len(kernel)
+        survivors = survivors_by_margin(conn, kind, position.grading, D, margins, kernel)
         for s in margins:
-            expected = len(kernel)
-            if position.grading > 0:
-                below = _space(conn, kind, position.grading - 1)
-                image = Echelon()
-                for key in below.basis_keys(D + s):
-                    image.add(symbolic_column(conn, kind, below, key))
-                image_rank = image.rank
-                for vec in kernel:
-                    image.add(vec)
-                expected = image.rank - image_rank
-            assert position.dims_by_margin[s] == expected, (position.label, s)
+            assert position.dims_by_margin[s] == len(survivors[s]), (position.label, s)
+        assert [space.coords_of(w) for w in position.witnesses] == survivors[margins[-1]]
         differing |= len(set(position.dims_by_margin.values())) > 1
     if label == "dense-gauge-prim":
         assert differing
 
 
-@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["prim", "cone"])
+def test_margin_zero_probes_the_degree_D_image(kind):
+    # margin 0 is the image of degree <= D alone, below every kernel_dim
+    report = cohomology_dims(generate_flat(1, 1, [[0]]), kind, D=2, stab_margins=(0, 1))
+    assert [p.dims_by_margin for p in report.positions[1:]] == [
+        {0: 5, 1: 1}, {0: 7, 1: 4}, {0: 3, 1: 0}]
+    assert [p.kernel_dim for p in report.positions[1:]] == (
+        [10, 9, 6] if kind == "prim" else [10, 15, 6])
+    assert len(report.positions[2].witnesses) == 4
+
+
 def test_gauged_n3_table():
     # Phi0 = diag(1, 0) conjugated by g = 1 + N, N linear in x1 and y2: the
     # bottom is dim ker Phi0, the next dim coker Phi0, the rest vanishes
@@ -414,6 +421,31 @@ def test_gauged_n3_table():
         report = cohomology_dims(conn, kind, D=D, stab_margins=(2, 3))
         assert report.all_stabilized, (kind, D)
         assert report.dim_vector() == [1, 1, 0, 0, 0, 0, 0, 0], (kind, D)
+
+
+N3_TABLE = [
+    # (phi0, dim ker, dim coker)
+    ([[0]], 1, 1),
+    ([[1]], 0, 0),
+    (diag(1, 0), 1, 1),
+    ([[0, 1], [0, 0]], 1, 1),  # nilpotent
+    ([[2, 1], [0, -3]], 0, 0),  # invertible
+]
+
+
+@pytest.mark.parametrize("gauged", [False, True], ids=["frame", "gauged"])
+@pytest.mark.parametrize("phi0,dim_ker,dim_coker", N3_TABLE)
+def test_n3_dimension_table(phi0, dim_ker, dim_coker, gauged):
+    # at n = 3: dim ker Phi0 at the bottom, dim coker Phi0 next, 0 above,
+    # for both complexes, in the constant frame and in one gauge (a
+    # unipotent gauge is the identity at rank 1)
+    rank = len(phi0)
+    gauge = rand_unipotent(random.Random(31), 3, rank) if gauged else None
+    conn = generate_flat(3, rank, phi0, gauge=gauge)
+    for kind in ("prim", "cone"):
+        report = cohomology_dims(conn, kind, D=1, stab_margins=(2, 3))
+        assert report.all_stabilized, kind
+        assert report.dim_vector() == [dim_ker, dim_coker] + [0] * 6, kind
 
 
 @pytest.mark.parametrize("phi0,D,expected", [

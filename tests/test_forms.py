@@ -243,6 +243,25 @@ def test_fiber_constructors_keep_entries_and_relabel_zeros():
     assert m.entries[1][1] is dx
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_difference_equals_sum_with_negation(n):
+    # a - b adds the negated terms of b directly; it equals a + (-b), drops
+    # cancelled terms, and leaves both operands unchanged
+    rng = random.Random(70 + n)
+    for _ in range(60):
+        degree = rng.randint(0, 2)
+        a = rand_form(rng, n, degree)
+        b = rng.choice([rand_form(rng, n, degree), a, a.scaled(2), Form.zero(n, degree + 1)])
+        before = (dict(a.terms), dict(b.terms))
+        diff = a - b
+        assert diff == a + (-b) and diff.degree == (a + (-b)).degree
+        assert all(not poly.is_zero for poly in diff.terms.values())
+        assert (a.terms, b.terms) == before
+    assert (Form.zero(n, 2) - Form.dx(n, 1)).degree == 1
+    with pytest.raises(ValueError, match="degree mismatch"):
+        Form.dx(n, 1) - omega(n)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_zero_results_carry_their_algebraic_degree(n):
     from primflat.cone import ConeElement, cone_d, homotopy_G, map_g

@@ -212,6 +212,22 @@ def test_every_result_is_canonical(n):
     assert (Poly.zero(n).num, Poly.zero(n).den) == ({}, 1)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_negation_keeps_the_canonical_form(n):
+    # -p is built without a gcd: the negated numerators over the same
+    # denominator are already canonical, and p itself is left as it was
+    rng = random.Random(5000 + n)
+    for _ in range(100):
+        p = Poly(n, _rand_terms(rng, n))
+        before = (dict(p.num), p.den)
+        q = -p
+        _assert_canonical(q)
+        assert (q.num, q.den) == ({m: -c for m, c in p.num.items()}, p.den)
+        assert q.terms == {m: -c for m, c in p.terms.items()}
+        assert (p + q).is_zero and -q == p
+        assert (p.num, p.den) == before
+
+
 def test_canonical_form_makes_equality_exact():
     m = (1, 0)
     half = Poly(1, {m: Fraction(1, 2)})
