@@ -8,8 +8,24 @@ A truncated space enumerates the exact basis
 where the constant fiber forms are the primitive fiber basis at a primitive
 position and the full exterior basis of both slots at a cone position.
 Vectors over these bases are sparse dicts keyed by self-describing tuples,
-so vectors from different truncations of one position compose directly and
+(mono, fi, u) at a prim position and (slot, mono, idx, u) at a cone one, so
+vectors from different truncations of one position compose directly and
 operator images are always exact: nothing is ever projected away.
+
+Assembly and elimination run on int codes of these keys, which hash and
+compare in one step where a nested tuple goes field by field.  One report
+codes every key at one base, 1 + the largest source degree + the largest
+``connection_growth``, which no exponent of a key or of its image reaches.
+A monomial's code m is its exponents as base digits, x_0 leading; a prim
+key is (m*F + fi)*R + u and a cone key ((slot*base^2n + m)*I + rank)*R + u,
+with F the fiber dimension, I the longer index list of the two slots, rank
+the index's place in ``all_indices`` and R the rank.  Every digit stays
+below its radix, so codes sort exactly as the keys do, and elimination
+picks the same pivots and gets the same answers (see ``linalg``).
+Multiplying by a monomial adds its code times the stride F*R or I*R, and
+lowering x_c subtracts base^(2n-1-c) times it.  Codes stay in this module:
+a source key is encoded once, when it is fed, and kernel vectors,
+survivors and preimages are decoded once, before ``element_from_coords``.
 
 Dimensions are computed as
 
@@ -42,20 +58,18 @@ per (n, degree) in ``_sign_tables``.
 suite checks every table column against them, and ``exactness_witness``
 re-checks its answer with them.
 
-Columns are int dicts, so assembly does no ``Fraction`` arithmetic.  Each
-fiber table is scaled once by the lcm of its own denominators, and A and
-Phi together, once per column function, by one connection scale: the lcm
-of all their coefficient denominators.  A covariant pass multiplies its d
-part by the connection scale to match its A part, and the middle map
-multiplies Phi by the scales of its two passes, less one connection scale.
-So every column of one position is one positive int ``scale`` times the
-true column, and ``_differential_columns`` returns the two together.  A
-uniform non-zero scale changes nothing that elimination reports: the span,
-which columns are independent of the earlier ones (that depends only on
-the order), and each kernel relation normalized to ``k[tag] = 1`` are the
-same as for the true columns.  Only a preimage solve sees the scale, as an
-answer divided by it, so ``exactness_witness`` multiplies its answer back
-before the re-check.
+Columns are int dicts over codes, so assembly does no ``Fraction``
+arithmetic.  Each fiber table is scaled once by the lcm of its own
+denominators, and A and Phi together, once per column function, by one
+connection scale, the lcm of all their coefficient denominators.  A
+covariant pass multiplies its d part by it to match its A part, and the
+middle map multiplies Phi by the scales of its two passes, less one.  So
+every column of one position is one positive int ``scale`` times the true
+column, and ``_differential_columns`` returns the two together.  A uniform
+scale changes nothing that elimination reports (the span, which columns
+are independent of the earlier ones, each kernel relation normalized to
+``k[tag] = 1``); only a preimage solve comes out divided by it, so
+``exactness_witness`` multiplies its answer back before the re-check.
 
 Each differential column is built and eliminated at most once per report:
 the sweep of one position gives its kernel at degree <= D, and its echelon,
@@ -79,7 +93,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, lcm
-from operator import add
+from operator import mul
 from typing import Callable, Optional, Sequence, Union
 
 from .connection import Connection, analyze_flatness, covariant_d
@@ -129,8 +143,9 @@ class TruncatedSpace:
 
     def fiber_dimension(self) -> int:
         if self.kind == "prim":
-            _, s = grading_position(self.n, self.grading)
-            return len(primitive_fiber_basis(self.n, s))
+            # past the top of the complex (a column's target there) it is 0
+            position = grading_position(self.n, self.grading)
+            return len(primitive_fiber_basis(self.n, position[1])) if position else 0
         eta = len(all_indices(self.n, self.grading))
         xi = len(all_indices(self.n, self.grading - 1))
         return eta + xi
@@ -228,148 +243,224 @@ def _space(conn: Connection, kind: str, grading: int) -> TruncatedSpace:
     return TruncatedSpace(kind, conn.n, conn.rank, grading)
 
 
-Column = Callable[[tuple], dict]
+class _Codec:
+    """Order-preserving int codes of one position's keys at one base, laid
+    out as the module docstring says: ``stride`` is the step of one unit of
+    monomial code, ``slot`` the offset of a cone key's xi slot."""
+
+    def __init__(self, space: TruncatedSpace, base: int):
+        n, self.base, self.rank = space.n, base, space.rank
+        self.weights = [base ** (2 * n - 1 - c) for c in range(2 * n)]
+        self.indices = (None if space.kind == "prim" else
+                        (all_indices(n, space.grading), all_indices(n, space.grading - 1)))
+        fibers = space.fiber_dimension() if self.indices is None else max(map(len, self.indices))
+        self.stride = fibers * space.rank
+        self.slot = base ** (2 * n) * self.stride  # above every prim code
+
+    def mono(self, mono: Monomial) -> int:
+        """The code m of a monomial: its exponents as digits, x_0 leading."""
+        if max(mono) >= self.base:
+            raise InternalInvariantError(
+                f"exponent {max(mono)} of {mono} does not fit code base {self.base}")
+        return sum(map(mul, mono, self.weights))
+
+    def encode(self, key: tuple) -> int:
+        if self.indices is None:
+            (mono, f, u), slot = key, 0
+        else:
+            slot, mono, idx, u = key
+            f = self.indices[slot].index(idx)
+        return slot * self.slot + self.mono(mono) * self.stride + f * self.rank + u
+
+    def split(self, code: int) -> tuple[int, int, int, int]:
+        """``(slot, m, f, u)`` of a code: slot 0 at a prim position."""
+        slot, code = divmod(code, self.slot)
+        m, code = divmod(code, self.stride)
+        return (slot, m, *divmod(code, self.rank))
+
+    def decode(self, code: int) -> tuple:
+        slot, m, f, u = self.split(code)
+        mono = tuple(m // w % self.base for w in self.weights)
+        return (mono, f, u) if self.indices is None else (slot, mono, self.indices[slot][f], u)
+
+    def decoded(self, vec: Vec) -> Vec:
+        return {self.decode(code): x for code, x in vec.items()}
 
 
-def _mono_add(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
+_codec = cache(_Codec)
+
+
+def _base(conn: Connection, kind: str, degree: int) -> int:
+    """A code base above every exponent of keys of degree <= ``degree`` and of their images."""
+    return 1 + degree + max(connection_growth(conn, kind, g) for g in range(2 * conn.n + 2))
+
+
+Column = Callable[[int], dict]
 
 
 def _nonzero(out: dict) -> dict:
     return {key: x for key, x in out.items() if x}
 
 
-def _connection_terms(conn: Connection) -> tuple[list, list, int]:
+def _connection_terms(conn: Connection, codec: _Codec) -> tuple[list, list, int]:
     """A and Phi flattened by source fiber u, over ints at one scale.
 
-    ``a_terms[u]`` lists ``(c, v, mono, scale * coeff)``: the dx_c
-    coefficient of A[v][u] term by term; ``phi_terms[u]`` lists
-    ``(v, mono, scale * coeff)`` of Phi[v][u].  ``scale`` is the lcm of the
-    denominators of all coefficients of A and Phi.
+    ``a_terms[u]`` lists ``(c, v, m, scale * coeff)``: the dx_c
+    coefficient of A[v][u] term by term, m its monomial's ``codec.mono``;
+    ``phi_terms[u]`` lists ``(v, m, scale * coeff)`` of Phi[v][u].
+    ``scale`` is the lcm of the denominators of all coefficients of A and Phi.
     """
     phi = analyze_flatness(conn).Phi
     rank = range(conn.rank)
     scale = lcm(*(poly.den for matrix in (conn.A, phi) for row in matrix.entries
                   for entry in row for poly in entry.terms.values()))
-    a_terms = [[(c, v, mono, k * (scale // poly.den))
+    a_terms = [[(c, v, codec.mono(mono), k * (scale // poly.den))
                 for v in rank for (c,), poly in conn.A.entries[v][u].terms.items()
                 for mono, k in poly.num.items()] for u in rank]
-    phi_terms = [[(v, mono, k * (scale // poly.den))
+    phi_terms = [[(v, codec.mono(mono), k * (scale // poly.den))
                   for v in rank for poly in phi.entries[v][u].terms.values()
                   for mono, k in poly.num.items()] for u in rank]
     return a_terms, phi_terms, scale
 
 
-def _covariant_pass(table: FiberTable, a_terms: list, scale: int, mono: Monomial,
-                    f, u: int, coeff: int, out: dict) -> None:
-    """out += coeff * scale * T(d_A(mono (x) f (x) e_u)) for an int fiber
-    table T of dx_c /\\ . (A terms at ``scale``, see ``_connection_terms``).
+def _covariant_pass(table: FiberTable, a_terms: list, scale: int, target: _Codec,
+                    offset: int = 0) -> Callable:
+    """``apply(m, f, u, coeff, out)``: out += coeff * scale * T(d_A(mono (x)
+    f (x) e_u)), m the code of mono, in ``target`` codes plus ``offset``, for
+    an int fiber table T of dx_c /\\ . (A terms at ``scale``, see
+    ``_connection_terms``).
 
     d contributes sum_c d_c(mono) (x) T_c f (x) e_u, multiplied by scale
     so that it shares the scale of the A part, and A contributes
-    sum_{c,v} (A_c)_vu mono (x) T_c f (x) e_v.
+    sum_{c,v} (A_c)_vu mono (x) T_c f (x) e_v: lowering x_c subtracts its
+    digit weight from m, multiplying by a monomial adds its code.
     """
-    for c, e in enumerate(mono):
-        if e:
-            lowered = mono[:c] + (e - 1,) + mono[c + 1:]
-            mult = coeff * e * scale
-            for g, t in table[c][f]:
-                key = (lowered, g, u)
-                out[key] = out.get(key, 0) + mult * t
-    for c, v, amono, acoeff in a_terms[u]:
-        pairs = table[c][f]
-        if pairs:
-            shifted = _mono_add(mono, amono)
-            mult = coeff * acoeff
-            for g, t in pairs:
-                key = (shifted, g, v)
-                out[key] = out.get(key, 0) + mult * t
+    rank, stride, base = target.rank, target.stride, target.base
+    rows = [[tuple((g * rank, t) for g, t in pairs) for pairs in row] for row in table]
+    lowers = [(row, w, w * stride) for row, w in zip(rows, target.weights)]
+    shifts = [[(rows[c], m * stride + v, k) for c, v, m, k in terms] for terms in a_terms]
+
+    def apply(m: int, f: int, u: int, coeff: int, out: dict) -> None:
+        start = m * stride + offset
+        for row, w, drop in lowers:
+            e = m // w % base
+            if e:
+                at = start - drop + u
+                mult = coeff * e * scale
+                for g, t in row[f]:
+                    key = at + g
+                    out[key] = out.get(key, 0) + mult * t
+        for row, shift, k in shifts[u]:
+            pairs = row[f]
+            if pairs:
+                at = start + shift
+                mult = coeff * k
+                for g, t in pairs:
+                    key = at + g
+                    out[key] = out.get(key, 0) + mult * t
+    return apply
 
 
-def _prim_columns(conn: Connection, grading: int) -> tuple[Column, int]:
+def _prim_columns(conn: Connection, grading: int, base: int) -> tuple[Column, int]:
     n = conn.n
     side, s = grading_position(n, grading)
-    a_terms, phi_terms, scale = _connection_terms(conn)
+    source, target = (_codec(_space(conn, "prim", g), base) for g in (grading, grading + 1))
+    a_terms, phi_terms, scale = _connection_terms(conn, source)
     if side == MINUS or s < n:
         # -L^{-1} d_A above the middle, Pi d_A below it
         table, t_scale = fiber_d_table(n, s, 1 if side == MINUS else 0)
+        apply = _covariant_pass(table, a_terms, scale, target)
         sign = -1 if side == MINUS else 1
 
-        def column(key) -> dict:
+        def column(code: int) -> dict:
             out: dict = {}
-            _covariant_pass(table, a_terms, scale, *key, sign, out)
+            apply(*source.split(code)[1:], sign, out)
             return _nonzero(out)
         return column, t_scale * scale
     (lower, l_scale), (upper, u_scale) = fiber_d_table(n, n, 1), fiber_d_table(n, n - 1, 0)
+    inner_codec = _codec(_space(conn, "prim", n - 1), base)  # the inner pass ends on P^(n-1)
+    lower_pass = _covariant_pass(lower, a_terms, scale, inner_codec)
+    upper_pass = _covariant_pass(upper, a_terms, scale, target)
     # the two passes carry l_scale * u_scale * scale^2, Phi only scale
     phi_mult = l_scale * u_scale * scale
+    phi_shifts = [[(m * target.stride + v, phi_mult * k) for v, m, k in terms]
+                  for terms in phi_terms]
 
-    def middle(key) -> dict:
+    def middle(code: int) -> dict:
         # -del_plus_A del_minus_A + Phi
-        mono, fi, u = key
+        _, m, fi, u = source.split(code)
         inner: dict = {}
-        _covariant_pass(lower, a_terms, scale, mono, fi, u, 1, inner)
+        lower_pass(m, fi, u, 1, inner)
         out: dict = {}
-        for (imono, ifi, w), coeff in inner.items():
+        for icode, coeff in inner.items():
             if coeff:
-                _covariant_pass(upper, a_terms, scale, imono, ifi, w, -coeff, out)
-        for v, pmono, pcoeff in phi_terms[u]:
-            target = (_mono_add(mono, pmono), fi, v)
-            out[target] = out.get(target, 0) + phi_mult * pcoeff
+                upper_pass(*inner_codec.split(icode)[1:], -coeff, out)
+        at = m * target.stride + fi * target.rank
+        for shift, k in phi_shifts[u]:
+            out[at + shift] = out.get(at + shift, 0) + k
         return _nonzero(out)
     return middle, phi_mult * scale
 
 
 @cache
-def _sign_tables(n: int, degree: int) -> tuple[FiberTable, dict]:
-    """dx_c /\\ dx_I for each c, and omega /\\ dx_I, as (J, sign) pairs per I."""
-    def table(left: dict) -> dict:
-        return {idx: tuple(wedge_terms([(left, {idx: 1})]).items())
-                for idx in all_indices(n, degree)}
-    return [table({(c,): 1}) for c in range(2 * n)], table(omega_const(n, 1))
+def _sign_tables(n: int, degree: int) -> tuple[FiberTable, list]:
+    """dx_c /\\ dx_I for each c, and omega /\\ dx_I, as (rank of J, sign)
+    pairs per rank of I, ranks in ``all_indices`` order."""
+    def table(left: dict, shift: int) -> list:
+        ranks = {idx: j for j, idx in enumerate(all_indices(n, degree + shift))}
+        return [tuple((ranks[idx_j], sign) for idx_j, sign
+                      in wedge_terms([(left, {idx: 1})]).items())
+                for idx in all_indices(n, degree)]
+    return [table({(c,): 1}, 1) for c in range(2 * n)], table(omega_const(n, 1), 2)
 
 
-def _cone_columns(conn: Connection, grading: int) -> tuple[Column, int]:
+def _cone_columns(conn: Connection, grading: int, base: int) -> tuple[Column, int]:
     """D(eta, xi) = (d_A eta + omega /\\ xi, -(Phi eta + d_A xi)) key by key;
     the sign tables have scale 1, so every part carries the connection's."""
-    a_terms, phi_terms, scale = _connection_terms(conn)
-    d_eta = _sign_tables(conn.n, grading)[0]
+    source, target = (_codec(_space(conn, "cone", g), base) for g in (grading, grading + 1))
+    a_terms, phi_terms, scale = _connection_terms(conn, source)
+    eta_pass = _covariant_pass(_sign_tables(conn.n, grading)[0], a_terms, scale, target)
     d_xi, omega_xi = _sign_tables(conn.n, grading - 1)
+    xi_pass = _covariant_pass(d_xi, a_terms, scale, target, target.slot)
+    rank, stride = target.rank, target.stride
+    phi_shifts = [[(target.slot + m * stride + v, k) for v, m, k in terms]
+                  for terms in phi_terms]
 
-    def column(key) -> dict:
-        slot, mono, idx, u = key
-        eta: dict = {}
-        xi: dict = {}
+    def column(code: int) -> dict:
+        slot, m, i, u = source.split(code)
+        out: dict = {}
         if slot == 0:
-            _covariant_pass(d_eta, a_terms, scale, mono, idx, u, 1, eta)
-            for v, pmono, pcoeff in phi_terms[u]:
-                target = (_mono_add(mono, pmono), idx, v)
-                xi[target] = xi.get(target, 0) - pcoeff
+            eta_pass(m, i, u, 1, out)
+            at = m * stride + i * rank  # idx keeps its rank in the xi slot
+            for shift, k in phi_shifts[u]:
+                out[at + shift] = out.get(at + shift, 0) - k
         else:
-            for widx, sign in omega_xi[idx]:
-                eta[mono, widx, u] = sign * scale  # distinct widx for distinct i
-            _covariant_pass(d_xi, a_terms, scale, mono, idx, u, -1, xi)
-        return {(target, *k): x for target, part in ((0, eta), (1, xi))
-                for k, x in part.items() if x}
+            at = m * stride + u
+            for j, sign in omega_xi[i]:
+                out[at + j * rank] = sign * scale  # distinct j for distinct i
+            xi_pass(m, i, u, -1, out)
+        return _nonzero(out)
     return column, scale
 
 
-def _differential_columns(conn: Connection, kind: str, grading: int) -> tuple[Column, int]:
+def _differential_columns(conn: Connection, kind: str, grading: int,
+                          base: int) -> tuple[Column, int]:
     """``(column, scale)``: the column of the twisted differential at a
-    position, key by key, from the fiber tables, as an int dict equal to
-    ``scale`` times the true column (see the module docstring).  A broken
-    fiber table raises `InternalInvariantError` naming the position."""
+    position, code by code at ``base``, from the fiber tables, as an int
+    dict over the next position's codes equal to ``scale`` times the true
+    column (see the module docstring).  A broken fiber table raises
+    `InternalInvariantError` naming the position."""
     try:
-        return (_prim_columns if kind == "prim" else _cone_columns)(conn, grading)
+        return (_prim_columns if kind == "prim" else _cone_columns)(conn, grading, base)
     except InternalInvariantError as exc:
         raise InternalInvariantError(
             f"{position_label(kind, conn.n, grading)}: {exc}") from exc
 
 
-def _kernel_sweep(conn: Connection, kind: str, space: TruncatedSpace,
-                  D: int) -> tuple[list[Vec], Echelon, int]:
+def _kernel_sweep(conn: Connection, kind: str, space: TruncatedSpace, D: int,
+                  base: int) -> tuple[list[Vec], Echelon, int]:
     """Kernel of the differential on degree <= D, the tracked echelon of its
-    columns, and the scale of those columns.
+    columns, and the scale of those columns, all over codes at ``base``.
 
     This is the one place where differential columns are eliminated with
     tracking; kernels, images and preimages all come from its echelon.
@@ -377,8 +468,17 @@ def _kernel_sweep(conn: Connection, kind: str, space: TruncatedSpace,
     in the echelon is the true one divided by it.  At the top of the
     complex the tables give zero columns: every key is a kernel vector.
     """
-    column, scale = _differential_columns(conn, kind, space.grading)
-    return (*kernel_basis((key, column(key)) for key in space.basis_keys(D)), scale)
+    column, scale = _differential_columns(conn, kind, space.grading, base)
+    codes = map(_codec(space, base).encode, space.basis_keys(D))
+    return (*kernel_basis((code, column(code)) for code in codes), scale)
+
+
+def _check_size(spaces: Sequence[TruncatedSpace], degree: int, what: str) -> None:
+    """Refuse a position with more than ``MAX_BASIS`` keys of degree <= ``degree``."""
+    size = max(space.dimension(degree) for space in spaces)
+    if size > MAX_BASIS:
+        raise ValueError(f"{what} needs {size} basis keys at one position, more than "
+                         f"MAX_BASIS = {MAX_BASIS}")
 
 
 def connection_growth(conn: Connection, kind: str, grading: int) -> int:
@@ -456,15 +556,14 @@ def cohomology_dims(conn: Connection, kind: str = "prim", D: int = 5,
     if margins[0] < 0:
         raise ValueError("stabilization margins must be non-negative")
     n = conn.n
-    size = max(_space(conn, kind, g).dimension(D + margins[-1]) for g in range(2 * n + 2))
-    if size > MAX_BASIS:
-        raise ValueError(f"truncation {D} with margin {margins[-1]} needs {size} basis keys "
-                         f"at one position, more than MAX_BASIS = {MAX_BASIS}")
+    _check_size([_space(conn, kind, g) for g in range(2 * n + 2)], D + margins[-1],
+                f"truncation {D} with margin {margins[-1]}")
+    base = _base(conn, kind, D + margins[-1])
     reports = []
     image: Optional[Echelon] = None  # image of degree <= D from the position below
     for grading in range(0, 2 * n + 2):
         space = _space(conn, kind, grading)
-        kernel, sweep, _ = _kernel_sweep(conn, kind, space, D)
+        kernel, sweep, _ = _kernel_sweep(conn, kind, space, D, base)
         # drop the combinations before the image from below grows
         next_image = sweep.untracked()
         del sweep
@@ -472,13 +571,14 @@ def cohomology_dims(conn: Connection, kind: str = "prim", D: int = 5,
         survivors = kernel
         if image is not None:
             below = _space(conn, kind, grading - 1)
-            column, _ = _differential_columns(conn, kind, grading - 1)
+            column, _ = _differential_columns(conn, kind, grading - 1, base)
+            encode = _codec(below, base).encode
             # nested images: the survivors of s, re-probed, are those of s + 1
             for s in range(margins[-1] + 1):
                 if survivors:
                     if s:  # margin 0 probes the degree <= D image as it is
                         for key in below.basis_keys(D + s, above=D + s - 1):
-                            image.add(column(key))
+                            image.add(column(encode(key)))
                     probe = image.clone()
                     survivors = [vec for vec in survivors if probe.add(vec) is None]
                 if s in dims_by_margin:
@@ -489,7 +589,8 @@ def cohomology_dims(conn: Connection, kind: str = "prim", D: int = 5,
         # two consecutive margins is the stabilization criterion
         stabilized = values[-1] == values[-2]
         dim = values[-1] if stabilized else None
-        witnesses = [space.element_from_coords(vec) for vec in survivors]
+        witnesses = [space.element_from_coords(_codec(space, base).decoded(vec))
+                     for vec in survivors]
         reports.append(PositionReport(space.label, grading, len(kernel),
                                       dims_by_margin, stabilized, dim, witnesses))
     return CohomologyReport(kind, D, margins, reports)
@@ -522,13 +623,16 @@ def exactness_witness(conn: Connection, kind: str,
         return None
     target = _space(conn, kind, grading)
     below = _space(conn, kind, grading - 1)
-    _, ech, scale = _kernel_sweep(conn, kind, below, D_search)
+    _check_size([below], D_search, f"search truncation {D_search}")
+    base = _base(conn, kind, max(D_search, elem_degree))
+    _, ech, scale = _kernel_sweep(conn, kind, below, D_search, base)
     coords = target.coords_of(element)
-    combo = ech.solve(coords)
+    encode = _codec(target, base).encode
+    combo = ech.solve({encode(key): x for key, x in coords.items()})
     if combo is None:
         return None
     # combo writes coords in columns that are scale times the true ones
-    combo = {key: scale * coeff for key, coeff in combo.items()}
+    combo = {key: scale * x for key, x in _codec(below, base).decoded(combo).items()}
     witness = below.element_from_coords(combo)
     # the symbolic differential re-checks the table columns on the answer
     image = (twisted_m1(conn, witness, verify=False) if kind == "prim"
@@ -575,13 +679,16 @@ def closedlem_check(conn: Connection, trials: int = 100, seed: int = 0,
     lam_elem = PrimElement(PLUS, 1, lam)
     rng = random.Random(seed)
     n = conn.n
+    _check_size([_space(conn, "prim", g) for g in range(2 * n + 2)], D, f"truncation {D}")
+    base = _base(conn, "prim", D)
     reports = []
     for grading in range(0, 2 * n + 2):
         side, s = grading_position(n, grading)
         if side == MINUS and s == n:
             continue  # closedness there already makes the identity trivial
         space = _space(conn, "prim", grading)
-        kernel = _kernel_sweep(conn, "prim", space, D)[0]
+        decoded = _codec(space, base).decoded
+        kernel = [decoded(vec) for vec in _kernel_sweep(conn, "prim", space, D, base)[0]]
         label = space.label
         if not kernel:
             reports.append(ClosedIdentityReport(label, 0, 0))

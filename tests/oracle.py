@@ -37,7 +37,10 @@ contractions; neither shares code with ``forms.wedge_terms``,
 it shares no arithmetic with it, so tests compare the two.
 
 ``assemble_operator`` is the exact ``Fraction`` matrix of one differential
-between two truncations, the table columns divided by their scale;
+between two truncations, the table columns divided by their scale.  It,
+``symbolic_columns`` (the symbolic drop-in for the table columns) and
+``decoded_kernel`` meet the int key codes of ``primflat.cohomology`` only at
+their boundary, encoding source keys and decoding column keys;
 ``is_primitive_by_wedge`` tests primitivity by wedging with an omega power
 instead of contracting.
 """
@@ -50,7 +53,7 @@ from primflat import cohomology
 from primflat.ainfinity import PLUS, grading_position
 from primflat.cohomology import TruncatedSpace, _space
 from primflat.cone import cone_d
-from primflat.connection import generate_flat
+from primflat.connection import analyze_flatness, generate_flat
 from primflat.dsl import parse_form
 from primflat.errors import InternalInvariantError
 from primflat.forms import Form, MatrixForm, add_terms, all_indices, omega_power, wedge
@@ -81,11 +84,26 @@ def survivors_by_margin(conn, kind, grading, D, margins, kernel):
     return out
 
 
-def symbolic_columns(conn, kind, grading):
+def symbolic_columns(conn, kind, grading, base):
     """Drop-in for ``cohomology._differential_columns``, built symbolically
-    (so with scale 1)."""
+    (so with scale 1): each code is decoded, and the column's keys encoded,
+    at ``base``."""
     space = _space(conn, kind, grading)
-    return (lambda key: symbolic_column(conn, kind, space, key)), 1
+    source, target = codecs(conn, kind, grading, base)
+    return (lambda code: {target.encode(key): x for key, x in
+                          symbolic_column(conn, kind, space, source.decode(code)).items()}), 1
+
+
+def codecs(conn, kind, grading, base):
+    """The key codecs at ``base`` of a position and of the next one."""
+    return (cohomology._codec(_space(conn, kind, g), base) for g in (grading, grading + 1))
+
+
+def decoded_kernel(conn, kind, space, D):
+    """The kernel of ``cohomology._kernel_sweep`` at degree <= D, over keys."""
+    base = cohomology._base(conn, kind, D)
+    decoded = cohomology._codec(space, base).decoded
+    return [decoded(vec) for vec in cohomology._kernel_sweep(conn, kind, space, D, base)[0]]
 
 
 def is_primitive_by_wedge(a):
@@ -150,10 +168,16 @@ def assemble_operator(conn, kind, position, D_source, D_target: Optional[int] = 
     source = _space(conn, kind, grading)
     target = _space(conn, kind, grading + 1)
     keys = source.basis_keys(D_source)
-    column, scale = cohomology._differential_columns(conn, kind, grading)
+    # a code base from the degrees of A and Phi, not from connection_growth,
+    # so that an image escaping that bound still decodes as itself
+    degrees = [form.coefficient_degree() or 0 for form in (conn.A, analyze_flatness(conn).Phi)]
+    base = 2 + D_source + 2 * max(degrees)
+    encode = cohomology._codec(source, base).encode
+    decode = cohomology._codec(target, base).decode
+    column, scale = cohomology._differential_columns(conn, kind, grading, base)
     columns = []
     for key in keys:
-        col = {ckey: Fraction(x, scale) for ckey, x in column(key).items()}
+        col = {decode(code): Fraction(x, scale) for code, x in column(encode(key)).items()}
         for ckey in col:
             mono = ckey[0] if kind == "prim" else ckey[1]
             if sum(mono) > D_target:

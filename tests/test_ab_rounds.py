@@ -1,0 +1,39 @@
+"""Smoke tests of ``tools/ab_rounds.py``: a checkout against itself, and
+against a copy whose CLI prints one line more."""
+
+import os
+import shutil
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def ab_rounds(a, b):
+    return subprocess.run([sys.executable, os.path.join(ROOT, "tools", "ab_rounds.py"), a, b,
+                           "--workload", "frame-cohomology", "--rounds", "2"],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_a_checkout_against_itself():
+    result = ab_rounds(ROOT, ROOT)
+    assert result.returncode == 0, result.stdout + result.stderr
+    a, b, ratio = result.stdout.splitlines()
+    for line, label in ((a, "A"), (b, "B")):
+        assert line.startswith(f"{label} {ROOT}: median ")
+        assert line.endswith(" s CPU per round over 2 rounds")
+    assert ratio.startswith("B/A per round: median ")
+
+
+def test_a_side_with_other_stdout_is_refused(tmp_path):
+    # each side runs its own modules: the copy's extra line is seen
+    shutil.copytree(os.path.join(ROOT, "src", "primflat"), tmp_path / "src" / "primflat",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "primflat" / "cli.py", "a", encoding="utf-8") as handle:
+        handle.write("\n_run = run\n\n\ndef run(argv, stdout=None):\n"
+                     "    code = _run(argv, stdout=stdout)\n"
+                     "    stdout.write('one line more\\n')\n"
+                     "    return code\n")
+    result = ab_rounds(ROOT, str(tmp_path))
+    assert result.returncode == 1
+    assert result.stdout.endswith(": exit code or stdout differs between A and B\n")

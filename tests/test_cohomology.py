@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
 from primflat import cohomology, lefschetz, linalg
 from primflat.cohomology import (TruncatedSpace, closedlem_check, cohomology_dims,
-                                 exactness_witness, _kernel_sweep, _space)
+                                 exactness_witness, _space)
 from primflat.connection import Connection, analyze_flatness, generate_flat
 from primflat.dsl import parse_form
 from primflat.errors import InternalInvariantError
@@ -15,13 +16,14 @@ from primflat.forms import (Form, MatrixForm, VectorForm, all_indices, lambda_st
                             merge_indices, wedge)
 from primflat.linalg import Echelon, kernel_basis
 from primflat.sampling import rand_unipotent
-from primflat.scalars import Poly
+from primflat.scalars import Poly, monomials_up_to
 from primflat.ainfinity import PLUS, PrimElement
 from primflat.cone import cone_d
 from primflat.twist import twisted_m1
 
-from oracle import (FractionEchelon, assemble_operator, dense_gauge_rank4, diag,
-                    survivors_by_margin, symbolic_column, symbolic_columns)
+from oracle import (FractionEchelon, assemble_operator, codecs, decoded_kernel,
+                    dense_gauge_rank4, diag, survivors_by_margin, symbolic_column,
+                    symbolic_columns)
 
 
 def test_assemble_untwisted_functions():
@@ -229,7 +231,7 @@ def test_local_cohomology_proof_cases(phi0):
 
     # case 1: closed sections are constants killed by Phi
     space0 = _space(conn, "prim", 0)
-    for vec in _kernel_sweep(conn, "prim", space0, D)[0]:
+    for vec in decoded_kernel(conn, "prim", space0, D):
         beta = space0.element_from_coords(vec)
         degree = beta.payload.coefficient_degree()
         assert degree is None or degree == 0
@@ -244,14 +246,14 @@ def test_local_cohomology_proof_cases(phi0):
         lam_u[u] = lam
         elem = PrimElement(PLUS, 1, VectorForm(lam_u, 1))
         ech1.add(space1.coords_of(elem))
-    for vec in _kernel_sweep(conn, "prim", space1, D)[0]:
+    for vec in decoded_kernel(conn, "prim", space1, D):
         assert ech1.contains(vec)
 
     # cases 3, 4, 5: closed elements above are exact outright
     for grading in list(range(2, n + 1)) + list(range(n + 1, 2 * n + 2)):
         space = _space(conn, "prim", grading)
         ech = image_echelon(grading)
-        for vec in _kernel_sweep(conn, "prim", space, D)[0]:
+        for vec in decoded_kernel(conn, "prim", space, D):
             assert ech.contains(vec), (grading,)
 
 
@@ -260,7 +262,7 @@ def test_exactness_witness_for_phi_times_closed():
     phi = analyze_flatness(conn).Phi
     rng = random.Random(1)
     space = _space(conn, "prim", 1)
-    kernel = _kernel_sweep(conn, "prim", space, 3)[0]
+    kernel = decoded_kernel(conn, "prim", space, 3)
     found = tried = 0
     for _ in range(30):
         coords = {}
@@ -307,7 +309,7 @@ def test_exactness_witness_undoes_the_column_scale(kind):
     gauge = MatrixForm([[Form.const(n, 1), parse_form("1/3*x1 - 1/2*y1", n)],
                         [Form.zero(n, 0), Form.const(n, 1)]], 0)
     conn = generate_flat(n, 2, diag(1, 0), gauge=gauge)
-    assert cohomology._differential_columns(conn, kind, 0)[1] > 1
+    assert cohomology._differential_columns(conn, kind, 0, cohomology._base(conn, kind, 1))[1] > 1
     below, target = _space(conn, kind, 0), _space(conn, kind, 1)
     keys = below.basis_keys(1)
     source = below.element_from_coords({key: Fraction(i + 1, 2) for i, key in enumerate(keys)})
@@ -433,17 +435,18 @@ N3_TABLE = [
 ]
 
 
-@pytest.mark.parametrize("gauged", [False, True], ids=["frame", "gauged"])
+@pytest.mark.parametrize("gauged,D", [(False, 1), (True, 1), (False, 2), (True, 2)],
+                         ids=["frame", "gauged", "frame-D2", "gauged-D2"])
 @pytest.mark.parametrize("phi0,dim_ker,dim_coker", N3_TABLE)
-def test_n3_dimension_table(phi0, dim_ker, dim_coker, gauged):
+def test_n3_dimension_table(phi0, dim_ker, dim_coker, gauged, D):
     # at n = 3: dim ker Phi0 at the bottom, dim coker Phi0 next, 0 above,
     # for both complexes, in the constant frame and in one gauge (a
-    # unipotent gauge is the identity at rank 1)
+    # unipotent gauge is the identity at rank 1), the same at D and D + 1
     rank = len(phi0)
     gauge = rand_unipotent(random.Random(31), 3, rank) if gauged else None
     conn = generate_flat(3, rank, phi0, gauge=gauge)
     for kind in ("prim", "cone"):
-        report = cohomology_dims(conn, kind, D=1, stab_margins=(2, 3))
+        report = cohomology_dims(conn, kind, D=D, stab_margins=(2, 3))
         assert report.all_stabilized, kind
         assert report.dim_vector() == [dim_ker, dim_coker] + [0] * 6, kind
 
@@ -515,6 +518,74 @@ def test_oversized_truncations_are_refused_before_assembly(monkeypatch):
         cohomology_dims(conn, "prim", D=6)
 
 
+def test_witness_search_and_closedness_samples_keep_the_size_budget(monkeypatch):
+    # both build columns too, so both refuse n = 4, D = 9 before any is built
+    def no_columns(*args):
+        raise AssertionError("columns built for an oversized truncation")
+
+    conn = generate_flat(4, 1, [[0]])
+    space = _space(conn, "prim", 4)
+    element = space.element_from_key(space.basis_keys(0)[0])
+    size = _space(conn, "prim", 3).dimension(9)
+    monkeypatch.setattr(cohomology, "_differential_columns", no_columns)
+    tail = (f" needs {size} basis keys at one position, "
+            f"more than MAX_BASIS = {cohomology.MAX_BASIS}$")
+    with pytest.raises(ValueError, match="^search truncation 9" + tail):
+        exactness_witness(conn, "prim", element, D_search=9)
+    with pytest.raises(ValueError, match="^truncation 9" + tail):
+        closedlem_check(conn, trials=1, D=9)
+
+
+CODEC_SPACES = [(kind, n, rank) for kind in ("prim", "cone") for n in (1, 2, 3) for rank in (1, 2)]
+
+
+@pytest.mark.parametrize("kind,n,rank", CODEC_SPACES)
+def test_key_codes_round_trip_sort_as_keys_and_add_monomials(kind, n, rank):
+    # every grading, every key of degree <= D, and every shift of its
+    # monomial by one of degree <= D, at a base with room for the sum
+    D = 4 if n == 1 else 2
+    base = 2 * D + 1
+    monos = monomials_up_to(n, D)
+    at = 0 if kind == "prim" else 1  # where the monomial sits in a key
+    for grading in range(2 * n + 2):
+        space = TruncatedSpace(kind, n, rank, grading)
+        codec = cohomology._codec(space, base)
+        keys = space.basis_keys(D)
+        codes = [codec.encode(key) for key in keys]
+        assert [codec.decode(code) for code in codes] == keys
+        assert sorted(keys, key=codec.encode) == sorted(keys)
+        for key, code in zip(keys, codes):
+            for amono in monos:
+                shifted = key[:at] + (tuple(map(add, key[at], amono)),) + key[at + 1:]
+                assert codec.encode(shifted) == code + codec.stride * codec.mono(amono)
+        for c in range(2 * n):
+            # an exponent at the base would carry into the next digit
+            mono = tuple(base if i == c else 0 for i in range(2 * n))
+            with pytest.raises(InternalInvariantError, match=f"^exponent {base} of "):
+                codec.encode(keys[0][:at] + (mono,) + keys[0][at + 1:])
+
+
+@pytest.mark.parametrize("kind", ["prim", "cone"])
+def test_columns_at_the_code_bound_match_symbolic_oracle(kind):
+    # growth 8 (prim) with margins 4,5 at D = 2: every key of the top source
+    # degree 7, whose images come nearest the base, where a carry would show
+    conn = dense_gauge_rank4()
+    base = cohomology._base(conn, kind, 2 + 5)
+    assert base == {"prim": 16, "cone": 12}[kind]
+    top = 0
+    for grading in range(2 * conn.n + 2):
+        space = _space(conn, kind, grading)
+        column, scale = cohomology._differential_columns(conn, kind, grading, base)
+        source, target = codecs(conn, kind, grading, base)
+        for key in space.basis_keys(7, above=6):
+            table = column(source.encode(key))
+            expected = {k: scale * v for k, v in symbolic_column(conn, kind, space, key).items()}
+            assert len(table) == len(expected) and target.decoded(table) == expected, (grading, key)
+            top = max([top] + [max(k[0] if kind == "prim" else k[1]) for k in expected])
+    # the cone's images reach the last digit below its base
+    assert top == {"prim": 12, "cone": base - 1}[kind]
+
+
 @pytest.mark.parametrize("kind", ["prim", "cone"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_dimension_counts_the_basis_keys(kind, n):
@@ -565,16 +636,18 @@ def test_table_columns_match_symbolic_oracle(label, make, D_all, D_sample, kind)
     # each table column is an int dict, its position's scale times the true one
     conn = make()
     rng = random.Random(label)
+    base = cohomology._base(conn, kind, D_sample)
     for grading in range(2 * conn.n + 2):
         space = _space(conn, kind, grading)
-        column, scale = cohomology._differential_columns(conn, kind, grading)
+        column, scale = cohomology._differential_columns(conn, kind, grading, base)
         assert type(scale) is int and scale > 0
+        source, target = codecs(conn, kind, grading, base)
         later = space.basis_keys(D_sample, above=D_all)
         for key in space.basis_keys(D_all) + rng.sample(later, min(12, len(later))):
-            table = column(key)
+            table = column(source.encode(key))
             assert all(type(value) is int for value in table.values()), (grading, key)
             expected = {k: scale * v for k, v in symbolic_column(conn, kind, space, key).items()}
-            assert table == expected, (grading, key)
+            assert len(table) == len(expected) and target.decoded(table) == expected, (grading, key)
 
 
 @pytest.mark.parametrize("label,make,kind,D,margins", SWEEP_CASES,
@@ -627,12 +700,14 @@ def test_cone_sign_tables_match_index_merges(n):
     for degree in range(-1, 2 * n + 1):
         d_table, omega_table = cohomology._sign_tables(n, degree)
         assert cohomology._sign_tables(n, degree)[0] is d_table
-        for idx in all_indices(n, degree):
+        # the tables hold ranks in all_indices order
+        rank = {idx: i for shift in (1, 2) for i, idx in enumerate(all_indices(n, degree + shift))}
+        for i, idx in enumerate(all_indices(n, degree)):
             for c in range(2 * n):
                 merged = merge_indices((c,), idx)
-                assert d_table[c][idx] == (() if merged is None else ((merged[1], merged[0]),))
-            merges = (merge_indices((i, n + i), idx) for i in range(n))
-            assert dict(omega_table[idx]) == {j: sign for sign, j in filter(None, merges)}
+                assert d_table[c][i] == (() if merged is None else ((rank[merged[1]], merged[0]),))
+            merges = (merge_indices((k, n + k), idx) for k in range(n))
+            assert dict(omega_table[i]) == {rank[j]: sign for sign, j in filter(None, merges)}
 
 
 def test_fiber_table_check_names_position_and_component(monkeypatch):
@@ -656,6 +731,6 @@ def test_fiber_table_check_names_position_and_component(monkeypatch):
         with pytest.raises(InternalInvariantError,
                            match=r"^P1-: L\^-1\(dx0 \^ b1\) on primitive 1-forms \(n=2\) "
                                  r"has a component omega\^2 along basis form b0$"):
-            cohomology._differential_columns(conn, "prim", 4)
+            cohomology._differential_columns(conn, "prim", 4, cohomology._base(conn, "prim", 1))
     finally:
         clear_tables()
