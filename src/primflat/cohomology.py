@@ -7,25 +7,26 @@ A truncated space enumerates the exact basis
 
 where the constant fiber forms are the primitive fiber basis at a primitive
 position and the full exterior basis of both slots at a cone position.
-Vectors over these bases are sparse dicts keyed by self-describing tuples,
-(mono, fi, u) at a prim position and (slot, mono, idx, u) at a cone one, so
-vectors from different truncations of one position compose directly and
-operator images are always exact: nothing is ever projected away.
+Vectors over these bases are sparse dicts keyed by int codes of the basis
+keys, which hash and compare in one step.  A space carries the base of its
+codes, so vectors compose only between spaces at one base: one report,
+witness search or closedness check builds all its spaces at one base,
+1 + the largest source degree + the largest ``connection_growth``, which no
+exponent of a key or of its image reaches.  At that base, vectors from
+different truncations of one position compose directly and operator
+images are always exact: nothing is ever projected away.
 
-Assembly and elimination run on int codes of these keys, which hash and
-compare in one step where a nested tuple goes field by field.  One report
-codes every key at one base, 1 + the largest source degree + the largest
-``connection_growth``, which no exponent of a key or of its image reaches.
-A monomial's code m is its exponents as base digits, x_0 leading; a prim
-key is (m*F + fi)*R + u and a cone key ((slot*base^2n + m)*I + rank)*R + u,
-with F the fiber dimension, I the longer index list of the two slots, rank
-the index's place in ``all_indices`` and R the rank.  Every digit stays
-below its radix, so codes sort exactly as the keys do, and elimination
-picks the same pivots and gets the same answers (see ``linalg``).
+A key is a monomial, a fiber form f and a unit u, and at a cone position a
+slot, 0 for eta and 1 for xi.  A monomial's code m is its exponents as base
+digits, x_0 leading; a prim key is (m*F + f)*R + u, f its place in the
+primitive fiber basis, and a cone key ((slot*base^2n + m)*I + f)*R + u, f
+its index's place in ``all_indices``, with F the fiber dimension, I the
+longer index list of the two slots and R the rank.  Every digit stays below
+its radix, so codes sort exactly as their (slot, monomial, f, u) tuples.
 Multiplying by a monomial adds its code times the stride F*R or I*R, and
-lowering x_c subtracts base^(2n-1-c) times it.  Codes stay in this module:
-a source key is encoded once, when it is fed, and kernel vectors,
-survivors and preimages are decoded once, before ``element_from_coords``.
+lowering x_c subtracts base^(2n-1-c) times it.  ``basis_keys`` lists codes
+in feed order, which is not code order: the kernel basis and every witness
+depend on the feed order (see ``linalg``), the pivots on the code order.
 
 Dimensions are computed as
 
@@ -130,102 +131,137 @@ def position_label(kind: str, n: int, grading: int) -> str:
 
 @dataclass(frozen=True)
 class TruncatedSpace:
-    """Finite exact model of one position of a twisted complex."""
+    """Finite exact model of one position of a twisted complex, its basis
+    keys coded at ``base`` as the module docstring says."""
 
     kind: str  # "prim" | "cone"
     n: int
     rank: int
     grading: int
+    base: int
+
+    def __post_init__(self):
+        # the code layout of the module docstring, derived once: the digit
+        # ``weights`` of a monomial code, the ``indices`` of a cone position's
+        # two slots, the ``stride`` of one unit of monomial code, and the
+        # offset of a cone key's xi ``slot``, above every code of slot 0
+        n, base = self.n, self.base
+        indices = all_indices(n, self.grading), all_indices(n, self.grading - 1)
+        stride = self.rank * (max(map(len, indices)) if self.kind == "cone"
+                              else self.fiber_dimension())
+        for name, value in (("weights", [base ** (2 * n - 1 - c) for c in range(2 * n)]),
+                            ("indices", indices), ("stride", stride),
+                            ("slot", base ** (2 * n) * stride)):
+            object.__setattr__(self, name, value)  # derived, not fields
 
     @property
     def label(self) -> str:
         return position_label(self.kind, self.n, self.grading)
+
+    def mono(self, mono: Monomial) -> int:
+        """The code m of a monomial: its exponents as digits, x_0 leading."""
+        if max(mono) >= self.base:
+            raise InternalInvariantError(
+                f"exponent {max(mono)} of {mono} does not fit code base {self.base}")
+        return sum(map(mul, mono, self.weights))
+
+    def split(self, code: int) -> tuple[int, int, int, int]:
+        """``(slot, m, f, u)`` of a code: slot 0 at a prim position."""
+        slot, code = divmod(code, self.slot)
+        m, code = divmod(code, self.stride)
+        return (slot, m, *divmod(code, self.rank))
 
     def fiber_dimension(self) -> int:
         if self.kind == "prim":
             # past the top of the complex (a column's target there) it is 0
             position = grading_position(self.n, self.grading)
             return len(primitive_fiber_basis(self.n, position[1])) if position else 0
-        eta = len(all_indices(self.n, self.grading))
-        xi = len(all_indices(self.n, self.grading - 1))
-        return eta + xi
+        return sum(map(len, self.indices))
 
     def dimension(self, D: int) -> int:
         # C(2n + D, 2n) monomials of degree <= D, counted without listing them
         return comb(2 * self.n + D, 2 * self.n) * self.fiber_dimension() * self.rank
 
-    def basis_keys(self, D: int, above: int = -1) -> list:
-        """Basis keys with coefficient degree in (above, D], sorted."""
-        monos = [m for m in monomials_up_to(self.n, D) if sum(m) > above]
-        keys = []
+    def basis_keys(self, D: int, above: int = -1) -> list[int]:
+        """Codes of the basis keys with coefficient degree in (above, D], in
+        feed order, which is not code order: by monomial (by degree, then
+        lexicographic), fiber form, unit at a prim position; by slot, form
+        index, monomial, unit at a cone one."""
+        monos = [self.mono(m) * self.stride for m in monomials_up_to(self.n, D) if sum(m) > above]
         if self.kind == "prim":
-            _, s = grading_position(self.n, self.grading)
-            fiber = range(len(primitive_fiber_basis(self.n, s)))
-            for mono in monos:
-                for fi in fiber:
-                    for u in range(self.rank):
-                        keys.append((mono, fi, u))
-            return keys
-        for slot, degree in ((0, self.grading), (1, self.grading - 1)):
-            for idx in all_indices(self.n, degree):
-                for mono in monos:
-                    for u in range(self.rank):
-                        keys.append((slot, mono, idx, u))
-        return keys
+            return [m + fu for m in monos for fu in range(self.stride)]  # fu = f * rank + u
+        units = range(self.rank)
+        return [offset + f * self.rank + m + u
+                for offset, indices in zip((0, self.slot), self.indices)
+                for f in range(len(indices)) for m in monos for u in units]
 
     # ---------- elements <-> coordinates ----------
 
-    def element_from_key(self, key) -> Union[PrimElement, ConeElement]:
+    def element_from_key(self, key: int) -> Union[PrimElement, ConeElement]:
         # the basis element of one key; the symbolic test oracle starts here
         return self.element_from_coords({key: Fraction(1)})
 
     def element_from_coords(self, coords: Vec) -> Union[PrimElement, ConeElement]:
-        n, rank = self.n, self.rank
+        n, rank, base, weights = self.n, self.rank, self.base, self.weights
+        slots = [[dict() for _ in range(rank)] for _ in range(2)]
         if self.kind == "prim":
             side, s = grading_position(n, self.grading)
             basis = primitive_fiber_basis(n, s)
-            entries = [dict() for _ in range(rank)]
-            for (mono, fi, u), coeff in coords.items():
-                for idx, base_coeff in basis[fi].items():
-                    acc = entries[u].setdefault(idx, {})
-                    acc[mono] = acc.get(mono, Fraction(0)) + coeff * base_coeff
+        for code, coeff in coords.items():
+            slot, m, f, u = self.split(code)
+            mono = tuple(m // w % base for w in weights)
+            terms = basis[f].items() if self.kind == "prim" else ((self.indices[slot][f], 1),)
+            for idx, base_coeff in terms:
+                acc = slots[slot][u].setdefault(idx, {})
+                acc[mono] = acc.get(mono, Fraction(0)) + coeff * base_coeff
+        if self.kind == "prim":
             # a combination of primitive basis forms is primitive
             return PrimElement._trusted(side, s,
-                                        VectorForm([_form(n, s, e) for e in entries], s))
-        slots = {0: [dict() for _ in range(rank)], 1: [dict() for _ in range(rank)]}
-        for (slot, mono, idx, u), coeff in coords.items():
-            acc = slots[slot][u].setdefault(idx, {})
-            acc[mono] = acc.get(mono, Fraction(0)) + coeff
+                                        VectorForm([_form(n, s, e) for e in slots[0]], s))
         eta = [_form(n, self.grading, e) for e in slots[0]]
         xi = [_form(n, self.grading - 1, e) for e in slots[1]]
         return ConeElement(self.grading, VectorForm(eta, self.grading),
                            VectorForm(xi, self.grading - 1))
 
     def coords_of(self, element: Union[PrimElement, ConeElement, _ZeroElement]) -> Vec:
+        """The coordinates of an element of this position, over codes; an
+        element of the other complex, of another n or rank, or at another
+        position raises ValueError."""
         if isinstance(element, _ZeroElement):
             return {}
+        cone = self.kind == "cone"
+        if not isinstance(element, ConeElement if cone else PrimElement):
+            raise ValueError(f"a {type(element).__name__} is not an element of the "
+                             f"{self.kind} complex")
+        if element.n != self.n:
+            raise ValueError(f"element has n = {element.n}, the complex n = {self.n}")
+        vectors = (element.eta, element.xi) if cone else (element.payload,)
+        rank = vectors[0].rank if all(isinstance(v, VectorForm) for v in vectors) else None
+        if rank != self.rank:
+            raise ValueError(f"element has vector rank {rank}, the complex rank {self.rank}")
+        if element.grading != self.grading:
+            raise ValueError(f"element is not at {self.label}")
         out: Vec = {}
-        if self.kind == "prim":
-            side, s = grading_position(self.n, self.grading)
-            if (element.side, element.s) != (side, s):
-                raise ValueError("element is not at this position")
+        stride = self.stride
+        if not cone:
+            s = grading_position(self.n, self.grading)[1]
             for u, form in enumerate(element.payload.entries):
                 by_mono: dict[Monomial, dict] = {}
                 for idx, poly in form.terms.items():
                     for mono, coeff in poly.terms.items():
                         by_mono.setdefault(mono, {})[idx] = coeff
                 for mono, const in by_mono.items():
+                    at = self.mono(mono) * stride + u
                     for fi, coeff in primitive_fiber_coords(self.n, s, const).items():
                         if coeff:
-                            out[(mono, fi, u)] = coeff
+                            out[at + fi * rank] = coeff
             return out
-        if element.grading != self.grading:
-            raise ValueError("element is not at this grading")
-        for slot, vector in ((0, element.eta), (1, element.xi)):
+        for slot, vector in enumerate(vectors):
             for u, form in enumerate(vector.entries):
                 for idx, poly in form.terms.items():
+                    at = slot * self.slot + self.indices[slot].index(idx) * rank + u
                     for mono, coeff in poly.terms.items():
-                        out[(slot, mono, idx, u)] = coeff
+                        out[at + self.mono(mono) * stride] = coeff
         return out
 
 
@@ -239,55 +275,8 @@ def _form(n: int, degree: int, coeffs: dict) -> Form:
     return Form._trusted(n, degree, terms)
 
 
-def _space(conn: Connection, kind: str, grading: int) -> TruncatedSpace:
-    return TruncatedSpace(kind, conn.n, conn.rank, grading)
-
-
-class _Codec:
-    """Order-preserving int codes of one position's keys at one base, laid
-    out as the module docstring says: ``stride`` is the step of one unit of
-    monomial code, ``slot`` the offset of a cone key's xi slot."""
-
-    def __init__(self, space: TruncatedSpace, base: int):
-        n, self.base, self.rank = space.n, base, space.rank
-        self.weights = [base ** (2 * n - 1 - c) for c in range(2 * n)]
-        self.indices = (None if space.kind == "prim" else
-                        (all_indices(n, space.grading), all_indices(n, space.grading - 1)))
-        fibers = space.fiber_dimension() if self.indices is None else max(map(len, self.indices))
-        self.stride = fibers * space.rank
-        self.slot = base ** (2 * n) * self.stride  # above every prim code
-
-    def mono(self, mono: Monomial) -> int:
-        """The code m of a monomial: its exponents as digits, x_0 leading."""
-        if max(mono) >= self.base:
-            raise InternalInvariantError(
-                f"exponent {max(mono)} of {mono} does not fit code base {self.base}")
-        return sum(map(mul, mono, self.weights))
-
-    def encode(self, key: tuple) -> int:
-        if self.indices is None:
-            (mono, f, u), slot = key, 0
-        else:
-            slot, mono, idx, u = key
-            f = self.indices[slot].index(idx)
-        return slot * self.slot + self.mono(mono) * self.stride + f * self.rank + u
-
-    def split(self, code: int) -> tuple[int, int, int, int]:
-        """``(slot, m, f, u)`` of a code: slot 0 at a prim position."""
-        slot, code = divmod(code, self.slot)
-        m, code = divmod(code, self.stride)
-        return (slot, m, *divmod(code, self.rank))
-
-    def decode(self, code: int) -> tuple:
-        slot, m, f, u = self.split(code)
-        mono = tuple(m // w % self.base for w in self.weights)
-        return (mono, f, u) if self.indices is None else (slot, mono, self.indices[slot][f], u)
-
-    def decoded(self, vec: Vec) -> Vec:
-        return {self.decode(code): x for code, x in vec.items()}
-
-
-_codec = cache(_Codec)
+def _space(conn: Connection, kind: str, grading: int, base: int) -> TruncatedSpace:
+    return TruncatedSpace(kind, conn.n, conn.rank, grading, base)
 
 
 def _base(conn: Connection, kind: str, degree: int) -> int:
@@ -302,11 +291,11 @@ def _nonzero(out: dict) -> dict:
     return {key: x for key, x in out.items() if x}
 
 
-def _connection_terms(conn: Connection, codec: _Codec) -> tuple[list, list, int]:
+def _connection_terms(conn: Connection, space: TruncatedSpace) -> tuple[list, list, int]:
     """A and Phi flattened by source fiber u, over ints at one scale.
 
     ``a_terms[u]`` lists ``(c, v, m, scale * coeff)``: the dx_c
-    coefficient of A[v][u] term by term, m its monomial's ``codec.mono``;
+    coefficient of A[v][u] term by term, m its monomial's ``space.mono``;
     ``phi_terms[u]`` lists ``(v, m, scale * coeff)`` of Phi[v][u].
     ``scale`` is the lcm of the denominators of all coefficients of A and Phi.
     """
@@ -314,16 +303,16 @@ def _connection_terms(conn: Connection, codec: _Codec) -> tuple[list, list, int]
     rank = range(conn.rank)
     scale = lcm(*(poly.den for matrix in (conn.A, phi) for row in matrix.entries
                   for entry in row for poly in entry.terms.values()))
-    a_terms = [[(c, v, codec.mono(mono), k * (scale // poly.den))
+    a_terms = [[(c, v, space.mono(mono), k * (scale // poly.den))
                 for v in rank for (c,), poly in conn.A.entries[v][u].terms.items()
                 for mono, k in poly.num.items()] for u in rank]
-    phi_terms = [[(v, codec.mono(mono), k * (scale // poly.den))
+    phi_terms = [[(v, space.mono(mono), k * (scale // poly.den))
                   for v in rank for poly in phi.entries[v][u].terms.values()
                   for mono, k in poly.num.items()] for u in rank]
     return a_terms, phi_terms, scale
 
 
-def _covariant_pass(table: FiberTable, a_terms: list, scale: int, target: _Codec,
+def _covariant_pass(table: FiberTable, a_terms: list, scale: int, target: TruncatedSpace,
                     offset: int = 0) -> Callable:
     """``apply(m, f, u, coeff, out)``: out += coeff * scale * T(d_A(mono (x)
     f (x) e_u)), m the code of mono, in ``target`` codes plus ``offset``, for
@@ -364,7 +353,7 @@ def _covariant_pass(table: FiberTable, a_terms: list, scale: int, target: _Codec
 def _prim_columns(conn: Connection, grading: int, base: int) -> tuple[Column, int]:
     n = conn.n
     side, s = grading_position(n, grading)
-    source, target = (_codec(_space(conn, "prim", g), base) for g in (grading, grading + 1))
+    source, target = (_space(conn, "prim", g, base) for g in (grading, grading + 1))
     a_terms, phi_terms, scale = _connection_terms(conn, source)
     if side == MINUS or s < n:
         # -L^{-1} d_A above the middle, Pi d_A below it
@@ -378,8 +367,8 @@ def _prim_columns(conn: Connection, grading: int, base: int) -> tuple[Column, in
             return _nonzero(out)
         return column, t_scale * scale
     (lower, l_scale), (upper, u_scale) = fiber_d_table(n, n, 1), fiber_d_table(n, n - 1, 0)
-    inner_codec = _codec(_space(conn, "prim", n - 1), base)  # the inner pass ends on P^(n-1)
-    lower_pass = _covariant_pass(lower, a_terms, scale, inner_codec)
+    inner_space = _space(conn, "prim", n - 1, base)  # the inner pass ends on P^(n-1)
+    lower_pass = _covariant_pass(lower, a_terms, scale, inner_space)
     upper_pass = _covariant_pass(upper, a_terms, scale, target)
     # the two passes carry l_scale * u_scale * scale^2, Phi only scale
     phi_mult = l_scale * u_scale * scale
@@ -394,7 +383,7 @@ def _prim_columns(conn: Connection, grading: int, base: int) -> tuple[Column, in
         out: dict = {}
         for icode, coeff in inner.items():
             if coeff:
-                upper_pass(*inner_codec.split(icode)[1:], -coeff, out)
+                upper_pass(*inner_space.split(icode)[1:], -coeff, out)
         at = m * target.stride + fi * target.rank
         for shift, k in phi_shifts[u]:
             out[at + shift] = out.get(at + shift, 0) + k
@@ -417,7 +406,7 @@ def _sign_tables(n: int, degree: int) -> tuple[FiberTable, list]:
 def _cone_columns(conn: Connection, grading: int, base: int) -> tuple[Column, int]:
     """D(eta, xi) = (d_A eta + omega /\\ xi, -(Phi eta + d_A xi)) key by key;
     the sign tables have scale 1, so every part carries the connection's."""
-    source, target = (_codec(_space(conn, "cone", g), base) for g in (grading, grading + 1))
+    source, target = (_space(conn, "cone", g, base) for g in (grading, grading + 1))
     a_terms, phi_terms, scale = _connection_terms(conn, source)
     eta_pass = _covariant_pass(_sign_tables(conn.n, grading)[0], a_terms, scale, target)
     d_xi, omega_xi = _sign_tables(conn.n, grading - 1)
@@ -457,10 +446,10 @@ def _differential_columns(conn: Connection, kind: str, grading: int,
             f"{position_label(kind, conn.n, grading)}: {exc}") from exc
 
 
-def _kernel_sweep(conn: Connection, kind: str, space: TruncatedSpace, D: int,
-                  base: int) -> tuple[list[Vec], Echelon, int]:
+def _kernel_sweep(conn: Connection, kind: str, space: TruncatedSpace,
+                  D: int) -> tuple[list[Vec], Echelon, int]:
     """Kernel of the differential on degree <= D, the tracked echelon of its
-    columns, and the scale of those columns, all over codes at ``base``.
+    columns, and the scale of those columns, all over codes at the space's base.
 
     This is the one place where differential columns are eliminated with
     tracking; kernels, images and preimages all come from its echelon.
@@ -468,9 +457,8 @@ def _kernel_sweep(conn: Connection, kind: str, space: TruncatedSpace, D: int,
     in the echelon is the true one divided by it.  At the top of the
     complex the tables give zero columns: every key is a kernel vector.
     """
-    column, scale = _differential_columns(conn, kind, space.grading, base)
-    codes = map(_codec(space, base).encode, space.basis_keys(D))
-    return (*kernel_basis((code, column(code)) for code in codes), scale)
+    column, scale = _differential_columns(conn, kind, space.grading, space.base)
+    return (*kernel_basis((code, column(code)) for code in space.basis_keys(D)), scale)
 
 
 def _check_size(spaces: Sequence[TruncatedSpace], degree: int, what: str) -> None:
@@ -556,41 +544,38 @@ def cohomology_dims(conn: Connection, kind: str = "prim", D: int = 5,
     if margins[0] < 0:
         raise ValueError("stabilization margins must be non-negative")
     n = conn.n
-    _check_size([_space(conn, kind, g) for g in range(2 * n + 2)], D + margins[-1],
-                f"truncation {D} with margin {margins[-1]}")
     base = _base(conn, kind, D + margins[-1])
+    _check_size([_space(conn, kind, g, base) for g in range(2 * n + 2)], D + margins[-1],
+                f"truncation {D} with margin {margins[-1]}")
     reports = []
     image: Optional[Echelon] = None  # image of degree <= D from the position below
     for grading in range(0, 2 * n + 2):
-        space = _space(conn, kind, grading)
-        kernel, sweep, _ = _kernel_sweep(conn, kind, space, D, base)
+        space = _space(conn, kind, grading, base)
+        kernel, sweep, _ = _kernel_sweep(conn, kind, space, D)
         # drop the combinations before the image from below grows
         next_image = sweep.untracked()
         del sweep
         dims_by_margin = dict.fromkeys(margins, len(kernel))
         survivors = kernel
         if image is not None:
-            below = _space(conn, kind, grading - 1)
             column, _ = _differential_columns(conn, kind, grading - 1, base)
-            encode = _codec(below, base).encode
             # nested images: the survivors of s, re-probed, are those of s + 1
             for s in range(margins[-1] + 1):
                 if survivors:
                     if s:  # margin 0 probes the degree <= D image as it is
-                        for key in below.basis_keys(D + s, above=D + s - 1):
-                            image.add(column(encode(key)))
+                        for code in below.basis_keys(D + s, above=D + s - 1):
+                            image.add(column(code))
                     probe = image.clone()
                     survivors = [vec for vec in survivors if probe.add(vec) is None]
                 if s in dims_by_margin:
                     dims_by_margin[s] = len(survivors)
-        image = next_image
+        image, below = next_image, space
         values = [dims_by_margin[s] for s in margins]
         # the estimates shrink as the margin grows; agreement of the last
         # two consecutive margins is the stabilization criterion
         stabilized = values[-1] == values[-2]
         dim = values[-1] if stabilized else None
-        witnesses = [space.element_from_coords(_codec(space, base).decoded(vec))
-                     for vec in survivors]
+        witnesses = [space.element_from_coords(vec) for vec in survivors]
         reports.append(PositionReport(space.label, grading, len(kernel),
                                       dims_by_margin, stabilized, dim, witnesses))
     return CohomologyReport(kind, D, margins, reports)
@@ -606,33 +591,27 @@ def exactness_witness(conn: Connection, kind: str,
     most two degrees.
     """
     _check_kind(kind)
-    if isinstance(element, ConeElement):
-        grading = element.grading
-        elem_degree = max(
-            (d for d in (element.eta.coefficient_degree(),
-                         element.xi.coefficient_degree()) if d is not None),
-            default=0)
-    else:
-        grading = element.grading
-        elem_degree = element.payload.coefficient_degree() or 0
+    grading = element.grading
+    parts = (element.eta, element.xi) if isinstance(element, ConeElement) else (element.payload,)
+    elem_degree = max((d for d in (p.coefficient_degree() for p in parts) if d is not None),
+                      default=0)
     if D_search is None:
         D_search = elem_degree + 2
     if D_search < 0:
         raise ValueError(f"search truncation must be >= 0, got {D_search}")
+    base = _base(conn, kind, max(D_search, elem_degree))
+    target = _space(conn, kind, grading, base)
+    coords = target.coords_of(element)  # an element of another complex raises here
     if grading == 0:
         return None
-    target = _space(conn, kind, grading)
-    below = _space(conn, kind, grading - 1)
+    below = _space(conn, kind, grading - 1, base)
     _check_size([below], D_search, f"search truncation {D_search}")
-    base = _base(conn, kind, max(D_search, elem_degree))
-    _, ech, scale = _kernel_sweep(conn, kind, below, D_search, base)
-    coords = target.coords_of(element)
-    encode = _codec(target, base).encode
-    combo = ech.solve({encode(key): x for key, x in coords.items()})
+    _, ech, scale = _kernel_sweep(conn, kind, below, D_search)
+    combo = ech.solve(coords)
     if combo is None:
         return None
     # combo writes coords in columns that are scale times the true ones
-    combo = {key: scale * x for key, x in _codec(below, base).decoded(combo).items()}
+    combo = {code: scale * x for code, x in combo.items()}
     witness = below.element_from_coords(combo)
     # the symbolic differential re-checks the table columns on the answer
     image = (twisted_m1(conn, witness, verify=False) if kind == "prim"
@@ -679,16 +658,15 @@ def closedlem_check(conn: Connection, trials: int = 100, seed: int = 0,
     lam_elem = PrimElement(PLUS, 1, lam)
     rng = random.Random(seed)
     n = conn.n
-    _check_size([_space(conn, "prim", g) for g in range(2 * n + 2)], D, f"truncation {D}")
     base = _base(conn, "prim", D)
+    _check_size([_space(conn, "prim", g, base) for g in range(2 * n + 2)], D, f"truncation {D}")
     reports = []
     for grading in range(0, 2 * n + 2):
         side, s = grading_position(n, grading)
         if side == MINUS and s == n:
             continue  # closedness there already makes the identity trivial
-        space = _space(conn, "prim", grading)
-        decoded = _codec(space, base).decoded
-        kernel = [decoded(vec) for vec in _kernel_sweep(conn, "prim", space, D, base)[0]]
+        space = _space(conn, "prim", grading, base)
+        kernel = _kernel_sweep(conn, "prim", space, D)[0]
         label = space.label
         if not kernel:
             reports.append(ClosedIdentityReport(label, 0, 0))

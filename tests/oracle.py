@@ -37,12 +37,14 @@ contractions; neither shares code with ``forms.wedge_terms``,
 it shares no arithmetic with it, so tests compare the two.
 
 ``assemble_operator`` is the exact ``Fraction`` matrix of one differential
-between two truncations, the table columns divided by their scale.  It,
-``symbolic_columns`` (the symbolic drop-in for the table columns) and
-``decoded_kernel`` meet the int key codes of ``primflat.cohomology`` only at
-their boundary, encoding source keys and decoding column keys;
-``is_primitive_by_wedge`` tests primitivity by wedging with an omega power
-instead of contracting.
+between two truncations, the table columns divided by their scale, and
+``symbolic_columns`` is the symbolic drop-in for the table columns.  Every
+vector here is keyed by the int codes of ``primflat.cohomology``: a
+truncated space carries its code base, and vectors compose only between
+spaces at one base, so each helper builds its spaces at the base of the
+space or the call it is given; ``assemble_operator`` picks its own, from
+the degrees of A and Phi.  ``is_primitive_by_wedge`` tests primitivity by
+wedging with an omega power instead of contracting.
 """
 
 from dataclasses import dataclass
@@ -65,19 +67,20 @@ def symbolic_column(conn, kind, space, key):
     element = space.element_from_key(key)
     image = (twisted_m1(conn, element, verify=False) if kind == "prim"
              else cone_d(conn, element))
-    return _space(conn, kind, space.grading + 1).coords_of(image)
+    return _space(conn, kind, space.grading + 1, space.base).coords_of(image)
 
 
-def survivors_by_margin(conn, kind, grading, D, margins, kernel):
-    """``{s: survivors}`` for each margin s: the kernel vectors, fed in order
-    after every symbolic column from degree <= D + s of the position below
-    into a fresh ``FractionEchelon``, that it stores.  Every margin starts
-    over and probes the whole kernel; at grading 0 every vector survives."""
+def survivors_by_margin(conn, kind, space, D, margins, kernel):
+    """``{s: survivors}`` for each margin s: the kernel vectors of ``space``,
+    fed in order after every symbolic column from degree <= D + s of the
+    position below into a fresh ``FractionEchelon``, that it stores.  Every
+    margin starts over and probes the whole kernel; at grading 0 every
+    vector survives."""
     out = {}
     for s in margins:
         image = FractionEchelon()
-        if grading > 0:
-            below = _space(conn, kind, grading - 1)
+        if space.grading > 0:
+            below = _space(conn, kind, space.grading - 1, space.base)
             for key in below.basis_keys(D + s):
                 image.add(symbolic_column(conn, kind, below, key))
         out[s] = [vec for vec in kernel if image.add(vec) is None]
@@ -86,24 +89,9 @@ def survivors_by_margin(conn, kind, grading, D, margins, kernel):
 
 def symbolic_columns(conn, kind, grading, base):
     """Drop-in for ``cohomology._differential_columns``, built symbolically
-    (so with scale 1): each code is decoded, and the column's keys encoded,
-    at ``base``."""
-    space = _space(conn, kind, grading)
-    source, target = codecs(conn, kind, grading, base)
-    return (lambda code: {target.encode(key): x for key, x in
-                          symbolic_column(conn, kind, space, source.decode(code)).items()}), 1
-
-
-def codecs(conn, kind, grading, base):
-    """The key codecs at ``base`` of a position and of the next one."""
-    return (cohomology._codec(_space(conn, kind, g), base) for g in (grading, grading + 1))
-
-
-def decoded_kernel(conn, kind, space, D):
-    """The kernel of ``cohomology._kernel_sweep`` at degree <= D, over keys."""
-    base = cohomology._base(conn, kind, D)
-    decoded = cohomology._codec(space, base).decoded
-    return [decoded(vec) for vec in cohomology._kernel_sweep(conn, kind, space, D, base)[0]]
+    (so with scale 1)."""
+    space = _space(conn, kind, grading, base)
+    return (lambda code: symbolic_column(conn, kind, space, code)), 1
 
 
 def is_primitive_by_wedge(a):
@@ -165,25 +153,22 @@ def assemble_operator(conn, kind, position, D_source, D_target: Optional[int] = 
     if D_target < required:
         raise ValueError(
             f"insufficient target truncation: need >= {required}, got {D_target}")
-    source = _space(conn, kind, grading)
-    target = _space(conn, kind, grading + 1)
-    keys = source.basis_keys(D_source)
     # a code base from the degrees of A and Phi, not from connection_growth,
-    # so that an image escaping that bound still decodes as itself
+    # so that an image escaping that bound still reads as itself
     degrees = [form.coefficient_degree() or 0 for form in (conn.A, analyze_flatness(conn).Phi)]
     base = 2 + D_source + 2 * max(degrees)
-    encode = cohomology._codec(source, base).encode
-    decode = cohomology._codec(target, base).decode
+    source, target = (_space(conn, kind, g, base) for g in (grading, grading + 1))
+    keys = source.basis_keys(D_source)
     column, scale = cohomology._differential_columns(conn, kind, grading, base)
     columns = []
     for key in keys:
-        col = {decode(code): Fraction(x, scale) for code, x in column(encode(key)).items()}
-        for ckey in col:
-            mono = ckey[0] if kind == "prim" else ckey[1]
-            if sum(mono) > D_target:
+        col = {code: Fraction(x, scale) for code, x in column(key).items()}
+        for code in col:
+            m = target.split(code)[1]
+            if sum(m // w % base for w in target.weights) > D_target:
                 raise InternalInvariantError(
-                    f"{source.label}: image of source key {key!r} escaped the "
-                    f"declared target truncation {D_target} at target key {ckey!r}")
+                    f"{source.label}: image of source key {source.split(key)} escaped the "
+                    f"declared target truncation {D_target} at target key {target.split(code)}")
         columns.append(col)
     return LinOpMatrix(source, target, D_source, D_target, keys, columns)
 

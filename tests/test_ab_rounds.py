@@ -1,6 +1,7 @@
 """Smoke tests of ``tools/ab_rounds.py``: a checkout against itself, and
 against a copy whose CLI prints one line more."""
 
+import glob
 import os
 import shutil
 import subprocess
@@ -19,9 +20,13 @@ def test_a_checkout_against_itself():
     result = ab_rounds(ROOT, ROOT)
     assert result.returncode == 0, result.stdout + result.stderr
     a, b, ratio = result.stdout.splitlines()
+    lines = 0
+    for path in glob.glob(os.path.join(ROOT, "src", "primflat", "*.py")):
+        with open(path, encoding="utf-8") as handle:
+            lines += len(handle.read().splitlines())
     for line, label in ((a, "A"), (b, "B")):
         assert line.startswith(f"{label} {ROOT}: median ")
-        assert line.endswith(" s CPU per round over 2 rounds")
+        assert line.endswith(f" s CPU per round over 2 rounds, {lines} lines in src/primflat/*.py")
     assert ratio.startswith("B/A per round: median ")
 
 

@@ -1,6 +1,7 @@
 """Truncated-space cohomology: operators, dimensions, witnesses."""
 
 import random
+import re
 from fractions import Fraction
 from operator import add
 
@@ -8,7 +9,7 @@ import pytest
 
 from primflat import cohomology, lefschetz, linalg
 from primflat.cohomology import (TruncatedSpace, closedlem_check, cohomology_dims,
-                                 exactness_witness, _space)
+                                 exactness_witness, _base, _kernel_sweep, _space)
 from primflat.connection import Connection, analyze_flatness, generate_flat
 from primflat.dsl import parse_form
 from primflat.errors import InternalInvariantError
@@ -17,13 +18,12 @@ from primflat.forms import (Form, MatrixForm, VectorForm, all_indices, lambda_st
 from primflat.linalg import Echelon, kernel_basis
 from primflat.sampling import rand_unipotent
 from primflat.scalars import Poly, monomials_up_to
-from primflat.ainfinity import PLUS, PrimElement
-from primflat.cone import cone_d
+from primflat.ainfinity import PLUS, PrimElement, grading_position
+from primflat.cone import ConeElement, cone_d
 from primflat.twist import twisted_m1
 
-from oracle import (FractionEchelon, assemble_operator, codecs, decoded_kernel,
-                    dense_gauge_rank4, diag, survivors_by_margin, symbolic_column,
-                    symbolic_columns)
+from oracle import (FractionEchelon, assemble_operator, dense_gauge_rank4, diag,
+                    survivors_by_margin, symbolic_column, symbolic_columns)
 
 
 def test_assemble_untwisted_functions():
@@ -42,8 +42,7 @@ def test_assemble_canonical_frame_kernel():
     matrix = assemble_operator(conn, "prim", (PLUS, 0), D_source=3)
     kernel, _ = kernel_basis(zip(matrix.source_keys, matrix.columns))
     assert len(kernel) == 1
-    space = _space(conn, "prim", 0)
-    element = space.element_from_coords(kernel[0])
+    element = matrix.source.element_from_coords(kernel[0])
     # the kernel vector is a constant section spanning ker Phi0 = e2
     assert element.payload.entries[0].is_zero
     assert element.payload.entries[1].coefficient_degree() == 0
@@ -52,8 +51,8 @@ def test_assemble_canonical_frame_kernel():
 def test_assemble_matrix_shape():
     conn = generate_flat(2, 2, diag(1, 0))
     matrix = assemble_operator(conn, "prim", (PLUS, 1), D_source=2)
-    space = TruncatedSpace("prim", 2, 2, 1)
-    target = TruncatedSpace("prim", 2, 2, 2)
+    space = TruncatedSpace("prim", 2, 2, 1, matrix.source.base)
+    target = TruncatedSpace("prim", 2, 2, 2, matrix.source.base)
     assert matrix.num_cols == space.dimension(2) == len(matrix.source_keys)
     assert matrix.num_rows == target.dimension(matrix.D_target)
     assert matrix.D_target == 2 + 1  # coefficient degree of lambda is 1
@@ -68,7 +67,7 @@ def test_assemble_rejects_insufficient_target():
 def test_space_coords_round_trip():
     conn = generate_flat(2, 2, diag(1, 3))
     for grading in range(0, 6):
-        space = _space(conn, "prim", grading)
+        space = _space(conn, "prim", grading, _base(conn, "prim", 2))
         rng = random.Random(grading)
         keys = space.basis_keys(2)
         coords = {}
@@ -77,7 +76,7 @@ def test_space_coords_round_trip():
         element = space.element_from_coords(coords)
         assert space.coords_of(element) == coords
     for grading in range(0, 6):
-        space = _space(conn, "cone", grading)
+        space = _space(conn, "cone", grading, _base(conn, "cone", 2))
         rng = random.Random(10 + grading)
         keys = space.basis_keys(2)
         coords = {}
@@ -139,8 +138,8 @@ def test_untwisted_rank_one_dimensions_and_lambda_class():
     # the P1+ witness generates the same class as lambda itself
     lam_elem = PrimElement(PLUS, 1, VectorForm([lambda_standard(n)], 1))
     assert twisted_m1(conn, lam_elem).is_zero
-    space1 = _space(conn, "prim", 1)
-    space0 = _space(conn, "prim", 0)
+    base = _base(conn, "prim", 4 + 3)
+    space1, space0 = _space(conn, "prim", 1, base), _space(conn, "prim", 0, base)
     ech = Echelon()
     for key in space0.basis_keys(4 + 3):
         ech.add(symbolic_column(conn, "prim", space0, key))
@@ -168,15 +167,13 @@ def test_cone_class_generator_at_grading_one():
     position = report.positions[1]
     assert position.dim == 1 and len(position.witnesses) == 1
     lam = lambda_standard(n)
-    generator = None
-    from primflat.cone import ConeElement
     generator = ConeElement(
         1,
         VectorForm([Form.zero(n, 1), lam], 1),
         VectorForm([Form.zero(n, 0), Form.const(n, -1)], 0))
     assert cone_d(conn, generator).is_zero
-    space1 = _space(conn, "cone", 1)
-    space0 = _space(conn, "cone", 0)
+    base = _base(conn, "cone", 3 + 3)
+    space1, space0 = _space(conn, "cone", 1, base), _space(conn, "cone", 0, base)
     ech = Echelon()
     for key in space0.basis_keys(3 + 3):
         ech.add(symbolic_column(conn, "cone", space0, key))
@@ -221,17 +218,18 @@ def test_local_cohomology_proof_cases(phi0):
     conn = generate_flat(n, r, phi0)
     phi = analyze_flatness(conn).Phi
     lam = lambda_standard(n)
+    base = _base(conn, "prim", D + 3)
 
     def image_echelon(grading):
-        below = _space(conn, "prim", grading - 1)
+        below = _space(conn, "prim", grading - 1, base)
         ech = Echelon()
         for key in below.basis_keys(D + 3):
             ech.add(symbolic_column(conn, "prim", below, key))
         return ech
 
     # case 1: closed sections are constants killed by Phi
-    space0 = _space(conn, "prim", 0)
-    for vec in decoded_kernel(conn, "prim", space0, D):
+    space0 = _space(conn, "prim", 0, base)
+    for vec in _kernel_sweep(conn, "prim", space0, D)[0]:
         beta = space0.element_from_coords(vec)
         degree = beta.payload.coefficient_degree()
         assert degree is None or degree == 0
@@ -239,21 +237,21 @@ def test_local_cohomology_proof_cases(phi0):
 
     # case 2: closed primitive 1-forms are exact modulo constant
     # multiples of the potential
-    space1 = _space(conn, "prim", 1)
+    space1 = _space(conn, "prim", 1, base)
     ech1 = image_echelon(1)
     for u in range(r):
         lam_u = [Form.zero(n, 1)] * r
         lam_u[u] = lam
         elem = PrimElement(PLUS, 1, VectorForm(lam_u, 1))
         ech1.add(space1.coords_of(elem))
-    for vec in decoded_kernel(conn, "prim", space1, D):
+    for vec in _kernel_sweep(conn, "prim", space1, D)[0]:
         assert ech1.contains(vec)
 
     # cases 3, 4, 5: closed elements above are exact outright
     for grading in list(range(2, n + 1)) + list(range(n + 1, 2 * n + 2)):
-        space = _space(conn, "prim", grading)
+        space = _space(conn, "prim", grading, base)
         ech = image_echelon(grading)
-        for vec in decoded_kernel(conn, "prim", space, D):
+        for vec in _kernel_sweep(conn, "prim", space, D)[0]:
             assert ech.contains(vec), (grading,)
 
 
@@ -261,8 +259,8 @@ def test_exactness_witness_for_phi_times_closed():
     conn = generate_flat(2, 2, diag(1, 0))
     phi = analyze_flatness(conn).Phi
     rng = random.Random(1)
-    space = _space(conn, "prim", 1)
-    kernel = decoded_kernel(conn, "prim", space, 3)
+    space = _space(conn, "prim", 1, _base(conn, "prim", 3))
+    kernel = _kernel_sweep(conn, "prim", space, 3)[0]
     found = tried = 0
     for _ in range(30):
         coords = {}
@@ -309,8 +307,9 @@ def test_exactness_witness_undoes_the_column_scale(kind):
     gauge = MatrixForm([[Form.const(n, 1), parse_form("1/3*x1 - 1/2*y1", n)],
                         [Form.zero(n, 0), Form.const(n, 1)]], 0)
     conn = generate_flat(n, 2, diag(1, 0), gauge=gauge)
-    assert cohomology._differential_columns(conn, kind, 0, cohomology._base(conn, kind, 1))[1] > 1
-    below, target = _space(conn, kind, 0), _space(conn, kind, 1)
+    base = _base(conn, kind, 1)
+    assert cohomology._differential_columns(conn, kind, 0, base)[1] > 1
+    below, target = _space(conn, kind, 0, base), _space(conn, kind, 1, base)
     keys = below.basis_keys(1)
     source = below.element_from_coords({key: Fraction(i + 1, 2) for i, key in enumerate(keys)})
 
@@ -380,9 +379,10 @@ def test_sweep_matches_from_scratch_oracle(label, make, kind, D, margins):
     # and probes the whole kernel at every margin
     conn = make()
     report = cohomology_dims(conn, kind, D=D, stab_margins=margins)
+    base = _base(conn, kind, D + margins[-1])
     differing = False
     for position in report.positions:
-        space = _space(conn, kind, position.grading)
+        space = _space(conn, kind, position.grading, base)
         keys = space.basis_keys(D)
         top = position.grading == 2 * conn.n + 1
         tracked = Echelon(track=True)
@@ -391,7 +391,7 @@ def test_sweep_matches_from_scratch_oracle(label, make, kind, D, margins):
                       {} if top else symbolic_column(conn, kind, space, key), key))
                   is not None]
         assert position.kernel_dim == len(kernel)
-        survivors = survivors_by_margin(conn, kind, position.grading, D, margins, kernel)
+        survivors = survivors_by_margin(conn, kind, space, D, margins, kernel)
         for s in margins:
             assert position.dims_by_margin[s] == len(survivors[s]), (position.label, s)
         assert [space.coords_of(w) for w in position.witnesses] == survivors[margins[-1]]
@@ -510,8 +510,9 @@ def test_oversized_truncations_are_refused_before_assembly(monkeypatch):
         raise AssertionError("columns built for an oversized truncation")
 
     conn = generate_flat(4, 1, [[0]])
-    size = max(_space(conn, "prim", grading).dimension(9) for grading in range(10))
-    assert size == _space(conn, "prim", 3).dimension(9) == 1_166_880 > cohomology.MAX_BASIS
+    base = _base(conn, "prim", 9)
+    size = max(_space(conn, "prim", grading, base).dimension(9) for grading in range(10))
+    assert size == _space(conn, "prim", 3, base).dimension(9) == 1_166_880 > cohomology.MAX_BASIS
     monkeypatch.setattr(cohomology, "_differential_columns", no_columns)
     with pytest.raises(ValueError, match=f"^truncation 6 with margin 3 needs {size} basis keys "
                                          f"at one position, more than MAX_BASIS = {cohomology.MAX_BASIS}$"):
@@ -524,9 +525,10 @@ def test_witness_search_and_closedness_samples_keep_the_size_budget(monkeypatch)
         raise AssertionError("columns built for an oversized truncation")
 
     conn = generate_flat(4, 1, [[0]])
-    space = _space(conn, "prim", 4)
+    base = _base(conn, "prim", 9)
+    space = _space(conn, "prim", 4, base)
     element = space.element_from_key(space.basis_keys(0)[0])
-    size = _space(conn, "prim", 3).dimension(9)
+    size = _space(conn, "prim", 3, base).dimension(9)
     monkeypatch.setattr(cohomology, "_differential_columns", no_columns)
     tail = (f" needs {size} basis keys at one position, "
             f"more than MAX_BASIS = {cohomology.MAX_BASIS}$")
@@ -539,6 +541,41 @@ def test_witness_search_and_closedness_samples_keep_the_size_budget(monkeypatch)
 CODEC_SPACES = [(kind, n, rank) for kind in ("prim", "cone") for n in (1, 2, 3) for rank in (1, 2)]
 
 
+def feed_order(space, D):
+    """The ``(slot, mono, f, u)`` digit tuple of each basis key of degree <= D,
+    in the order the report feeds them: by monomial (by degree, then
+    lexicographic), fiber form, unit at a prim position; by slot, form
+    index, monomial, unit at a cone one.  Slot 0 at a prim position."""
+    n, units, monos = space.n, range(space.rank), monomials_up_to(space.n, D)
+    if space.kind == "prim":
+        fibers = range(space.fiber_dimension())
+        return [(0, mono, f, u) for mono in monos for f in fibers for u in units]
+    return [(slot, mono, f, u) for slot in (0, 1)
+            for f in range(len(all_indices(n, space.grading - slot)))
+            for mono in monos for u in units]
+
+
+def basis_element(space, slot, mono, f, u):
+    """mono (x) (fiber form f) (x) e_u at a position, built from forms."""
+    n, poly = space.n, Poly(space.n, {mono: 1})
+    if space.kind == "prim":
+        side, s = grading_position(n, space.grading)
+        entries = [Form.zero(n, s)] * space.rank
+        entries[u] = Form(n, s, {idx: poly.scaled(c) for idx, c
+                                 in lefschetz.primitive_fiber_basis(n, s)[f].items()})
+        return PrimElement(side, s, VectorForm(entries, s))
+    degrees = (space.grading, space.grading - 1)
+    slots = [[Form.zero(n, degree)] * space.rank for degree in degrees]
+    slots[slot][u] = Form(n, degrees[slot], {all_indices(n, degrees[slot])[f]: poly})
+    return ConeElement(space.grading, *map(VectorForm, slots, degrees))
+
+
+def exponents(space, code):
+    """The exponents of a code's monomial, read from its base digits."""
+    m = space.split(code)[1]
+    return [m // w % space.base for w in space.weights]
+
+
 @pytest.mark.parametrize("kind,n,rank", CODEC_SPACES)
 def test_key_codes_round_trip_sort_as_keys_and_add_monomials(kind, n, rank):
     # every grading, every key of degree <= D, and every shift of its
@@ -546,23 +583,26 @@ def test_key_codes_round_trip_sort_as_keys_and_add_monomials(kind, n, rank):
     D = 4 if n == 1 else 2
     base = 2 * D + 1
     monos = monomials_up_to(n, D)
-    at = 0 if kind == "prim" else 1  # where the monomial sits in a key
     for grading in range(2 * n + 2):
-        space = TruncatedSpace(kind, n, rank, grading)
-        codec = cohomology._codec(space, base)
-        keys = space.basis_keys(D)
-        codes = [codec.encode(key) for key in keys]
-        assert [codec.decode(code) for code in codes] == keys
-        assert sorted(keys, key=codec.encode) == sorted(keys)
-        for key, code in zip(keys, codes):
+        space = TruncatedSpace(kind, n, rank, grading, base)
+        keys = feed_order(space, 2 * D)
+        code_of = dict(zip(keys, space.basis_keys(2 * D), strict=True))
+        # the feed order is pinned: kernels and witnesses depend on it
+        small = [key for key in keys if sum(key[1]) <= D]
+        assert space.basis_keys(D) == [code_of[key] for key in small]
+        assert sorted(code_of.values()) == [code_of[key] for key in sorted(keys)]
+        for key in small:
+            code = code_of[key]
+            assert space.coords_of(basis_element(space, *key)) == {code: 1}
+            assert space.coords_of(space.element_from_key(code)) == {code: 1}
             for amono in monos:
-                shifted = key[:at] + (tuple(map(add, key[at], amono)),) + key[at + 1:]
-                assert codec.encode(shifted) == code + codec.stride * codec.mono(amono)
+                shifted = (key[0], tuple(map(add, key[1], amono)), *key[2:])
+                assert code_of[shifted] == code + space.stride * space.mono(amono)
         for c in range(2 * n):
             # an exponent at the base would carry into the next digit
             mono = tuple(base if i == c else 0 for i in range(2 * n))
             with pytest.raises(InternalInvariantError, match=f"^exponent {base} of "):
-                codec.encode(keys[0][:at] + (mono,) + keys[0][at + 1:])
+                space.coords_of(basis_element(space, keys[0][0], mono, *keys[0][2:]))
 
 
 @pytest.mark.parametrize("kind", ["prim", "cone"])
@@ -570,18 +610,17 @@ def test_columns_at_the_code_bound_match_symbolic_oracle(kind):
     # growth 8 (prim) with margins 4,5 at D = 2: every key of the top source
     # degree 7, whose images come nearest the base, where a carry would show
     conn = dense_gauge_rank4()
-    base = cohomology._base(conn, kind, 2 + 5)
+    base = _base(conn, kind, 2 + 5)
     assert base == {"prim": 16, "cone": 12}[kind]
     top = 0
     for grading in range(2 * conn.n + 2):
-        space = _space(conn, kind, grading)
+        space, target = _space(conn, kind, grading, base), _space(conn, kind, grading + 1, base)
         column, scale = cohomology._differential_columns(conn, kind, grading, base)
-        source, target = codecs(conn, kind, grading, base)
         for key in space.basis_keys(7, above=6):
-            table = column(source.encode(key))
+            table = column(key)
             expected = {k: scale * v for k, v in symbolic_column(conn, kind, space, key).items()}
-            assert len(table) == len(expected) and target.decoded(table) == expected, (grading, key)
-            top = max([top] + [max(k[0] if kind == "prim" else k[1]) for k in expected])
+            assert table == expected, (grading, key)
+            top = max([top] + [max(exponents(target, code)) for code in expected])
     # the cone's images reach the last digit below its base
     assert top == {"prim": 12, "cone": base - 1}[kind]
 
@@ -591,9 +630,33 @@ def test_columns_at_the_code_bound_match_symbolic_oracle(kind):
 def test_dimension_counts_the_basis_keys(kind, n):
     # the size bound counts keys without listing them
     for grading in range(2 * n + 2):
-        space = TruncatedSpace(kind, n, 2, grading)
+        space = TruncatedSpace(kind, n, 2, grading, 3)
         for D in range(3):
             assert space.dimension(D) == len(space.basis_keys(D))
+
+
+MISMATCHES = [
+    # (complex of the element, its n, its rank, complex asked for, message)
+    ("prim", 1, 3, "prim", "element has vector rank 3, the complex rank 2"),
+    ("cone", 1, 3, "cone", "element has vector rank 3, the complex rank 2"),
+    ("prim", 2, 2, "prim", "element has n = 2, the complex n = 1"),
+    ("cone", 2, 2, "cone", "element has n = 2, the complex n = 1"),
+    ("prim", 1, 2, "cone", "a PrimElement is not an element of the cone complex"),
+    ("cone", 1, 2, "prim", "a ConeElement is not an element of the prim complex"),
+]
+
+
+@pytest.mark.parametrize("grading", [0, 1])
+@pytest.mark.parametrize("own,n,rank,kind,message", MISMATCHES)
+def test_mismatched_elements_are_refused(own, n, rank, kind, message, grading):
+    # a rank-3 element read as "not exact", an n = 2 one failed an index
+    # lookup, the other complex's element had no such attribute; at grading
+    # 0 they are refused before the early return
+    conn = generate_flat(1, 2, diag(1, 0))
+    space = TruncatedSpace(own, n, rank, grading, 2)
+    element = space.element_from_key(space.basis_keys(0)[-1])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        exactness_witness(conn, kind, element)
 
 
 @pytest.mark.parametrize("kind", ["Prim", ""])
@@ -603,7 +666,7 @@ def test_unknown_complex_kinds_are_rejected(kind):
     conn = generate_flat(1, 1, [[0]])
     with pytest.raises(ValueError, match="complex kind must be 'prim' or 'cone', got"):
         cohomology_dims(conn, kind, D=1)
-    for space in (_space(conn, "prim", 0), _space(conn, "cone", 0)):
+    for space in (_space(conn, "prim", 0, 2), _space(conn, "cone", 0, 2)):
         grading_0 = space.element_from_key(space.basis_keys(0)[0])
         with pytest.raises(ValueError, match="complex kind must be 'prim' or 'cone', got"):
             exactness_witness(conn, kind, grading_0)
@@ -636,18 +699,17 @@ def test_table_columns_match_symbolic_oracle(label, make, D_all, D_sample, kind)
     # each table column is an int dict, its position's scale times the true one
     conn = make()
     rng = random.Random(label)
-    base = cohomology._base(conn, kind, D_sample)
+    base = _base(conn, kind, D_sample)
     for grading in range(2 * conn.n + 2):
-        space = _space(conn, kind, grading)
+        space = _space(conn, kind, grading, base)
         column, scale = cohomology._differential_columns(conn, kind, grading, base)
         assert type(scale) is int and scale > 0
-        source, target = codecs(conn, kind, grading, base)
         later = space.basis_keys(D_sample, above=D_all)
         for key in space.basis_keys(D_all) + rng.sample(later, min(12, len(later))):
-            table = column(source.encode(key))
+            table = column(key)
             assert all(type(value) is int for value in table.values()), (grading, key)
             expected = {k: scale * v for k, v in symbolic_column(conn, kind, space, key).items()}
-            assert len(table) == len(expected) and target.decoded(table) == expected, (grading, key)
+            assert table == expected, (grading, key)
 
 
 @pytest.mark.parametrize("label,make,kind,D,margins", SWEEP_CASES,
@@ -655,10 +717,11 @@ def test_table_columns_match_symbolic_oracle(label, make, D_all, D_sample, kind)
 def test_reports_match_symbolic_assembly(monkeypatch, label, make, kind, D, margins):
     # the same report, witnesses included, when every column is built symbolically
     conn = make()
+    base = _base(conn, kind, D + margins[-1])
 
     def summary(report):
         return [(p.kernel_dim, p.dims_by_margin,
-                 [_space(conn, kind, p.grading).coords_of(w) for w in p.witnesses])
+                 [_space(conn, kind, p.grading, base).coords_of(w) for w in p.witnesses])
                 for p in report.positions]
 
     tables = summary(cohomology_dims(conn, kind, D=D, stab_margins=margins))
@@ -671,10 +734,11 @@ def test_reports_match_symbolic_assembly(monkeypatch, label, make, kind, D, marg
 def test_reports_match_fraction_elimination(monkeypatch, label, make, kind, D, margins):
     # the same report, witnesses included, when every sweep eliminates over Fraction
     conn = make()
+    base = _base(conn, kind, D + margins[-1])
 
     def summary(report):
         return [(p.kernel_dim, p.dims_by_margin,
-                 [_space(conn, kind, p.grading).coords_of(w) for w in p.witnesses])
+                 [_space(conn, kind, p.grading, base).coords_of(w) for w in p.witnesses])
                 for p in report.positions]
 
     tables = summary(cohomology_dims(conn, kind, D=D, stab_margins=margins))
@@ -689,9 +753,10 @@ def test_escaped_image_names_position_and_keys(monkeypatch):
     monkeypatch.setattr(cohomology, "connection_growth", lambda *args: 0)
     with pytest.raises(InternalInvariantError) as info:
         assemble_operator(conn, "prim", (PLUS, 0), D_source=1)
-    message = str(info.value)
-    assert message.startswith("P0+: image of source key ((")
-    assert "escaped the declared target truncation 1 at target key ((" in message
+    # keys read as their (slot, m, f, u) digits, m the monomial's code
+    digits = r"\(0, (\d+), (\d+), (\d+)\)"
+    assert re.fullmatch(f"P0\\+: image of source key {digits} escaped the declared "
+                        f"target truncation 1 at target key {digits}", str(info.value))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -16,13 +16,15 @@ is timed in CPU seconds of this process.  One untimed round per side warms
 the caches and records each operation's stdout; every later round must
 reproduce it, and both sides must agree, or the tool exits 1.  Timed rounds
 come in pairs whose order alternates (AB, BA, AB, ...).  The tool prints
-each side's median CPU time per round and the median of the per-pair B/A
-ratios.
+each side's median CPU time per round beside the line count of its
+``src/primflat/*.py`` (as ``wc -l`` counts them), and the median of the
+per-pair B/A ratios.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import io
 import os
 import statistics
@@ -79,6 +81,14 @@ class Side:
         self.modules = {name: module for name, module in sys.modules.items() if _own(name)}
         return outputs, elapsed
 
+    def lines(self) -> int:
+        """The newlines in this side's ``src/primflat/*.py``."""
+        total = 0
+        for path in glob.glob(os.path.join(self.checkout, "src", "primflat", "*.py")):
+            with open(path, "rb") as handle:
+                total += handle.read().count(b"\n")
+        return total
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -112,7 +122,8 @@ def main(argv=None) -> int:
                 side.seconds.append(seconds)
     for side in sides:
         print(f"{side.label} {side.checkout}: median {statistics.median(side.seconds):.4f} s "
-              f"CPU per round over {len(side.seconds)} rounds")
+              f"CPU per round over {len(side.seconds)} rounds, "
+              f"{side.lines()} lines in src/primflat/*.py")
     ratios = [b / a for a, b in zip(sides[0].seconds, sides[1].seconds)]
     print(f"B/A per round: median {statistics.median(ratios):.3f} "
           f"(min {min(ratios):.3f}, max {max(ratios):.3f})")
