@@ -18,8 +18,7 @@ from .dsl import ParseError, parse_form, parse_poly, print_form, print_poly
 from .forms import (Form, MatrixForm, VectorForm, contract_lambda, exterior_d,
                     graded_commutator, lambda_standard, lambda_symmetric, omega,
                     omega_power, wedge)
-from .lefschetz import (LefschetzComponents, L_power, decompose, del_minus,
-                        del_plus, is_primitive, pi_p, star_r)
+from .lefschetz import L_power, decompose, del_minus, del_plus, is_primitive, pi_p, star_r
 from .scalars import Poly
 from .ainfinity import (PLUS, MINUS, PrimElement, ZERO, add_elements, check_stasheff,
                   m1, m2, m3, scale_element)

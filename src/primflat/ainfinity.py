@@ -112,9 +112,6 @@ class PrimElement:
     def is_zero(self) -> bool:
         return self.payload.is_zero
 
-    def scaled(self, value: Scalar) -> "PrimElement":
-        return PrimElement._trusted(self.side, self.s, self.payload.scaled(value))
-
     def __repr__(self) -> str:
         return f"PrimElement(P{self.s}{self.side}, {self.payload!r})"
 

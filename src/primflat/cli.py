@@ -144,12 +144,11 @@ def _emit(report: dict, stream) -> None:
 
 def _cmd_decompose(args) -> tuple:
     form = parse_form(args.form, args.n)
-    components = decompose(form)
     report = {
         "n": args.n,
         "degree": form.degree,
         "components": [{"r": r, "form": print_form(beta)}
-                       for r, beta in sorted(components.components.items())],
+                       for r, beta in sorted(decompose(form).items())],
     }
     return 0, report
 

@@ -106,7 +106,7 @@ from .lefschetz import (FiberTable, L_power, fiber_d_table, pi_p, primitive_fibe
                         primitive_fiber_coords)
 from .linalg import Echelon, Vec, kernel_basis
 from .scalars import Monomial, Poly, monomials_up_to
-from .ainfinity import (Element, MINUS, PLUS, PrimElement, _ZeroElement, _element,
+from .ainfinity import (Element, MINUS, PLUS, PrimElement, ZERO, _ZeroElement, _element,
                         add_elements, grading_position, m1, m2, scale_element)
 from .sampling import run_trials
 from .twist import twisted_m1
@@ -141,6 +141,7 @@ class TruncatedSpace:
     base: int
 
     def __post_init__(self):
+        _check_kind(self.kind)
         # the code layout of the module docstring, derived once: the digit
         # ``weights`` of a monomial code, the ``indices`` of a cone position's
         # two slots, the ``stride`` of one unit of monomial code, and the
@@ -582,15 +583,17 @@ def cohomology_dims(conn: Connection, kind: str = "prim", D: int = 5,
 
 
 def exactness_witness(conn: Connection, kind: str,
-                      element: Union[PrimElement, ConeElement],
+                      element: Union[PrimElement, ConeElement, _ZeroElement],
                       D_search: Optional[int] = None):
     """Solve differential(xi) == element, or report that none exists up to D_search.
 
     The default search bound is the element's coefficient degree plus two:
     in the constant frame the exactness constructions grow witnesses by at
-    most two degrees.
+    most two degrees.  A zero element gets the zero witness ``ZERO``.
     """
     _check_kind(kind)
+    if isinstance(element, _ZeroElement):
+        return ZERO
     grading = element.grading
     parts = (element.eta, element.xi) if isinstance(element, ConeElement) else (element.payload,)
     elem_degree = max((d for d in (p.coefficient_degree() for p in parts) if d is not None),
@@ -602,6 +605,8 @@ def exactness_witness(conn: Connection, kind: str,
     base = _base(conn, kind, max(D_search, elem_degree))
     target = _space(conn, kind, grading, base)
     coords = target.coords_of(element)  # an element of another complex raises here
+    if not coords:
+        return ZERO
     if grading == 0:
         return None
     below = _space(conn, kind, grading - 1, base)
@@ -654,6 +659,10 @@ def closedlem_check(conn: Connection, trials: int = 100, seed: int = 0,
     beta + lambda x (del_plus_A beta) (minus side) are closed for the
     untwisted differential; the checks are exact on random kernel samples.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    if D < 0:
+        raise ValueError(f"truncation must be >= 0, got {D}")
     lam = _constant_frame_lambda(conn)
     lam_elem = PrimElement(PLUS, 1, lam)
     rng = random.Random(seed)
@@ -671,7 +680,7 @@ def closedlem_check(conn: Connection, trials: int = 100, seed: int = 0,
         if not kernel:
             reports.append(ClosedIdentityReport(label, 0, 0))
             continue
-        count = max(1, trials // (2 * n + 1))
+        count = min(trials, max(1, trials // (2 * n + 1)))
 
         def sample() -> Optional[PrimElement]:
             # a random combination of kernel vectors; None when it cancels

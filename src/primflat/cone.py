@@ -20,9 +20,10 @@ The comparison maps with the primitive complex extract Lefschetz data:
   with  id - gf - Phi = DG + GD.
 
 Gradings above n force the eta slot to be divisible by omega^(n-k+1) and
-the xi slot by omega^(n-k), k = 2n+1-j; `cone_split` re-derives and checks
-that shape on every call since the uniqueness of the decomposition makes a
-violation an internal error, never data.
+the xi slot by omega^(n-k), k = 2n+1-j.  `cone_split` returns the
+``{r: beta}`` components of both slots, as ``decompose`` gives them, and
+re-derives and checks that shape on every call, since the uniqueness of the
+decomposition makes a violation an internal error, never data.
 """
 
 from __future__ import annotations
@@ -106,17 +107,10 @@ def phi_apply(conn: Connection, a: ConeElement) -> ConeElement:
     return ConeElement(a.grading, wedge(phi, a.eta), wedge(phi, a.xi))
 
 
-@dataclass
-class ConeSplit:
-    """Primitive components of both slots, keyed by omega-exponent."""
-
-    grading: int
-    eta_components: dict[int, VectorForm]
-    xi_components: dict[int, VectorForm]
-
-
-def cone_split(a: ConeElement) -> ConeSplit:
-    """Lefschetz-split both slots, checking the mandatory shape above the middle.
+def cone_split(a: ConeElement) -> tuple[dict[int, VectorForm], dict[int, VectorForm]]:
+    """``(eta_components, xi_components)``: both slots Lefschetz-split as
+    ``{r: beta}`` by ``decompose``, checking the mandatory shape above the
+    middle.
 
     For grading j > n with k = 2n+1-j, the eta slot must carry only
     components with at least n-k+1 powers of omega and the xi slot at least
@@ -124,8 +118,7 @@ def cone_split(a: ConeElement) -> ConeSplit:
     a genuine form, so a violation raises.
     """
     n = a.n
-    eta_comps = dict(decompose(a.eta).components)
-    xi_comps = dict(decompose(a.xi).components)
+    eta_comps, xi_comps = decompose(a.eta), decompose(a.xi)
     if a.grading > n:
         k = 2 * n + 1 - a.grading
         for slot, comps, least in (("eta", eta_comps, n - k + 1), ("xi", xi_comps, n - k)):
@@ -134,7 +127,7 @@ def cone_split(a: ConeElement) -> ConeSplit:
                     raise InternalInvariantError(
                         f"cone grading {a.grading}: {slot} slot above the middle has a "
                         f"component omega^{r}, needs omega^{least} or higher")
-    return ConeSplit(a.grading, eta_comps, xi_comps)
+    return eta_comps, xi_comps
 
 
 def map_f(conn: Connection, a: ConeElement) -> Element:
@@ -142,13 +135,13 @@ def map_f(conn: Connection, a: ConeElement) -> Element:
     n = a.n
     if a.is_zero:
         return ZERO
-    split = cone_split(a)
+    eta_comps, xi_comps = cone_split(a)
     if a.grading <= n:
-        beta = split.eta_components.get(0)
+        beta = eta_comps.get(0)
         return ZERO if beta is None else _element(PLUS, a.grading, beta)
     k = 2 * n + 1 - a.grading
-    beta_k = split.xi_components.get(n - k, VectorForm.zero(n, k, a.rank))
-    beta_km1 = split.eta_components.get(n - k + 1, VectorForm.zero(n, k - 1, a.rank))
+    beta_k = xi_comps.get(n - k, VectorForm.zero(n, k, a.rank))
+    beta_km1 = eta_comps.get(n - k + 1, VectorForm.zero(n, k - 1, a.rank))
     return _element(MINUS, k, -(beta_k + pi_p(0, covariant_d(conn, beta_km1))))
 
 

@@ -119,13 +119,14 @@ class _Parser:
 
     # factor := atom ("*" atom)*
     def parse_factor(self) -> Form:
-        scalar = Poly.const(self.n, 1)
+        scalar: Optional[Poly] = None
         shaped: Optional[Form] = None
         while True:
             atom_col = self.peek()[2]
             atom = self.parse_atom()
             if atom.degree == 0:
-                scalar = scalar * atom.terms.get((), Poly.zero(self.n))
+                poly = atom.terms.get((), Poly.zero(self.n))
+                scalar = poly if scalar is None else scalar * poly
             elif shaped is None:
                 shaped = atom
             else:
@@ -138,7 +139,7 @@ class _Parser:
             break
         if shaped is None:
             return Form.from_poly(scalar)
-        return shaped.scaled(scalar)
+        return shaped if scalar is None else wedge(Form.from_poly(scalar), shaped)
 
     def parse_atom(self) -> Form:
         kind, value, col = self.next()

@@ -206,21 +206,9 @@ class Form:
                              {idx: -poly for idx, poly in self.terms.items()})
 
     def __sub__(self, other: "Form") -> "Form":
-        if not isinstance(other, Form):
-            return NotImplemented
-        self._check_compatible(other)
-        degree = self.degree if self.terms else other.degree
-        negated = ((idx, -poly) for idx, poly in other.terms.items())
-        return Form._trusted(self.n, degree, add_terms(dict(self.terms), negated))
+        return self + (-other)
 
-    def scaled(self, value: Union[Poly, Scalar]) -> "Form":
-        if isinstance(value, Poly):
-            out = {}
-            for idx, poly in self.terms.items():
-                prod = value * poly
-                if not prod.is_zero:
-                    out[idx] = prod
-            return Form._trusted(self.n, self.degree, out)
+    def scaled(self, value: Scalar) -> "Form":
         if not _ratio(value)[0]:
             return Form._trusted(self.n, self.degree, {})
         return Form._trusted(self.n, self.degree,

@@ -26,9 +26,10 @@ solves against them and every operator map sums them.
 Operators built on the split, each a cached constant fiber map read from
 the decomposition table (``_omega_map``):
 
-* ``decompose(a)``: component r is the map with shift -r and top r, which
-  keeps only the omega^r component and strips its r powers of omega; one
-  map per r in ``component_range``.
+* ``decompose(a)``: the dict ``{r: beta_r}`` of nonzero components;
+  component r is the map with shift -r and top r, which keeps only the
+  omega^r component and strips its r powers of omega; one map per r in
+  ``component_range``.
 * ``L_power(p, a)``: wedge with omega^p for p >= 0; for p < 0 shift every
   component down by |p| powers of omega, dropping components that run out.
 * ``pi_p(p, a)``: truncate the decomposition to components with r <= p
@@ -55,14 +56,13 @@ not the sl(2) lowering operator: the two differ by combinatorial factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
 
 from .errors import InternalInvariantError
 from .forms import (AnyForm, Form, FormIndex, add_terms, all_indices, contract_terms,
-                    exterior_d, omega_const, omega_power, wedge, wedge_terms)
+                    exterior_d, omega_const, wedge_terms)
 from .linalg import Echelon, kernel_basis
 
 ConstForm = dict  # FormIndex -> int or Fraction, a form with constant coefficients
@@ -169,38 +169,15 @@ def fiber_d_table(n: int, s: int, r: int) -> tuple[FiberTable, int]:
     return table, scale
 
 
-@dataclass
-class LefschetzComponents:
-    """The primitive components of one homogeneous form.
-
-    ``components[r]`` is the primitive form beta_{degree-2r}; absent keys
-    are zero.  ``reassemble`` returns sum_r omega^r /\\ components[r], which
-    equals the decomposed form exactly.
-    """
-
-    n: int
-    degree: int
-    components: dict[int, AnyForm]
-
-    def reassemble(self) -> AnyForm:
-        total = None
-        for r, beta in self.components.items():
-            piece = wedge(omega_power(self.n, r), beta)
-            total = piece if total is None else total + piece
-        if total is not None:
-            return total
-        return Form.zero(self.n, self.degree)
-
-
-def decompose(a: AnyForm) -> LefschetzComponents:
-    """Exact Lefschetz decomposition; components carry the fiber of the input.
+def decompose(a: AnyForm) -> dict[int, AnyForm]:
+    """Exact Lefschetz decomposition ``{r: beta_r}`` with a == sum_r
+    omega^r /\\ beta_r; each beta_r carries the fiber of the input.
 
     Component r is the constant fiber map that keeps the omega^r component
     and strips its r powers of omega; zero components are left out.
     """
     components = {r: _apply_omega_map(a, -r, r) for r in component_range(a.n, a.degree)}
-    return LefschetzComponents(a.n, a.degree,
-                               {r: beta for r, beta in components.items() if not beta.is_zero})
+    return {r: beta for r, beta in components.items() if not beta.is_zero}
 
 
 def is_primitive(a: AnyForm) -> bool:

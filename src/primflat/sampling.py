@@ -29,7 +29,10 @@ def run_trials(trials: int, sample: Callable[[], Any],
     (``.is_zero``); ``first`` is the first failing ``(draw, residual)``, or
     None.  Draws are taken one at a time, each followed by its residual, so
     a seeded sampler draws in the same order whatever the residuals are.
+    A negative ``trials`` raises ValueError.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     failures = 0
     first = None
     for _ in range(trials):

@@ -17,6 +17,9 @@ onto those symbolically; ``omega_map_by_wedge`` builds a whole
 with the cached operator maps of ``primflat.lefschetz`` and with
 ``decompose``, which reads those maps; tests compare the maps with them.
 
+``reassemble`` sums omega^r /\\ beta_r over the ``{r: beta_r}`` that
+``decompose`` returns, by the symbolic wedge, back into the decomposed form.
+
 ``FractionEchelon`` is the elimination over ``Fraction`` that
 ``primflat.linalg.Echelon`` replaced: unit pivots, rational combinations.
 It shares no arithmetic with the integer echelon, so tests compare the two;
@@ -424,6 +427,15 @@ def labelled(x, degree):
     """True when x and every entry of a fiber form carry the degree label."""
     entries = [x] if isinstance(x, Form) else x.flat
     return x.degree == degree and all(e.degree == degree for e in entries)
+
+
+def reassemble(a, components):
+    """sum_r omega^r /\\ components[r] from the zero of a's fiber and
+    degree, so ``reassemble(a, decompose(a)) == a`` holds for a zero a too."""
+    total = a.scaled(0)
+    for r, beta in components.items():
+        total = total + wedge(omega_power(a.n, r), beta)
+    return total
 
 
 def _components_by_table(a):

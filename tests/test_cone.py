@@ -18,7 +18,6 @@ from primflat.sampling import (rand_cone_element, rand_element_at_grading,
                                rand_flat_connection, rand_primitive_vector)
 from primflat.scalars import Poly
 from primflat.ainfinity import MINUS, PLUS, PrimElement, add_elements, scale_element
-from primflat.lefschetz import LefschetzComponents
 
 
 def zero_vec(n, degree, rank=1):
@@ -63,24 +62,19 @@ def test_cone_d_detects_non_flatness():
 def test_cone_split_examples():
     n = 2
     a = ConeElement(2, VectorForm([omega(n)], 2), zero_vec(n, 1))
-    split = cone_split(a)
-    assert set(split.eta_components) == {1}
-    assert split.eta_components[1] == VectorForm([Form.const(n, 1)], 0)
-    assert not split.xi_components
+    assert cone_split(a) == ({1: VectorForm([Form.const(n, 1)], 0)}, {})
 
     rng = random.Random(2)
     beta = rand_primitive_vector(rng, n, 1, 1)
     b = ConeElement(2, zero_vec(n, 2), beta)
-    split_b = cone_split(b)
-    assert split_b.xi_components == {0: beta}
+    assert cone_split(b) == ({}, {0: beta})
 
 
 
 def test_cone_split_check_names_grading_and_exponent(monkeypatch):
     # a decomposition that calls omega^2 primitive breaks the shape at grading 4
     n = 2
-    monkeypatch.setattr(cone, "decompose",
-                        lambda a: LefschetzComponents(a.n, a.degree, {0: a}))
+    monkeypatch.setattr(cone, "decompose", lambda a: {0: a})
     a = ConeElement(4, VectorForm([omega_power(n, 2)], 4), zero_vec(n, 3))
     with pytest.raises(InternalInvariantError,
                        match=r"^cone grading 4: eta slot above the middle has a "
@@ -98,9 +92,7 @@ def test_cone_split_round_trip_above_middle():
     xi = wedge(omega_power(n, n - k), beta_k)
     a = ConeElement(2 * n + 1 - k, VectorForm(eta.entries, 2 * n + 1 - k),
                     VectorForm(xi.entries, 2 * n - k))
-    split = cone_split(a)
-    assert split.eta_components[n - k + 1] == beta_km1
-    assert split.xi_components[n - k] == beta_k
+    assert cone_split(a) == ({n - k + 1: beta_km1}, {n - k: beta_k})
 
 
 def test_map_f_examples():

@@ -129,8 +129,7 @@ def test_internal_producers_store_no_zero_coefficient(n):
                         wedge(mat, vec), wedge(mat, mat), contract_lambda(beta),
                         contract_lambda(a + b), L_power(n - k + 1, beta), L_power(-1, beta),
                         pi_p(0, wedge(omega(n), a)), pi_p(1, a + b),
-                        *decompose(wedge(omega(n), a + b) - wedge(omega(n), a))
-                        .components.values()]
+                        *decompose(wedge(omega(n), a + b) - wedge(omega(n), a)).values()]
     assert all(stores_no_zero(x) for x in outputs)
 
 

@@ -16,7 +16,7 @@ from primflat.sampling import rand_form, rand_primitive_form
 from primflat.scalars import Poly
 
 from oracle import (L_power_by_wedge, is_primitive_by_wedge, labelled, omega_map_by_wedge,
-                    pi_p_by_wedge, vec_add_scaled, wedge_by_sorting)
+                    pi_p_by_wedge, reassemble, vec_add_scaled, wedge_by_sorting)
 
 
 def half(n, value=1):
@@ -43,9 +43,7 @@ def test_low_degree_always_primitive():
 
 def test_decompose_omega():
     n = 2
-    dec = decompose(omega(n))
-    assert set(dec.components) == {1}
-    assert dec.components[1] == Form.const(n, 1)
+    assert decompose(omega(n)) == {1: Form.const(n, 1)}
 
 
 def test_decompose_hand_solved_case():
@@ -56,19 +54,16 @@ def test_decompose_hand_solved_case():
     dec = decompose(f)
     expected0 = (wedge(Form.dx(n, 1), Form.dy(n, 1))
                  - wedge(Form.dx(n, 2), Form.dy(n, 2))).scaled(half(n))
-    assert dec.components[0] == expected0
-    assert dec.components[1] == Form.const(n, half(n))
-    assert is_primitive(dec.components[0])
-    assert dec.reassemble() == f
+    assert dec == {0: expected0, 1: Form.const(n, half(n))}
+    assert is_primitive(dec[0])
+    assert reassemble(f, dec) == f
 
 
 def test_decompose_primitive_is_identity():
     n = 2
     rng = random.Random(1)
     beta = rand_primitive_form(rng, n, 2)
-    dec = decompose(beta)
-    assert set(dec.components) == {0}
-    assert dec.components[0] == beta
+    assert decompose(beta) == {0: beta}
 
 
 def test_L_power_removes_omega():
@@ -127,8 +122,8 @@ def test_reassembly_and_primitivity_random(n):
         for _ in range(200):
             f = rand_form(rng, n, k)
             dec = decompose(f)
-            assert dec.reassemble() == f
-            for r, beta in dec.components.items():
+            assert reassemble(f, dec) == f
+            for r, beta in dec.items():
                 assert is_primitive(beta)
                 assert beta.is_zero or beta.degree == k - 2 * r
 
@@ -161,13 +156,20 @@ def test_decompose_fiber_valued():
     n = 2
     rng = random.Random(5)
     vec = VectorForm([rand_form(rng, n, 2) for _ in range(2)], 2)
-    dec = decompose(vec)
-    assert dec.reassemble() == vec
+    assert reassemble(vec, decompose(vec)) == vec
     mat = MatrixForm([[rand_form(rng, n, 3) for _ in range(2)] for _ in range(2)], 3)
     dec_m = decompose(mat)
-    assert dec_m.reassemble() == mat
-    for beta in dec_m.components.values():
+    assert reassemble(mat, dec_m) == mat
+    for beta in dec_m.values():
         assert is_primitive(beta)
+
+
+@pytest.mark.parametrize("zero", [Form.zero(2, 2), VectorForm.zero(2, 2, 2),
+                                  MatrixForm.zero(2, 3, 2)], ids=["form", "vector", "matrix"])
+def test_zero_forms_decompose_to_no_component(zero):
+    # a sum over no component is the zero of the input's fiber, not a scalar zero
+    assert decompose(zero) == {}
+    assert reassemble(zero, {}) == zero
 
 
 def test_primitive_fiber_dimensions():

@@ -2,8 +2,13 @@
 
 import random
 
+import pytest
+
+from primflat.cone import check_chain_identities
+from primflat.connection import generate_flat
 from primflat.sampling import run_trials
 from primflat.scalars import Poly
+from primflat.twist import check_square_zero
 
 
 def test_run_trials_counts_failures_and_keeps_the_first():
@@ -35,3 +40,11 @@ def test_run_trials_with_no_failure_reports_none():
     assert run_trials(5, lambda: 0, lambda x: None) == (0, None)
     assert run_trials(5, lambda: 0, lambda x: Poly.zero(1)) == (0, None)
     assert run_trials(0, lambda: 1 / 0, lambda x: x) == (0, None)
+
+
+@pytest.mark.parametrize("check", [check_square_zero, check_chain_identities])
+def test_negative_trials_are_refused(check):
+    # a report of trials=-3 counted no draw at all
+    conn = generate_flat(1, 1, [[1]])
+    with pytest.raises(ValueError, match="^trials must be >= 0, got -3$"):
+        check(conn, trials=-3)
