@@ -212,9 +212,8 @@ def _cmd_twist_square(args) -> tuple:
 
 def _cmd_cohomology(args) -> tuple:
     conn = load_connection(args.connection)
-    margins = args.margins
     rep = cohomology_mod.cohomology_dims(conn, args.complex, D=args.truncation,
-                                         stab_margins=margins)
+                                         stab_margins=args.margins)
     positions = []
     for pos in rep.positions:
         if not pos.stabilized:
@@ -233,7 +232,7 @@ def _cmd_cohomology(args) -> tuple:
             "witnesses": [_element_json(w) for w in pos.witnesses],
         })
     report = {"connection": args.connection, "complex": args.complex,
-              "truncation": args.truncation, "margins": list(margins),
+              "truncation": args.truncation, "margins": list(rep.margins),
               "positions": positions, "all_stabilized": rep.all_stabilized}
     return (0 if rep.all_stabilized else CHECK_FAILED), report
 

@@ -14,7 +14,7 @@ witness search or closedness check builds all its spaces at one base,
 1 + the largest source degree + the largest ``connection_growth``, which no
 exponent of a key or of its image reaches.  At that base, vectors from
 different truncations of one position compose directly and operator
-images are always exact: nothing is ever projected away.
+images are always exact: no image is ever truncated.
 
 A key is a monomial, a fiber form f and a unit u, and at a cone position a
 slot, 0 for eta and 1 for xi.  A monomial's code m is its exponents as base
@@ -72,15 +72,19 @@ are independent of the earlier ones, each kernel relation normalized to
 ``k[tag] = 1``); only a preimage solve comes out divided by it, so
 ``exactness_witness`` multiplies its answer back before the re-check.
 
-Each differential column is built and eliminated at most once per report:
-the sweep of one position gives its kernel at degree <= D, and its echelon,
-untracked, is the image in the next position, extended one coefficient
-degree at a time (D+1, D+2, ...) and only while a kernel vector survives:
-one independent of the image and of the earlier kernel vectors.  The
-images are nested, so the survivors at s+1, probed in order, are exactly
-the survivors at s re-probed in order.  Once none survives, every larger
-margin reads 0 by that nesting (proved, not assumed), so no further column
-is built, and a position with an empty kernel builds no margin column.
+Each differential column is built and eliminated at most once per report.
+The sweep of a position gives its kernel on V, the keys of degree <= D:
+relations k_j with 1 on their own dependent key j and else only independent
+keys (see ``linalg``); its rows span the image in the next position.  The
+image lies in ker d (d^2 = 0), on which V's dependent coordinates are
+one-to-one (k_j to e_j), so k_j survives margin s (is independent of the
+image and the earlier k_i) iff j, in kernel order, leads no image vector
+within V.  So one untracked echelon takes the image in kernel coordinates:
+V's independent keys dropped (coordinates, never image), j renamed to its
+place and other keys put above every place; places left without a pivot
+survive.  It takes the rows, those within V first, then columns of degree
+D+1, D+2, ... until every place is a pivot: by nesting, later margins read
+0 (proved, not assumed) and build no column, nor does an empty kernel.
 
 The coefficient model (polynomials instead of smooth functions) is a
 modeling choice of this workbench; the dimension answers match the smooth
@@ -120,6 +124,14 @@ MAX_BASIS = 250_000
 def _check_kind(kind: str) -> None:
     if kind not in ("prim", "cone"):
         raise ValueError(f"complex kind must be 'prim' or 'cone', got {kind!r}")
+
+
+def _check_count(name: str, value, what: str) -> None:
+    """Refuse a ``value`` that is not an int (a bool is not), or is negative."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{what} must be >= 0, got {value}")
 
 
 def position_label(kind: str, n: int, grading: int) -> str:
@@ -448,9 +460,9 @@ def _differential_columns(conn: Connection, kind: str, grading: int,
 
 
 def _kernel_sweep(conn: Connection, kind: str, space: TruncatedSpace,
-                  D: int) -> tuple[list[Vec], Echelon, int]:
-    """Kernel of the differential on degree <= D, the tracked echelon of its
-    columns, and the scale of those columns, all over codes at the space's base.
+                  keys: list[int]) -> tuple[list[Vec], Echelon, int]:
+    """Kernel of the differential on the span of ``keys``, the tracked echelon
+    of their columns, and their scale, all over codes at the space's base.
 
     This is the one place where differential columns are eliminated with
     tracking; kernels, images and preimages all come from its echelon.
@@ -459,7 +471,7 @@ def _kernel_sweep(conn: Connection, kind: str, space: TruncatedSpace,
     complex the tables give zero columns: every key is a kernel vector.
     """
     column, scale = _differential_columns(conn, kind, space.grading, space.base)
-    return (*kernel_basis((code, column(code)) for code in space.basis_keys(D)), scale)
+    return (*kernel_basis((code, column(code)) for code in keys), scale)
 
 
 def _check_size(spaces: Sequence[TruncatedSpace], degree: int, what: str) -> None:
@@ -536,40 +548,50 @@ def cohomology_dims(conn: Connection, kind: str = "prim", D: int = 5,
     _check_kind(kind)
     if not analyze_flatness(conn).is_symplectically_flat:
         raise ValueError("cohomology of the twisted complex needs a flat connection")
-    if D < 0:
-        raise ValueError(f"truncation must be >= 0, got {D}")
-    margins = tuple(sorted(set(int(s) for s in stab_margins)))
+    _check_count("D", D, "truncation")
+    given = list(stab_margins)
+    for s in given:
+        _check_count("each of stab_margins", s, "stabilization margins")
+    margins = tuple(sorted(set(given)))
     if len(margins) < 2:
-        raise ValueError("need at least two distinct stabilization margins, got "
-                         f"{list(stab_margins)}")
-    if margins[0] < 0:
-        raise ValueError("stabilization margins must be non-negative")
+        raise ValueError(f"need at least two distinct stabilization margins, got {given}")
     n = conn.n
     base = _base(conn, kind, D + margins[-1])
     _check_size([_space(conn, kind, g, base) for g in range(2 * n + 2)], D + margins[-1],
                 f"truncation {D} with margin {margins[-1]}")
     reports = []
-    image: Optional[Echelon] = None  # image of degree <= D from the position below
+    image: Optional[list] = None  # stored rows spanning the image of degree <= D from below
     for grading in range(0, 2 * n + 2):
         space = _space(conn, kind, grading, base)
-        kernel, sweep, _ = _kernel_sweep(conn, kind, space, D)
-        # drop the combinations before the image from below grows
-        next_image = sweep.untracked()
+        keys = space.basis_keys(D)
+        kernel, sweep, _ = _kernel_sweep(conn, kind, space, keys)
+        # drop the combinations before the image from below is eliminated
+        next_image = sweep.rows()
         del sweep
         dims_by_margin = dict.fromkeys(margins, len(kernel))
         survivors = kernel
-        if image is not None:
+        if image is not None and kernel:
             column, _ = _differential_columns(conn, kind, grading - 1, base)
-            # nested images: the survivors of s, re-probed, are those of s + 1
+            # kernel coordinates (module docstring): kernel vector j's own key is j
+            top = len(kernel)
+            index = dict.fromkeys(keys)
+            index.update((next(iter(vec)), j) for j, vec in enumerate(kernel))
+            projected, dead = Echelon(), set()
             for s in range(margins[-1] + 1):
-                if survivors:
-                    if s:  # margin 0 probes the degree <= D image as it is
-                        for code in below.basis_keys(D + s, above=D + s - 1):
-                            image.add(column(code))
-                    probe = image.clone()
-                    survivors = [vec for vec in survivors if probe.add(vec) is None]
+                if len(dead) < top:
+                    # margin 0 feeds the rows from below, those inside degree D first
+                    vectors = (sorted(image, key=lambda row: not row.keys() <= index.keys())
+                               if s == 0 else map(column, below.basis_keys(D + s, D + s - 1)))
+                    for vec in vectors:
+                        vec = {j: x for key, x in vec.items()
+                               if (j := index.get(key, top + key)) is not None}
+                        if projected.add(vec) is None and projected.last_pivot < top:
+                            dead.add(projected.last_pivot)
+                            if len(dead) == top:
+                                break
                 if s in dims_by_margin:
-                    dims_by_margin[s] = len(survivors)
+                    dims_by_margin[s] = top - len(dead)
+            survivors = [vec for j, vec in enumerate(kernel) if j not in dead]
         image, below = next_image, space
         values = [dims_by_margin[s] for s in margins]
         # the estimates shrink as the margin grows; agreement of the last
@@ -600,8 +622,7 @@ def exactness_witness(conn: Connection, kind: str,
                       default=0)
     if D_search is None:
         D_search = elem_degree + 2
-    if D_search < 0:
-        raise ValueError(f"search truncation must be >= 0, got {D_search}")
+    _check_count("D_search", D_search, "search truncation")
     base = _base(conn, kind, max(D_search, elem_degree))
     target = _space(conn, kind, grading, base)
     coords = target.coords_of(element)  # an element of another complex raises here
@@ -611,7 +632,7 @@ def exactness_witness(conn: Connection, kind: str,
         return None
     below = _space(conn, kind, grading - 1, base)
     _check_size([below], D_search, f"search truncation {D_search}")
-    _, ech, scale = _kernel_sweep(conn, kind, below, D_search)
+    _, ech, scale = _kernel_sweep(conn, kind, below, below.basis_keys(D_search))
     combo = ech.solve(coords)
     if combo is None:
         return None
@@ -659,10 +680,8 @@ def closedlem_check(conn: Connection, trials: int = 100, seed: int = 0,
     beta + lambda x (del_plus_A beta) (minus side) are closed for the
     untwisted differential; the checks are exact on random kernel samples.
     """
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
-    if D < 0:
-        raise ValueError(f"truncation must be >= 0, got {D}")
+    _check_count("trials", trials, "trials")
+    _check_count("D", D, "truncation")
     lam = _constant_frame_lambda(conn)
     lam_elem = PrimElement(PLUS, 1, lam)
     rng = random.Random(seed)
@@ -675,7 +694,7 @@ def closedlem_check(conn: Connection, trials: int = 100, seed: int = 0,
         if side == MINUS and s == n:
             continue  # closedness there already makes the identity trivial
         space = _space(conn, "prim", grading, base)
-        kernel = _kernel_sweep(conn, "prim", space, D)[0]
+        kernel = _kernel_sweep(conn, "prim", space, space.basis_keys(D))[0]
         label = space.label
         if not kernel:
             reports.append(ClosedIdentityReport(label, 0, 0))

@@ -11,8 +11,11 @@ different truncations of the same space compose without re-indexing.
 row is <= its largest key (the pivot).  Reducing an incoming vector cancels
 its largest key whenever that key is a pivot, so the largest key strictly
 decreases and one forward sweep terminates.  A vector lies in the current
-span iff it reduces to the empty dict.  Stored rows are never mutated,
-which makes `clone` a shallow dict copy.
+span iff it reduces to the empty dict.  The pivots of an echelon depend
+only on its span: a key is a pivot iff some vector of the span has it as its
+largest key.  Rows are stored in feed order and never mutated, which makes
+`clone` a shallow dict copy, `rows` a list of the stored dicts, and
+`last_pivot`, the pivot of the row stored last, one dict lookup.
 
 Elimination runs on Python ints, never on `Fraction`s.  An incoming vector
 is scaled once by the lcm of its denominators (1 for an int vector, which
@@ -98,24 +101,29 @@ class Echelon:
         other._pivots = dict(self._pivots)
         return other
 
-    def untracked(self) -> "Echelon":
-        """Same span without the combinations; the stored rows are shared."""
-        other = Echelon()
-        other._pivots = {key: (row, None) for key, (row, _) in self._pivots.items()}
-        return other
+    def rows(self) -> list[dict]:
+        """The stored rows, without their combinations, in the order stored."""
+        return [row for row, _ in self._pivots.values()]
 
-    def _reduce(self, vec: Vec) -> tuple[dict, dict, int]:
+    @property
+    def last_pivot(self) -> Hashable:
+        """The pivot key of the row stored last; the echelon must not be empty."""
+        return next(reversed(self._pivots))
+
+    def _reduce(self, vec: Vec) -> tuple[dict, dict, int, Hashable]:
         """Reduce over ints against the stored rows.
 
-        Returns ``(residual, combo, den)`` with
+        Returns ``(residual, combo, den, lead)`` with
         ``residual == den * vec + sum(combo[t] * v_t)`` over the fed vectors
-        ``v_t``; ``den`` is positive.  On untracked echelons the combo stays
-        empty and ``den`` is only the scale of ``vec``.
+        ``v_t``; ``den`` is positive, and ``lead`` is the largest key of a
+        non-empty residual.  On untracked echelons the combo stays empty and
+        ``den`` is only the scale of ``vec``.
         """
         res, den = _integral(vec)
         combo: dict = {}
         pivots = self._pivots
         track = self.track
+        key = None
         while res:
             key = max(res)
             pivot = pivots.get(key)
@@ -130,24 +138,24 @@ class Echelon:
             if track:
                 _combine(alpha, combo, beta, row_combo)
                 den *= alpha
-        return res, combo, den
+        return res, combo, den, key
 
     def add(self, vec: Vec, tag: Hashable = None) -> Optional[Vec]:
         """Feed one vector.
 
-        If it is independent of the span so far it is stored and None is
-        returned.  If it is dependent, the kernel combination ``k`` with
-        ``sum(k[t] * original_vector_t) == 0`` and ``k[tag] == 1``, that is
-        ``{tag: 1, t: combo[t] / den}``, is returned when tracking, else {}.
+        If it is independent of the span so far it is stored (its pivot is
+        then `last_pivot`) and None is returned.  If it is dependent, the
+        kernel combination ``k`` with ``sum(k[t] * original_vector_t) == 0``
+        and ``k[tag] == 1``, that is ``{tag: 1, t: combo[t] / den}`` with
+        ``tag`` its first key, is returned when tracking, else {}.
         """
-        residual, combo, den = self._reduce(vec)
+        residual, combo, den, lead = self._reduce(vec)
         if not residual:
             if not self.track:
                 return {}
             kernel = {tag: Fraction(1)}
             kernel.update({t: Fraction(c, den) for t, c in combo.items()})
             return kernel
-        lead = max(residual)
         if self.track:
             combo = {tag: den, **combo}
         # the joint content; combo is empty when untracked
@@ -161,8 +169,7 @@ class Echelon:
         return None
 
     def contains(self, vec: Vec) -> bool:
-        residual, _, _ = self._reduce(vec)
-        return not residual
+        return not self._reduce(vec)[0]
 
     def solve(self, vec: Vec) -> Optional[Vec]:
         """Combination of fed vectors equal to ``vec``, or None.
@@ -171,7 +178,7 @@ class Echelon:
         """
         if not self.track:
             raise ValueError("solve requires a tracking Echelon")
-        residual, combo, den = self._reduce(vec)
+        residual, combo, den, _ = self._reduce(vec)
         if residual:
             return None
         return {t: Fraction(-c, den) for t, c in combo.items()}
@@ -181,7 +188,9 @@ def kernel_basis(columns: Iterable[tuple[Hashable, Vec]]) -> tuple[list[Vec], Ec
     """Kernel of the matrix whose columns are ``(tag, vector)`` pairs.
 
     Each kernel dict maps column tags to coefficients of an exact linear
-    relation among the columns.  The tracked echelon of the columns is
+    relation among the columns: its first key is the tag of a dependent
+    column, with coefficient 1, and every other key the tag of an earlier
+    independent one.  The tracked echelon of the columns is
     returned alongside: it spans their image and solves for preimages.
     """
     ech = Echelon(track=True)

@@ -258,10 +258,12 @@ class FractionEchelon:
         other._pivots = dict(self._pivots)
         return other
 
-    def untracked(self):
-        other = FractionEchelon()
-        other._pivots = {key: (vec, None) for key, (vec, _) in self._pivots.items()}
-        return other
+    def rows(self):
+        return [vec for vec, _ in self._pivots.values()]
+
+    @property
+    def last_pivot(self):
+        return next(reversed(self._pivots))
 
     def reduce(self, vec):
         """``(residual, combo)`` with vec == residual + sum(combo[t] * fed_t)."""

@@ -221,7 +221,7 @@ def test_criterion_08_closedness_suites():
         gradings = list(range(0, n + 1)) + list(range(n + 2, 2 * n + 2))
         for grading in gradings:
             space = _space(conn, "prim", grading, _base(conn, "prim", 3))
-            kernel = _kernel_sweep(conn, "prim", space, 3)[0]
+            kernel = _kernel_sweep(conn, "prim", space, space.basis_keys(3))[0]
             if not kernel:
                 continue
             for _ in range(15):

@@ -286,11 +286,13 @@ def test_bad_margins_exit_one_naming_the_flag(flat_file, capsys, margins, proble
 
 
 def test_two_margins_are_reported_as_given(flat_file):
-    code, report = run_json(["cohomology", "--connection", flat_file,
-                             "--truncation", "1", "--margins", "1,2"])
-    assert code == (0 if report["all_stabilized"] else CHECK_FAILED)
-    assert report["margins"] == [1, 2]
-    assert all(set(p["dims_by_margin"]) == {"1", "2"} for p in report["positions"])
+    # the report lists the margins used: distinct, ascending
+    for given, used in (("1,2", [1, 2]), ("3,2,3", [2, 3])):
+        code, report = run_json(["cohomology", "--connection", flat_file,
+                                 "--truncation", "1", "--margins", given])
+        assert code == (0 if report["all_stabilized"] else CHECK_FAILED)
+        assert report["margins"] == used
+        assert all(set(p["dims_by_margin"]) == set(map(str, used)) for p in report["positions"])
 
 
 def test_unstabilized_position_gets_a_margin_hint(tmp_path, capsys):

@@ -229,7 +229,7 @@ def test_local_cohomology_proof_cases(phi0):
 
     # case 1: closed sections are constants killed by Phi
     space0 = _space(conn, "prim", 0, base)
-    for vec in _kernel_sweep(conn, "prim", space0, D)[0]:
+    for vec in _kernel_sweep(conn, "prim", space0, space0.basis_keys(D))[0]:
         beta = space0.element_from_coords(vec)
         degree = beta.payload.coefficient_degree()
         assert degree is None or degree == 0
@@ -244,14 +244,14 @@ def test_local_cohomology_proof_cases(phi0):
         lam_u[u] = lam
         elem = PrimElement(PLUS, 1, VectorForm(lam_u, 1))
         ech1.add(space1.coords_of(elem))
-    for vec in _kernel_sweep(conn, "prim", space1, D)[0]:
+    for vec in _kernel_sweep(conn, "prim", space1, space1.basis_keys(D))[0]:
         assert ech1.contains(vec)
 
     # cases 3, 4, 5: closed elements above are exact outright
     for grading in list(range(2, n + 1)) + list(range(n + 1, 2 * n + 2)):
         space = _space(conn, "prim", grading, base)
         ech = image_echelon(grading)
-        for vec in _kernel_sweep(conn, "prim", space, D)[0]:
+        for vec in _kernel_sweep(conn, "prim", space, space.basis_keys(D))[0]:
             assert ech.contains(vec), (grading,)
 
 
@@ -260,7 +260,7 @@ def test_exactness_witness_for_phi_times_closed():
     phi = analyze_flatness(conn).Phi
     rng = random.Random(1)
     space = _space(conn, "prim", 1, _base(conn, "prim", 3))
-    kernel = _kernel_sweep(conn, "prim", space, 3)[0]
+    kernel = _kernel_sweep(conn, "prim", space, space.basis_keys(3))[0]
     found = tried = 0
     for _ in range(30):
         coords = {}
@@ -405,6 +405,13 @@ SWEEP_CASES = [
     ("gauged-cone-margin0",
      lambda: generate_flat(1, 2, diag(1, 0), gauge=rand_unipotent(random.Random(9), 1, 2)),
      "cone", 1, (0, 2)),
+    ("n3-frame-prim", lambda: generate_flat(3, 1, [[1]]), "prim", 1, (0, 1)),
+    # every entry of the gauge above the diagonal is nonzero
+    ("dense-gauge-rank3-prim",
+     lambda: generate_flat(1, 3, diag(1, 0, 2), gauge=rand_unipotent(random.Random(11), 1, 3)),
+     "prim", 1, (0, 1, 2, 3)),
+    # every kernel dies in the degree <= D image, before the first margin column
+    ("frame-cone-dies-at-D", lambda: generate_flat(1, 2, diag(1, 2)), "cone", 1, (2, 3)),
 ]
 
 
@@ -435,6 +442,25 @@ def test_sweep_matches_from_scratch_oracle(label, make, kind, D, margins):
         differing |= len(set(position.dims_by_margin.values())) > 1
     if label == "dense-gauge-prim":
         assert differing
+
+
+def test_a_kernel_dead_in_the_degree_D_image_builds_no_margin_column(monkeypatch):
+    # the sweeps build each column of degree <= D once, and nothing else is built
+    _, make, kind, D, margins = SWEEP_CASES[-1]
+    conn = make()
+    built = {}
+    differential_columns = cohomology._differential_columns
+
+    def spy(conn, kind, grading, base):
+        column, scale = differential_columns(conn, kind, grading, base)
+        return (lambda code: built.setdefault(grading, []).append(code) or column(code)), scale
+
+    monkeypatch.setattr(cohomology, "_differential_columns", spy)
+    report = cohomology_dims(conn, kind, D=D, stab_margins=margins)
+    assert [p.kernel_dim for p in report.positions] == [0, 2, 8, 6]
+    assert all(p.dims_by_margin == {2: 0, 3: 0} for p in report.positions)
+    base = _base(conn, kind, D + margins[-1])
+    assert built == {g: _space(conn, kind, g, base).basis_keys(D) for g in range(4)}
 
 
 @pytest.mark.parametrize("kind", ["prim", "cone"])
@@ -539,6 +565,28 @@ def test_negative_truncations_are_rejected():
     element = PrimElement(PLUS, 1, VectorForm([lambda_standard(2), Form.zero(2, 1)], 1))
     with pytest.raises(ValueError):
         exactness_witness(conn, "prim", element, D_search=-1)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda conn, _: cohomology_dims(conn, stab_margins=(2.5, 3)),
+     "each of stab_margins must be an int, got 2.5"),
+    (lambda conn, _: cohomology_dims(conn, stab_margins=(True, 3)),
+     "each of stab_margins must be an int, got True"),
+    (lambda conn, _: cohomology_dims(conn, D=1.5), "D must be an int, got 1.5"),
+    (lambda conn, _: cohomology_dims(conn, D=True), "D must be an int, got True"),
+    (lambda conn, _: closedlem_check(conn, D=2.0), "D must be an int, got 2.0"),
+    (lambda conn, _: closedlem_check(conn, trials=2.0), "trials must be an int, got 2.0"),
+    (lambda conn, element: exactness_witness(conn, "prim", element, D_search=2.0),
+     "D_search must be an int, got 2.0"),
+], ids=["float-margin", "bool-margin", "float-D", "bool-D", "closedlem-D", "closedlem-trials",
+        "witness-D"])
+def test_non_int_truncations_and_margins_are_rejected_by_name(call, message):
+    # a float margin was truncated, a float truncation failed deep inside,
+    # and True was read as 1
+    conn = generate_flat(2, 2, diag(1, 0))
+    element = PrimElement(PLUS, 1, VectorForm([lambda_standard(2), Form.zero(2, 1)], 1))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(conn, element)
 
 
 def test_oversized_truncations_are_refused_before_assembly(monkeypatch):

@@ -69,7 +69,8 @@ def test_independence_rank_and_relations_match_oracle(seed):
     for tag, (relation, expected) in enumerate(results):
         assert relation == expected, tag
         if relation is not None:
-            assert relation[tag] == 1
+            # the relation's own tag comes first, with coefficient 1
+            assert next(iter(relation)) == tag and relation[tag] == 1
             assert all(type(value) is Fraction for value in relation.values())
             assert combination(relation, columns) == {}
     assert fast.rank == slow.rank
@@ -100,7 +101,11 @@ def test_untracked_and_clone_leave_the_original_alone(seed):
     rng, columns, fast, slow, _ = fed_pair(seed)
     rank = fast.rank
     outside = {(99, "e"): random_entry(rng), (0, "e"): random_entry(rng)}
-    for copy, oracle in [(fast.clone(), slow.clone()), (fast.untracked(), slow.untracked())]:
+    # an untracked echelon fed the stored rows spans what the columns span
+    untracked, untracked_slow = Echelon(), FractionEchelon()
+    for row, other in zip(fast.rows(), slow.rows()):
+        assert untracked.add(row) is None and untracked_slow.add(other) is None
+    for copy, oracle in [(fast.clone(), slow.clone()), (untracked, untracked_slow)]:
         assert copy.rank == rank
         assert copy.add(outside, "outside") is None
         assert oracle.add(outside, "outside") is None
@@ -114,7 +119,25 @@ def test_untracked_and_clone_leave_the_original_alone(seed):
     assert fast.rank == slow.rank == rank
     assert not fast.contains(outside)
     with pytest.raises(ValueError):
-        fast.untracked().solve({})
+        untracked.solve({})
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_last_pivot_reads_the_lead_of_the_row_stored_last(seed):
+    # independent vectors store a row whose pivot is its largest key, the
+    # same key as over Fraction; a dependent one stores none
+    _, columns, _, _, _ = fed_pair(seed)
+    fast, slow = Echelon(), FractionEchelon()
+    for column in columns:
+        before = fast.rows()
+        if fast.add(column) is None:
+            assert slow.add(column) is None
+            assert fast.last_pivot == slow.last_pivot == max(fast.rows()[-1])
+            assert fast.rows()[:-1] == before
+        else:
+            assert slow.add(column) == {}
+            assert fast.rows() == before
+    assert [max(row) for row in fast.rows()] == [max(row) for row in slow.rows()]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

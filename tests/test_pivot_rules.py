@@ -79,8 +79,3 @@ def test_stored_rows_equal_their_recorded_combinations(seed):
         assert key == max(row) and row[key] > 0
         assert combination(combo, columns) == row
         assert gcd(*row.values(), *combo.values()) == 1
-    untracked = fast.untracked()
-    assert untracked._pivots.keys() == fast._pivots.keys()
-    for key, (row, combo) in untracked._pivots.items():
-        assert row is fast._pivots[key][0]
-        assert combo is None
