@@ -174,18 +174,17 @@ def _cmd_ainfty_check(args) -> tuple:
     total_failures = 0
     fiber = "matrix" if args.rank > 1 else "scalar"
     for k in (1, 2, 3, 4):
-        failures, first = run_trials(
-            args.trials,
+        trial = run_trials(
+            f"stasheff_{k}", args.trials,
             lambda: [rand_prim_element(rng, args.n, fiber, args.rank, max_degree=args.max_deg)
                      for _ in range(k)],
             lambda elems: check_stasheff(k, elems))
-        if first is not None:
-            elems, residual = first
-            first = {"inputs": [_element_json(e) for e in elems],
-                     "residual": _element_json(residual)}
-        total_failures += failures
-        relations.append({"k": k, "trials": args.trials, "failures": failures,
-                          "first_counterexample": first})
+        total_failures += trial.failures
+        relations.append({"k": k, "trials": trial.trials, "failures": trial.failures,
+                          "first_counterexample": {
+                              "inputs": [_element_json(e) for e in trial.example],
+                              "residual": _element_json(trial.residual),
+                          } if trial.failures else None})
     report = {"n": args.n, "rank": args.rank, "seed": args.seed,
               "max_degree": args.max_deg, "relations": relations,
               "all_passed": total_failures == 0}
@@ -194,19 +193,18 @@ def _cmd_ainfty_check(args) -> tuple:
 
 def _cmd_twist_square(args) -> tuple:
     conn = load_connection(args.connection)
+    flat = analyze_flatness(conn).is_symplectically_flat
     rep = check_square_zero(conn, trials=args.trials, seed=args.seed,
                             max_degree=args.max_deg)
     report = {
         "connection": args.connection,
         "seed": args.seed,
         "trials": rep.trials,
-        "flat": rep.flat,
+        "flat": flat,
         "residual_failures": rep.failures,
-        "witness": None,
+        "witness": {"element": _element_json(rep.example),
+                    "residual": _element_json(rep.residual)} if rep.failures else None,
     }
-    if rep.witness is not None:
-        report["witness"] = {"element": _element_json(rep.witness),
-                             "residual": _element_json(rep.witness_residual)}
     return (0 if rep.failures == 0 else CHECK_FAILED), report
 
 
@@ -218,10 +216,12 @@ def _cmd_cohomology(args) -> tuple:
     for pos in rep.positions:
         if not pos.stabilized:
             # the margins probe the image of the differential from the position
-            # below; the bottom position has none and always stabilizes
+            # below; the bottom position has none and always stabilizes.  The
+            # hint never repeats or lowers the largest margin that just failed
             growth = cohomology_mod.connection_growth(conn, args.complex, pos.grading - 1)
+            low = max(growth, max(rep.margins))
             sys.stderr.write(f"primflat: {pos.label} did not stabilize (connection_growth "
-                             f"{growth}); try --margins {growth},{growth + 1}\n")
+                             f"{growth}); try --margins {low},{low + 1}\n")
         positions.append({
             "position": pos.label,
             "grading": pos.grading,
@@ -244,9 +244,9 @@ def _cmd_cone_verify(args) -> tuple:
     report = {
         "connection": args.connection,
         "seed": args.seed,
-        "identities": [{"name": r.identity, "trials": r.trials,
-                        "failures": r.failures,
-                        "counterexample": r.counterexample} for r in reports],
+        "identities": [{"name": r.name, "trials": r.trials, "failures": r.failures,
+                        "counterexample": repr(r.example) if r.failures else None}
+                       for r in reports],
         "all_passed": failures == 0,
     }
     return (0 if failures == 0 else CHECK_FAILED), report

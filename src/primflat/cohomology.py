@@ -112,12 +112,12 @@ from .linalg import Echelon, Vec, kernel_basis
 from .scalars import Monomial, Poly, monomials_up_to
 from .ainfinity import (Element, MINUS, PLUS, PrimElement, ZERO, _ZeroElement, _element,
                         add_elements, grading_position, m1, m2, scale_element)
-from .sampling import run_trials
+from .sampling import TrialReport, run_trials
 from .twist import twisted_m1
 
 # the most basis keys one position may have at degree <= D + max(margins):
 # elimination time grows with it (175,175 keys, the n = 3 cone at D = 6 with
-# A = 0, took 13.5 s on a 2-core VM)
+# A = 0, took 2.4 s for the whole command on a 2-core VM)
 MAX_BASIS = 250_000
 
 
@@ -664,16 +664,11 @@ def _constant_frame_lambda(conn: Connection) -> Form:
     raise ValueError("connection is not in a constant frame A = Phi lambda")
 
 
-@dataclass
-class ClosedIdentityReport:
-    label: str
-    trials: int
-    failures: int
-
-
 def closedlem_check(conn: Connection, trials: int = 100, seed: int = 0,
-                    D: int = 3) -> list[ClosedIdentityReport]:
-    """Check the three closedness identities on kernel-sampled elements.
+                    D: int = 3) -> list[TrialReport]:
+    """Check the three closedness identities on kernel-sampled elements,
+    one `TrialReport` per position, named by its label (no draw where the
+    kernel is 0).
 
     In the frame A = Phi lambda with constant Phi, for closed beta the
     combinations beta - lambda x (del_minus_A beta) (plus side) and
@@ -695,11 +690,7 @@ def closedlem_check(conn: Connection, trials: int = 100, seed: int = 0,
             continue  # closedness there already makes the identity trivial
         space = _space(conn, "prim", grading, base)
         kernel = _kernel_sweep(conn, "prim", space, space.basis_keys(D))[0]
-        label = space.label
-        if not kernel:
-            reports.append(ClosedIdentityReport(label, 0, 0))
-            continue
-        count = min(trials, max(1, trials // (2 * n + 1)))
+        count = min(trials, max(1, trials // (2 * n + 1))) if kernel else 0
 
         def sample() -> Optional[PrimElement]:
             # a random combination of kernel vectors; None when it cancels
@@ -711,10 +702,8 @@ def closedlem_check(conn: Connection, trials: int = 100, seed: int = 0,
                     add_terms(coords, ((key, coeff * v) for key, v in vec.items()))
             return space.element_from_coords(coords) if coords else None
 
-        failures, _ = run_trials(
-            count, sample,
-            lambda beta: None if beta is None else _closed_identity_residual(conn, lam_elem, beta))
-        reports.append(ClosedIdentityReport(label, count, failures))
+        reports.append(run_trials(space.label, count, sample, lambda beta: None if beta is None
+                                  else _closed_identity_residual(conn, lam_elem, beta)))
     return reports
 
 

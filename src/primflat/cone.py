@@ -24,13 +24,17 @@ the xi slot by omega^(n-k), k = 2n+1-j.  `cone_split` returns the
 ``{r: beta}`` components of both slots, as ``decompose`` gives them, and
 re-derives and checks that shape on every call, since the uniqueness of the
 decomposition makes a violation an internal error, never data.
+
+`check_chain_identities` draws seeded random elements for the five
+identities the comparison maps satisfy and returns one
+`sampling.TrialReport` per identity, each with its first failing draw.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .connection import Connection, analyze_flatness, covariant_d
 from .errors import InternalInvariantError
@@ -38,7 +42,7 @@ from .forms import VectorForm, omega, wedge
 from .lefschetz import L_power, decompose, pi_p
 from .ainfinity import (Element, MINUS, PLUS, ZERO, _ZeroElement, _element, add_elements,
                         scale_element)
-from .sampling import rand_cone_element, rand_element_at_grading, run_trials
+from .sampling import TrialReport, rand_cone_element, rand_element_at_grading, run_trials
 from .twist import twisted_m1
 
 
@@ -216,17 +220,11 @@ def residual_phi_exactness(conn: Connection, closed: ConeElement) -> ConeElement
     return cone_d(conn, witness) - phi_apply(conn, closed)
 
 
-@dataclass
-class ChainIdentityReport:
-    identity: str
-    trials: int
-    failures: int
-    counterexample: Optional[str]
-
-
 def check_chain_identities(conn: Connection, trials: int = 100, seed: int = 0,
-                           max_degree: int = 2) -> list[ChainIdentityReport]:
-    """Randomized exact check of the five comparison identities.
+                           max_degree: int = 2) -> list[TrialReport]:
+    """Randomized exact check of the five comparison identities, one
+    `TrialReport` each, in the order f_chain_map, g_chain_map, fg_identity,
+    homotopy, phi_exactness.
 
     Requires a symplectically flat connection (the identities quantify over
     a genuine complex).  Gradings are swept uniformly, so the boundary
@@ -236,13 +234,6 @@ def check_chain_identities(conn: Connection, trials: int = 100, seed: int = 0,
         raise ValueError("chain identities need a symplectically flat connection")
     rng = random.Random(seed)
     n, rank = conn.n, conn.rank
-    reports = []
-
-    def run(name: str, sampler: Callable[[], object],
-            residual: Callable[[object], object]) -> None:
-        failures, first = run_trials(trials, sampler, residual)
-        example = repr(first[0]) if first is not None else None
-        reports.append(ChainIdentityReport(name, trials, failures, example))
 
     def cone_sampler():
         grading = rng.randint(0, 2 * n + 1)
@@ -256,9 +247,11 @@ def check_chain_identities(conn: Connection, trials: int = 100, seed: int = 0,
         grading = rng.randint(0, 2 * n)
         return cone_d(conn, rand_cone_element(rng, conn, grading, max_degree))
 
-    run("f_chain_map", cone_sampler, lambda a: residual_f_chain(conn, a))
-    run("g_chain_map", prim_sampler, lambda b: residual_g_chain(conn, b))
-    run("fg_identity", prim_sampler, lambda b: residual_fg_identity(conn, b))
-    run("homotopy", cone_sampler, lambda a: residual_homotopy(conn, a))
-    run("phi_exactness", closed_sampler, lambda a: residual_phi_exactness(conn, a))
-    return reports
+    return [
+        run_trials("f_chain_map", trials, cone_sampler, lambda a: residual_f_chain(conn, a)),
+        run_trials("g_chain_map", trials, prim_sampler, lambda b: residual_g_chain(conn, b)),
+        run_trials("fg_identity", trials, prim_sampler, lambda b: residual_fg_identity(conn, b)),
+        run_trials("homotopy", trials, cone_sampler, lambda a: residual_homotopy(conn, a)),
+        run_trials("phi_exactness", trials, closed_sampler,
+                   lambda a: residual_phi_exactness(conn, a)),
+    ]

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .forms import Form, wedge
-from .scalars import Poly, coordinate_name
+from .scalars import Poly, coordinate_name, named_terms
 
 
 class ParseError(ValueError):
@@ -215,34 +215,14 @@ def print_poly(poly: Poly) -> str:
     if poly.is_zero:
         return "0"
     bits: list[str] = []
-    terms = poly.terms
-    for mono in sorted(terms, key=lambda m: (sum(m), m)):
-        coeff = terms[mono]
-        factors = []
+    for coeff, factors in named_terms(poly):
         magnitude = abs(coeff)
-        if magnitude != 1 or not any(mono):
-            factors.append(str(magnitude))
-        for coord, exponent in enumerate(mono):
-            if not exponent:
-                continue
-            name = coordinate_name(poly.n, coord)
-            factors.append(f"{name}^{exponent}" if exponent > 1 else name)
-        text = "*".join(factors)
+        text = "*".join(([str(magnitude)] if magnitude != 1 or not factors else []) + factors)
         if not bits:
             bits.append(text if coeff > 0 else f"-{text}")
         else:
             bits.append(f" + {text}" if coeff > 0 else f" - {text}")
     return "".join(bits)
-
-
-def _basis_name(n: int, idx: tuple[int, ...]) -> str:
-    parts = []
-    for coord in idx:
-        if coord < n:
-            parts.append(f"dx{coord + 1}")
-        else:
-            parts.append(f"dy{coord - n + 1}")
-    return "/\\".join(parts)
 
 
 def print_form(form: Form) -> str:
@@ -254,7 +234,7 @@ def print_form(form: Form) -> str:
     chunks = []
     for idx in sorted(form.terms):
         poly = form.terms[idx]
-        basis = _basis_name(form.n, idx)
+        basis = "/\\".join("d" + coordinate_name(form.n, c) for c in idx)
         if poly == Poly.const(form.n, 1):
             chunks.append(basis)
         else:

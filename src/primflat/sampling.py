@@ -1,5 +1,6 @@
 """Seeded random generators for forms, algebra elements and connections,
-and the trial loop of every randomized identity check.
+and `run_trials`, the trial loop of every randomized identity check, whose
+`TrialReport` is the one result type of all of them.
 
 Every generator takes an explicit `random.Random`; one seed drives a whole
 randomized check, which keeps counterexamples reproducible and CLI reports
@@ -11,6 +12,7 @@ inputs buy nothing but runtime.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
@@ -21,28 +23,41 @@ from .scalars import Poly
 from .ainfinity import MINUS, PLUS, PrimElement, grading_position
 
 
-def run_trials(trials: int, sample: Callable[[], Any],
-               residual: Callable[[Any], Any]) -> tuple[int, Optional[tuple]]:
-    """``(failures, first)`` over ``trials`` draws of ``sample()``.
+@dataclass
+class TrialReport:
+    """Outcome of ``trials`` draws checked against one identity ``name``.
+
+    ``failures`` counts the failing draws; ``example`` is the first of them
+    and ``residual`` its residual, both None when every draw passed.
+    """
+
+    name: str
+    trials: int
+    failures: int = 0
+    example: Any = None
+    residual: Any = None
+
+
+def run_trials(name: str, trials: int, sample: Callable[[], Any],
+               residual: Callable[[Any], Any]) -> TrialReport:
+    """The `TrialReport` of ``trials`` draws of ``sample()``.
 
     A draw fails when ``residual(draw)`` is neither None nor zero
-    (``.is_zero``); ``first`` is the first failing ``(draw, residual)``, or
-    None.  Draws are taken one at a time, each followed by its residual, so
-    a seeded sampler draws in the same order whatever the residuals are.
-    A negative ``trials`` raises ValueError.
+    (``.is_zero``).  Draws are taken one at a time, each followed by its
+    residual, so a seeded sampler draws in the same order whatever the
+    residuals are.  A negative ``trials`` raises ValueError.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    failures = 0
-    first = None
+    report = TrialReport(name, trials)
     for _ in range(trials):
         drawn = sample()
         value = residual(drawn)
         if value is not None and not value.is_zero:
-            failures += 1
-            if first is None:
-                first = (drawn, value)
-    return failures, first
+            if not report.failures:
+                report.example, report.residual = drawn, value
+            report.failures += 1
+    return report
 
 
 def rand_fraction(rng: random.Random, zero_ok: bool = True) -> Fraction:

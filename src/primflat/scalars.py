@@ -242,14 +242,7 @@ class Poly:
     def __repr__(self) -> str:
         if not self.num:
             return f"Poly({self.n}, 0)"
-        terms = self.terms
-        bits = []
-        for mono in sorted(terms, key=lambda m: (sum(m), m)):
-            factors = [str(terms[mono])]
-            factors += [f"{coordinate_name(self.n, c)}^{e}" if e > 1
-                        else coordinate_name(self.n, c)
-                        for c, e in enumerate(mono) if e]
-            bits.append("*".join(factors))
+        bits = ["*".join([str(coeff), *factors]) for coeff, factors in named_terms(self)]
         return f"Poly({self.n}, {' + '.join(bits)!r})"
 
 
@@ -259,6 +252,15 @@ def coordinate_name(n: int, coord: int) -> str:
     if coord < n:
         return f"x{coord + 1}"
     return f"y{coord - n + 1}"
+
+
+def named_terms(poly: Poly) -> list[tuple[Fraction, list[str]]]:
+    """``(coefficient, ["x1", "y2^3"])`` per term, by total degree, then
+    exponents: the one term order and factor spelling of every printer."""
+    terms = poly.terms
+    return [(terms[mono], [coordinate_name(poly.n, c) + (f"^{e}" if e > 1 else "")
+                           for c, e in enumerate(mono) if e])
+            for mono in sorted(terms, key=lambda m: (sum(m), m))]
 
 
 def monomials_up_to(n: int, max_degree: int) -> list[Monomial]:

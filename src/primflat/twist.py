@@ -16,24 +16,23 @@ witness check of `exactness_witness` do).  Cohomology matrices are not
 built through here but from fiber tables; `twisted_m1` is their oracle.
 
 `m1_prime_of_A` evaluates the series on the connection form itself inside
-the matrix-valued algebra; its vanishing is exactly symplectic flatness,
-which `check_square_zero` uses to exhibit the square-zero property or a
-counterexample witness.
+the matrix-valued algebra; its vanishing is exactly symplectic flatness.
+`check_square_zero` applies the twisted differential twice to random
+elements and returns the `sampling.TrialReport` of those trials: no failure
+for a flat connection, else the first failing element and its residual.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
 
 from .connection import Connection, analyze_flatness, covariant_d
 from .errors import InternalInvariantError
 from .forms import VectorForm
 from .lefschetz import L_power, _require_primitive, pi_p
-from .ainfinity import (PLUS, Element, PrimElement, ZERO, _ZeroElement, _differential,
+from .ainfinity import (PLUS, Element, ZERO, _ZeroElement, _differential,
                         _element, add_elements, apply_m, scale_element)
-from .sampling import rand_prim_element, run_trials
+from .sampling import TrialReport, rand_prim_element, run_trials
 
 
 def delta_sign(k: int) -> int:
@@ -111,29 +110,15 @@ def m1_prime_of_A(conn: Connection) -> Element:
     return twisting_series(conn, connection_element(conn))
 
 
-@dataclass
-class SquareZeroReport:
-    """Outcome of randomized square-zero trials for the twisted differential."""
-
-    flat: bool
-    trials: int
-    failures: int
-    witness: Optional[PrimElement]
-    witness_residual: Optional[PrimElement]
-
-
 def check_square_zero(conn: Connection, trials: int = 100, seed: int = 0,
-                      max_degree: int = 2) -> SquareZeroReport:
+                      max_degree: int = 2) -> TrialReport:
     """Apply the twisted differential twice to random elements.
 
     For a symplectically flat connection every residual vanishes; otherwise
-    the first nonzero residual is reported as a witness.
+    the first nonzero residual is reported with the element it came from.
     """
     rng = random.Random(seed)
-    flat = analyze_flatness(conn).is_symplectically_flat
-    failures, first = run_trials(
-        trials,
+    return run_trials(
+        "square_zero", trials,
         lambda: rand_prim_element(rng, conn.n, "vector", conn.rank, max_degree=max_degree),
         lambda element: twisted_m1(conn, twisted_m1(conn, element)))
-    witness, witness_residual = first or (None, None)
-    return SquareZeroReport(flat, trials, failures, witness, witness_residual)

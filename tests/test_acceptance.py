@@ -92,13 +92,13 @@ def test_criterion_02_square_zero():
     failures = 0
     for index, conn in enumerate(connections):
         report = check_square_zero(conn, trials=100, seed=900 + index)
-        if not report.flat or report.failures:
+        if not analyze_flatness(conn).is_symplectically_flat or report.failures:
             failures += 1
     nonflat = Connection(
         2, 1, MatrixForm([[Form(2, 1, {(1,): Poly.variable(2, 0)})]], 1))
     witness_report = check_square_zero(nonflat, trials=60, seed=999)
-    witness_ok = (not witness_report.flat and witness_report.failures > 0
-                  and witness_report.witness is not None)
+    witness_ok = (not analyze_flatness(nonflat).is_symplectically_flat
+                  and witness_report.failures > 0 and witness_report.example is not None)
     verdict(2, failures == 0 and witness_ok,
             f"twisted differential squares to zero on 100 elements for each of "
             f"{len(connections)} flat connections; non-flat witness exhibited")

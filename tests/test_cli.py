@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from primflat import cli
+from primflat import cli, cone
 from primflat.cli import (INTERNAL_ERROR, MAX_N, MAX_RANK, USAGE_ERROR, CHECK_FAILED,
                          load_connection, run)
 from primflat.cohomology import MAX_BASIS
@@ -311,6 +311,28 @@ def test_unstabilized_position_gets_a_margin_hint(tmp_path, capsys):
     assert "connection_growth" not in buf.getvalue()
 
 
+@pytest.mark.parametrize("margins,hint", [
+    ("0,1", "1,2"),
+    ("1,2", "2,3"),
+], ids=["0,1", "1,2"])
+def test_margin_hint_starts_at_the_largest_margin_used(tmp_path, capsys, margins, hint):
+    # with A = 0 the growth is 0, but d lowers the coefficient degree (the
+    # middle map by two), so the hint never repeats or lowers the failed pair
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"n": 2, "rank": 1, "A": [["0"]]}))
+    argv = ["cohomology", "--connection", str(path), "--truncation", "1"]
+    buf = io.StringIO()
+    assert run([*argv, "--margins", margins], stdout=buf) == CHECK_FAILED
+    labels = [p["position"] for p in json.loads(buf.getvalue())["positions"]
+              if not p["stabilized"]]
+    assert labels == (["P1+", "P2+", "P2-", "P1-", "P0-"] if margins == "0,1" else ["P2-"])
+    assert capsys.readouterr().err == "".join(
+        f"primflat: {label} did not stabilize (connection_growth 0); try --margins {hint}\n"
+        for label in labels)
+    assert run([*argv, "--margins", hint], stdout=io.StringIO()) == (
+        CHECK_FAILED if hint == "1,2" else 0)
+
+
 # Connection texts of the pinned reports: a flat and a non-flat n = 2 file,
 # a flat n = 1 rank-2 file whose Phi0 = [[1, 1], [0, 0]] has a kernel, and a
 # gauged n = 1 rank-2 file with fractional coefficients.
@@ -375,3 +397,45 @@ def pinned_report_digest(tmp_path, argv):
 def test_report_digests_are_pinned(tmp_path, argv, code, digest):
     # a changed digest is a changed report: record why in CHANGES.md
     assert pinned_report_digest(tmp_path, argv) == (code, digest)
+
+
+def test_failed_stasheff_relation_reports_its_first_counterexample(tmp_path, monkeypatch):
+    # the real relations always hold, so k = 2 is made to fail on every draw:
+    # the residual is the first input itself
+    real = cli.check_stasheff
+    monkeypatch.setattr(cli, "check_stasheff",
+                        lambda k, elems: elems[0] if k == 2 else real(k, elems))
+    argv = ["ainfty-check", "--n", "1", "--trials", "2", "--seed", "5"]
+    code, report = run_json(argv)
+    assert code == CHECK_FAILED and report["all_passed"] is False
+    assert [rel["failures"] for rel in report["relations"]] == [0, 2, 0, 0]
+    first = report["relations"][1]["first_counterexample"]
+    assert len(first["inputs"]) == 2 and first["residual"] == first["inputs"][0]
+    assert all(rel["first_counterexample"] is None
+               for rel in report["relations"] if rel["k"] != 2)
+    assert pinned_report_digest(tmp_path, argv) == (
+        CHECK_FAILED, "0ed7db505345116646fcf2754e827d66e49689f5cb8ed5eba00340e069381a4b")
+
+
+def test_failed_cone_identity_reports_the_repr_of_its_draw(tmp_path, monkeypatch):
+    # the homotopy identity always holds, so its residual is made the draw itself
+    draws = []
+
+    def residual(conn, a):
+        draws.append(a)
+        return a
+
+    monkeypatch.setattr(cone, "residual_homotopy", residual)
+    argv = ["cone-verify", "--connection", "{n1}", "--trials", "2", "--seed", "4"]
+    assert pinned_report_digest(tmp_path, argv) == (
+        CHECK_FAILED, "25be34ab470628bc185352b0753147a2e2da2f342e2ce3c0cad89be7bb128604")
+    assert len(draws) == 2
+    first = repr(draws[0])
+    code, report = run_json(["cone-verify", "--connection", str(tmp_path / "n1.json"),
+                             "--trials", "2", "--seed", "4"])
+    assert code == CHECK_FAILED and report["all_passed"] is False
+    identities = {item["name"]: item for item in report["identities"]}
+    assert identities["homotopy"]["failures"] == 2
+    assert identities["homotopy"]["counterexample"] == first
+    assert all(item["failures"] == 0 and item["counterexample"] is None
+               for name, item in identities.items() if name != "homotopy")

@@ -372,7 +372,7 @@ def test_closed_identities_on_kernel_samples(n):
     reports = closedlem_check(conn, trials=60, seed=3, D=3)
     assert sum(r.trials for r in reports) >= 30
     for rep in reports:
-        assert rep.failures == 0, rep.label
+        assert rep.failures == 0, rep.name
 
 
 def test_closed_identities_untwisted_reduction():

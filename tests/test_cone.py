@@ -168,7 +168,7 @@ def test_chain_identities_randomized(n, r):
     conn = rand_flat_connection(rng, n, r)
     reports = check_chain_identities(conn, trials=40, seed=n * 7 + r)
     for rep in reports:
-        assert rep.failures == 0, (rep.identity, rep.counterexample)
+        assert rep.failures == 0, (rep.name, rep.example)
 
 
 def test_chain_identities_on_untwisted_connection():

@@ -6,7 +6,7 @@ import pytest
 
 from primflat.cone import check_chain_identities
 from primflat.connection import generate_flat
-from primflat.sampling import run_trials
+from primflat.sampling import TrialReport, run_trials
 from primflat.scalars import Poly
 from primflat.twist import check_square_zero
 
@@ -25,21 +25,23 @@ def test_run_trials_counts_failures_and_keeps_the_first():
         events.append(("residual", x))
         return None if x == 0 else Poly.const(1, x - 1)
 
-    failures, first = run_trials(60, sample, residual)
+    report = run_trials("shifted", 60, sample, residual)
     replay = random.Random(4)
     drawn = [replay.randint(0, 5) for _ in range(60)]
     # one draw, then its residual, trial after trial, failing or not
     assert events == [event for x in drawn for event in (("sample", x), ("residual", x))]
     assert {0, 1} <= set(drawn)
     bad = [x for x in drawn if x > 1]
-    assert failures == len(bad)
-    assert first == (bad[0], Poly.const(1, bad[0] - 1))
+    # later failures are only counted: the example stays the first failing draw
+    assert len(set(bad)) > 1
+    assert report == TrialReport("shifted", 60, len(bad), bad[0], Poly.const(1, bad[0] - 1))
 
 
 def test_run_trials_with_no_failure_reports_none():
-    assert run_trials(5, lambda: 0, lambda x: None) == (0, None)
-    assert run_trials(5, lambda: 0, lambda x: Poly.zero(1)) == (0, None)
-    assert run_trials(0, lambda: 1 / 0, lambda x: x) == (0, None)
+    for residual in (lambda x: None, lambda x: Poly.zero(1)):
+        assert run_trials("pass", 5, lambda: 0, residual) == TrialReport("pass", 5, 0, None, None)
+    # trials=0 draws nothing
+    assert run_trials("none", 0, lambda: 1 / 0, lambda x: x) == TrialReport("none", 0)
 
 
 @pytest.mark.parametrize("check", [check_square_zero, check_chain_identities])

@@ -2,7 +2,7 @@
 
 ``perfbench/tracing.py`` wraps module-level functions by name, so a layer
 reached through a stored reference would record no span and read 0 in the
-per-layer metrics without any error.  This runs three subcommands under the
+per-layer metrics without any error.  This runs four subcommands under the
 tracer and checks that each rerouted layer recorded a span.
 """
 
@@ -33,12 +33,13 @@ def test_tracer_records_the_rerouted_layers(tmp_path):
     try:
         for argv in (["decompose", "--n", "2", "--form", r"(x1)*dx1/\dy1 + dx2/\dy2"],
                      ["cone-verify", "--connection", str(conn), "--trials", "2"],
+                     ["twist-square", "--connection", str(conn), "--trials", "2"],
                      ["ainfty-check", "--n", "2", "--trials", "2"]):
             assert run(argv, stdout=io.StringIO()) == 0, argv
     finally:
         tracer.uninstall()
     calls, _ = tracing.self_times(tracer.span_name, tracer.parent, tracer.start, tracer.end)
     recorded = {name: calls.get(nid, 0) for nid, name in enumerate(tracer.names)}
-    for layer in ("lefschetz.decompose", "cone.cone_split", "cone.map_f", "ainfinity.m2",
-                  "dsl.parse_form"):
+    for layer in ("lefschetz.decompose", "cone.cone_split", "cone.map_f", "cone.cone_d",
+                  "twist.twisted_m1", "ainfinity.m2", "dsl.parse_form"):
         assert recorded[layer] > 0, layer

@@ -243,7 +243,7 @@ def test_flatness_equivalence_randomized(n):
 def test_square_zero_flat_and_nonflat():
     conn = generate_flat(2, 2, [[1, 0], [0, 2]])
     rep = check_square_zero(conn, trials=25, seed=0)
-    assert rep.flat and rep.failures == 0
+    assert analyze_flatness(conn).is_symplectically_flat and rep.failures == 0
 
     conn0 = Connection(1, 1, MatrixForm.zero(1, 1, 1))
     rep0 = check_square_zero(conn0, trials=25, seed=0)
@@ -252,10 +252,10 @@ def test_square_zero_flat_and_nonflat():
     n = 2
     bad = Connection(n, 1, MatrixForm([[Form(n, 1, {(1,): Poly.variable(n, 0)})]], 1))
     rep_bad = check_square_zero(bad, trials=40, seed=0)
-    assert not rep_bad.flat
+    assert not analyze_flatness(bad).is_symplectically_flat
     assert rep_bad.failures > 0
-    assert rep_bad.witness is not None
-    residual = twisted_m1(bad, twisted_m1(bad, rep_bad.witness))
+    assert rep_bad.example is not None
+    residual = twisted_m1(bad, twisted_m1(bad, rep_bad.example))
     assert not residual.is_zero
 
 
