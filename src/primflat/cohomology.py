@@ -109,7 +109,7 @@ from .forms import (Form, LAMBDA_CHOICES, VectorForm, add_terms, all_indices, om
 from .lefschetz import (FiberTable, L_power, fiber_d_table, pi_p, primitive_fiber_basis,
                         primitive_fiber_coords)
 from .linalg import Echelon, Vec, kernel_basis
-from .scalars import Monomial, Poly, monomials_up_to
+from .scalars import Monomial, monomials_up_to
 from .ainfinity import (Element, MINUS, PLUS, PrimElement, ZERO, _ZeroElement, _element,
                         add_elements, grading_position, m1, m2, scale_element)
 from .sampling import TrialReport, run_trials
@@ -260,32 +260,30 @@ class TruncatedSpace:
             s = grading_position(self.n, self.grading)[1]
             for u, form in enumerate(element.payload.entries):
                 by_mono: dict[Monomial, dict] = {}
-                for idx, poly in form.terms.items():
-                    for mono, coeff in poly.terms.items():
-                        by_mono.setdefault(mono, {})[idx] = coeff
+                for idx, monos in form.num.items():
+                    for mono, k in monos.items():
+                        by_mono.setdefault(mono, {})[idx] = k
                 for mono, const in by_mono.items():
                     at = self.mono(mono) * stride + u
                     for fi, coeff in primitive_fiber_coords(self.n, s, const).items():
                         if coeff:
-                            out[at + fi * rank] = coeff
+                            out[at + fi * rank] = Fraction(coeff, form.den)
             return out
         for slot, vector in enumerate(vectors):
             for u, form in enumerate(vector.entries):
-                for idx, poly in form.terms.items():
+                for idx, monos in form.num.items():
                     at = slot * self.slot + self.indices[slot].index(idx) * rank + u
-                    for mono, coeff in poly.terms.items():
-                        out[at + self.mono(mono) * stride] = coeff
+                    for mono, k in monos.items():
+                        out[at + self.mono(mono) * stride] = Fraction(k, form.den)
         return out
 
 
 def _form(n: int, degree: int, coeffs: dict) -> Form:
-    """The form with coefficients ``{idx: {mono: value}}``; cancelled ones drop."""
-    terms = {}
-    for idx, monos in coeffs.items():
-        poly = Poly(n, monos)
-        if not poly.is_zero:
-            terms[idx] = poly
-    return Form._trusted(n, degree, terms)
+    """The form with rational coefficients ``{idx: {mono: value}}``; cancelled ones drop."""
+    den = lcm(*(c.denominator for monos in coeffs.values() for c in monos.values()))
+    return Form._reduced(n, degree, {idx: {m: c.numerator * (den // c.denominator)
+                                           for m, c in monos.items() if c}
+                                     for idx, monos in coeffs.items()}, den)
 
 
 def _space(conn: Connection, kind: str, grading: int, base: int) -> TruncatedSpace:
@@ -314,14 +312,13 @@ def _connection_terms(conn: Connection, space: TruncatedSpace) -> tuple[list, li
     """
     phi = analyze_flatness(conn).Phi
     rank = range(conn.rank)
-    scale = lcm(*(poly.den for matrix in (conn.A, phi) for row in matrix.entries
-                  for entry in row for poly in entry.terms.values()))
-    a_terms = [[(c, v, space.mono(mono), k * (scale // poly.den))
-                for v in rank for (c,), poly in conn.A.entries[v][u].terms.items()
-                for mono, k in poly.num.items()] for u in rank]
-    phi_terms = [[(v, space.mono(mono), k * (scale // poly.den))
-                  for v in rank for poly in phi.entries[v][u].terms.values()
-                  for mono, k in poly.num.items()] for u in rank]
+    scale = lcm(*(e.den for matrix in (conn.A, phi) for e in matrix.flat))
+    a_terms = [[(c, v, space.mono(mono), k * (scale // e.den))
+                for v in rank for e in [conn.A.entries[v][u]] for (c,), monos in e.num.items()
+                for mono, k in monos.items()] for u in rank]
+    phi_terms = [[(v, space.mono(mono), k * (scale // e.den))
+                  for v in rank for e in [phi.entries[v][u]] for monos in e.num.values()
+                  for mono, k in monos.items()] for u in rank]
     return a_terms, phi_terms, scale
 
 
@@ -654,9 +651,7 @@ def _constant_frame_lambda(conn: Connection) -> Form:
     """The potential lambda with A == Phi lambda and constant Phi, or raise."""
     report = analyze_flatness(conn)
     phi = report.Phi
-    constant = all(p.is_constant for row in phi.entries for e in row
-                   for p in e.terms.values())
-    if constant:
+    if all(not e.coefficient_degree() for e in phi.flat):
         for lam_fn in LAMBDA_CHOICES.values():
             lam = lam_fn(conn.n)
             if wedge(phi, lam) == conn.A:

@@ -90,7 +90,9 @@ class ConeElement:
         return ConeElement(self.grading, self.eta + other.eta, self.xi + other.xi)
 
     def __sub__(self, other: "ConeElement") -> "ConeElement":
-        return self + (-other)
+        if self.grading != other.grading:
+            raise ValueError("cone grading mismatch")
+        return ConeElement(self.grading, self.eta - other.eta, self.xi - other.xi)
 
     def __neg__(self) -> "ConeElement":
         return ConeElement(self.grading, -self.eta, -self.xi)

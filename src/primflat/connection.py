@@ -104,7 +104,7 @@ def _first_nonzero(m: MatrixForm) -> str:
     for i, row in enumerate(m.entries):
         for j, entry in enumerate(row):
             if not entry.is_zero:
-                return f"entry ({i}, {j}), form index {min(entry.terms)}"
+                return f"entry ({i}, {j}), form index {min(entry.num)}"
     return "no entry"
 
 
@@ -146,7 +146,7 @@ def unipotent_inverse(g: MatrixForm) -> MatrixForm:
         power = wedge(power, nil)
         if power.is_zero:
             break
-        result = result + (power if k % 2 == 0 else -power)
+        result = result + power if k % 2 == 0 else result - power
     if not power.is_zero:
         raise ValueError("matrix is not unipotent: nilpotent part does not terminate")
     return result
@@ -169,7 +169,7 @@ def generate_flat(n: int, rank: int, phi0: Sequence[Sequence[Scalar]],
     if not residual.is_zero:
         raise InternalInvariantError(
             f"potential {lambda_choice!r} (n={n}, rank={rank}) does not differentiate "
-            f"to omega: d(lambda) - omega is nonzero at form index {min(residual.terms)}")
+            f"to omega: d(lambda) - omega is nonzero at form index {min(residual.num)}")
     rows = [list(row) for row in phi0]
     if len(rows) != rank or any(len(row) != rank for row in rows):
         raise ValueError("phi0 must be rank x rank")

@@ -117,29 +117,19 @@ class _Parser:
             else:
                 return value
 
-    # factor := atom ("*" atom)*
+    # factor := atom ("*" atom)*; a product with a scalar is a wedge
     def parse_factor(self) -> Form:
-        scalar: Optional[Poly] = None
-        shaped: Optional[Form] = None
+        value: Optional[Form] = None
         while True:
             atom_col = self.peek()[2]
             atom = self.parse_atom()
-            if atom.degree == 0:
-                poly = atom.terms.get((), Poly.zero(self.n))
-                scalar = poly if scalar is None else scalar * poly
-            elif shaped is None:
-                shaped = atom
-            else:
+            if atom.degree > 0 and value is not None and value.degree > 0:
                 raise ParseError("two positive-degree factors joined by '*'; use '/\\'",
                                  atom_col)
-            kind, token, _ = self.peek()
-            if kind == "op" and token == "*":
-                self.next()
-                continue
-            break
-        if shaped is None:
-            return Form.from_poly(scalar)
-        return shaped if scalar is None else wedge(Form.from_poly(scalar), shaped)
+            value = atom if value is None else wedge(value, atom)
+            if not self._peek_is_op("*"):
+                return value
+            self.next()
 
     def parse_atom(self) -> Form:
         kind, value, col = self.next()
@@ -229,11 +219,12 @@ def print_form(form: Form) -> str:
     """Canonical text of a form; parse(print(f), f.n) == f exactly."""
     if form.is_zero:
         return "0"
+    terms = form.terms
     if form.degree == 0:
-        return print_poly(form.terms[()])
+        return print_poly(terms[()])
     chunks = []
-    for idx in sorted(form.terms):
-        poly = form.terms[idx]
+    for idx in sorted(terms):
+        poly = terms[idx]
         basis = "/\\".join("d" + coordinate_name(form.n, c) for c in idx)
         if poly == Poly.const(form.n, 1):
             chunks.append(basis)

@@ -5,15 +5,18 @@ Conventions, fixed once for the whole package:
 * coordinates x1..xn, y1..yn, internally 0-based (coordinate ``i < n`` is
   x_{i+1}, coordinate ``n+i`` is y_{i+1});
 * the basis covector of coordinate ``c`` is ``dx`` or ``dy`` accordingly,
-  and a k-form is stored as a map from strictly increasing index tuples of
-  length k to `Poly` coefficients;
+  and a k-form has one polynomial coefficient per strictly increasing
+  index tuple of length k;
 * the symplectic form is ``omega = sum_i dx_i /\\ dy_i``.
 
-The algebra is three helpers on ``{index: coefficient}`` maps over int,
-``Fraction`` or `Poly` coefficients: the index-merge wedge ``wedge_terms``,
-the lowering contraction ``contract_terms`` and the accumulator
-``add_terms``, which drops a key only when its sum cancels.  `Form` applies
-them to `Poly` maps and the Lefschetz tables to constant ones.
+A `Form` is int numerators over one positive int denominator: ``num`` maps
+index tuples to non-empty ``{monomial: nonzero int}`` dicts, kept canonical
+as a `Poly` is (``gcd(den, *all numerators) == 1``, zero is ``{}`` over 1).
+Every operation runs on ints and ends in one gcd per result form; `Poly`
+appears only at the boundary, where the public constructor converts
+``{index: Poly}`` and the ``terms`` view builds it back.  Constant forms
+(the Lefschetz and cone tables) are ``{index: coefficient}`` dicts, built
+by ``wedge_terms``, ``_lowerings`` and ``add_terms``.
 
 Forms are homogeneous.  The degree is a plain label: forms whose degree
 falls outside 0..2n are allowed but must be zero (they appear transiently
@@ -29,23 +32,24 @@ fibers in input order with no extra sign beyond the scalar Koszul sign;
 for matrices that is matrix multiplication over the wedge.
 
 Validation happens at the public constructors: ``Form(n, degree, terms)``
-checks every index tuple and coefficient, and ``VectorForm(...)`` /
-``MatrixForm(...)`` check the shape, the chart and the degree of their
+checks the degree, every index tuple and coefficient, and ``VectorForm(...)``
+/ ``MatrixForm(...)`` check the shape, the chart and the degree of their
 entries.  Forms are immutable in use, so the fiber constructors keep the
 caller's entries and only re-label zero entries to the fiber degree.
-Internal producers build their results from already-valid data through the
-trusted constructors ``Form._trusted`` and ``FiberForm._from_flat``, which
-check nothing.
+Internal producers build their results from already-valid data through
+``Form._reduced`` and ``FiberForm._from_flat``, which check nothing and
+take ownership of the dicts and lists they are given.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .scalars import Poly, Scalar, _ratio
+from .scalars import Poly, Scalar, _accumulate, _multiply, _ratio
 
 FormIndex = tuple[int, ...]
 AnyForm = Union["Form", "VectorForm", "MatrixForm"]
@@ -72,6 +76,24 @@ def merge_indices(left: FormIndex, right: FormIndex) -> Optional[tuple[int, Form
     out.extend(left[i:])
     out.extend(right[j:])
     return sign, tuple(out)
+
+
+_merge = cache(merge_indices)  # for the few index pairs of symbolic forms
+
+
+@cache
+def _lowerings(n: int, idx: FormIndex) -> list[tuple[FormIndex, int]]:
+    """``(index, sign)`` per term of the sl(2) lowering of the basis form idx,
+    sum_i of the contractions by d/dx_i, then d/dy_i: an x_i at position p
+    and y_i at q drop, with sign (-1)^(p+q+1); no two terms share an index."""
+    return [(idx[:p] + idx[p + 1:q] + idx[q + 1:], 1 if (p + q) % 2 else -1)
+            for p, i in enumerate(idx) if i < n and n + i in idx for q in [idx.index(n + i)]]
+
+
+@cache
+def _d_moves(n: int, idx: FormIndex) -> list[tuple[int, int, FormIndex]]:
+    """``(c, sign, index)`` per coordinate c outside idx: dx_c /\\ dx_idx = sign dx_index."""
+    return [(c, *merge_indices((c,), idx)) for c in range(2 * n) if c not in idx]
 
 
 def add_terms(out: dict, terms: Iterable[tuple]) -> dict:
@@ -105,62 +127,67 @@ def wedge_terms(pairs: Iterable[tuple[Mapping, Mapping]]) -> dict:
     return add_terms({}, products())
 
 
-def contract_terms(n: int, terms: Mapping) -> dict:
-    """The sl(2) lowering contraction of an ``{index: coefficient}`` map:
-    sum_i of the contraction by d/dx_i, then by d/dy_i.  An index tuple that
-    holds x_i at position p and y_i at position q loses both, with sign
-    (-1)^(p+q+1)."""
-    def lowered():
-        for idx, c in terms.items():
-            for p, i in enumerate(idx):
-                if i >= n:
-                    break
-                if n + i in idx:
-                    q = idx.index(n + i)
-                    yield idx[:p] + idx[p + 1:q] + idx[q + 1:], (c if (p + q) % 2 else -c)
-    return add_terms({}, lowered())
-
-
 class Form:
-    """Homogeneous exterior form with polynomial coefficients."""
+    """Homogeneous exterior form with polynomial coefficients: ``num`` over ``den``."""
 
-    __slots__ = ("n", "degree", "terms")
+    __slots__ = ("n", "degree", "num", "den")
 
     def __init__(self, n: int, degree: int,
                  terms: Optional[Mapping[FormIndex, Poly]] = None):
-        self.n = n
-        self.degree = degree
-        clean: dict[FormIndex, Poly] = {}
+        if type(degree) is not int:
+            raise ValueError(f"form degree {degree!r} is not an int")
+        self.n, self.degree = n, degree
+        polys: dict[FormIndex, Poly] = {}
         if terms:
             if not 0 <= degree <= 2 * n:
                 raise ValueError(f"nonzero form of degree {degree} on a {2*n}-dim chart")
             for idx, poly in terms.items():
                 idx = tuple(idx)
-                if len(idx) != degree or any(not 0 <= c < 2 * n for c in idx):
+                if len(idx) != degree or not all(type(c) is int and 0 <= c < 2 * n for c in idx):
                     raise ValueError(f"bad index tuple {idx!r} for degree {degree}")
                 if list(idx) != sorted(set(idx)):
                     raise ValueError(f"index tuple {idx!r} not strictly increasing")
+                if not isinstance(poly, Poly):
+                    raise TypeError(f"coefficient {poly!r} at {idx!r} is not a Poly")
                 if poly.n != n:
                     raise ValueError("coefficient chart dimension mismatch")
-                if not poly.is_zero:
-                    clean[idx] = poly
-        self.terms = clean
+                polys[idx] = poly
+        # over the lcm of the canonical denominators no prime divides every numerator
+        self.den = lcm(*(poly.den for poly in polys.values()))
+        self.num = {idx: {m: c * (self.den // poly.den) for m, c in poly.num.items()}
+                    for idx, poly in polys.items() if poly.num}
 
     @classmethod
-    def _trusted(cls, n: int, degree: int, terms: dict[FormIndex, Poly]) -> "Form":
-        """Internal constructor: ``terms`` must already be valid for (n, degree)
-        with no zero coefficient; the form takes ownership of the dict."""
+    def _reduced(cls, n: int, degree: int, num: dict, den: int) -> "Form":
+        """Internal constructor: valid int numerators over ``den`` > 0, made canonical."""
+        if not all(num.values()):
+            num = {idx: monos for idx, monos in num.items() if monos}
+        if not num:
+            den = 1
+        elif den != 1:
+            g = den
+            for monos in num.values():
+                g = gcd(g, *monos.values())
+                if g == 1:
+                    break
+            else:
+                den //= g
+                num = {idx: {m: c // g for m, c in monos.items()} for idx, monos in num.items()}
         form = object.__new__(cls)
-        form.n = n
-        form.degree = degree
-        form.terms = terms
+        form.n, form.degree, form.num, form.den = n, degree, num, den
         return form
+
+    @property
+    def terms(self) -> dict[FormIndex, Poly]:
+        """A fresh ``{index: Poly}`` dict of the coefficients."""
+        return {idx: Poly._reduced(self.n, dict(monos), self.den)
+                for idx, monos in self.num.items()}
 
     # ---------- constructors ----------
 
     @classmethod
     def zero(cls, n: int, degree: int) -> "Form":
-        return cls._trusted(n, degree, {})
+        return cls._reduced(n, degree, {}, 1)
 
     @classmethod
     def from_poly(cls, poly: Poly) -> "Form":
@@ -188,49 +215,55 @@ class Form:
 
     # ---------- linear structure ----------
 
-    def _check_compatible(self, other: "Form") -> None:
-        if self.n != other.n:
-            raise ValueError("chart dimension mismatch")
-        if self.terms and other.terms and self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-
-    def __add__(self, other: "Form") -> "Form":
+    def _plus(self, other: "Form", sign: int) -> "Form":
+        """self + sign * other, in one pass over the numerators."""
         if not isinstance(other, Form):
             return NotImplemented
-        self._check_compatible(other)
-        degree = self.degree if self.terms else other.degree
-        return Form._trusted(self.n, degree, add_terms(dict(self.terms), other.terms.items()))
+        if self.n != other.n:
+            raise ValueError("chart dimension mismatch")
+        if not self.num or not other.num:
+            return self if self.num else other if sign > 0 or not other.num else -other
+        if self.degree != other.degree:
+            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
+        g = gcd(self.den, other.den)
+        mine, theirs = other.den // g, sign * (self.den // g)
+        out = {idx: {m: c * mine for m, c in monos.items()} for idx, monos in self.num.items()}
+        for idx, monos in other.num.items():
+            _accumulate(out.setdefault(idx, {}), monos, theirs)
+        return Form._reduced(self.n, self.degree, out, self.den * mine)
 
-    def __neg__(self) -> "Form":
-        return Form._trusted(self.n, self.degree,
-                             {idx: -poly for idx, poly in self.terms.items()})
+    def __add__(self, other: "Form") -> "Form":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Form") -> "Form":
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "Form":
+        return Form._reduced(self.n, self.degree, {idx: {m: -c for m, c in monos.items()}
+                                                   for idx, monos in self.num.items()}, self.den)
 
     def scaled(self, value: Scalar) -> "Form":
-        if not _ratio(value)[0]:
-            return Form._trusted(self.n, self.degree, {})
-        return Form._trusted(self.n, self.degree,
-                             {idx: poly.scaled(value) for idx, poly in self.terms.items()})
+        p, q = _ratio(value)
+        return Form._reduced(self.n, self.degree, {idx: {m: c * p for m, c in monos.items()}
+                                                   for idx, monos in self.num.items()} if p else {},
+                             self.den * q)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def coefficient_degree(self) -> Optional[int]:
         """Max total degree over all polynomial coefficients; None if zero."""
-        degrees = [poly.total_degree() for poly in self.terms.values()]
-        return max(degrees) if degrees else None
+        return max((sum(m) for monos in self.num.values() for m in monos), default=None)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Form):
             return NotImplemented
         if self.n != other.n:
             return False
-        if not self.terms and not other.terms:
+        if not self.num and not other.num:
             return True
-        return self.degree == other.degree and self.terms == other.terms
+        return self.degree == other.degree and self.den == other.den and self.num == other.num
 
     def __repr__(self) -> str:
         return f"Form(n={self.n}, degree={self.degree}, terms={self.terms!r})"
@@ -255,10 +288,10 @@ class FiberForm:
         for e in flat:
             if e.n != n:
                 raise ValueError(f"chart dimension mismatch in {what} entries")
-            if e.terms and e.degree != degree:
+            if e.num and e.degree != degree:
                 raise ValueError(f"{what} entries of mixed degree")
         zero = Form.zero(n, degree)
-        return n, degree, [e if e.terms or e.degree == degree else zero for e in flat]
+        return n, degree, [e if e.num or e.degree == degree else zero for e in flat]
 
     @property
     def flat(self) -> list[Form]:
@@ -292,26 +325,28 @@ class FiberForm:
         """Entrywise image under ``fn``, which sends this degree to ``degree``."""
         return self._from_flat([fn(e) for e in self.flat], degree)
 
-    def __add__(self, other):
+    def _entrywise(self, other, op: Callable[[Form, Form], Form]):
         if type(other) is not type(self):
             return NotImplemented
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
         degree = self.degree if not self.is_zero else other.degree
-        return self._from_flat([a + b for a, b in zip(self.flat, other.flat)], degree)
+        return self._from_flat([op(a, b) for a, b in zip(self.flat, other.flat)], degree)
+
+    def __add__(self, other):
+        return self._entrywise(other, Form.__add__)
+
+    def __sub__(self, other):
+        return self._entrywise(other, Form.__sub__)
 
     def __neg__(self):
         return self.map(Form.__neg__, self.degree)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def scaled(self, value):
         return self.map(lambda e: e.scaled(value), self.degree)
 
     def coefficient_degree(self) -> Optional[int]:
-        degrees = [d for d in (e.coefficient_degree() for e in self.flat) if d is not None]
-        return max(degrees) if degrees else None
+        return max((sum(m) for e in self.flat for ms in e.num.values() for m in ms), default=None)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -395,8 +430,19 @@ class MatrixForm(FiberForm):
 
 # ---------- wedge ----------
 
-def _wedge_forms(a: Form, b: Form) -> Form:
-    return Form._trusted(a.n, a.degree + b.degree, wedge_terms([(a.terms, b.terms)]))
+def _wedge_sum(n: int, degree: int, pairs: Iterable[tuple[Form, Form]]) -> Form:
+    """The sum of a /\\ b over pairs of scalar forms, at the lcm of their denominators."""
+    pairs = [(a, b) for a, b in pairs if a.num and b.num]
+    den = lcm(*(a.den * b.den for a, b in pairs))
+    out: dict = {}
+    for a, b in pairs:
+        scale = den // (a.den * b.den)
+        for idx_a, monos_a in a.num.items():
+            for idx_b, monos_b in b.num.items():
+                merged = _merge(idx_a, idx_b)
+                if merged is not None:
+                    _multiply(out.setdefault(merged[1], {}), monos_a, monos_b, merged[0] * scale)
+    return Form._reduced(n, degree, out, den)
 
 
 def wedge(a: AnyForm, b: AnyForm) -> AnyForm:
@@ -411,35 +457,39 @@ def wedge(a: AnyForm, b: AnyForm) -> AnyForm:
     degree = a.degree + b.degree
     if isinstance(a, Form):
         if isinstance(b, Form):
-            return _wedge_forms(a, b)
-        return b.map(lambda e: _wedge_forms(a, e), degree)
+            return _wedge_sum(a.n, degree, [(a, b)])
+        return b.map(lambda e: _wedge_sum(a.n, degree, [(a, e)]), degree)
     if isinstance(b, Form):
-        return a.map(lambda e: _wedge_forms(e, b), degree)
+        return a.map(lambda e: _wedge_sum(a.n, degree, [(e, b)]), degree)
     if isinstance(a, MatrixForm) and isinstance(b, FiberForm):
         if a.rank != b.rank:
             raise ValueError("rank mismatch")
         # a vector is a single column
         columns = list(zip(*b.entries)) if isinstance(b, MatrixForm) else [b.entries]
-        return b._from_flat([Form._trusted(a.n, degree, wedge_terms(
-            (x.terms, y.terms) for x, y in zip(row, col)))
-            for row in a.entries for col in columns], degree)
+        return b._from_flat([_wedge_sum(a.n, degree, zip(row, col))
+                             for row in a.entries for col in columns], degree)
     raise TypeError(
         f"no fiber composition for {type(a).__name__} wedge {type(b).__name__}")
 
 
-# ---------- exterior derivative and contractions ----------
+# ---------- exterior derivative and index maps ----------
 
 def _d_form(a: Form) -> Form:
-    def derivatives():
-        for idx, poly in a.terms.items():
-            # a coordinate missing from every monomial, or already in idx,
-            # contributes nothing
-            present = {c for mono in poly.num for c, e in enumerate(mono) if e}
-            for coord in sorted(present.difference(idx)):
-                derivative = poly.partial(coord)
-                sign, new_idx = merge_indices((coord,), idx)
-                yield new_idx, (-derivative if sign < 0 else derivative)
-    return Form._trusted(a.n, a.degree + 1, add_terms({}, derivatives()))
+    out: dict = {}
+    for idx, monos in a.num.items():
+        moves = _d_moves(a.n, idx)
+        for mono, c in monos.items():
+            for coord, sign, new_idx in moves:
+                e = mono[coord]
+                if e:  # d(x^mono) has the term e x^(mono - 1 at coord) dx_coord
+                    acc = out.setdefault(new_idx, {})
+                    lowered = mono[:coord] + (e - 1,) + mono[coord + 1:]
+                    value = acc.get(lowered, 0) + sign * e * c
+                    if value:
+                        acc[lowered] = value
+                    else:
+                        del acc[lowered]
+    return Form._reduced(a.n, a.degree + 1, out, a.den)
 
 
 def exterior_d(a: AnyForm) -> AnyForm:
@@ -449,13 +499,22 @@ def exterior_d(a: AnyForm) -> AnyForm:
     return a.map(_d_form, a.degree + 1)
 
 
+def index_map(a: Form, degree: int, rows: Callable, scale: int) -> Form:
+    """A scalar form under the constant map dx_idx -> sum k dx_t / scale, (t, k) in rows(idx)."""
+    out: dict = {}
+    for idx, monos in a.num.items():
+        for tidx, k in rows(idx):
+            _accumulate(out.setdefault(tidx, {}), monos, k)
+    return Form._reduced(a.n, degree, out, a.den * scale)
+
+
 def contract_lambda(a: Form) -> Form:
-    """The sl(2) lowering operator (``contract_terms``) on a scalar form.
+    """The sl(2) lowering operator (``_lowerings``) on a scalar form.
 
     Applied to omega it returns the constant n; a form is primitive exactly
     when this vanishes on every scalar component.
     """
-    return Form._trusted(a.n, a.degree - 2, contract_terms(a.n, a.terms))
+    return index_map(a, a.degree - 2, partial(_lowerings, a.n), 1)
 
 
 def graded_commutator(a: MatrixForm, b: MatrixForm) -> MatrixForm:
@@ -480,7 +539,8 @@ def omega_const(n: int, r: int) -> dict[FormIndex, int]:
 def omega_power(n: int, p: int) -> Form:
     if p < 0:
         raise ValueError("omega_power wants p >= 0")
-    return Form._trusted(n, 2 * p, {idx: Poly.const(n, c) for idx, c in omega_const(n, p).items()})
+    const = (0,) * (2 * n)
+    return Form._reduced(n, 2 * p, {idx: {const: c} for idx, c in omega_const(n, p).items()}, 1)
 
 
 def omega(n: int) -> Form:
@@ -490,7 +550,7 @@ def omega(n: int) -> Form:
 
 def lambda_standard(n: int) -> Form:
     """sum_i x_i dy_i; d of it is omega."""
-    return Form._trusted(n, 1, {(n + i,): Poly.variable(n, i) for i in range(n)})
+    return Form(n, 1, {(n + i,): Poly.variable(n, i) for i in range(n)})
 
 
 def lambda_symmetric(n: int) -> Form:
@@ -500,7 +560,7 @@ def lambda_symmetric(n: int) -> Form:
     for i in range(n):
         terms[(n + i,)] = Poly.variable(n, i).scaled(half)
         terms[(i,)] = Poly.variable(n, n + i).scaled(-half)
-    return Form._trusted(n, 1, terms)
+    return Form(n, 1, terms)
 
 
 LAMBDA_CHOICES: dict[str, Callable[[int], Form]] = {

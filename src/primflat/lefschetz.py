@@ -12,7 +12,7 @@ entry twice.
 
 The fiber is the exterior algebra of ``forms`` on constant coefficients: a
 constant form is an ``{index: coefficient}`` dict, multiplied by
-``wedge_terms``, lowered by ``contract_terms`` and summed by ``add_terms``,
+``wedge_terms``, lowered by ``_lowerings`` and summed by ``add_terms``,
 and ``omega_const(n, r)`` is omega^r.  Every table below is built from these
 maps; none wedges a symbolic form.
 
@@ -24,7 +24,8 @@ are built once per (n, s, k) in ``_lefschetz_image``; the decomposition
 solves against them and every operator map sums them.
 
 Operators built on the split, each a cached constant fiber map read from
-the decomposition table (``_omega_map``):
+the decomposition table (``_omega_map``), stored over ints at one scale like
+the fiber tables below and applied to a form's numerators (``index_map``):
 
 * ``decompose(a)``: the dict ``{r: beta_r}`` of nonzero components;
   component r is the map with shift -r and top r, which keeps only the
@@ -61,8 +62,8 @@ from functools import cache
 from math import lcm
 
 from .errors import InternalInvariantError
-from .forms import (AnyForm, Form, FormIndex, add_terms, all_indices, contract_terms,
-                    exterior_d, omega_const, wedge_terms)
+from .forms import (AnyForm, Form, FormIndex, _lowerings, add_terms, all_indices,
+                    contract_lambda, exterior_d, index_map, omega_const, wedge_terms)
 from .linalg import Echelon, kernel_basis
 
 ConstForm = dict  # FormIndex -> int or Fraction, a form with constant coefficients
@@ -93,7 +94,7 @@ def primitive_fiber_basis(n: int, s: int) -> list[ConstForm]:
     """
     if not 0 <= s <= n:
         return []
-    return kernel_basis((idx, contract_terms(n, {idx: 1})) for idx in all_indices(n, s))[0]
+    return kernel_basis((idx, dict(_lowerings(n, idx))) for idx in all_indices(n, s))[0]
 
 
 @cache
@@ -187,33 +188,34 @@ def is_primitive(a: AnyForm) -> bool:
     above n admit no nonzero primitive forms and only the zero form passes.
     """
     if isinstance(a, Form):
-        return not contract_terms(a.n, a.terms) and (a.degree <= a.n or a.is_zero)
+        return contract_lambda(a).is_zero and (a.degree <= a.n or a.is_zero)
     return all(is_primitive(e) for e in a.flat)
 
 
 @cache
-def _omega_map(n: int, degree: int, shift: int, top: int) -> dict:
-    """``table[idx]``: the (target index, coefficient) pairs of the constant
-    form sum omega^(r+shift) /\\ beta_r over the components beta_r of the
-    basis form idx with r <= top and r + shift >= 0."""
-    table = {}
+def _omega_map(n: int, degree: int, shift: int, top: int) -> tuple[dict, int]:
+    """``(table, scale)``: ``table[idx]`` lists the (target index, scale *
+    coefficient) int pairs of sum omega^(r+shift) /\\ beta_r over the components
+    beta_r of the basis form idx with r <= top and r + shift >= 0."""
+    rows = {}
     for idx, coords in _decomp_table(n, degree).items():
         terms = ((tidx, coeff * v) for (r, bi), coeff in coords.items()
                  if r <= top and r + shift >= 0
                  for tidx, v in _lefschetz_image(n, degree - 2 * r, r + shift)[bi].items())
-        table[idx] = list(add_terms({}, terms).items())
-    return table
+        rows[idx] = add_terms({}, terms)
+    scale = lcm(*(v.denominator for row in rows.values() for v in row.values()))
+    return {idx: [(tidx, v.numerator * (scale // v.denominator)) for tidx, v in row.items()]
+            for idx, row in rows.items()}, scale
 
 
 def _apply_omega_map(a: AnyForm, shift: int, top: int) -> AnyForm:
     """The constant fiber map ``_omega_map(n, a.degree, shift, top)`` applied
-    to a; the result has degree a.degree + 2 shift, zero or not."""
+    to a by ``index_map``; the result has degree a.degree + 2 shift, zero or not."""
     degree = a.degree + 2 * shift
-    if not isinstance(a, Form):
-        return a.map(lambda e: _apply_omega_map(e, shift, top), degree)
-    table = _omega_map(a.n, a.degree, shift, top)
-    terms = ((tidx, poly.scaled(c)) for idx, poly in a.terms.items() for tidx, c in table[idx])
-    return Form._trusted(a.n, degree, add_terms({}, terms))
+    table, scale = _omega_map(a.n, a.degree, shift, top)
+    if isinstance(a, Form):
+        return index_map(a, degree, table.__getitem__, scale)
+    return a.map(lambda e: index_map(e, degree, table.__getitem__, scale), degree)
 
 
 def L_power(p: int, a: AnyForm) -> AnyForm:

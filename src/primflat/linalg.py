@@ -168,9 +168,6 @@ class Echelon:
         self._pivots[lead] = (residual, combo if self.track else None)
         return None
 
-    def contains(self, vec: Vec) -> bool:
-        return not self._reduce(vec)[0]
-
     def solve(self, vec: Vec) -> Optional[Vec]:
         """Combination of fed vectors equal to ``vec``, or None.
 

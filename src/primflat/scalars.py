@@ -1,9 +1,9 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-This is the coefficient ring for everything else in the package.  A chart
-of dimension ``n`` carries ``2n`` coordinates, ordered x1..xn, y1..yn and
-indexed 0..2n-1 internally (coordinate ``i < n`` is x_{i+1}, coordinate
-``n + i`` is y_{i+1}).
+This is the coefficient type at the package's boundary: the parser, the
+printer and ``Form(n, degree, {index: Poly})``.  A chart of dimension ``n``
+carries ``2n`` coordinates, ordered x1..xn, y1..yn and indexed 0..2n-1
+internally (coordinate ``i < n`` is x_{i+1}, coordinate ``n + i`` is y_{i+1}).
 
 A polynomial stores int numerators over one positive int denominator:
 ``num`` maps exponent tuples of length ``2n`` to nonzero ints and the
@@ -11,14 +11,14 @@ polynomial is ``sum(num[m] * x^m) / den``.  The pair is kept canonical:
 ``gcd(den, *num.values()) == 1``, and the zero polynomial is ``{}`` over 1.
 So two polynomials are equal exactly when their ``num`` dicts and ``den``
 ints are, and every ring operation runs on ints and ends with one
-``math.gcd`` to restore the canonical form.
+``math.gcd``.  A `forms.Form` keeps such numerators per basis index over
+one denominator; both add and multiply them by ``_accumulate``/``_multiply``.
 
 ``Fraction`` appears only at the boundary: the public constructor takes
 ``int`` or ``Fraction`` coefficients, ``constant_value`` returns one, and
 the ``terms`` property builds a fresh ``{mono: Fraction}`` dict for the
-readers that want rational coefficients (printing, coordinates, repr).
-Hot paths read ``num`` and ``den`` directly.  Values are immutable in use:
-no operation mutates its inputs, so sharing across threads is safe.
+readers that want rational coefficients (printing, repr).  Values are
+immutable in use: no operation mutates its inputs.
 """
 
 from __future__ import annotations
@@ -41,6 +41,31 @@ def _ratio(value: Scalar) -> tuple[int, int]:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _accumulate(out: dict, num: Mapping, factor: int) -> dict:
+    """``out += factor * num`` in place on ``{monomial: int}``; cancelled sums drop."""
+    for mono, c in num.items():
+        c = out.get(mono, 0) + c * factor
+        if c:
+            out[mono] = c
+        else:
+            del out[mono]
+    return out
+
+
+def _multiply(out: dict, a: Mapping, b: Mapping, factor: int) -> dict:
+    """``out += factor * a * b`` on ``{monomial: int}`` dicts, in place."""
+    for mono_a, ca in a.items():
+        ca *= factor
+        for mono_b, cb in b.items():
+            mono = tuple(map(add, mono_a, mono_b))
+            c = out.get(mono, 0) + ca * cb
+            if c:
+                out[mono] = c
+            else:
+                del out[mono]
+    return out
+
+
 class Poly:
     """Sparse polynomial in the 2n chart coordinates: ``num`` over ``den``."""
 
@@ -54,7 +79,7 @@ class Poly:
         if terms:
             width = 2 * n
             for mono, coeff in terms.items():
-                if len(mono) != width or any(e < 0 for e in mono):
+                if len(mono) != width or any(type(e) is not int or e < 0 for e in mono):
                     raise ValueError(f"bad exponent tuple {mono!r} for n={n}")
                 p, q = _ratio(coeff)
                 if p:
@@ -126,25 +151,10 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same_chart(other)
-        den_a, den_b = self.den, other.den
-        if den_a == den_b:
-            out, mult_b = dict(self.num), 1
-        else:
-            g = gcd(den_a, den_b)
-            mult_a, mult_b = den_b // g, den_a // g
-            den_a *= mult_a
-            out = {mono: c * mult_a for mono, c in self.num.items()}
-        for mono, c in other.num.items():
-            acc = out.get(mono)
-            if acc is None:
-                out[mono] = c * mult_b
-            else:
-                acc += c * mult_b
-                if acc:
-                    out[mono] = acc
-                else:
-                    del out[mono]
-        return Poly._reduced(self.n, out, den_a)
+        g = gcd(self.den, other.den)
+        mult_a, mult_b = other.den // g, self.den // g
+        out = _accumulate({mono: c * mult_a for mono, c in self.num.items()}, other.num, mult_b)
+        return Poly._reduced(self.n, out, self.den * mult_a)
 
     def __neg__(self) -> "Poly":
         # negation keeps gcd(den, *num) == 1, so no gcd is needed
@@ -161,20 +171,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same_chart(other)
-        out: dict[Monomial, int] = {}
-        for mono_a, coeff_a in self.num.items():
-            for mono_b, coeff_b in other.num.items():
-                mono = tuple(map(add, mono_a, mono_b))
-                acc = out.get(mono)
-                if acc is None:
-                    out[mono] = coeff_a * coeff_b
-                else:
-                    acc += coeff_a * coeff_b
-                    if acc:
-                        out[mono] = acc
-                    else:
-                        del out[mono]
-        return Poly._reduced(self.n, out, self.den * other.den)
+        return Poly._reduced(self.n, _multiply({}, self.num, other.num, 1), self.den * other.den)
 
     def __rmul__(self, other: Scalar) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -225,10 +222,6 @@ class Poly:
 
     def __bool__(self) -> bool:
         return bool(self.num)
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.num or (len(self.num) == 1 and (0,) * (2 * self.n) in self.num)
 
     # ---------- comparison / display ----------
 

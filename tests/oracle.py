@@ -24,6 +24,8 @@ with the cached operator maps of ``primflat.lefschetz`` and with
 ``primflat.linalg.Echelon`` replaced: unit pivots, rational combinations.
 It shares no arithmetic with the integer echelon, so tests compare the two;
 ``vec_add_scaled`` is its sparse ``target += coeff * source``.
+``contains`` asks either echelon whether a vector lies in the span of what
+it was fed: an ``Echelon`` by its own integer reduction ``_reduce``.
 ``GaussJordanEchelon`` changes the pivot rule as well: it pivots on the
 smallest key and keeps its rows fully reduced, so its relations and
 ``solve`` answers equal ``Echelon``'s only because those do not depend on
@@ -33,7 +35,7 @@ the pivot rule.
 each concatenated index tuple and counting its inversions, and
 ``contract_lambda_by_interior`` lowers one by composing single
 contractions; neither shares code with ``forms.wedge_terms``,
-``forms.contract_terms`` or ``forms.add_terms``, so tests compare them.
+``forms._lowerings`` or ``forms.add_terms``, so tests compare them.
 
 ``FractionPoly`` is the polynomial over ``Fraction`` coefficients that
 ``primflat.scalars.Poly`` (int numerators over one denominator) replaced;
@@ -306,6 +308,14 @@ class FractionEchelon:
             raise ValueError("solve requires a tracking Echelon")
         residual, combo = self.reduce(vec)
         return None if residual else combo
+
+
+def contains(ech, vec):
+    """True when ``vec`` lies in the span of the vectors fed to ``ech``, an
+    ``Echelon`` or a ``FractionEchelon``."""
+    if isinstance(ech, FractionEchelon):
+        return ech.contains(vec)
+    return not ech._reduce(vec)[0]
 
 
 class GaussJordanEchelon:

@@ -3,6 +3,7 @@ against a copy whose CLI prints one line more."""
 
 import glob
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -19,7 +20,7 @@ def ab_rounds(a, b):
 def test_a_checkout_against_itself():
     result = ab_rounds(ROOT, ROOT)
     assert result.returncode == 0, result.stdout + result.stderr
-    a, b, ratio = result.stdout.splitlines()
+    a, b, ratio, *per_op = result.stdout.splitlines()
     lines = 0
     for path in glob.glob(os.path.join(ROOT, "src", "primflat", "*.py")):
         with open(path, encoding="utf-8") as handle:
@@ -28,6 +29,13 @@ def test_a_checkout_against_itself():
         assert line.startswith(f"{label} {ROOT}: median ")
         assert line.endswith(f" s CPU per round over 2 rounds, {lines} lines in src/primflat/*.py")
     assert ratio.startswith("B/A per round: median ")
+    # then one line per operation, in workload order
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from workloads import WORKLOADS
+    labels = [op.label for op in WORKLOADS["frame-cohomology"](1, "unused").operations]
+    assert len(per_op) == len(labels) == 4
+    for line, label in zip(per_op, labels):
+        assert re.fullmatch(rf"  {re.escape(label)}: B/A median \d+\.\d{{3}}", line), line
 
 
 def test_a_side_with_other_stdout_is_refused(tmp_path):

@@ -22,7 +22,7 @@ from primflat.ainfinity import PLUS, ZERO, PrimElement, grading_position
 from primflat.cone import ConeElement, cone_d
 from primflat.twist import twisted_m1
 
-from oracle import (FractionEchelon, assemble_operator, dense_gauge_rank4, diag,
+from oracle import (FractionEchelon, assemble_operator, contains, dense_gauge_rank4, diag,
                     survivors_by_margin, symbolic_column, symbolic_columns)
 
 
@@ -144,11 +144,11 @@ def test_untwisted_rank_one_dimensions_and_lambda_class():
     for key in space0.basis_keys(4 + 3):
         ech.add(symbolic_column(conn, "prim", space0, key))
     lam_coords = space1.coords_of(lam_elem)
-    assert not ech.contains(lam_coords)
+    assert not contains(ech, lam_coords)
     position = report.positions[1]
     assert len(position.witnesses) == 1
     ech.add(space1.coords_of(position.witnesses[0]))
-    assert ech.contains(lam_coords)
+    assert contains(ech, lam_coords)
 
 
 def test_cone_dimensions_match_primitive():
@@ -178,9 +178,9 @@ def test_cone_class_generator_at_grading_one():
     for key in space0.basis_keys(3 + 3):
         ech.add(symbolic_column(conn, "cone", space0, key))
     gen_coords = space1.coords_of(generator)
-    assert not ech.contains(gen_coords)  # the generator is not exact
+    assert not contains(ech, gen_coords)  # the generator is not exact
     ech.add(space1.coords_of(position.witnesses[0]))
-    assert ech.contains(gen_coords)  # same class as the reported witness
+    assert contains(ech, gen_coords)  # same class as the reported witness
 
 
 def test_stabilization_across_truncations():
@@ -245,14 +245,14 @@ def test_local_cohomology_proof_cases(phi0):
         elem = PrimElement(PLUS, 1, VectorForm(lam_u, 1))
         ech1.add(space1.coords_of(elem))
     for vec in _kernel_sweep(conn, "prim", space1, space1.basis_keys(D))[0]:
-        assert ech1.contains(vec)
+        assert contains(ech1, vec)
 
     # cases 3, 4, 5: closed elements above are exact outright
     for grading in list(range(2, n + 1)) + list(range(n + 1, 2 * n + 2)):
         space = _space(conn, "prim", grading, base)
         ech = image_echelon(grading)
         for vec in _kernel_sweep(conn, "prim", space, space.basis_keys(D))[0]:
-            assert ech.contains(vec), (grading,)
+            assert contains(ech, vec), (grading,)
 
 
 def test_exactness_witness_for_phi_times_closed():

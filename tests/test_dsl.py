@@ -1,6 +1,7 @@
 """Form expression syntax: parsing, printing, round trips."""
 
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -65,6 +66,22 @@ def test_syntax_errors_carry_column():
 def test_zero_denominator_is_a_parse_error(src, column):
     with pytest.raises(ParseError, match=rf"^division by zero \(column {column}\)$"):
         parse_form(src, 1)
+
+
+@pytest.mark.parametrize("src,column", [("dx1*dy1", 5), ("x1*dx1*2*dy1", 10),
+                                        ("dx1*x1*(dx1-dx1)", 8), ("(dx1-dx1)*dy1", 11)])
+def test_two_positive_degree_factors_are_a_parse_error(src, column):
+    with pytest.raises(ParseError, match=re.escape(
+            f"two positive-degree factors joined by '*'; use '/\\' (column {column})")):
+        parse_form(src, 1)
+
+
+@pytest.mark.parametrize("src,text,degree", [("0*dx1*y1", "0", 1), ("x1*(x1-x1)*dy1", "0", 1),
+                                             ("2*x1*dx1*y1^2", "(2*x1*y1^2)*dx1", 1),
+                                             ("x1*3/2*y1", "3/2*x1*y1", 0)])
+def test_scalar_factors_multiply_on_either_side(src, text, degree):
+    form = parse_form(src, 1)
+    assert (print_form(form), form.degree) == (text, degree)
 
 
 def test_deep_nesting_is_a_parse_error():

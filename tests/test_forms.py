@@ -1,17 +1,21 @@
 """Exterior algebra: wedge, differential, contractions, commutators."""
 
 import random
+import re
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from primflat.forms import (Form, MatrixForm, VectorForm, all_indices, contract_lambda,
-                            contract_terms, exterior_d, graded_commutator, lambda_standard,
+from primflat.forms import (Form, MatrixForm, VectorForm, _lowerings, all_indices,
+                            contract_lambda, exterior_d, graded_commutator, lambda_standard,
                             lambda_symmetric, omega, omega_power, wedge)
-from primflat.lefschetz import L_power, decompose, pi_p
+from primflat.lefschetz import L_power, _apply_omega_map, decompose, pi_p
 from primflat.sampling import rand_form, rand_poly
 from primflat.scalars import Poly
 
-from oracle import contract_lambda_by_interior, labelled
+from oracle import (FractionPoly, contract_lambda_by_interior, labelled, omega_map_by_wedge,
+                    wedge_by_sorting)
 
 
 def test_wedge_antisymmetry_on_basis():
@@ -102,7 +106,7 @@ def test_contract_lambda_matches_interior_oracle(n):
                 assert got.degree == k - 2
                 assert got.terms == contract_lambda_by_interior(n, entry.terms), entry
         for idx in all_indices(n, k):
-            assert contract_terms(n, {idx: 1}) == contract_lambda_by_interior(n, {idx: 1})
+            assert dict(_lowerings(n, idx)) == contract_lambda_by_interior(n, {idx: 1})
 
 
 def stores_no_zero(x):
@@ -202,6 +206,29 @@ def test_form_constructors_validate():
         Form.dx(2, 3)
     # zero forms may carry out-of-range degree labels
     assert Form.zero(1, 5).is_zero
+
+
+def test_form_constructor_rejects_bad_degree_index_and_coefficient():
+    # each used to be stored, or to fail later with an unrelated error
+    one = Poly.const(1, 1)
+    for degree in (1.0, True):
+        for terms in ({(0,): one}, None):
+            with pytest.raises(ValueError, match=f"^form degree {degree!r} is not an int$"):
+                Form(1, degree, terms)
+    for idx in [(0.0,), (True,), (0.5,)]:
+        with pytest.raises(ValueError, match=re.escape(f"bad index tuple {idx!r}")):
+            Form(1, 1, {idx: one})
+    for value in (3, Fraction(1, 2), "x1", None):
+        with pytest.raises(TypeError, match=re.escape(f"coefficient {value!r} at (0,) is not")):
+            Form(1, 1, {(0,): value})
+
+
+def test_form_constructor_converts_to_one_denominator():
+    half, third = Poly.const(1, Fraction(1, 2)), Poly.variable(1, 0).scaled(Fraction(2, 3))
+    form = Form(1, 1, {(1,): half, (0,): third})
+    assert (form.num, form.den) == ({(1,): {(0, 0): 3}, (0,): {(1, 0): 4}}, 6)
+    assert list(form.terms) == [(1,), (0,)] and form.terms == {(1,): half, (0,): third}
+    assert (Form(1, 1, {(0,): Poly.zero(1)}).num, Form(1, 1).den) == ({}, 1)
 
 
 def test_fiber_constructors_validate():
@@ -319,3 +346,122 @@ def test_forms_and_polys_are_unhashable():
                   VectorForm.zero(1, 0, 2), MatrixForm.zero(1, 0, 2)):
         with pytest.raises(TypeError):
             hash(value)
+
+
+# ---------- the int kernels against the Fraction oracles ----------
+
+def assert_canonical(x):
+    """Every entry is int numerators over a positive int denominator with no
+    common factor, no empty index and no zero numerator; zero is {} over 1."""
+    for e in ([x] if isinstance(x, Form) else x.flat):
+        values = [c for monos in e.num.values() for c in monos.values()]
+        assert type(e.den) is int and e.den > 0
+        assert all(e.num.values()) and all(type(c) is int and c for c in values)
+        assert gcd(e.den, *values) == 1 and (e.num or e.den == 1)
+
+
+def as_oracle(x):
+    """``{index: FractionPoly}`` of a form, or the list of them per fiber
+    entry, read straight from the numerators."""
+    if not isinstance(x, Form):
+        return [as_oracle(e) for e in x.flat]
+    return {idx: FractionPoly(x.n, {m: Fraction(c, x.den) for m, c in monos.items()})
+            for idx, monos in x.num.items()}
+
+
+def oracle_sum(maps):
+    out = {}
+    for terms in maps:
+        for idx, poly in terms.items():
+            out[idx] = out[idx] + poly if idx in out else poly
+    return {idx: poly for idx, poly in out.items() if not poly.is_zero}
+
+
+def oracle_wedge(a, b):
+    """a /\\ b by ``wedge_by_sorting`` per entry, composing fibers by hand."""
+    if isinstance(a, Form) or isinstance(b, Form):
+        left = [as_oracle(a)] if isinstance(a, Form) else as_oracle(a)
+        right = [as_oracle(b)] if isinstance(b, Form) else as_oracle(b)
+        out = [wedge_by_sorting(x, y) for x in left for y in right]
+        return out[0] if isinstance(a, Form) and isinstance(b, Form) else out
+    r, left, right = a.rank, as_oracle(a), as_oracle(b)
+    cols = 1 if isinstance(b, VectorForm) else r
+    return [oracle_sum(wedge_by_sorting(left[i * r + k], right[k * cols + j]) for k in range(r))
+            for i in range(r) for j in range(cols)]
+
+
+def oracle_d(n, terms):
+    """sum_c dx_c /\\ (partial_c of every coefficient)."""
+    return oracle_sum(wedge_by_sorting({(c,): FractionPoly.const(n, 1)},
+                                       {idx: poly.partial(c) for idx, poly in terms.items()
+                                        if not poly.partial(c).is_zero})
+                      for c in range(2 * n))
+
+
+def oracle_omega_map(n, degree, shift, top, terms, tables={}):
+    key = (n, degree, shift, top)
+    if key not in tables:
+        tables[key] = omega_map_by_wedge(*key)
+    return oracle_sum({tidx: poly.scaled(q)} for idx, poly in terms.items()
+                      for tidx, q in tables[key][idx].items())
+
+
+def entries(x):
+    """The oracle maps of a form's entries, one for a scalar form."""
+    return [as_oracle(x)] if isinstance(x, Form) else as_oracle(x)
+
+
+def entrywise(x, fn):
+    return fn(as_oracle(x)) if isinstance(x, Form) else [fn(e) for e in as_oracle(x)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_int_kernels_match_fraction_oracles(n):
+    rng = random.Random(1000 + n)
+    r = 2
+    for _ in range(12):
+        k = rng.randint(0, 2 * n)
+        j = rng.randint(0, 2 * n - k)
+
+        def fiber(kind, degree):
+            if kind == "scalar":
+                return rand_form(rng, n, degree) + rand_form(rng, n, degree)
+            if kind == "vector":
+                return VectorForm([rand_form(rng, n, degree) for _ in range(r)], degree)
+            return MatrixForm([[rand_form(rng, n, degree) for _ in range(r)] for _ in range(r)],
+                              degree)
+
+        for kind in ("scalar", "vector", "matrix"):
+            a, other = fiber(kind, k), fiber(kind, k)
+            value = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            for b in (other, a, a.scaled(2), -a):  # sums that cancel, in part or in whole
+                for sign, got in ((1, a + b), (-1, a - b)):
+                    assert_canonical(got)
+                    expected = [oracle_sum([x, {i: p.scaled(sign) for i, p in y.items()}])
+                                for x, y in zip(entries(a), entries(b))]
+                    assert entries(got) == expected
+            for factor, got in ((value, a.scaled(value)), (-1, -a)):
+                assert_canonical(got)
+                assert as_oracle(got) == entrywise(
+                    a, lambda t: {i: p.scaled(factor) for i, p in t.items() if factor})
+            d = exterior_d(a)
+            assert_canonical(d)
+            assert as_oracle(d) == entrywise(a, lambda t: oracle_d(n, t))
+            for entry in ([a] if kind == "scalar" else a.flat):
+                lowered = contract_lambda(entry)
+                assert_canonical(lowered)
+                assert as_oracle(lowered) == contract_lambda_by_interior(n, as_oracle(entry))
+            for shift, top in ((0, 0), (0, n), (-1, n), (1, n), (-k // 2, k // 2)):
+                mapped = _apply_omega_map(a, shift, top)
+                assert_canonical(mapped)
+                assert as_oracle(mapped) == entrywise(
+                    a, lambda t: oracle_omega_map(n, k, shift, top, t))
+            # scalar with each fiber on both sides, matrix.vector and matrix.matrix
+            s = fiber("scalar", j)
+            products = [(s, a), (a, s)]
+            if kind == "matrix":
+                products += [(a, fiber("vector", j)), (a, fiber("matrix", j))]
+            for x, y in products:
+                got = wedge(x, y)
+                assert_canonical(got)
+                assert as_oracle(got) == oracle_wedge(x, y), (x, y)

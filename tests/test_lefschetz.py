@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -230,12 +231,18 @@ def test_omega_map_matches_wedge_oracle(n):
     for degree in range(0, 2 * n + 1):
         for shift in range(-(n + 1), n + 2):
             for top in range(0, n + 1):
-                table = _omega_map(n, degree, shift, top)
+                table, scale = _omega_map(n, degree, shift, top)
                 expected = omega_map_by_wedge(n, degree, shift, top)
+                assert type(scale) is int and scale > 0
                 assert table.keys() == expected.keys()
                 for idx, pairs in table.items():
                     assert len(dict(pairs)) == len(pairs)
-                    assert dict(pairs) == expected[idx], (degree, shift, top, idx)
+                    assert all(type(k) is int and k for _, k in pairs)
+                    assert {tidx: Fraction(k, scale) for tidx, k in pairs} == expected[idx], (
+                        degree, shift, top, idx)
+                # the scale is the least one: no smaller multiple is all ints
+                assert scale == lcm(*(c.denominator for row in expected.values()
+                                      for c in row.values()))
 
 
 def const_values(form):

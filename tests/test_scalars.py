@@ -1,6 +1,7 @@
 """Exact polynomial ring: examples and ring axioms."""
 
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -65,6 +66,14 @@ def test_total_degree():
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         Poly.variable(1, 0) + Poly.variable(2, 0)
+
+
+@pytest.mark.parametrize("mono", [(0.5, 0), (True, 0), (0, False), (1, -1), (0,), (0, 0, 0)],
+                         ids=["float", "bool", "bool-second", "negative", "short", "long"])
+def test_bad_exponent_tuples_are_refused(mono):
+    # a float exponent used to fail later in partial, and a bool one was stored
+    with pytest.raises(ValueError, match=re.escape(f"bad exponent tuple {mono!r} for n=1")):
+        Poly(1, {mono: 1})
 
 
 def test_partial_out_of_range():

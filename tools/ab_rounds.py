@@ -18,7 +18,9 @@ reproduce it, and both sides must agree, or the tool exits 1.  Timed rounds
 come in pairs whose order alternates (AB, BA, AB, ...).  The tool prints
 each side's median CPU time per round beside the line count of its
 ``src/primflat/*.py`` (as ``wc -l`` counts them), and the median of the
-per-pair B/A ratios.
+per-pair B/A ratios; then, one line per operation in workload order, the
+median of that operation's per-pair B/A ratios of CPU time, so that a
+claim shows which commands moved.
 """
 
 from __future__ import annotations
@@ -66,20 +68,22 @@ class Side:
         self.cli = primflat.cli
         self.modules = {name: module for name, module in sys.modules.items() if _own(name)}
         self.seconds: list[float] = []
+        self.op_seconds: list[list[float]] = []  # per timed round, per operation
 
-    def round(self, operations) -> tuple[list, float]:
+    def round(self, operations) -> tuple[list, list[float]]:
         """Run every operation once: ``(exit code, stdout)`` per operation,
-        and the CPU seconds the round took."""
+        and the CPU seconds each operation took."""
         _swap_in(self.modules)
-        outputs = []
-        start = time.process_time()
+        outputs, seconds = [], []
         for op in operations:
             buffer = io.StringIO()
-            outputs.append((self.cli.run(list(op.argv), stdout=buffer), buffer.getvalue()))
-        elapsed = time.process_time() - start
+            start = time.process_time()
+            code = self.cli.run(list(op.argv), stdout=buffer)
+            seconds.append(time.process_time() - start)
+            outputs.append((code, buffer.getvalue()))
         # keep what the round imported lazily
         self.modules = {name: module for name, module in sys.modules.items() if _own(name)}
-        return outputs, elapsed
+        return outputs, seconds
 
     def lines(self) -> int:
         """The newlines in this side's ``src/primflat/*.py``."""
@@ -119,7 +123,8 @@ def main(argv=None) -> int:
                 if outputs != expected[0]:
                     print(f"{side.label}: output changed between rounds")
                     return 1
-                side.seconds.append(seconds)
+                side.seconds.append(sum(seconds))
+                side.op_seconds.append(seconds)
     for side in sides:
         print(f"{side.label} {side.checkout}: median {statistics.median(side.seconds):.4f} s "
               f"CPU per round over {len(side.seconds)} rounds, "
@@ -127,6 +132,9 @@ def main(argv=None) -> int:
     ratios = [b / a for a, b in zip(sides[0].seconds, sides[1].seconds)]
     print(f"B/A per round: median {statistics.median(ratios):.3f} "
           f"(min {min(ratios):.3f}, max {max(ratios):.3f})")
+    for i, op in enumerate(ops):
+        ratios = [b[i] / a[i] for a, b in zip(sides[0].op_seconds, sides[1].op_seconds)]
+        print(f"  {op.label}: B/A median {statistics.median(ratios):.3f}")
     return 0
 
 
