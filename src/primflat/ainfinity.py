@@ -161,10 +161,8 @@ def _differential(a: Element, d: Callable[[AnyForm], AnyForm],
     if a.side == PLUS:
         if a.s < n:
             return _element(PLUS, a.s + 1, pi_p(0, d(b)))
-        value = -pi_p(0, d(L_power(-1, d(b))))
-        if phi is not None:
-            value = value + wedge(phi, b)
-        return _element(MINUS, n, value)
+        value = pi_p(0, d(L_power(-1, d(b))))
+        return _element(MINUS, n, -value if phi is None else wedge(phi, b) - value)
     if a.s == 0:
         return ZERO
     return _element(MINUS, a.s - 1, -L_power(-1, d(b)))
@@ -187,10 +185,9 @@ def m2(a: Element, b: Element) -> Element:
         j, k = a.s, b.s
         product = wedge(pa, pb)
         head = pi_p(0, product)
-        bracket = -exterior_d(L_power(-1, product))
-        bracket = bracket + wedge(L_power(-1, exterior_d(pa)), pb)
-        tail_sign = -1 if j % 2 else 1
-        bracket = bracket + wedge(pa, L_power(-1, exterior_d(pb))).scaled(tail_sign)
+        bracket = wedge(L_power(-1, exterior_d(pa)), pb) - exterior_d(L_power(-1, product))
+        last = wedge(pa, L_power(-1, exterior_d(pb)))
+        bracket = bracket - last if j % 2 else bracket + last
         tail = pi_p(0, star_r(bracket))
         if j + k <= n:
             if not tail.is_zero:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from typing import Optional, Sequence, Union
@@ -325,7 +326,16 @@ def run(argv: Optional[Sequence[str]] = None, stdout=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the recipe of the signal module docs: point stdout at devnull so
+        # the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write("primflat: error: stdout closed before the whole report was written\n")
+        code = USAGE_ERROR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

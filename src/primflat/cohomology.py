@@ -487,13 +487,11 @@ def connection_growth(conn: Connection, kind: str, grading: int) -> int:
     Phi term, and the cone differential adds Phi alongside one pass.
     """
     report = analyze_flatness(conn)
-    deg_a = conn.A.coefficient_degree()
-    deg_phi = report.Phi.coefficient_degree()
-    ga = max(0, deg_a if deg_a is not None else 0)
-    gphi = max(0, deg_phi if deg_phi is not None else 0)
+    ga = conn.A.coefficient_degree() or 0
+    gphi = report.Phi.coefficient_degree() or 0
     if kind == "prim":
         if grading == conn.n:
-            return max(0, 2 * ga, gphi)
+            return max(2 * ga, gphi)
         return ga
     return max(ga, gphi)
 

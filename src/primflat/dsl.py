@@ -3,23 +3,23 @@
 Grammar (the wedge token is ``/\\`` so ``^`` stays scalar exponentiation):
 
     form   := ["-"] term (("+" | "-") term)*
-    term   := factor ("/\\" factor)*
-    factor := atom ("*" atom)*
+    term   := atom (("*" | "/\\") atom)*
     atom   := NUMBER ["/" NUMBER] | VAR ["^" NUMBER] | BASIS | "(" form ")"
     VAR    := x<i> | y<i>          BASIS := dx<i> | dy<i>
 
-A factor may contain at most one atom of positive form degree; scalar atoms
-multiply into its polynomial coefficient.  A zero denominator and
-parentheses nested deeper than ``MAX_NESTING`` are parse errors.  The
-printer emits every term as ``(coefficient)*basis`` with a canonical
-ordering, and ``parse(print(f))`` returns a form equal to ``f`` exactly.
+NUMBER and <i> are ASCII digits.  Both ``*`` and ``/\\`` are the exterior
+product, but a chain of atoms joined by ``*`` may contain at most one atom
+of positive form degree; scalar atoms multiply into its polynomial
+coefficient.  A zero denominator and parentheses nested deeper than
+``MAX_NESTING`` are parse errors.  The printer emits every term as
+``(coefficient)*basis`` with a canonical ordering, and ``parse(print(f))``
+returns a form equal to ``f`` exactly.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Optional
 
 from .forms import Form, wedge
 from .scalars import Poly, coordinate_name, named_terms
@@ -33,11 +33,11 @@ class ParseError(ValueError):
         self.column = column
 
 
-# each level of parentheses costs four parser frames, well inside the
+# each level of parentheses costs three parser frames, well inside the
 # interpreter's recursion limit
 MAX_NESTING = 100
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z]+\d+)"
+_TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]+)|(?P<name>[A-Za-z]+[0-9]+)"
                     r"|(?P<wedge>/\\)|(?P<op>[-+*^/()]))")
 
 
@@ -51,14 +51,8 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
                 raise ParseError(f"unrecognized input {src[pos:pos+8]!r}", pos)
             break
         pos = match.end()
-        if match.group("num"):
-            tokens.append(("num", match.group("num"), match.start("num")))
-        elif match.group("name"):
-            tokens.append(("name", match.group("name"), match.start("name")))
-        elif match.group("wedge"):
-            tokens.append(("op", "/\\", match.start("wedge")))
-        else:
-            tokens.append(("op", match.group("op"), match.start("op")))
+        kind = match.lastgroup  # the one alternative that matched
+        tokens.append(("op" if kind == "wedge" else kind, match.group(kind), match.start(kind)))
     tokens.append(("end", "", len(src)))
     return tokens
 
@@ -106,30 +100,25 @@ class _Parser:
             else:
                 return total
 
-    # term := factor ("/\" factor)*
+    # term := atom (("*" | "/\") atom)*; both operators wedge, and one
+    # "*"-chain may hold at most one atom of positive degree
     def parse_term(self) -> Form:
-        value = self.parse_factor()
+        value = self.parse_atom()
+        chain_degree = value.degree  # of the atoms since the last "/\"
         while True:
             kind, token, _ = self.peek()
-            if kind == "op" and token == "/\\":
-                self.next()
-                value = wedge(value, self.parse_factor())
-            else:
-                return value
-
-    # factor := atom ("*" atom)*; a product with a scalar is a wedge
-    def parse_factor(self) -> Form:
-        value: Optional[Form] = None
-        while True:
-            atom_col = self.peek()[2]
-            atom = self.parse_atom()
-            if atom.degree > 0 and value is not None and value.degree > 0:
-                raise ParseError("two positive-degree factors joined by '*'; use '/\\'",
-                                 atom_col)
-            value = atom if value is None else wedge(value, atom)
-            if not self._peek_is_op("*"):
+            if kind != "op" or token not in ("*", "/\\"):
                 return value
             self.next()
+            atom_col = self.peek()[2]
+            atom = self.parse_atom()
+            if token == "/\\":
+                chain_degree = 0
+            elif atom.degree > 0 and chain_degree > 0:
+                raise ParseError("two positive-degree factors joined by '*'; use '/\\'",
+                                 atom_col)
+            chain_degree += atom.degree
+            value = wedge(value, atom)
 
     def parse_atom(self) -> Form:
         kind, value, col = self.next()
@@ -157,7 +146,7 @@ class _Parser:
         raise ParseError(f"unexpected {value or 'end of input'!r}", col)
 
     def _named_atom(self, name: str, col: int) -> Form:
-        match = re.fullmatch(r"(dx|dy|x|y)(\d+)", name)
+        match = re.fullmatch(r"(dx|dy|x|y)([0-9]+)", name)
         if match is None:
             raise ParseError(f"unknown symbol {name!r}", col)
         head, index = match.group(1), int(match.group(2))
@@ -167,15 +156,16 @@ class _Parser:
             return Form.dx(self.n, index)
         if head == "dy":
             return Form.dy(self.n, index)
-        coord = index - 1 if head == "x" else self.n + index - 1
-        poly = Poly.variable(self.n, coord)
+        power = 1
         if self._peek_is_op("^"):
             self.next()
             pkind, pvalue, pcol = self.next()
             if pkind != "num":
                 raise ParseError("expected an integer exponent", pcol)
-            poly = poly ** int(pvalue)
-        return Form.from_poly(poly)
+            power = int(pvalue)
+        expo = [0] * (2 * self.n)
+        expo[index - 1 if head == "x" else self.n + index - 1] = power
+        return Form.from_poly(Poly(self.n, {tuple(expo): 1}))
 
     def _peek_is_op(self, op: str) -> bool:
         kind, value, _ = self.peek()

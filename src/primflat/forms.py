@@ -416,8 +416,7 @@ class MatrixForm(FiberForm):
     @classmethod
     def from_scalar_form(cls, matrix: Sequence[Sequence[Scalar]], form: Form) -> "MatrixForm":
         """Constant matrix times a scalar form (entrywise scaling)."""
-        return cls([[form.scaled(Fraction(*_ratio(v))) for v in row] for row in matrix],
-                   form.degree)
+        return cls([[form.scaled(v) for v in row] for row in matrix], form.degree)
 
     @property
     def flat(self) -> list[Form]:

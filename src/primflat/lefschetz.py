@@ -72,18 +72,14 @@ ConstForm = dict  # FormIndex -> int or Fraction, a form with constant coefficie
 FiberTable = list
 
 
-def component_range(n: int, degree: int) -> list[int]:
+def component_range(n: int, degree: int) -> range:
     """Valid omega-exponents r in the decomposition of a degree-k form.
 
     Components are omega^r /\\ beta_s with s = degree - 2r, 0 <= s <= n and
-    r <= n - s (higher powers annihilate a primitive s-form).
+    r <= n - s (higher powers annihilate a primitive s-form); the last
+    condition is r >= degree - n, which implies s <= n.
     """
-    out = []
-    for r in range(0, degree // 2 + 1):
-        s = degree - 2 * r
-        if s <= n and r <= n - s:
-            out.append(r)
-    return out
+    return range(max(0, degree - n), degree // 2 + 1)
 
 
 @cache

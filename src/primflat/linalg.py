@@ -47,6 +47,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Any, Hashable, Iterable, Optional
 
+from .scalars import _accumulate
+
 Vec = dict  # key -> Fraction (or int, on input), no zero entries stored
 
 
@@ -66,16 +68,7 @@ def _combine(alpha: int, target: dict, beta: int, source: dict) -> None:
     if alpha != 1:
         for key in target:
             target[key] *= alpha
-    for key, value in source.items():
-        acc = target.get(key)
-        if acc is None:
-            target[key] = -beta * value
-        else:
-            acc -= beta * value
-            if acc:
-                target[key] = acc
-            else:
-                del target[key]
+    _accumulate(target, source, -beta)
 
 
 class Echelon:

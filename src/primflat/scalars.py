@@ -24,6 +24,7 @@ immutable in use: no operation mutates its inputs.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 from operator import add
 from typing import Mapping, Optional, Union
@@ -42,7 +43,8 @@ def _ratio(value: Scalar) -> tuple[int, int]:
 
 
 def _accumulate(out: dict, num: Mapping, factor: int) -> dict:
-    """``out += factor * num`` in place on ``{monomial: int}``; cancelled sums drop."""
+    """``out += factor * num`` in place on int-valued dicts (``{monomial: int}``
+    here, any keys in `linalg`); cancelled sums drop."""
     for mono, c in num.items():
         c = out.get(mono, 0) + c * factor
         if c:
@@ -260,18 +262,16 @@ def monomials_up_to(n: int, max_degree: int) -> list[Monomial]:
     """All exponent tuples in 2n coordinates of total degree <= max_degree.
 
     Deterministic order: by total degree, then lexicographic.  This is the
-    basis order used by the cohomology truncations.
+    basis order used by the cohomology truncations.  Within one degree the
+    coordinate multisets come in lexicographic order, so reversed they give
+    the exponent tuples in lexicographic order.
     """
     width = 2 * n
     out: list[Monomial] = []
-
-    def extend(prefix: list[int], budget: int, slot: int) -> None:
-        if slot == width:
-            out.append(tuple(prefix))
-            return
-        for e in range(budget + 1):
-            extend(prefix + [e], budget - e, slot + 1)
-
-    extend([], max_degree, 0)
-    out.sort(key=lambda mono: (sum(mono), mono))
+    for degree in range(max_degree + 1):
+        for multiset in reversed(list(combinations_with_replacement(range(width), degree))):
+            expo = [0] * width
+            for coord in multiset:
+                expo[coord] += 1
+            out.append(tuple(expo))
     return out

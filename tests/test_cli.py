@@ -3,6 +3,9 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -229,6 +232,33 @@ def test_deeply_nested_connection_file_exits_one(tmp_path, capsys):
     assert buf.getvalue() == ""
     assert capsys.readouterr().err == (f"primflat: error: connection file {path}: "
                                        "JSON nested too deeply\n")
+
+
+def test_non_ascii_digit_in_a_connection_exits_one(tmp_path, capsys):
+    path = tmp_path / "conn.json"
+    path.write_text(json.dumps({"n": 1, "rank": 1, "A": [["x\u0661*dy1"]]}))
+    buf = io.StringIO()
+    assert run(["flatness", "--connection", str(path)], stdout=buf) == USAGE_ERROR
+    assert buf.getvalue() == ""
+    assert capsys.readouterr().err == ("primflat: error: unrecognized input "
+                                       "'x\u0661*dy1' (column 1)\n")
+
+
+def test_closed_stdout_exits_one_without_a_traceback(flat_file):
+    # the read end is closed before the CLI starts, so every write to stdout fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "primflat.cli", "flatness",
+                               "--connection", flat_file],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == USAGE_ERROR
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.count("primflat: error:") <= 1
 
 
 def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):

@@ -69,7 +69,8 @@ def test_zero_denominator_is_a_parse_error(src, column):
 
 
 @pytest.mark.parametrize("src,column", [("dx1*dy1", 5), ("x1*dx1*2*dy1", 10),
-                                        ("dx1*x1*(dx1-dx1)", 8), ("(dx1-dx1)*dy1", 11)])
+                                        ("dx1*x1*(dx1-dx1)", 8), ("(dx1-dx1)*dy1", 11),
+                                        ("dx1/\\dy1*dx1", 10)])
 def test_two_positive_degree_factors_are_a_parse_error(src, column):
     with pytest.raises(ParseError, match=re.escape(
             f"two positive-degree factors joined by '*'; use '/\\' (column {column})")):
@@ -78,10 +79,18 @@ def test_two_positive_degree_factors_are_a_parse_error(src, column):
 
 @pytest.mark.parametrize("src,text,degree", [("0*dx1*y1", "0", 1), ("x1*(x1-x1)*dy1", "0", 1),
                                              ("2*x1*dx1*y1^2", "(2*x1*y1^2)*dx1", 1),
-                                             ("x1*3/2*y1", "3/2*x1*y1", 0)])
+                                             ("x1*3/2*y1", "3/2*x1*y1", 0),
+                                             ("dx1/\\x1*dy1", "(x1)*dx1/\\dy1", 2)])
 def test_scalar_factors_multiply_on_either_side(src, text, degree):
     form = parse_form(src, 1)
     assert (print_form(form), form.degree) == (text, degree)
+
+
+@pytest.mark.parametrize("src,column", [("\u0661", 1), ("x\u0661", 1), ("x1^\uff12", 4)])
+def test_non_ascii_digits_are_a_parse_error(src, column):
+    # \d would match any Unicode decimal digit, and int() would read it
+    with pytest.raises(ParseError, match=rf"^unrecognized input .* \(column {column}\)$"):
+        parse_form(src, 1)
 
 
 def test_deep_nesting_is_a_parse_error():

@@ -10,9 +10,9 @@ from primflat.errors import InternalInvariantError
 from primflat.forms import (Form, MatrixForm, VectorForm, all_indices, exterior_d,
                             lambda_standard, omega, omega_const, omega_power, wedge,
                             wedge_terms)
-from primflat.lefschetz import (L_power, _omega_map, decompose, del_minus, del_plus,
-                                fiber_d_table, is_primitive, pi_p, primitive_fiber_basis,
-                                primitive_fiber_coords, star_r)
+from primflat.lefschetz import (L_power, _omega_map, component_range, decompose, del_minus,
+                                del_plus, fiber_d_table, is_primitive, pi_p,
+                                primitive_fiber_basis, primitive_fiber_coords, star_r)
 from primflat.sampling import rand_form, rand_primitive_form
 from primflat.scalars import Poly
 
@@ -22,6 +22,15 @@ from oracle import (L_power_by_wedge, is_primitive_by_wedge, labelled, omega_map
 
 def half(n, value=1):
     return Fraction(value, 2)
+
+
+def test_component_range_matches_its_conditions():
+    # omega^r /\ beta_s with s = degree - 2r, 0 <= s <= n and r <= n - s
+    for n in range(1, 10):
+        for degree in range(-1, 2 * n + 2):
+            expected = [r for r in range(degree // 2 + 1)
+                        if 0 <= degree - 2 * r <= n and r <= n - (degree - 2 * r)]
+            assert list(component_range(n, degree)) == expected, (n, degree)
 
 
 def test_omega_is_not_primitive():

@@ -1,5 +1,6 @@
 """Exact polynomial ring: examples and ring axioms."""
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -135,6 +136,11 @@ def test_monomial_enumeration_counts():
     assert len(monos) == len(set(monos))
     assert all(sum(m) <= 4 for m in monos)
     assert monos == sorted(monos, key=lambda m: (sum(m), m))
+    for n in (1, 2, 3):
+        for D in range(6):
+            assert monomials_up_to(n, D) == sorted(
+                (m for m in itertools.product(range(D + 1), repeat=2 * n) if sum(m) <= D),
+                key=lambda m: (sum(m), m))
 
 
 @pytest.mark.parametrize("power", [0, 1, 2, 5, 8, 13])
