@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="Lefschetz-decompose a form")
     p.add_argument("--n", type=_int_in(1, MAX_N), required=True)
-    p.add_argument("--form", required=True)
+    p.add_argument("--form", required=True, help="form text; write -x1 as --form=-x1")
     p.set_defaults(fn=_cmd_decompose)
 
     p = sub.add_parser("flatness", help="curvature split and flatness verdict")

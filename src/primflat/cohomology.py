@@ -104,12 +104,12 @@ from typing import Callable, Optional, Sequence, Union
 from .connection import Connection, analyze_flatness, covariant_d
 from .cone import ConeElement, cone_d
 from .errors import InternalInvariantError
-from .forms import (Form, LAMBDA_CHOICES, VectorForm, add_terms, all_indices, omega_const,
-                    wedge, wedge_terms)
+from .forms import (Form, LAMBDA_CHOICES, VectorForm, all_indices, omega_const, wedge,
+                    wedge_terms)
 from .lefschetz import (FiberTable, L_power, fiber_d_table, pi_p, primitive_fiber_basis,
                         primitive_fiber_coords)
 from .linalg import Echelon, Vec, kernel_basis
-from .scalars import Monomial, monomials_up_to
+from .scalars import Monomial, _accumulate, monomials_up_to
 from .ainfinity import (Element, MINUS, PLUS, PrimElement, ZERO, _ZeroElement, _element,
                         add_elements, grading_position, m1, m2, scale_element)
 from .sampling import TrialReport, run_trials
@@ -229,10 +229,10 @@ class TruncatedSpace:
                 acc[mono] = acc.get(mono, Fraction(0)) + coeff * base_coeff
         if self.kind == "prim":
             # a combination of primitive basis forms is primitive
-            return PrimElement._trusted(side, s,
-                                        VectorForm([_form(n, s, e) for e in slots[0]], s))
-        eta = [_form(n, self.grading, e) for e in slots[0]]
-        xi = [_form(n, self.grading - 1, e) for e in slots[1]]
+            return PrimElement._trusted(side, s, VectorForm(
+                [Form._from_rationals(n, s, e) for e in slots[0]], s))
+        eta = [Form._from_rationals(n, self.grading, e) for e in slots[0]]
+        xi = [Form._from_rationals(n, self.grading - 1, e) for e in slots[1]]
         return ConeElement(self.grading, VectorForm(eta, self.grading),
                            VectorForm(xi, self.grading - 1))
 
@@ -276,14 +276,6 @@ class TruncatedSpace:
                     for mono, k in monos.items():
                         out[at + self.mono(mono) * stride] = Fraction(k, form.den)
         return out
-
-
-def _form(n: int, degree: int, coeffs: dict) -> Form:
-    """The form with rational coefficients ``{idx: {mono: value}}``; cancelled ones drop."""
-    den = lcm(*(c.denominator for monos in coeffs.values() for c in monos.values()))
-    return Form._reduced(n, degree, {idx: {m: c.numerator * (den // c.denominator)
-                                           for m, c in monos.items() if c}
-                                     for idx, monos in coeffs.items()}, den)
 
 
 def _space(conn: Connection, kind: str, grading: int, base: int) -> TruncatedSpace:
@@ -692,7 +684,7 @@ def closedlem_check(conn: Connection, trials: int = 100, seed: int = 0,
                 vec = rng.choice(kernel)
                 coeff = rng.randint(-2, 2)
                 if coeff:
-                    add_terms(coords, ((key, coeff * v) for key, v in vec.items()))
+                    _accumulate(coords, vec, coeff)
             return space.element_from_coords(coords) if coords else None
 
         reports.append(run_trials(space.label, count, sample, lambda beta: None if beta is None

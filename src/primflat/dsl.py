@@ -47,14 +47,23 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     while pos < len(src):
         match = _TOKEN.match(src, pos)
         if match is None:
-            if src[pos:].strip():
-                raise ParseError(f"unrecognized input {src[pos:pos+8]!r}", pos)
+            rest = src[pos:].lstrip()
+            if rest:
+                raise ParseError(f"unrecognized input {rest[:8]!r}", len(src) - len(rest))
             break
         pos = match.end()
         kind = match.lastgroup  # the one alternative that matched
         tokens.append(("op" if kind == "wedge" else kind, match.group(kind), match.start(kind)))
     tokens.append(("end", "", len(src)))
     return tokens
+
+
+def _int(digits: str, col: int) -> int:
+    """``int(digits)``; past the interpreter's int-string digit limit, a parse error."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"number of {len(digits)} digits is too long", col) from None
 
 
 class _Parser:
@@ -78,16 +87,9 @@ class _Parser:
         if kind != "op" or value != op:
             raise ParseError(f"expected {op!r}, found {value or 'end of input'!r}", col)
 
-    # form := ["-"] term (("+"|"-") term)*
+    # form := ["-"] term (("+"|"-") term)*; a leading "-" subtracts from zero
     def parse_form(self) -> Form:
-        negate = False
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.next()
-            negate = True
-        total = self.parse_term()
-        if negate:
-            total = -total
+        total = Form.zero(self.n, 0) if self._peek_is_op("-") else self.parse_term()
         while True:
             kind, value, col = self.peek()
             if kind == "op" and value in "+-":
@@ -123,15 +125,16 @@ class _Parser:
     def parse_atom(self) -> Form:
         kind, value, col = self.next()
         if kind == "num":
-            numerator = int(value)
+            numerator = _int(value, col)
             if self._peek_is_op("/"):
                 self.next()
                 dkind, dvalue, dcol = self.next()
                 if dkind != "num":
                     raise ParseError("expected a denominator", dcol)
-                if int(dvalue) == 0:
+                denominator = _int(dvalue, dcol)
+                if denominator == 0:
                     raise ParseError("division by zero", dcol)
-                return Form.const(self.n, Fraction(numerator, int(dvalue)))
+                return Form.const(self.n, Fraction(numerator, denominator))
             return Form.const(self.n, numerator)
         if kind == "name":
             return self._named_atom(value, col)
@@ -149,7 +152,7 @@ class _Parser:
         match = re.fullmatch(r"(dx|dy|x|y)([0-9]+)", name)
         if match is None:
             raise ParseError(f"unknown symbol {name!r}", col)
-        head, index = match.group(1), int(match.group(2))
+        head, index = match.group(1), _int(match.group(2), col + len(match.group(1)))
         if not 1 <= index <= self.n:
             raise ParseError(f"{name!r} out of range for chart dimension n={self.n}", col)
         if head == "dx":
@@ -162,7 +165,7 @@ class _Parser:
             pkind, pvalue, pcol = self.next()
             if pkind != "num":
                 raise ParseError("expected an integer exponent", pcol)
-            power = int(pvalue)
+            power = _int(pvalue, pcol)
         expo = [0] * (2 * self.n)
         expo[index - 1 if head == "x" else self.n + index - 1] = power
         return Form.from_poly(Poly(self.n, {tuple(expo): 1}))

@@ -16,7 +16,7 @@ Every operation runs on ints and ends in one gcd per result form; `Poly`
 appears only at the boundary, where the public constructor converts
 ``{index: Poly}`` and the ``terms`` view builds it back.  Constant forms
 (the Lefschetz and cone tables) are ``{index: coefficient}`` dicts, built
-by ``wedge_terms``, ``_lowerings`` and ``add_terms``.
+by ``wedge_terms`` and ``_lowerings`` and summed by ``scalars._accumulate``.
 
 Forms are homogeneous.  The degree is a plain label: forms whose degree
 falls outside 0..2n are allowed but must be zero (they appear transiently
@@ -37,8 +37,8 @@ checks the degree, every index tuple and coefficient, and ``VectorForm(...)``
 entries.  Forms are immutable in use, so the fiber constructors keep the
 caller's entries and only re-label zero entries to the fiber degree.
 Internal producers build their results from already-valid data through
-``Form._reduced`` and ``FiberForm._from_flat``, which check nothing and
-take ownership of the dicts and lists they are given.
+``Form._reduced`` (``Form._from_rationals`` from rational coefficients) and
+``FiberForm._from_flat``, which check nothing and own what they are given.
 """
 
 from __future__ import annotations
@@ -96,35 +96,23 @@ def _d_moves(n: int, idx: FormIndex) -> list[tuple[int, int, FormIndex]]:
     return [(c, *merge_indices((c,), idx)) for c in range(2 * n) if c not in idx]
 
 
-def add_terms(out: dict, terms: Iterable[tuple]) -> dict:
-    """Add the nonzero ``(key, value)`` terms into ``out`` and return it; a key
-    drops only when its sum cancels, so ``out`` never holds a zero."""
-    for key, value in terms:
-        acc = out.get(key)
-        if acc is None:
-            out[key] = value
-        else:
-            acc = acc + value
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-    return out
-
-
 def wedge_terms(pairs: Iterable[tuple[Mapping, Mapping]]) -> dict:
     """The sum of a /\\ b over ``(a, b)`` pairs of ``{index: coefficient}``
-    maps with no zero coefficient (a product of two nonzero coefficients is
-    nonzero in every ring used here)."""
-    def products():
-        for a, b in pairs:
-            for idx_a, ca in a.items():
-                for idx_b, cb in b.items():
-                    merged = merge_indices(idx_a, idx_b)
-                    if merged is not None:
-                        prod = ca * cb
-                        yield merged[1], (-prod if merged[0] < 0 else prod)
-    return add_terms({}, products())
+    maps with no zero coefficient (int, ``Fraction`` or ``Poly``: a product of
+    two nonzero ones is nonzero); a key drops only when its sum cancels."""
+    out: dict = {}
+    for a, b in pairs:
+        for (idx_a, ca), (idx_b, cb) in itertools.product(a.items(), b.items()):
+            merged = merge_indices(idx_a, idx_b)
+            if merged is not None:
+                sign, idx = merged
+                prod = ca * cb if sign > 0 else -(ca * cb)
+                acc = out[idx] + prod if idx in out else prod
+                if acc:
+                    out[idx] = acc
+                else:
+                    del out[idx]
+    return out
 
 
 class Form:
@@ -176,6 +164,15 @@ class Form:
         form = object.__new__(cls)
         form.n, form.degree, form.num, form.den = n, degree, num, den
         return form
+
+    @classmethod
+    def _from_rationals(cls, n: int, degree: int, coeffs: Mapping) -> "Form":
+        """Internal constructor from valid rational coefficients ``{idx: {mono:
+        value}}`` (ints or ``Fraction``s); zero values and emptied indices drop."""
+        den = lcm(*(c.denominator for monos in coeffs.values() for c in monos.values()))
+        return cls._reduced(n, degree, {idx: {m: c.numerator * (den // c.denominator)
+                                              for m, c in monos.items() if c}
+                                        for idx, monos in coeffs.items()}, den)
 
     @property
     def terms(self) -> dict[FormIndex, Poly]:

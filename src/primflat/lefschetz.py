@@ -12,9 +12,9 @@ entry twice.
 
 The fiber is the exterior algebra of ``forms`` on constant coefficients: a
 constant form is an ``{index: coefficient}`` dict, multiplied by
-``wedge_terms``, lowered by ``_lowerings`` and summed by ``add_terms``,
-and ``omega_const(n, r)`` is omega^r.  Every table below is built from these
-maps; none wedges a symbolic form.
+``wedge_terms``, lowered by ``_lowerings`` and summed by
+``scalars._accumulate``, and ``omega_const(n, r)`` is omega^r.  Every table
+below is built from these maps; none wedges a symbolic form.
 
 The decomposition table ``_decomp_table(n, degree)`` stays in primitive
 coordinates: row idx is ``{(r, bi): coefficient}``, the basis form idx
@@ -62,9 +62,10 @@ from functools import cache
 from math import lcm
 
 from .errors import InternalInvariantError
-from .forms import (AnyForm, Form, FormIndex, _lowerings, add_terms, all_indices,
-                    contract_lambda, exterior_d, index_map, omega_const, wedge_terms)
+from .forms import (AnyForm, Form, FormIndex, _lowerings, all_indices, contract_lambda,
+                    exterior_d, index_map, omega_const, wedge_terms)
 from .linalg import Echelon, kernel_basis
+from .scalars import _accumulate
 
 ConstForm = dict  # FormIndex -> int or Fraction, a form with constant coefficients
 # table[c][f] lists the (target index, coefficient) pairs of one constant
@@ -124,9 +125,10 @@ def _decomp_table(n: int, degree: int) -> dict[FormIndex, dict[tuple[int, int], 
 def _split_coords(n: int, degree: int, const_form: ConstForm) -> dict[tuple[int, int], Fraction]:
     """The ``{(r, bi): coefficient}`` coordinates of a constant form, summed
     from the rows of ``_decomp_table``."""
-    table = _decomp_table(n, degree)
-    return add_terms({}, ((key, coeff * v) for idx, coeff in const_form.items()
-                          for key, v in table[idx].items()))
+    table, out = _decomp_table(n, degree), {}
+    for idx, coeff in const_form.items():
+        _accumulate(out, table[idx], coeff)
+    return out
 
 
 def primitive_fiber_coords(n: int, s: int, const_form: ConstForm) -> dict[int, Fraction]:
@@ -195,10 +197,10 @@ def _omega_map(n: int, degree: int, shift: int, top: int) -> tuple[dict, int]:
     beta_r of the basis form idx with r <= top and r + shift >= 0."""
     rows = {}
     for idx, coords in _decomp_table(n, degree).items():
-        terms = ((tidx, coeff * v) for (r, bi), coeff in coords.items()
-                 if r <= top and r + shift >= 0
-                 for tidx, v in _lefschetz_image(n, degree - 2 * r, r + shift)[bi].items())
-        rows[idx] = add_terms({}, terms)
+        row = rows[idx] = {}
+        for (r, bi), coeff in coords.items():
+            if r <= top and r + shift >= 0:
+                _accumulate(row, _lefschetz_image(n, degree - 2 * r, r + shift)[bi], coeff)
     scale = lcm(*(v.denominator for row in rows.values() for v in row.values()))
     return {idx: [(tidx, v.numerator * (scale // v.denominator)) for tidx, v in row.items()]
             for idx, row in rows.items()}, scale

@@ -19,7 +19,7 @@ from typing import Any, Callable, Optional
 from .connection import Connection, generate_flat
 from .forms import Form, MatrixForm, VectorForm, all_indices
 from .lefschetz import pi_p
-from .scalars import Poly
+from .scalars import Monomial
 from .ainfinity import MINUS, PLUS, PrimElement, grading_position
 
 
@@ -68,8 +68,9 @@ def rand_fraction(rng: random.Random, zero_ok: bool = True) -> Fraction:
     return Fraction(num, rng.choice([1, 1, 2, 3]))
 
 
-def rand_poly(rng: random.Random, n: int, max_degree: int, max_terms: int = 2,
-              zero_ok: bool = True) -> Poly:
+def rand_terms(rng: random.Random, n: int, max_degree: int, max_terms: int = 2,
+               zero_ok: bool = True) -> dict[Monomial, Fraction]:
+    """The ``{monomial: nonzero Fraction}`` terms of a random polynomial."""
     terms = {}
     for _ in range(rng.randint(0 if zero_ok else 1, max_terms)):
         degree = rng.randint(0, max_degree)
@@ -77,7 +78,7 @@ def rand_poly(rng: random.Random, n: int, max_degree: int, max_terms: int = 2,
         for _ in range(degree):
             mono[rng.randrange(2 * n)] += 1
         terms[tuple(mono)] = rand_fraction(rng, zero_ok=False)
-    return Poly(n, terms)
+    return terms
 
 
 def rand_form(rng: random.Random, n: int, degree: int, max_degree: int = 3,
@@ -86,8 +87,8 @@ def rand_form(rng: random.Random, n: int, degree: int, max_degree: int = 3,
     if not idxs:
         return Form.zero(n, degree)
     chosen = rng.sample(idxs, k=min(len(idxs), rng.randint(1, 2)))
-    return Form(n, degree, {
-        idx: rand_poly(rng, n, max_degree, max_terms, zero_ok=False) for idx in chosen})
+    return Form._from_rationals(n, degree, {
+        idx: rand_terms(rng, n, max_degree, max_terms, zero_ok=False) for idx in chosen})
 
 
 def rand_primitive_form(rng: random.Random, n: int, s: int, max_degree: int = 3,
@@ -161,19 +162,12 @@ def rand_unipotent(rng: random.Random, n: int, rank: int, max_degree: int = 1) -
     At rank >= 2 the corner entry (0, rank - 1) is never zero, so the result
     is never the identity.
     """
-    rows = []
-    for i in range(rank):
-        row = []
-        for j in range(rank):
-            if i == j:
-                row.append(Form.const(n, 1))
-            elif i < j:
-                corner = (i, j) == (0, rank - 1)
-                row.append(Form.from_poly(rand_poly(rng, n, max_degree, zero_ok=not corner)))
-            else:
-                row.append(Form.zero(n, 0))
-        rows.append(row)
-    return MatrixForm(rows, 0)
+    def entry(i: int, j: int) -> Form:
+        if i >= j:
+            return Form.const(n, int(i == j))
+        terms = rand_terms(rng, n, max_degree, zero_ok=(i, j) != (0, rank - 1))
+        return Form._from_rationals(n, 0, {(): terms})
+    return MatrixForm([[entry(i, j) for j in range(rank)] for i in range(rank)], 0)
 
 
 def rand_connection(rng: random.Random, n: int, rank: int, max_degree: int = 2) -> Connection:
@@ -201,17 +195,15 @@ def rand_cone_element(rng: random.Random, conn, grading: int,
 
 
 def rand_flat_connection(rng: random.Random, n: int, rank: int,
-                         gauged: Optional[bool] = None,
-                         lambda_choice: Optional[str] = None) -> Connection:
+                         gauged: Optional[bool] = None) -> Connection:
     """Symplectically flat connection from a random constant frame.
 
-    Randomly (or per the flags) applies a unipotent gauge and picks one of
-    the two primitive potentials for omega.
+    Randomly (or per ``gauged``) applies a unipotent gauge, and picks one of
+    the two primitive potentials for omega at random.
     """
     phi0 = rand_constant_matrix(rng, rank)
     if gauged is None:
         gauged = rng.random() < 0.5
     gauge = rand_unipotent(rng, n, rank) if (gauged and rank > 1) else None
-    if lambda_choice is None:
-        lambda_choice = rng.choice(["standard", "symmetric"])
-    return generate_flat(n, rank, phi0, gauge=gauge, lambda_choice=lambda_choice)
+    return generate_flat(n, rank, phi0, gauge=gauge,
+                         lambda_choice=rng.choice(["standard", "symmetric"]))

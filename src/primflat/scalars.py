@@ -42,9 +42,9 @@ def _ratio(value: Scalar) -> tuple[int, int]:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def _accumulate(out: dict, num: Mapping, factor: int) -> dict:
-    """``out += factor * num`` in place on int-valued dicts (``{monomial: int}``
-    here, any keys in `linalg`); cancelled sums drop."""
+def _accumulate(out: dict, num: Mapping, factor: Scalar) -> dict:
+    """``out += factor * num`` in place on sparse dicts of exact rationals, no
+    zero in ``num`` and ``factor`` nonzero; cancelled sums drop."""
     for mono, c in num.items():
         c = out.get(mono, 0) + c * factor
         if c:

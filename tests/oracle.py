@@ -34,8 +34,8 @@ the pivot rule.
 ``wedge_by_sorting`` multiplies two ``{index: coefficient}`` maps by sorting
 each concatenated index tuple and counting its inversions, and
 ``contract_lambda_by_interior`` lowers one by composing single
-contractions; neither shares code with ``forms.wedge_terms``,
-``forms._lowerings`` or ``forms.add_terms``, so tests compare them.
+contractions; neither shares code with ``forms.wedge_terms`` or
+``forms._lowerings``, so tests compare them.
 
 ``FractionPoly`` is the polynomial over ``Fraction`` coefficients that
 ``primflat.scalars.Poly`` (int numerators over one denominator) replaced;
@@ -63,7 +63,7 @@ from primflat.cone import cone_d
 from primflat.connection import analyze_flatness, generate_flat
 from primflat.dsl import parse_form
 from primflat.errors import InternalInvariantError
-from primflat.forms import Form, MatrixForm, add_terms, all_indices, omega_power, wedge
+from primflat.forms import Form, MatrixForm, all_indices, omega_power, wedge
 from primflat.lefschetz import _decomp_table, primitive_fiber_basis
 from primflat.twist import twisted_m1
 
@@ -460,8 +460,11 @@ def _components_by_table(a):
         for (r, bi), c in table[idx].items():
             comp = out.setdefault(r, {})
             for bidx, bc in primitive_fiber_basis(a.n, a.degree - 2 * r)[bi].items():
-                add_terms(comp, [(bidx, poly.scaled(c * bc))])
-    return {r: Form(a.n, a.degree - 2 * r, terms) for r, terms in out.items() if terms}
+                term = poly.scaled(c * bc)
+                comp[bidx] = comp[bidx] + term if bidx in comp else term
+    # the constructor drops the coefficients that cancelled
+    components = {r: Form(a.n, a.degree - 2 * r, terms) for r, terms in out.items()}
+    return {r: beta for r, beta in components.items() if not beta.is_zero}
 
 
 def _rewedge(a, shift, keep):

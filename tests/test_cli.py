@@ -212,7 +212,8 @@ def test_usage_and_parse_errors_exit_one(tmp_path, flat_file, capsys):
 @pytest.mark.parametrize("form,message", [
     ("1/0", "division by zero (column 3)"),
     ("(" * 3000 + "x1" + ")" * 3000, "parentheses nested deeper than 100 (column 101)"),
-], ids=["zero-denominator", "deep-nesting"])
+    ("x1^" + "9" * 4301, "number of 4301 digits is too long (column 4)"),
+], ids=["zero-denominator", "deep-nesting", "long-exponent"])
 def test_bad_form_text_exits_one_naming_the_column(tmp_path, capsys, form, message):
     path = tmp_path / "conn.json"
     path.write_text(json.dumps({"n": 1, "rank": 1, "A": [[f"{form}*dx1"]]}))
@@ -222,6 +223,17 @@ def test_bad_form_text_exits_one_naming_the_column(tmp_path, capsys, form, messa
         assert run(argv, stdout=buf) == USAGE_ERROR
         assert buf.getvalue() == ""
         assert capsys.readouterr().err == f"primflat: error: {message}\n"
+
+
+def test_negated_form_goes_after_an_equals_sign(capsys):
+    code, report = run_json(["decompose", "--n", "1", "--form=-x1"])
+    assert (code, report["components"]) == (0, [{"r": 0, "form": "-x1"}])
+    # argparse reads a separate "-x1" as an option, and refuses it as a usage error
+    buf = io.StringIO()
+    assert run(["decompose", "--n", "1", "--form", "-x1"], stdout=buf) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert buf.getvalue() == "" and "Traceback" not in err
+    assert err.startswith("primflat: error: argument --form: ") and err.count("\n") == 1
 
 
 def test_deeply_nested_connection_file_exits_one(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -86,11 +87,38 @@ def test_scalar_factors_multiply_on_either_side(src, text, degree):
     assert (print_form(form), form.degree) == (text, degree)
 
 
-@pytest.mark.parametrize("src,column", [("\u0661", 1), ("x\u0661", 1), ("x1^\uff12", 4)])
+@pytest.mark.parametrize("src,column", [("\u0661", 1), ("x\u0661", 1), ("x1^\uff12", 4),
+                                        ("x1 + \u0661", 6), ("x1 +\t \u0661*dy1", 7),
+                                        ("  \u0661", 3)])
 def test_non_ascii_digits_are_a_parse_error(src, column):
-    # \d would match any Unicode decimal digit, and int() would read it
-    with pytest.raises(ParseError, match=rf"^unrecognized input .* \(column {column}\)$"):
+    # \d would match any Unicode decimal digit, and int() would read it; the
+    # column and the quoted text skip the whitespace before the bad character
+    text = src[column - 1:column + 7]
+    with pytest.raises(ParseError, match="^" + re.escape(
+            f"unrecognized input {text!r} (column {column})") + "$"):
         parse_form(src, 1)
+
+
+@pytest.fixture
+def int_digit_limit():
+    """The interpreter's default int-string limit, whatever the environment set."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("template,column", [("{}", 1), ("2/{}", 3), ("x1^{}*dx1", 4),
+                                             ("x{}", 2), ("3*dy{}", 5)])
+def test_numbers_past_the_int_string_limit_are_a_parse_error(int_digit_limit, template, column):
+    digits = "7" * (int_digit_limit + 1)
+    with pytest.raises(ParseError, match="^" + re.escape(
+            f"number of {len(digits)} digits is too long (column {column})") + "$"):
+        parse_form(template.format(digits), 1)
+    try:  # at the limit the number reads; an index that long is out of range
+        parse_form(template.format("1" * int_digit_limit), 1)
+    except ParseError as exc:
+        assert "out of range" in str(exc)
 
 
 def test_deep_nesting_is_a_parse_error():

@@ -11,7 +11,7 @@ from primflat.forms import (Form, MatrixForm, VectorForm, _lowerings, all_indice
                             contract_lambda, exterior_d, graded_commutator, lambda_standard,
                             lambda_symmetric, omega, omega_power, wedge)
 from primflat.lefschetz import L_power, _apply_omega_map, decompose, pi_p
-from primflat.sampling import rand_form, rand_poly
+from primflat.sampling import rand_form, rand_terms
 from primflat.scalars import Poly
 
 from oracle import (FractionPoly, contract_lambda_by_interior, labelled, omega_map_by_wedge,
@@ -61,7 +61,7 @@ def test_exterior_d_basic():
 def test_d_squared_zero_on_functions(n):
     rng = random.Random(n)
     for _ in range(25):
-        f = Form.from_poly(rand_poly(rng, n, 4, max_terms=3))
+        f = Form.from_poly(Poly(n, rand_terms(rng, n, 4, max_terms=3)))
         assert exterior_d(exterior_d(f)).is_zero
 
 
@@ -229,6 +229,20 @@ def test_form_constructor_converts_to_one_denominator():
     assert (form.num, form.den) == ({(1,): {(0, 0): 3}, (0,): {(1, 0): 4}}, 6)
     assert list(form.terms) == [(1,), (0,)] and form.terms == {(1,): half, (0,): third}
     assert (Form(1, 1, {(0,): Poly.zero(1)}).num, Form(1, 1).den) == ({}, 1)
+    # the internal builder from rationals: zero values and emptied indices
+    # drop, and the indices keep their order, as in the public constructor
+    zero = Fraction(0)
+    for n, degree, coeffs in [
+            (1, 1, {(1,): {(0, 0): Fraction(1, 2)}, (0,): {(1, 0): Fraction(2, 3)}}),
+            (2, 2, {(1, 3): {(0, 1, 0, 0): zero, (1, 0, 0, 0): 0},
+                    (0, 2): {(1, 0, 0, 0): Fraction(3, 4), (0, 0, 0, 1): 0, (0,) * 4: -2},
+                    (0, 1): {(2, 0, 0, 0): Fraction(-5, 6)}}),
+            (1, 0, {(): {}}),
+            (1, 2, {(0, 1): {(0, 0): zero, (1, 1): 0}})]:
+        built = Form._from_rationals(n, degree, coeffs)
+        public = Form(n, degree, {idx: Poly(n, terms) for idx, terms in coeffs.items()})
+        assert (built.num, built.den, list(built.num)) == (public.num, public.den,
+                                                           list(public.num))
 
 
 def test_fiber_constructors_validate():

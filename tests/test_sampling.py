@@ -1,12 +1,16 @@
 """The shared trial loop of the randomized identity checks."""
 
+import hashlib
 import random
 
 import pytest
 
 from primflat.cone import check_chain_identities
 from primflat.connection import generate_flat
-from primflat.sampling import TrialReport, run_trials
+from primflat.dsl import print_form
+from primflat.forms import Form
+from primflat.sampling import (TrialReport, rand_flat_connection, rand_form, rand_prim_element,
+                               rand_unipotent, run_trials)
 from primflat.scalars import Poly
 from primflat.twist import check_square_zero
 
@@ -50,3 +54,22 @@ def test_negative_trials_are_refused(check):
     conn = generate_flat(1, 1, [[1]])
     with pytest.raises(ValueError, match="^trials must be >= 0, got -3$"):
         check(conn, trials=-3)
+
+
+def _printed(a):
+    return print_form(a) if isinstance(a, Form) else repr(a.nested(print_form))
+
+
+def test_seeded_draws_print_the_same_text():
+    # one seed fixes every rng call of the samplers, and so every printed draw
+    rng = random.Random(25)
+    lines = []
+    for n in (1, 2, 3):
+        lines += [_printed(rand_form(rng, n, degree)) for degree in range(2 * n + 1)]
+        for fiber in ("scalar", "vector", "matrix"):
+            elem = rand_prim_element(rng, n, fiber, rank=2)
+            lines.append(f"{elem.side} {elem.s} {_printed(elem.payload)}")
+        lines += [_printed(rand_unipotent(rng, n, rank)) for rank in (1, 2, 3)]
+        lines += [_printed(rand_flat_connection(rng, n, rank).A) for rank in (1, 2, 2)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "5f3a67b162268f4dbb032286988df15507094a0105dfbb30ef45714ce2a9b599"

@@ -41,5 +41,6 @@ def test_tracer_records_the_rerouted_layers(tmp_path):
     calls, _ = tracing.self_times(tracer.span_name, tracer.parent, tracer.start, tracer.end)
     recorded = {name: calls.get(nid, 0) for nid, name in enumerate(tracer.names)}
     for layer in ("lefschetz.decompose", "cone.cone_split", "cone.map_f", "cone.cone_d",
-                  "twist.twisted_m1", "ainfinity.m2", "dsl.parse_form"):
+                  "twist.twisted_m1", "ainfinity.m2", "dsl.parse_form",
+                  "sampling.rand_prim_element", "sampling.rand_cone_element"):
         assert recorded[layer] > 0, layer
