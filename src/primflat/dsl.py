@@ -11,9 +11,11 @@ NUMBER and <i> are ASCII digits.  Both ``*`` and ``/\\`` are the exterior
 product, but a chain of atoms joined by ``*`` may contain at most one atom
 of positive form degree; scalar atoms multiply into its polynomial
 coefficient.  A zero denominator and parentheses nested deeper than
-``MAX_NESTING`` are parse errors.  The printer emits every term as
-``(coefficient)*basis`` with a canonical ordering, and ``parse(print(f))``
-returns a form equal to ``f`` exactly.
+``MAX_NESTING`` are parse errors, and an error quotes at most eight
+characters of the text it names.  The printer reads a form's int
+numerators directly and emits every term as ``(coefficient)*basis`` with a
+canonical ordering, and ``parse(print(f))`` returns a form equal to ``f``
+exactly; a number past the interpreter's int-string limit does not print.
 """
 
 from __future__ import annotations
@@ -151,10 +153,10 @@ class _Parser:
     def _named_atom(self, name: str, col: int) -> Form:
         match = re.fullmatch(r"(dx|dy|x|y)([0-9]+)", name)
         if match is None:
-            raise ParseError(f"unknown symbol {name!r}", col)
+            raise ParseError(f"unknown symbol {name[:8]!r}", col)
         head, index = match.group(1), _int(match.group(2), col + len(match.group(1)))
         if not 1 <= index <= self.n:
-            raise ParseError(f"{name!r} out of range for chart dimension n={self.n}", col)
+            raise ParseError(f"{name[:8]!r} out of range for chart dimension n={self.n}", col)
         if head == "dx":
             return Form.dx(self.n, index)
         if head == "dy":
@@ -168,7 +170,7 @@ class _Parser:
             power = _int(pvalue, pcol)
         expo = [0] * (2 * self.n)
         expo[index - 1 if head == "x" else self.n + index - 1] = power
-        return Form.from_poly(Poly(self.n, {tuple(expo): 1}))
+        return Form._reduced(self.n, 0, {(): {tuple(expo): 1}}, 1)
 
     def _peek_is_op(self, op: str) -> bool:
         kind, value, _ = self.peek()
@@ -181,7 +183,7 @@ def parse_form(src: str, n: int) -> Form:
     result = parser.parse_form()
     kind, value, col = parser.peek()
     if kind != "end":
-        raise ParseError(f"trailing input {value!r}", col)
+        raise ParseError(f"trailing input {value[:8]!r}", col)
     return result
 
 
@@ -194,33 +196,32 @@ def parse_poly(src: str, n: int) -> Poly:
 
 # ---------- printing ----------
 
-def print_poly(poly: Poly) -> str:
-    if poly.is_zero:
-        return "0"
+def _scalar_text(n: int, num: dict, den: int) -> str:
+    """Text of the polynomial ``sum(num[m] x^m) / den``."""
     bits: list[str] = []
-    for coeff, factors in named_terms(poly):
-        magnitude = abs(coeff)
-        text = "*".join(([str(magnitude)] if magnitude != 1 or not factors else []) + factors)
-        if not bits:
-            bits.append(text if coeff > 0 else f"-{text}")
-        else:
-            bits.append(f" + {text}" if coeff > 0 else f" - {text}")
-    return "".join(bits)
+    try:
+        for coeff, factors in named_terms(n, num, den):
+            magnitude = abs(coeff)
+            text = "*".join(([str(magnitude)] if magnitude != 1 or not factors else []) + factors)
+            sign = "-" if coeff < 0 else "+"
+            bits.append(f"{sign} {text}" if bits else text if coeff > 0 else f"-{text}")
+    except ValueError:  # str() of an int past the interpreter's int-string limit
+        raise ValueError("coefficient or exponent too long to print") from None
+    return " ".join(bits) or "0"
+
+
+def print_poly(poly: Poly) -> str:
+    return _scalar_text(poly.n, poly.num, poly.den)
 
 
 def print_form(form: Form) -> str:
     """Canonical text of a form; parse(print(f), f.n) == f exactly."""
-    if form.is_zero:
-        return "0"
-    terms = form.terms
-    if form.degree == 0:
-        return print_poly(terms[()])
+    n, num, den = form.n, form.num, form.den
+    if form.degree == 0 or not num:
+        return _scalar_text(n, num.get((), {}), den)
+    one = {(0,) * (2 * n): den}  # the numerators of a unit coefficient
     chunks = []
-    for idx in sorted(terms):
-        poly = terms[idx]
-        basis = "/\\".join("d" + coordinate_name(form.n, c) for c in idx)
-        if poly == Poly.const(form.n, 1):
-            chunks.append(basis)
-        else:
-            chunks.append(f"({print_poly(poly)})*{basis}")
+    for idx in sorted(num):
+        basis = "/\\".join("d" + coordinate_name(n, c) for c in idx)
+        chunks.append(basis if num[idx] == one else f"({_scalar_text(n, num[idx], den)})*{basis}")
     return " + ".join(chunks)

@@ -44,12 +44,11 @@ Internal producers build their results from already-valid data through
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cache, partial
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .scalars import Poly, Scalar, _accumulate, _multiply, _ratio
+from .scalars import Poly, Scalar, _accumulate, _chart, _multiply, _ratio
 
 FormIndex = tuple[int, ...]
 AnyForm = Union["Form", "VectorForm", "MatrixForm"]
@@ -98,8 +97,8 @@ def _d_moves(n: int, idx: FormIndex) -> list[tuple[int, int, FormIndex]]:
 
 def wedge_terms(pairs: Iterable[tuple[Mapping, Mapping]]) -> dict:
     """The sum of a /\\ b over ``(a, b)`` pairs of ``{index: coefficient}``
-    maps with no zero coefficient (int, ``Fraction`` or ``Poly``: a product of
-    two nonzero ones is nonzero); a key drops only when its sum cancels."""
+    maps with no zero coefficient (exact ring values, false at zero, whose
+    nonzero products are nonzero); a key drops only when its sum cancels."""
     out: dict = {}
     for a, b in pairs:
         for (idx_a, ca), (idx_b, cb) in itertools.product(a.items(), b.items()):
@@ -115,6 +114,16 @@ def wedge_terms(pairs: Iterable[tuple[Mapping, Mapping]]) -> dict:
     return out
 
 
+def _check_index(n: int, degree: int, idx) -> FormIndex:
+    """``idx`` as a tuple, refused unless it is a basis index of that degree."""
+    idx = tuple(idx)
+    if len(idx) != degree or not all(type(c) is int and 0 <= c < 2 * n for c in idx):
+        raise ValueError(f"bad index tuple {idx!r} for degree {degree}")
+    if list(idx) != sorted(set(idx)):
+        raise ValueError(f"index tuple {idx!r} not strictly increasing")
+    return idx
+
+
 class Form:
     """Homogeneous exterior form with polynomial coefficients: ``num`` over ``den``."""
 
@@ -124,17 +133,13 @@ class Form:
                  terms: Optional[Mapping[FormIndex, Poly]] = None):
         if type(degree) is not int:
             raise ValueError(f"form degree {degree!r} is not an int")
-        self.n, self.degree = n, degree
+        self.n, self.degree = _chart(n), degree
         polys: dict[FormIndex, Poly] = {}
         if terms:
             if not 0 <= degree <= 2 * n:
                 raise ValueError(f"nonzero form of degree {degree} on a {2*n}-dim chart")
             for idx, poly in terms.items():
-                idx = tuple(idx)
-                if len(idx) != degree or not all(type(c) is int and 0 <= c < 2 * n for c in idx):
-                    raise ValueError(f"bad index tuple {idx!r} for degree {degree}")
-                if list(idx) != sorted(set(idx)):
-                    raise ValueError(f"index tuple {idx!r} not strictly increasing")
+                idx = _check_index(n, degree, idx)
                 if not isinstance(poly, Poly):
                     raise TypeError(f"coefficient {poly!r} at {idx!r} is not a Poly")
                 if poly.n != n:
@@ -187,28 +192,26 @@ class Form:
         return cls._reduced(n, degree, {}, 1)
 
     @classmethod
-    def from_poly(cls, poly: Poly) -> "Form":
-        return cls(poly.n, 0, {(): poly})
-
-    @classmethod
     def const(cls, n: int, value: Scalar) -> "Form":
-        return cls.from_poly(Poly.const(n, value))
+        p, q = _ratio(value)
+        return cls._reduced(_chart(n), 0, {(): {(0,) * (2 * n): p}} if p else {}, q)
 
     @classmethod
     def dx(cls, n: int, i: int) -> "Form":
-        if not 1 <= i <= n:
+        if not 1 <= i <= _chart(n):
             raise IndexError(f"dx{i} out of range for n={n}")
-        return cls(n, 1, {(i - 1,): Poly.const(n, 1)})
+        return cls.basis(n, (i - 1,))
 
     @classmethod
     def dy(cls, n: int, i: int) -> "Form":
-        if not 1 <= i <= n:
+        if not 1 <= i <= _chart(n):
             raise IndexError(f"dy{i} out of range for n={n}")
-        return cls(n, 1, {(n + i - 1,): Poly.const(n, 1)})
+        return cls.basis(n, (n + i - 1,))
 
     @classmethod
     def basis(cls, n: int, idx: FormIndex) -> "Form":
-        return cls(n, len(idx), {tuple(idx): Poly.const(n, 1)})
+        idx = _check_index(_chart(n), len(idx), idx)
+        return cls._reduced(n, len(idx), {idx: {(0,) * (2 * n): 1}}, 1)
 
     # ---------- linear structure ----------
 
@@ -544,19 +547,23 @@ def omega(n: int) -> Form:
     return omega_power(n, 1)
 
 
+def _variable(n: int, coord: int, numerator: int = 1) -> dict:
+    """One coordinate's variable, times ``numerator``, as ``{monomial: int}``."""
+    return {tuple(int(c == coord) for c in range(2 * n)): numerator}
+
+
 def lambda_standard(n: int) -> Form:
     """sum_i x_i dy_i; d of it is omega."""
-    return Form(n, 1, {(n + i,): Poly.variable(n, i) for i in range(n)})
+    return Form._reduced(_chart(n), 1, {(n + i,): _variable(n, i) for i in range(n)}, 1)
 
 
 def lambda_symmetric(n: int) -> Form:
     """(1/2) sum_i (x_i dy_i - y_i dx_i); d of it is omega."""
-    half = Fraction(1, 2)
-    terms: dict[FormIndex, Poly] = {}
-    for i in range(n):
-        terms[(n + i,)] = Poly.variable(n, i).scaled(half)
-        terms[(i,)] = Poly.variable(n, n + i).scaled(-half)
-    return Form(n, 1, terms)
+    num = {}
+    for i in range(_chart(n)):
+        num[(n + i,)] = _variable(n, i)
+        num[(i,)] = _variable(n, n + i, -1)
+    return Form._reduced(n, 1, num, 2)
 
 
 LAMBDA_CHOICES: dict[str, Callable[[int], Form]] = {

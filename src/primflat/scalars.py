@@ -1,24 +1,22 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-This is the coefficient type at the package's boundary: the parser, the
-printer and ``Form(n, degree, {index: Poly})``.  A chart of dimension ``n``
-carries ``2n`` coordinates, ordered x1..xn, y1..yn and indexed 0..2n-1
-internally (coordinate ``i < n`` is x_{i+1}, coordinate ``n + i`` is y_{i+1}).
+A chart of dimension ``n`` carries ``2n`` coordinates, ordered x1..xn,
+y1..yn and indexed 0..2n-1 internally (coordinate ``i < n`` is x_{i+1},
+coordinate ``n + i`` is y_{i+1}).  A polynomial is int numerators over one
+positive int denominator: ``num`` maps exponent tuples of length ``2n`` to
+nonzero ints and the polynomial is ``sum(num[m] * x^m) / den``, kept
+canonical (``gcd(den, *num.values()) == 1``, zero is ``{}`` over 1), so
+equality is a plain comparison.  A `forms.Form` keeps such numerators per
+basis index over one denominator and does all the package's arithmetic on
+them with ``_accumulate`` and ``_multiply``; a degree-0 form is the one
+coefficient ring, and ``named_terms`` spells its terms for the printer.
 
-A polynomial stores int numerators over one positive int denominator:
-``num`` maps exponent tuples of length ``2n`` to nonzero ints and the
-polynomial is ``sum(num[m] * x^m) / den``.  The pair is kept canonical:
-``gcd(den, *num.values()) == 1``, and the zero polynomial is ``{}`` over 1.
-So two polynomials are equal exactly when their ``num`` dicts and ``den``
-ints are, and every ring operation runs on ints and ends with one
-``math.gcd``.  A `forms.Form` keeps such numerators per basis index over
-one denominator; both add and multiply them by ``_accumulate``/``_multiply``.
-
-``Fraction`` appears only at the boundary: the public constructor takes
-``int`` or ``Fraction`` coefficients, ``constant_value`` returns one, and
-the ``terms`` property builds a fresh ``{mono: Fraction}`` dict for the
-readers that want rational coefficients (printing, repr).  Values are
-immutable in use: no operation mutates its inputs.
+`Poly` is only a validated boundary value: ``parse_poly`` returns one,
+``Form(n, degree, {index: Poly})`` takes them and ``Form.terms`` builds
+them back.  It has no ring operations beyond ``+`` and ``*``, which no
+package code calls.  ``Fraction`` appears only at the boundary: the public
+constructor takes ``int`` or ``Fraction`` coefficients and the ``terms``
+property builds a fresh ``{mono: Fraction}`` dict.
 """
 
 from __future__ import annotations
@@ -36,10 +34,17 @@ Scalar = Union[int, Fraction]
 def _ratio(value: Scalar) -> tuple[int, int]:
     """(numerator, positive denominator) of an exact rational, in lowest terms."""
     if isinstance(value, int):
-        return value, 1
+        return int(value), 1  # a bool becomes a plain int
     if isinstance(value, Fraction):
         return value.numerator, value.denominator
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _chart(n) -> int:
+    """``n``, refused unless it is an int >= 1 (a bool is not an int here)."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"chart dimension n must be an int >= 1, got {n!r}")
+    return n
 
 
 def _accumulate(out: dict, num: Mapping, factor: Scalar) -> dict:
@@ -74,9 +79,7 @@ class Poly:
     __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, terms: Optional[Mapping[Monomial, Scalar]] = None):
-        if n < 1:
-            raise ValueError("chart dimension n must be >= 1")
-        self.n = n
+        self.n = _chart(n)
         ratios: dict[Monomial, tuple[int, int]] = {}
         if terms:
             width = 2 * n
@@ -117,7 +120,7 @@ class Poly:
 
     @classmethod
     def const(cls, n: int, value: Scalar) -> "Poly":
-        return cls(n, {(0,) * (2 * n): value})
+        return cls(n, {(0,) * (2 * _chart(n)): value})
 
     @classmethod
     def variable(cls, n: int, coord: int) -> "Poly":
@@ -128,7 +131,7 @@ class Poly:
 
     @staticmethod
     def _check_coord(n: int, coord: int) -> None:
-        if not 0 <= coord < 2 * n:
+        if not 0 <= coord < 2 * _chart(n):
             raise IndexError(f"coordinate {coord} out of range for n={n}")
 
     # ---------- boundary views ----------
@@ -139,11 +142,7 @@ class Poly:
         den = self.den
         return {mono: Fraction(c, den) for mono, c in self.num.items()}
 
-    def constant_value(self) -> Fraction:
-        """The coefficient of the constant monomial (0 if absent)."""
-        return Fraction(self.num.get((0,) * (2 * self.n), 0), self.den)
-
-    # ---------- ring operations ----------
+    # ---------- operators: the benchmark tracer wraps them by name ----------
 
     def _check_same_chart(self, other: "Poly") -> None:
         if self.n != other.n:
@@ -158,74 +157,17 @@ class Poly:
         out = _accumulate({mono: c * mult_a for mono, c in self.num.items()}, other.num, mult_b)
         return Poly._reduced(self.n, out, self.den * mult_a)
 
-    def __neg__(self) -> "Poly":
-        # negation keeps gcd(den, *num) == 1, so no gcd is needed
-        poly = object.__new__(Poly)
-        poly.n, poly.num, poly.den = self.n, {mono: -c for mono, c in self.num.items()}, self.den
-        return poly
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
+    def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same_chart(other)
         return Poly._reduced(self.n, _multiply({}, self.num, other.num, 1), self.den * other.den)
 
-    def __rmul__(self, other: Scalar) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def scaled(self, value: Scalar) -> "Poly":
-        p, q = _ratio(value)
-        if not p:
-            return Poly._reduced(self.n, {}, 1)
-        return Poly._reduced(self.n, {mono: c * p for mono, c in self.num.items()},
-                             self.den * q)
-
-    def __pow__(self, power: int) -> "Poly":
-        if not isinstance(power, int) or power < 0:
-            raise ValueError("polynomial powers must be non-negative integers")
-        result = Poly.const(self.n, 1)
-        base = self
-        while power:  # square and multiply
-            if power & 1:
-                result = result * base
-            power >>= 1
-            if power:
-                base = base * base
-        return result
-
-    # ---------- calculus and queries ----------
-
-    def partial(self, coord: int) -> "Poly":
-        """Formal partial derivative in the given coordinate (0-based)."""
-        self._check_coord(self.n, coord)
-        out: dict[Monomial, int] = {}
-        for mono, c in self.num.items():
-            e = mono[coord]
-            if e:
-                out[mono[:coord] + (e - 1,) + mono[coord + 1:]] = c * e
-        return Poly._reduced(self.n, out, self.den)
-
-    def total_degree(self) -> Optional[int]:
-        """Max total degree of stored monomials; None for the zero polynomial."""
-        if not self.num:
-            return None
-        return max(sum(mono) for mono in self.num)
+    # ---------- comparison / display ----------
 
     @property
     def is_zero(self) -> bool:
         return not self.num
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    # ---------- comparison / display ----------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -237,7 +179,8 @@ class Poly:
     def __repr__(self) -> str:
         if not self.num:
             return f"Poly({self.n}, 0)"
-        bits = ["*".join([str(coeff), *factors]) for coeff, factors in named_terms(self)]
+        bits = ["*".join([str(coeff), *factors])
+                for coeff, factors in named_terms(self.n, self.num, self.den)]
         return f"Poly({self.n}, {' + '.join(bits)!r})"
 
 
@@ -249,13 +192,14 @@ def coordinate_name(n: int, coord: int) -> str:
     return f"y{coord - n + 1}"
 
 
-def named_terms(poly: Poly) -> list[tuple[Fraction, list[str]]]:
-    """``(coefficient, ["x1", "y2^3"])`` per term, by total degree, then
-    exponents: the one term order and factor spelling of every printer."""
-    terms = poly.terms
-    return [(terms[mono], [coordinate_name(poly.n, c) + (f"^{e}" if e > 1 else "")
-                           for c, e in enumerate(mono) if e])
-            for mono in sorted(terms, key=lambda m: (sum(m), m))]
+def named_terms(n: int, num: Mapping[Monomial, int], den: int
+                ) -> list[tuple[Fraction, list[str]]]:
+    """``(coefficient, ["x1", "y2^3"])`` per term of ``sum(num[m] x^m) / den``,
+    by total degree, then exponents: the one term order and factor spelling
+    of every printer."""
+    return [(Fraction(num[mono], den), [coordinate_name(n, c) + (f"^{e}" if e > 1 else "")
+                                        for c, e in enumerate(mono) if e])
+            for mono in sorted(num, key=lambda m: (sum(m), m))]
 
 
 def monomials_up_to(n: int, max_degree: int) -> list[Monomial]:

@@ -37,9 +37,13 @@ each concatenated index tuple and counting its inversions, and
 contractions; neither shares code with ``forms.wedge_terms`` or
 ``forms._lowerings``, so tests compare them.
 
-``FractionPoly`` is the polynomial over ``Fraction`` coefficients that
-``primflat.scalars.Poly`` (int numerators over one denominator) replaced;
-it shares no arithmetic with it, so tests compare the two.
+``FractionPoly`` is the polynomial ring over ``Fraction`` coefficients
+that the int-numerator coefficients of ``primflat.scalars.Poly`` and
+``primflat.forms.Form`` replaced; it shares no arithmetic with them, so
+tests compare the two, and ``fraction_polys`` reads a form's coefficients
+into it.  ``print_form_by_terms`` is the printer as it ran before it read
+numerators: one ``FractionPoly`` per index, its ``Fraction`` terms spelled
+and sorted on their own, and a unit coefficient found by comparing with 1.
 
 ``assemble_operator`` is the exact ``Fraction`` matrix of one differential
 between two truncations, the table columns divided by their scale, and
@@ -65,6 +69,7 @@ from primflat.dsl import parse_form
 from primflat.errors import InternalInvariantError
 from primflat.forms import Form, MatrixForm, all_indices, omega_power, wedge
 from primflat.lefschetz import _decomp_table, primitive_fiber_basis
+from primflat.scalars import Poly
 from primflat.twist import twisted_m1
 
 
@@ -426,6 +431,9 @@ class FractionPoly:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def constant_value(self):
         return self.terms.get((0,) * (2 * self.n), Fraction(0))
 
@@ -433,6 +441,49 @@ class FractionPoly:
         if isinstance(other, (int, Fraction)):
             other = FractionPoly.const(self.n, other)
         return self.n == other.n and self.terms == other.terms
+
+
+def fraction_polys(form):
+    """``{index: FractionPoly}`` of a scalar form, read straight from its numerators."""
+    return {idx: FractionPoly(form.n, {m: Fraction(c, form.den) for m, c in monos.items()})
+            for idx, monos in form.num.items()}
+
+
+def _coordinate(n, c):
+    return f"x{c + 1}" if c < n else f"y{c - n + 1}"
+
+
+def print_poly_by_terms(poly):
+    """Text of a ``FractionPoly``, its terms by total degree, then exponents."""
+    if poly.is_zero:
+        return "0"
+    bits = []
+    for mono in sorted(poly.terms, key=lambda m: (sum(m), m)):
+        coeff = poly.terms[mono]
+        factors = [_coordinate(poly.n, c) + (f"^{e}" if e > 1 else "")
+                   for c, e in enumerate(mono) if e]
+        magnitude = abs(coeff)
+        text = "*".join(([str(magnitude)] if magnitude != 1 or not factors else []) + factors)
+        if not bits:
+            bits.append(text if coeff > 0 else f"-{text}")
+        else:
+            bits.append(f" + {text}" if coeff > 0 else f" - {text}")
+    return "".join(bits)
+
+
+def print_form_by_terms(form):
+    """``dsl.print_form`` through one ``FractionPoly`` per index."""
+    if form.is_zero:
+        return "0"
+    terms = fraction_polys(form)
+    if form.degree == 0:
+        return print_poly_by_terms(terms[()])
+    chunks = []
+    for idx in sorted(terms):
+        basis = "/\\".join("d" + _coordinate(form.n, c) for c in idx)
+        poly = terms[idx]
+        chunks.append(basis if poly == 1 else f"({print_poly_by_terms(poly)})*{basis}")
+    return " + ".join(chunks)
 
 
 def labelled(x, degree):
@@ -456,14 +507,16 @@ def _components_by_table(a):
     primitive fiber bases; zero components are left out."""
     table = _decomp_table(a.n, a.degree)
     out = {}
-    for idx, poly in a.terms.items():
+    for idx, poly in fraction_polys(a).items():
         for (r, bi), c in table[idx].items():
             comp = out.setdefault(r, {})
             for bidx, bc in primitive_fiber_basis(a.n, a.degree - 2 * r)[bi].items():
                 term = poly.scaled(c * bc)
                 comp[bidx] = comp[bidx] + term if bidx in comp else term
     # the constructor drops the coefficients that cancelled
-    components = {r: Form(a.n, a.degree - 2 * r, terms) for r, terms in out.items()}
+    components = {r: Form(a.n, a.degree - 2 * r, {bidx: Poly(a.n, poly.terms)
+                                                 for bidx, poly in terms.items()})
+                  for r, terms in out.items()}
     return {r: beta for r, beta in components.items() if not beta.is_zero}
 
 
@@ -499,7 +552,8 @@ def omega_map_by_wedge(n, degree, shift, top):
     table = {}
     for idx in all_indices(n, degree):
         image = _rewedge(Form.basis(n, idx), shift, lambda r: r <= top and r + shift >= 0)
-        table[idx] = {tidx: poly.constant_value() for tidx, poly in image.terms.items()}
+        table[idx] = {tidx: poly.constant_value()
+                      for tidx, poly in fraction_polys(image).items()}
     return table
 
 

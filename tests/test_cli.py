@@ -256,6 +256,18 @@ def test_non_ascii_digit_in_a_connection_exits_one(tmp_path, capsys):
                                        "'x\u0661*dy1' (column 1)\n")
 
 
+def test_coefficient_past_the_int_string_limit_exits_one(tmp_path, capsys, int_digit_limit):
+    # the curvature of x1^(10^2500) dy1 has a coefficient of about 5,000 digits
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"n": 1, "rank": 1, "A": [["x1^1" + "0" * 2500 + "*dy1"]]}))
+    buf = io.StringIO()
+    assert run(["flatness", "--connection", str(path)], stdout=buf) == USAGE_ERROR
+    assert buf.getvalue() == ""
+    err = capsys.readouterr().err
+    assert err == "primflat: error: coefficient or exponent too long to print\n"
+    assert "set_int_max_str_digits" not in err
+
+
 def test_closed_stdout_exits_one_without_a_traceback(flat_file):
     # the read end is closed before the CLI starts, so every write to stdout fails
     read_end, write_end = os.pipe()

@@ -646,7 +646,7 @@ def basis_element(space, slot, mono, f, u):
     if space.kind == "prim":
         side, s = grading_position(n, space.grading)
         entries = [Form.zero(n, s)] * space.rank
-        entries[u] = Form(n, s, {idx: poly.scaled(c) for idx, c
+        entries[u] = Form(n, s, {idx: Poly(n, {mono: c}) for idx, c
                                  in lefschetz.primitive_fiber_basis(n, s)[f].items()})
         return PrimElement(side, s, VectorForm(entries, s))
     degrees = (space.grading, space.grading - 1)

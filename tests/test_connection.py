@@ -170,7 +170,7 @@ def test_generate_flat_zero_phi_is_flat_bundle():
 
 def test_generate_flat_gauged_example():
     n = 2
-    g = MatrixForm([[Form.const(n, 1), Form.from_poly(Poly.variable(n, 0))],
+    g = MatrixForm([[Form.const(n, 1), Form(n, 0, {(): Poly.variable(n, 0)})],
                     [Form.zero(n, 0), Form.const(n, 1)]], 0)
     conn = generate_flat(n, 2, [[1, 0], [0, 0]], gauge=g)
     rep = analyze_flatness(conn)

@@ -2,7 +2,6 @@
 
 import random
 import re
-import sys
 import time
 from fractions import Fraction
 
@@ -10,9 +9,11 @@ import pytest
 
 from primflat.dsl import (MAX_NESTING, ParseError, parse_form, parse_poly, print_form,
                           print_poly)
-from primflat.forms import Form, lambda_standard, omega
+from primflat.forms import Form, all_indices, lambda_standard, omega
 from primflat.sampling import rand_form
 from primflat.scalars import Poly
+
+from oracle import print_form_by_terms
 
 
 def test_parse_omega():
@@ -30,15 +31,14 @@ def test_parse_scaled_two_form():
 
 
 def test_parse_rational_and_negative_scalars():
-    assert parse_poly("-x2", 2) == -Poly.variable(2, 1)
+    assert parse_poly("-x2", 2) == Poly(2, {(0, 1, 0, 0): -1})
     assert parse_poly("3/4", 1) == Poly.const(1, Fraction(3, 4))
-    assert parse_poly("1 - 2*y1 + y1", 1) == Poly.const(1, 1) - Poly.variable(1, 1)
+    assert parse_poly("1 - 2*y1 + y1", 1) == Poly(1, {(0, 0): 1, (0, 1): -1})
 
 
 def test_parse_nested_parens():
     f = parse_form(r"((x1 + y1))*dx1 - (2)*dx1", 1)
-    expected = Form(1, 1, {(0,): Poly.variable(1, 0) + Poly.variable(1, 1)
-                           - Poly.const(1, 2)})
+    expected = Form(1, 1, {(0,): Poly(1, {(1, 0): 1, (0, 1): 1, (0, 0): -2})})
     assert f == expected
 
 
@@ -99,15 +99,6 @@ def test_non_ascii_digits_are_a_parse_error(src, column):
         parse_form(src, 1)
 
 
-@pytest.fixture
-def int_digit_limit():
-    """The interpreter's default int-string limit, whatever the environment set."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield 4300
-    sys.set_int_max_str_digits(old)
-
-
 @pytest.mark.parametrize("template,column", [("{}", 1), ("2/{}", 3), ("x1^{}*dx1", 4),
                                              ("x{}", 2), ("3*dy{}", 5)])
 def test_numbers_past_the_int_string_limit_are_a_parse_error(int_digit_limit, template, column):
@@ -119,6 +110,16 @@ def test_numbers_past_the_int_string_limit_are_a_parse_error(int_digit_limit, te
         parse_form(template.format("1" * int_digit_limit), 1)
     except ParseError as exc:
         assert "out of range" in str(exc)
+
+
+@pytest.mark.parametrize("src,message", [
+    ("z" + "1" * 4300, "unknown symbol 'z1111111' (column 1)"),
+    ("x" + "1" * 4300, "'x1111111' out of range for chart dimension n=1 (column 1)"),
+    ("(x1) " + "1" * 4301, "trailing input '11111111' (column 6)")])
+def test_errors_quote_a_short_prefix_of_a_long_token(int_digit_limit, src, message):
+    # each token is 4,301 characters; the message quotes its first eight
+    with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+        parse_form(src, 1)
 
 
 def test_deep_nesting_is_a_parse_error():
@@ -166,7 +167,7 @@ def test_round_trip_is_byte_stable():
     ("1/4*x1*dy1 + 1/6*x1*dy1 - 5/12*x1*dy1", "0"),
 ])
 def test_round_trip_mixed_denominators(src, text):
-    # printing reads each coefficient polynomial's rational view once
+    # every coefficient is printed from the numerators over the form's one denominator
     form = parse_form(src, 1)
     assert print_form(form) == text
     assert parse_form(text, 1) == form
@@ -178,3 +179,45 @@ def test_huge_exponent_parses_fast_and_round_trips():
     form = parse_form("x1^1000000000*dx1", 1)
     assert time.perf_counter() - start < 0.2
     assert print_form(form) == "(x1^1000000000)*dx1"
+
+
+def test_numbers_past_the_int_string_limit_do_not_print(int_digit_limit):
+    nines = "9" * int_digit_limit
+    # a coefficient, and an exponent that grows past the limit in a product
+    for form in (Form.const(1, 10 ** int_digit_limit),
+                 parse_form(f"x1^{nines}*x1^{nines}*dx1", 1)):
+        with pytest.raises(ValueError, match="^coefficient or exponent too long to print$"):
+            print_form(form)
+    assert print_form(Form.const(1, 10 ** (int_digit_limit - 1))) == "1" + "0" * (
+        int_digit_limit - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_printer_matches_the_fraction_oracle(n):
+    # random forms of every degree: mixed denominators, negative and unit
+    # coefficients, and constant coefficients equal to 1, so that both the
+    # "(coefficient)*basis" and the bare-basis spelling occur
+    rng = random.Random(7000 + n)
+    width = 2 * n
+    bare = 0
+    for degree in range(width + 1):
+        indices = all_indices(n, degree)
+        for _ in range(25):
+            terms = {}
+            for idx in rng.sample(indices, rng.randint(0, min(4, len(indices)))):
+                if rng.random() < 0.25:
+                    terms[idx] = Poly.const(n, 1)
+                    continue
+                coeffs = {}
+                for _ in range(rng.randint(1, 3)):
+                    mono = tuple(rng.choice((0, 0, 1, 2)) for _ in range(width))
+                    coeffs[mono] = rng.choice((1, -1, Fraction(rng.randint(-9, 9),
+                                                               rng.randint(1, 6))))
+                terms[idx] = Poly(n, coeffs)
+            form = Form(n, degree, terms)
+            text = print_form(form)
+            assert text == print_form_by_terms(form), terms
+            bare += degree > 0 and any(t == 1 for t in terms.values())
+            if degree == 0:
+                assert print_poly(form.terms.get((), Poly.zero(n))) == text
+    assert bare >= 5

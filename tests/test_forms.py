@@ -14,8 +14,8 @@ from primflat.lefschetz import L_power, _apply_omega_map, decompose, pi_p
 from primflat.sampling import rand_form, rand_terms
 from primflat.scalars import Poly
 
-from oracle import (FractionPoly, contract_lambda_by_interior, labelled, omega_map_by_wedge,
-                    wedge_by_sorting)
+from oracle import (FractionPoly, contract_lambda_by_interior, fraction_polys, labelled,
+                    omega_map_by_wedge, wedge_by_sorting)
 
 
 def test_wedge_antisymmetry_on_basis():
@@ -61,7 +61,7 @@ def test_exterior_d_basic():
 def test_d_squared_zero_on_functions(n):
     rng = random.Random(n)
     for _ in range(25):
-        f = Form.from_poly(Poly(n, rand_terms(rng, n, 4, max_terms=3)))
+        f = Form(n, 0, {(): Poly(n, rand_terms(rng, n, 4, max_terms=3))})
         assert exterior_d(exterior_d(f)).is_zero
 
 
@@ -104,7 +104,7 @@ def test_contract_lambda_matches_interior_oracle(n):
             for entry in [a, pi_p(0, a), *vec.flat, *mat.flat]:
                 got = contract_lambda(entry)
                 assert got.degree == k - 2
-                assert got.terms == contract_lambda_by_interior(n, entry.terms), entry
+                assert as_oracle(got) == contract_lambda_by_interior(n, as_oracle(entry)), entry
         for idx in all_indices(n, k):
             assert dict(_lowerings(n, idx)) == contract_lambda_by_interior(n, {idx: 1})
 
@@ -116,7 +116,7 @@ def stores_no_zero(x):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_internal_producers_store_no_zero_coefficient(n):
-    assert not Poly.zero(n) and Poly.const(n, 1)
+    assert Poly.zero(n).is_zero and not Poly.const(n, 1).is_zero
     rng = random.Random(900 + n)
     one_forms = [rand_form(rng, n, 1) + rand_form(rng, n, 1) for _ in range(3)]
     outputs = [omega_power(n, n + 1)]
@@ -223,8 +223,21 @@ def test_form_constructor_rejects_bad_degree_index_and_coefficient():
             Form(1, 1, {(0,): value})
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.5, True, "2", None])
+def test_public_constructors_refuse_a_bad_chart_dimension(n):
+    # a bool is not an int here; each of these used to be accepted or to
+    # fail later with an unrelated error
+    for build in (lambda: Form(n, 0), lambda: Form(n, 1, {(0,): Poly.variable(1, 0)}),
+                  lambda: Form.const(n, 1), lambda: Form.basis(n, ()), lambda: Form.dx(n, 1),
+                  lambda: Form.dy(n, 1), lambda: lambda_standard(n), lambda: lambda_symmetric(n),
+                  lambda: Poly(n, {(1, 0): 1}), lambda: Poly.const(n, 1),
+                  lambda: Poly.variable(n, 0)):
+        with pytest.raises(ValueError, match="^chart dimension n must be an int >= 1, got "):
+            build()
+
+
 def test_form_constructor_converts_to_one_denominator():
-    half, third = Poly.const(1, Fraction(1, 2)), Poly.variable(1, 0).scaled(Fraction(2, 3))
+    half, third = Poly.const(1, Fraction(1, 2)), Poly(1, {(1, 0): Fraction(2, 3)})
     form = Form(1, 1, {(1,): half, (0,): third})
     assert (form.num, form.den) == ({(1,): {(0, 0): 3}, (0,): {(1, 0): 4}}, 6)
     assert list(form.terms) == [(1,), (0,)] and form.terms == {(1,): half, (0,): third}
@@ -377,10 +390,7 @@ def assert_canonical(x):
 def as_oracle(x):
     """``{index: FractionPoly}`` of a form, or the list of them per fiber
     entry, read straight from the numerators."""
-    if not isinstance(x, Form):
-        return [as_oracle(e) for e in x.flat]
-    return {idx: FractionPoly(x.n, {m: Fraction(c, x.den) for m, c in monos.items()})
-            for idx, monos in x.num.items()}
+    return fraction_polys(x) if isinstance(x, Form) else [as_oracle(e) for e in x.flat]
 
 
 def oracle_sum(maps):

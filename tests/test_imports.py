@@ -9,6 +9,10 @@ Each submodule, and each test module here, also binds no module-level import
 name that it never reads.  And every module-level function and class of a
 submodule, and every private method of its classes, is named somewhere in
 the package, the tests or the benchmark outside its own definition.
+
+``Poly`` is a boundary value: outside ``scalars`` and the package
+``__init__`` only the public ``Form`` constructor, ``Form.terms``,
+``parse_poly`` and ``print_poly`` name it, so no internal path builds one.
 """
 
 import ast
@@ -87,3 +91,28 @@ def test_no_dead_definitions(name):
         if not any(word.search(source) for source in others + [outside]):
             unnamed.append((node.lineno, node.name))
     assert unnamed == []
+
+
+# where a submodule may name Poly in code: "" is its module level (the import)
+POLY_PLACES = {"scalars": None, "forms": {"", "Form.__init__", "Form.terms"},
+               "dsl": {"", "parse_poly", "print_poly"}}
+
+
+def _places_naming(tree, name, where=""):
+    """Qualified names of the definitions whose code (not docstrings) names ``name``."""
+    for node in ast.iter_child_nodes(tree):
+        inner = where
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{where}.{node.name}" if where else node.name
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and name in (node.name, node.asname)):
+            yield where
+        yield from _places_naming(node, name, inner)
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_poly_stays_at_the_boundary(name):
+    allowed = POLY_PLACES.get(name, set())
+    places = set(_places_naming(ast.parse(SOURCES[name].read_text(encoding="utf-8")), "Poly"))
+    assert allowed is None or places <= allowed, sorted(places - allowed)

@@ -16,8 +16,9 @@ from primflat.lefschetz import (L_power, _omega_map, component_range, decompose,
 from primflat.sampling import rand_form, rand_primitive_form
 from primflat.scalars import Poly
 
-from oracle import (L_power_by_wedge, is_primitive_by_wedge, labelled, omega_map_by_wedge,
-                    pi_p_by_wedge, reassemble, vec_add_scaled, wedge_by_sorting)
+from oracle import (FractionPoly, L_power_by_wedge, fraction_polys, is_primitive_by_wedge,
+                    labelled, omega_map_by_wedge, pi_p_by_wedge, reassemble, vec_add_scaled,
+                    wedge_by_sorting)
 
 
 def half(n, value=1):
@@ -255,7 +256,7 @@ def test_omega_map_matches_wedge_oracle(n):
 
 
 def const_values(form):
-    return {idx: poly.constant_value() for idx, poly in form.terms.items()}
+    return {idx: poly.constant_value() for idx, poly in fraction_polys(form).items()}
 
 
 def test_wedge_terms_matches_sorting_oracle():
@@ -276,8 +277,8 @@ def test_wedge_terms_matches_sorting_oracle():
             pair.append({idx: c for idx, c in coeffs.items() if c})
         samples.append(pair)
     # the same samples over int (times 6 clears every denominator), Fraction
-    # and Poly (times the non-constant 1 + x1) coefficients
-    poly = Poly.const(n, 1) + Poly.variable(n, 0)
+    # and polynomial (times the non-constant 1 + x1) coefficients
+    poly = FractionPoly(n, {(0,) * (2 * n): 1, (1,) + (0,) * (2 * n - 1): 1})
     rings = [lambda c: int(6 * c), Fraction, poly.scaled]
     for ring in rings:
         maps = [tuple({idx: ring(c) for idx, c in side.items()} for side in pair)
