@@ -125,14 +125,13 @@ def load_connection(path: str) -> Connection:
             and all(isinstance(text, str) for text in row) for row in rows)):
         raise ValueError(f"connection file {path}: A must be {rank} lists of {rank} strings")
     entries = []
-    for row in rows:
-        parsed_row = []
-        for text in row:
+    for i, row in enumerate(rows):
+        entries.append([])
+        for j, text in enumerate(row):
             form = parse_form(text, n)
             if not form.is_zero and form.degree != 1:
-                raise ValueError(f"connection entry {text!r} is not a 1-form")
-            parsed_row.append(form)
-        entries.append(parsed_row)
+                raise ValueError(f"connection entry A[{i}][{j}] {text[:8]!r} is not a 1-form")
+            entries[i].append(form)
     return Connection(n, rank, MatrixForm(entries, 1))
 
 

@@ -302,15 +302,17 @@ def _connection_terms(conn: Connection, space: TruncatedSpace) -> tuple[list, li
     ``phi_terms[u]`` lists ``(v, m, scale * coeff)`` of Phi[v][u].
     ``scale`` is the lcm of the denominators of all coefficients of A and Phi.
     """
-    phi = analyze_flatness(conn).Phi
-    rank = range(conn.rank)
-    scale = lcm(*(e.den for matrix in (conn.A, phi) for e in matrix.flat))
-    a_terms = [[(c, v, space.mono(mono), k * (scale // e.den))
-                for v in rank for e in [conn.A.entries[v][u]] for (c,), monos in e.num.items()
-                for mono, k in monos.items()] for u in rank]
-    phi_terms = [[(v, space.mono(mono), k * (scale // e.den))
-                  for v in rank for e in [phi.entries[v][u]] for monos in e.num.values()
-                  for mono, k in monos.items()] for u in rank]
+    A, phi, r = conn.A, analyze_flatness(conn).Phi, conn.rank
+    scale = lcm(A.den, phi.den)
+    a_terms, phi_terms = [[] for _ in range(r)], [[] for _ in range(r)]
+    # by slot, so each u lists its terms by v and then in each entry's order
+    for (slot, (c,)), monos in sorted(A.num.items(), key=lambda item: item[0][0]):
+        v, u = divmod(slot, r)
+        a_terms[u] += [(c, v, space.mono(mono), k * (scale // A.den)) for mono, k in monos.items()]
+    for (slot, _), monos in sorted(phi.num.items(), key=lambda item: item[0][0]):
+        v, u = divmod(slot, r)
+        phi_terms[u] += [(v, space.mono(mono), k * (scale // phi.den))
+                         for mono, k in monos.items()]
     return a_terms, phi_terms, scale
 
 
@@ -641,7 +643,7 @@ def _constant_frame_lambda(conn: Connection) -> Form:
     """The potential lambda with A == Phi lambda and constant Phi, or raise."""
     report = analyze_flatness(conn)
     phi = report.Phi
-    if all(not e.coefficient_degree() for e in phi.flat):
+    if not phi.coefficient_degree():
         for lam_fn in LAMBDA_CHOICES.values():
             lam = lam_fn(conn.n)
             if wedge(phi, lam) == conn.A:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InternalInvariantError
-from .forms import (LAMBDA_CHOICES, MatrixForm, VectorForm, exterior_d,
-                    graded_commutator, omega, wedge)
+from .forms import (LAMBDA_CHOICES, MatrixForm, VectorForm, _d_into, _wedge_into,
+                    exterior_d, graded_commutator, omega, wedge)
 from .lefschetz import L_power, pi_p
 from .scalars import Scalar
 
@@ -101,18 +101,25 @@ def analyze_flatness(conn: Connection) -> FlatnessReport:
 
 def _first_nonzero(m: MatrixForm) -> str:
     """Where a matrix form is first nonzero, for invariant messages."""
-    for i, row in enumerate(m.entries):
-        for j, entry in enumerate(row):
-            if not entry.is_zero:
-                return f"entry ({i}, {j}), form index {min(entry.num)}"
-    return "no entry"
+    if m.is_zero:
+        return "no entry"
+    slot, idx = min(m.num)
+    return f"entry {divmod(slot, m.rank)}, form index {idx}"
 
 
 def covariant_d(conn: Connection, v: VectorForm) -> VectorForm:
-    """d_A v = d v + A /\\ v on vector-valued forms."""
+    """d_A v = d v + A /\\ v on vector-valued forms, summed into one
+    numerator dict over ``A.den * v.den``."""
+    if not isinstance(v, VectorForm):
+        hint = " (covariant_d_end takes matrix forms)" if isinstance(v, MatrixForm) else ""
+        raise TypeError(f"covariant_d acts on vector forms, got {type(v).__name__}{hint}")
+    if v.n != conn.n:
+        raise ValueError("chart dimension mismatch")
     if v.rank != conn.rank:
         raise ValueError("rank mismatch")
-    return exterior_d(v) + wedge(conn.A, v)
+    # d v drops its cancelled indices before A /\\ v joins, as the sum of the two would
+    dv = {key: monos for key, monos in _d_into({}, v, conn.A.den).items() if monos}
+    return v._new(v.degree + 1, _wedge_into(dv, conn.A, v), conn.A.den * v.den)
 
 
 def covariant_d_end(conn: Connection, m: MatrixForm) -> MatrixForm:

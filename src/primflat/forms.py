@@ -25,20 +25,23 @@ algebraic degree, zero results included.
 
 A scalar `Form` is one fiber flavor; the other two are `FiberForm`s: a
 `VectorForm` (rank-r column of forms of one degree) and a `MatrixForm`
-(r x r).  `FiberForm` implements every fiber operation once over the
-entries in row-major order (``flat``); the subclasses add only their shape
-and their named constructors.  The wedge of fiber-valued forms composes
-fibers in input order with no extra sign beyond the scalar Koszul sign;
-for matrices that is matrix multiplication over the wedge.
+(r x r).  A fiber form is one numerator dict over one denominator, keyed
+``(slot, index)`` with slot the entry's row-major place, canonical like a
+`Form`; a zero entry is an absent key.  Every kernel (wedge, d, the index
+maps of ``lefschetz``) runs once over those numerators and canonicalizes
+once, and `Form` and `FiberForm` share the linear operations
+(``_Numerators``), which see only the key.  The wedge of fiber-valued
+forms composes fibers in input order with no extra sign beyond the scalar
+Koszul sign; for matrices that is matrix multiplication over the wedge.
 
 Validation happens at the public constructors: ``Form(n, degree, terms)``
 checks the degree, every index tuple and coefficient, and ``VectorForm(...)``
 / ``MatrixForm(...)`` check the shape, the chart and the degree of their
-entries.  Forms are immutable in use, so the fiber constructors keep the
-caller's entries and only re-label zero entries to the fiber degree.
-Internal producers build their results from already-valid data through
-``Form._reduced`` (``Form._from_rationals`` from rational coefficients) and
-``FiberForm._from_flat``, which check nothing and own what they are given.
+entries.  Their entries are views: ``entries``, ``flat``, ``nested`` and
+``map`` build fresh forms on demand, zero ones labelled with the fiber
+degree.  Internal producers build their results from already-valid data
+through ``Form._reduced`` (``Form._from_rationals`` from rational
+coefficients) and ``_new``, which check nothing and own what they are given.
 """
 
 from __future__ import annotations
@@ -124,7 +127,90 @@ def _check_index(n: int, degree: int, idx) -> FormIndex:
     return idx
 
 
-class Form:
+def _canonical(num: dict, den: int) -> tuple[dict, int]:
+    """Int numerators over ``den`` > 0 made canonical: emptied keys drop,
+    zero is ``{}`` over 1, and no prime divides ``den`` and every numerator."""
+    if not all(num.values()):
+        num = {key: monos for key, monos in num.items() if monos}
+    if not num:
+        return num, 1
+    if den != 1:
+        g = den
+        for monos in num.values():
+            g = gcd(g, *monos.values())
+            if g == 1:
+                break
+        else:
+            den //= g
+            num = {key: {m: c // g for m, c in monos.items()} for key, monos in num.items()}
+    return num, den
+
+
+class _Numerators:
+    """The linear structure scalar and fiber forms share: canonical int
+    numerators ``num`` over one positive ``den``, keyed by index (`Form`) or
+    by ``(slot, index)`` (`FiberForm`).  Subclasses give ``_new``, the
+    trusted constructor of their own shape, and ``_same_fiber``."""
+
+    __slots__ = ()
+
+    def _same_fiber(self, other) -> bool:
+        return True
+
+    def _plus(self, other, sign: int):
+        """self + sign * other, in one pass over the numerators."""
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.n != other.n:
+            raise ValueError("chart dimension mismatch")
+        if not self._same_fiber(other):
+            raise ValueError("rank mismatch")
+        if not self.num or not other.num:
+            return self if self.num else other if sign > 0 or not other.num else -other
+        if self.degree != other.degree:
+            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
+        g = gcd(self.den, other.den)
+        mine, theirs = other.den // g, sign * (self.den // g)
+        out = {key: {m: c * mine for m, c in monos.items()} for key, monos in self.num.items()}
+        for key, monos in other.num.items():
+            _accumulate(out.setdefault(key, {}), monos, theirs)
+        return self._new(self.degree, out, self.den * mine)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __neg__(self):
+        return self._new(self.degree, {key: {m: -c for m, c in monos.items()}
+                                       for key, monos in self.num.items()}, self.den)
+
+    def scaled(self, value: Scalar):
+        p, q = _ratio(value)
+        return self._new(self.degree, {key: {m: c * p for m, c in monos.items()}
+                                       for key, monos in self.num.items()} if p else {},
+                         self.den * q)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def coefficient_degree(self) -> Optional[int]:
+        """Max total degree over all polynomial coefficients; None if zero."""
+        return max((sum(m) for monos in self.num.values() for m in monos), default=None)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.n != other.n or not self._same_fiber(other):
+            return False
+        if not self.num and not other.num:
+            return True
+        return self.degree == other.degree and self.den == other.den and self.num == other.num
+
+
+class Form(_Numerators):
     """Homogeneous exterior form with polynomial coefficients: ``num`` over ``den``."""
 
     __slots__ = ("n", "degree", "num", "den")
@@ -153,22 +239,13 @@ class Form:
     @classmethod
     def _reduced(cls, n: int, degree: int, num: dict, den: int) -> "Form":
         """Internal constructor: valid int numerators over ``den`` > 0, made canonical."""
-        if not all(num.values()):
-            num = {idx: monos for idx, monos in num.items() if monos}
-        if not num:
-            den = 1
-        elif den != 1:
-            g = den
-            for monos in num.values():
-                g = gcd(g, *monos.values())
-                if g == 1:
-                    break
-            else:
-                den //= g
-                num = {idx: {m: c // g for m, c in monos.items()} for idx, monos in num.items()}
         form = object.__new__(cls)
-        form.n, form.degree, form.num, form.den = n, degree, num, den
+        form.n, form.degree = n, degree
+        form.num, form.den = _canonical(num, den)
         return form
+
+    def _new(self, degree: int, num: dict, den: int) -> "Form":
+        return Form._reduced(self.n, degree, num, den)
 
     @classmethod
     def _from_rationals(cls, n: int, degree: int, coeffs: Mapping) -> "Form":
@@ -213,75 +290,33 @@ class Form:
         idx = _check_index(_chart(n), len(idx), idx)
         return cls._reduced(n, len(idx), {idx: {(0,) * (2 * n): 1}}, 1)
 
-    # ---------- linear structure ----------
-
-    def _plus(self, other: "Form", sign: int) -> "Form":
-        """self + sign * other, in one pass over the numerators."""
-        if not isinstance(other, Form):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("chart dimension mismatch")
-        if not self.num or not other.num:
-            return self if self.num else other if sign > 0 or not other.num else -other
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        g = gcd(self.den, other.den)
-        mine, theirs = other.den // g, sign * (self.den // g)
-        out = {idx: {m: c * mine for m, c in monos.items()} for idx, monos in self.num.items()}
-        for idx, monos in other.num.items():
-            _accumulate(out.setdefault(idx, {}), monos, theirs)
-        return Form._reduced(self.n, self.degree, out, self.den * mine)
-
-    def __add__(self, other: "Form") -> "Form":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "Form") -> "Form":
-        return self._plus(other, -1)
-
-    def __neg__(self) -> "Form":
-        return Form._reduced(self.n, self.degree, {idx: {m: -c for m, c in monos.items()}
-                                                   for idx, monos in self.num.items()}, self.den)
-
-    def scaled(self, value: Scalar) -> "Form":
-        p, q = _ratio(value)
-        return Form._reduced(self.n, self.degree, {idx: {m: c * p for m, c in monos.items()}
-                                                   for idx, monos in self.num.items()} if p else {},
-                             self.den * q)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def coefficient_degree(self) -> Optional[int]:
-        """Max total degree over all polynomial coefficients; None if zero."""
-        return max((sum(m) for monos in self.num.values() for m in monos), default=None)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Form):
-            return NotImplemented
-        if self.n != other.n:
-            return False
-        if not self.num and not other.num:
-            return True
-        return self.degree == other.degree and self.den == other.den and self.num == other.num
-
     def __repr__(self) -> str:
         return f"Form(n={self.n}, degree={self.degree}, terms={self.terms!r})"
 
 
-class FiberForm:
-    """A form with values in a fiber: entries are forms of one degree.
+class FiberForm(_Numerators):
+    """A form with values in a fiber: ``num`` keyed ``(slot, index)``, slot
+    the entry's row-major place, over one ``den``; a zero entry has no key.
 
-    Every operation acts entrywise over ``flat`` (the entries in row-major
-    order); subclasses give the nesting of ``entries`` through ``_shape``.
+    ``entries``, ``flat``, ``nested`` and ``map`` are views for the
+    boundary, built entry by entry on demand; subclasses give the number of
+    slots (``rank ** _order``) and the nesting of ``entries`` (``_shape``).
     """
 
-    __slots__ = ("n", "degree", "entries")
+    __slots__ = ("n", "degree", "rank", "num", "den")
+    _order = 1
 
-    @staticmethod
-    def _checked(flat: list[Form], degree: Optional[int], what: str
-                 ) -> tuple[int, int, list[Form]]:
-        """(n, degree, entries) of a public constructor's entry list."""
+    def _fill(self, n: int, degree: int, rank: int, flat: list[Form]) -> None:
+        """Set every field from entries on chart n, nonzero ones of ``degree``."""
+        self.n, self.degree, self.rank = n, degree, rank
+        # over the lcm of the canonical entry denominators no prime divides every numerator
+        den = self.den = lcm(*(e.den for e in flat))
+        self.num = {(slot, idx): monos if e.den == den else
+                    {m: c * (den // e.den) for m, c in monos.items()}
+                    for slot, e in enumerate(flat) for idx, monos in e.num.items()}
+
+    def _checked(self, flat: list[Form], degree: Optional[int], rank: int, what: str) -> None:
+        """A public constructor's checks on its entry list, then ``_fill``."""
         n = flat[0].n
         if degree is None:
             degree = flat[0].degree
@@ -290,68 +325,38 @@ class FiberForm:
                 raise ValueError(f"chart dimension mismatch in {what} entries")
             if e.num and e.degree != degree:
                 raise ValueError(f"{what} entries of mixed degree")
-        zero = Form.zero(n, degree)
-        return n, degree, [e if e.num or e.degree == degree else zero for e in flat]
+        self._fill(n, degree, rank, flat)
+
+    def _new(self, degree: int, num: dict, den: int):
+        out = object.__new__(type(self))
+        out.n, out.degree, out.rank = self.n, degree, self.rank
+        out.num, out.den = _canonical(num, den)
+        return out
+
+    def _same_fiber(self, other) -> bool:
+        return self.rank == other.rank
 
     @property
     def flat(self) -> list[Form]:
-        raise NotImplementedError
+        """The entries in row-major order, fresh forms of the fiber degree."""
+        parts: list[dict] = [{} for _ in range(self.rank ** self._order)]
+        for (slot, idx), monos in self.num.items():
+            parts[slot][idx] = monos
+        return [Form._reduced(self.n, self.degree, part, self.den) for part in parts]
 
-    def _shape(self, flat: list):
-        raise NotImplementedError
-
-    def _from_flat(self, flat: list[Form], degree: int):
-        """Trusted constructor: the same fiber shape with new entries, which
-        must be forms on this chart, nonzero ones of the given degree."""
-        out = object.__new__(type(self))
-        out.n = self.n
-        out.degree = degree
-        out.entries = self._shape(flat)
-        return out
+    @property
+    def entries(self) -> list:
+        return self._shape(self.flat)
 
     def nested(self, fn: Callable[[Form], object]) -> list:
         """``fn`` of every entry, in the nesting of ``entries``."""
         return self._shape([fn(e) for e in self.flat])
 
-    @property
-    def rank(self) -> int:
-        return len(self.entries)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(e.is_zero for e in self.flat)
-
     def map(self, fn: Callable[[Form], Form], degree: int):
         """Entrywise image under ``fn``, which sends this degree to ``degree``."""
-        return self._from_flat([fn(e) for e in self.flat], degree)
-
-    def _entrywise(self, other, op: Callable[[Form, Form], Form]):
-        if type(other) is not type(self):
-            return NotImplemented
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        degree = self.degree if not self.is_zero else other.degree
-        return self._from_flat([op(a, b) for a, b in zip(self.flat, other.flat)], degree)
-
-    def __add__(self, other):
-        return self._entrywise(other, Form.__add__)
-
-    def __sub__(self, other):
-        return self._entrywise(other, Form.__sub__)
-
-    def __neg__(self):
-        return self.map(Form.__neg__, self.degree)
-
-    def scaled(self, value):
-        return self.map(lambda e: e.scaled(value), self.degree)
-
-    def coefficient_degree(self) -> Optional[int]:
-        return max((sum(m) for e in self.flat for ms in e.num.values() for m in ms), default=None)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.rank == other.rank and self.flat == other.flat
+        out = object.__new__(type(self))
+        out._fill(self.n, degree, self.rank, [fn(e) for e in self.flat])
+        return out
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.entries!r})"
@@ -366,7 +371,7 @@ class VectorForm(FiberForm):
         flat = list(entries)
         if not flat:
             raise ValueError("vector form needs at least one entry")
-        self.n, self.degree, self.entries = self._checked(flat, degree, "vector")
+        self._checked(flat, degree, len(flat), "vector")
 
     @classmethod
     def zero(cls, n: int, degree: int, rank: int) -> "VectorForm":
@@ -378,10 +383,6 @@ class VectorForm(FiberForm):
         entries[which] = Form.const(n, 1)
         return cls(entries, 0)
 
-    @property
-    def flat(self) -> list[Form]:
-        return self.entries
-
     def _shape(self, flat: list) -> list:
         return flat
 
@@ -390,15 +391,14 @@ class MatrixForm(FiberForm):
     """r x r matrix of forms of one degree (endomorphism-valued form)."""
 
     __slots__ = ()
+    _order = 2
 
     def __init__(self, entries: Sequence[Sequence[Form]], degree: Optional[int] = None):
         rows = [list(row) for row in entries]
         r = len(rows)
         if r == 0 or any(len(row) != r for row in rows):
             raise ValueError("matrix form must be square and non-empty")
-        self.n, self.degree, flat = self._checked(
-            [e for row in rows for e in row], degree, "matrix")
-        self.entries = [flat[i * r:(i + 1) * r] for i in range(r)]
+        self._checked([e for row in rows for e in row], degree, r, "matrix")
 
     @classmethod
     def zero(cls, n: int, degree: int, rank: int) -> "MatrixForm":
@@ -418,30 +418,54 @@ class MatrixForm(FiberForm):
         """Constant matrix times a scalar form (entrywise scaling)."""
         return cls([[form.scaled(v) for v in row] for row in matrix], form.degree)
 
-    @property
-    def flat(self) -> list[Form]:
-        return [e for row in self.entries for e in row]
-
     def _shape(self, flat: list) -> list[list]:
-        r = len(self.entries)
+        r = self.rank
         return [flat[i * r:(i + 1) * r] for i in range(r)]
 
 
 # ---------- wedge ----------
 
-def _wedge_sum(n: int, degree: int, pairs: Iterable[tuple[Form, Form]]) -> Form:
-    """The sum of a /\\ b over pairs of scalar forms, at the lcm of their denominators."""
-    pairs = [(a, b) for a, b in pairs if a.num and b.num]
-    den = lcm(*(a.den * b.den for a, b in pairs))
-    out: dict = {}
-    for a, b in pairs:
-        scale = den // (a.den * b.den)
-        for idx_a, monos_a in a.num.items():
-            for idx_b, monos_b in b.num.items():
-                merged = _merge(idx_a, idx_b)
-                if merged is not None:
-                    _multiply(out.setdefault(merged[1], {}), monos_a, monos_b, merged[0] * scale)
-    return Form._reduced(n, degree, out, den)
+def _pairs_into(out: dict, items_a: Iterable, items_b: Iterable, slot: Optional[int]) -> None:
+    """``out += a /\\ b`` over ``(index, numerators)`` items of two forms,
+    keyed by the merged index, or by ``(slot, index)`` when slot is given."""
+    for idx_a, monos_a in items_a:
+        for idx_b, monos_b in items_b:
+            merged = _merge(idx_a, idx_b)
+            if merged is not None:
+                key = merged[1] if slot is None else (slot, merged[1])
+                _multiply(out.setdefault(key, {}), monos_a, monos_b, merged[0])
+
+
+def _by_slot(a: FiberForm) -> dict[int, list]:
+    """``{slot: [(index, numerators)]}`` of a fiber form, in ``num`` order."""
+    out: dict[int, list] = {}
+    for (slot, idx), monos in a.num.items():
+        out.setdefault(slot, []).append((idx, monos))
+    return out
+
+
+def _wedge_into(out: dict, a: AnyForm, b: AnyForm) -> dict:
+    """``out`` plus the numerators of a /\\ b over ``a.den * b.den``, keyed
+    like the product: one pass over the slot pairs that compose, each
+    product entry summed in the order of its fiber composition."""
+    if isinstance(a, Form):
+        if isinstance(b, Form):
+            _pairs_into(out, a.num.items(), b.num.items(), None)
+        else:
+            for slot, items in _by_slot(b).items():
+                _pairs_into(out, a.num.items(), items, slot)
+    elif isinstance(b, Form):
+        for slot, items in _by_slot(a).items():
+            _pairs_into(out, items, b.num.items(), slot)
+    else:  # matrix . vector (one column) or matrix . matrix
+        r, width = a.rank, b.rank if isinstance(b, MatrixForm) else 1
+        slots_b = _by_slot(b)
+        for slot, items in sorted(_by_slot(a).items()):
+            i, j = divmod(slot, r)
+            for k in range(width):
+                if j * width + k in slots_b:
+                    _pairs_into(out, items, slots_b[j * width + k], i * width + k)
+    return out
 
 
 def wedge(a: AnyForm, b: AnyForm) -> AnyForm:
@@ -453,62 +477,61 @@ def wedge(a: AnyForm, b: AnyForm) -> AnyForm:
     """
     if a.n != b.n:
         raise ValueError("chart dimension mismatch")
-    degree = a.degree + b.degree
-    if isinstance(a, Form):
-        if isinstance(b, Form):
-            return _wedge_sum(a.n, degree, [(a, b)])
-        return b.map(lambda e: _wedge_sum(a.n, degree, [(a, e)]), degree)
-    if isinstance(b, Form):
-        return a.map(lambda e: _wedge_sum(a.n, degree, [(e, b)]), degree)
-    if isinstance(a, MatrixForm) and isinstance(b, FiberForm):
+    if isinstance(a, FiberForm) and isinstance(b, FiberForm):
+        if not isinstance(a, MatrixForm):
+            raise TypeError(
+                f"no fiber composition for {type(a).__name__} wedge {type(b).__name__}")
         if a.rank != b.rank:
             raise ValueError("rank mismatch")
-        # a vector is a single column
-        columns = list(zip(*b.entries)) if isinstance(b, MatrixForm) else [b.entries]
-        return b._from_flat([_wedge_sum(a.n, degree, zip(row, col))
-                             for row in a.entries for col in columns], degree)
-    raise TypeError(
-        f"no fiber composition for {type(a).__name__} wedge {type(b).__name__}")
+    shape = a if isinstance(b, Form) else b
+    return shape._new(a.degree + b.degree, _wedge_into({}, a, b), a.den * b.den)
 
 
 # ---------- exterior derivative and index maps ----------
 
-def _d_form(a: Form) -> Form:
-    out: dict = {}
-    for idx, monos in a.num.items():
+def _d_into(out: dict, a: AnyForm, factor: int) -> dict:
+    """``out`` plus the numerators of d a over ``a.den``, times ``factor``."""
+    fiber = not isinstance(a, Form)
+    for key, monos in a.num.items():
+        slot, idx = key if fiber else (None, key)
         moves = _d_moves(a.n, idx)
         for mono, c in monos.items():
+            c *= factor
             for coord, sign, new_idx in moves:
                 e = mono[coord]
                 if e:  # d(x^mono) has the term e x^(mono - 1 at coord) dx_coord
-                    acc = out.setdefault(new_idx, {})
+                    acc = out.setdefault(new_idx if slot is None else (slot, new_idx), {})
                     lowered = mono[:coord] + (e - 1,) + mono[coord + 1:]
                     value = acc.get(lowered, 0) + sign * e * c
                     if value:
                         acc[lowered] = value
                     else:
                         del acc[lowered]
-    return Form._reduced(a.n, a.degree + 1, out, a.den)
+    return out
 
 
 def exterior_d(a: AnyForm) -> AnyForm:
-    """d, entrywise on fiber-valued forms; satisfies d(d(a)) == 0."""
-    if isinstance(a, Form):
-        return _d_form(a)
-    return a.map(_d_form, a.degree + 1)
+    """d, on every entry of a fiber-valued form; satisfies d(d(a)) == 0."""
+    return a._new(a.degree + 1, _d_into({}, a, 1), a.den)
 
 
-def index_map(a: Form, degree: int, rows: Callable, scale: int) -> Form:
-    """A scalar form under the constant map dx_idx -> sum k dx_t / scale, (t, k) in rows(idx)."""
+def index_map(a: AnyForm, degree: int, rows: Callable, scale: int) -> AnyForm:
+    """A form under the constant map dx_idx -> sum k dx_t / scale, (t, k) in
+    rows(idx), on every entry of a fiber-valued form."""
     out: dict = {}
-    for idx, monos in a.num.items():
-        for tidx, k in rows(idx):
-            _accumulate(out.setdefault(tidx, {}), monos, k)
-    return Form._reduced(a.n, degree, out, a.den * scale)
+    if isinstance(a, Form):
+        for idx, monos in a.num.items():
+            for tidx, k in rows(idx):
+                _accumulate(out.setdefault(tidx, {}), monos, k)
+    else:
+        for (slot, idx), monos in a.num.items():
+            for tidx, k in rows(idx):
+                _accumulate(out.setdefault((slot, tidx), {}), monos, k)
+    return a._new(degree, out, a.den * scale)
 
 
-def contract_lambda(a: Form) -> Form:
-    """The sl(2) lowering operator (``_lowerings``) on a scalar form.
+def contract_lambda(a: AnyForm) -> AnyForm:
+    """The sl(2) lowering operator (``_lowerings``), entrywise on fiber forms.
 
     Applied to omega it returns the constant n; a form is primitive exactly
     when this vanishes on every scalar component.

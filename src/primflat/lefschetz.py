@@ -62,7 +62,7 @@ from functools import cache
 from math import lcm
 
 from .errors import InternalInvariantError
-from .forms import (AnyForm, Form, FormIndex, _lowerings, all_indices, contract_lambda,
+from .forms import (AnyForm, FormIndex, _lowerings, all_indices, contract_lambda,
                     exterior_d, index_map, omega_const, wedge_terms)
 from .linalg import Echelon, kernel_basis
 from .scalars import _accumulate
@@ -185,9 +185,7 @@ def is_primitive(a: AnyForm) -> bool:
     Equivalent, for degree s <= n, to omega^(n-s+1) /\\ a == 0; degrees
     above n admit no nonzero primitive forms and only the zero form passes.
     """
-    if isinstance(a, Form):
-        return contract_lambda(a).is_zero and (a.degree <= a.n or a.is_zero)
-    return all(is_primitive(e) for e in a.flat)
+    return contract_lambda(a).is_zero and (a.degree <= a.n or a.is_zero)
 
 
 @cache
@@ -209,11 +207,8 @@ def _omega_map(n: int, degree: int, shift: int, top: int) -> tuple[dict, int]:
 def _apply_omega_map(a: AnyForm, shift: int, top: int) -> AnyForm:
     """The constant fiber map ``_omega_map(n, a.degree, shift, top)`` applied
     to a by ``index_map``; the result has degree a.degree + 2 shift, zero or not."""
-    degree = a.degree + 2 * shift
     table, scale = _omega_map(a.n, a.degree, shift, top)
-    if isinstance(a, Form):
-        return index_map(a, degree, table.__getitem__, scale)
-    return a.map(lambda e: index_map(e, degree, table.__getitem__, scale), degree)
+    return index_map(a, a.degree + 2 * shift, table.__getitem__, scale)
 
 
 def L_power(p: int, a: AnyForm) -> AnyForm:

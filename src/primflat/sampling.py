@@ -103,11 +103,12 @@ def rand_primitive_form(rng: random.Random, n: int, s: int, max_degree: int = 3,
 
 def rand_primitive_vector(rng: random.Random, n: int, s: int, rank: int,
                           max_degree: int = 3) -> VectorForm:
-    entries = [rand_primitive_form(rng, n, s, max_degree, nonzero=False)
-               for _ in range(rank)]
-    vec = VectorForm(entries, s)
+    """Primitive projection of a random vector of s-forms; when it vanishes,
+    one entry, picked at random, is resampled until nonzero."""
+    vec = pi_p(0, VectorForm([rand_form(rng, n, s, max_degree) for _ in range(rank)], s))
     if vec.is_zero:
-        which = rng.randrange(rank)
+        entries = [Form.zero(n, s)] * rank
+        which = rng.randrange(rank)  # drawn before the entry it picks
         entries[which] = rand_primitive_form(rng, n, s, max_degree)
         vec = VectorForm(entries, s)
     return vec
@@ -115,11 +116,14 @@ def rand_primitive_vector(rng: random.Random, n: int, s: int, rank: int,
 
 def rand_primitive_matrix(rng: random.Random, n: int, s: int, rank: int,
                           max_degree: int = 3) -> MatrixForm:
-    rows = [[rand_primitive_form(rng, n, s, max_degree, nonzero=False)
-             for _ in range(rank)] for _ in range(rank)]
-    mat = MatrixForm(rows, s)
+    """The matrix analogue of `rand_primitive_vector`; a resampled entry's
+    form is drawn before its row and column."""
+    mat = pi_p(0, MatrixForm([[rand_form(rng, n, s, max_degree) for _ in range(rank)]
+                              for _ in range(rank)], s))
     if mat.is_zero:
-        rows[rng.randrange(rank)][rng.randrange(rank)] = rand_primitive_form(rng, n, s, max_degree)
+        beta = rand_primitive_form(rng, n, s, max_degree)
+        rows = [[Form.zero(n, s)] * rank for _ in range(rank)]
+        rows[rng.randrange(rank)][rng.randrange(rank)] = beta
         mat = MatrixForm(rows, s)
     return mat
 

@@ -45,6 +45,15 @@ into it.  ``print_form_by_terms`` is the printer as it ran before it read
 numerators: one ``FractionPoly`` per index, its ``Fraction`` terms spelled
 and sorted on their own, and a unit coefficient found by comparing with 1.
 
+``wedge_by_entries``, ``by_entries``, ``plus_by_entries``,
+``decompose_by_entries`` and ``equal_by_entries`` are the fiber forms as
+they ran before their numerators were fused: one scalar `Form` per entry,
+each kernel called once per entry (every product entry one sum of scalar
+wedges, in the order of its fiber composition), the result built back by
+the public constructor.  They share only the scalar kernels with the
+fused ones, so tests compare the two, ``repr`` (and with it the index
+order inside each entry) included.
+
 ``assemble_operator`` is the exact ``Fraction`` matrix of one differential
 between two truncations, the table columns divided by their scale, and
 ``symbolic_columns`` is the symbolic drop-in for the table columns.  Every
@@ -58,6 +67,7 @@ wedging with an omega power instead of contracting.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from primflat import cohomology
@@ -67,9 +77,10 @@ from primflat.cone import cone_d
 from primflat.connection import analyze_flatness, generate_flat
 from primflat.dsl import parse_form
 from primflat.errors import InternalInvariantError
-from primflat.forms import Form, MatrixForm, all_indices, omega_power, wedge
-from primflat.lefschetz import _decomp_table, primitive_fiber_basis
-from primflat.scalars import Poly
+from primflat.forms import (Form, MatrixForm, VectorForm, _merge, all_indices, omega_power,
+                            wedge)
+from primflat.lefschetz import _decomp_table, decompose, primitive_fiber_basis
+from primflat.scalars import Poly, _multiply
 from primflat.twist import twisted_m1
 
 
@@ -555,6 +566,68 @@ def omega_map_by_wedge(n, degree, shift, top):
         table[idx] = {tidx: poly.constant_value()
                       for tidx, poly in fraction_polys(image).items()}
     return table
+
+
+def fiber_from_entries(like, flat, degree):
+    """A fiber form of like's type and rank from row-major entries, by the
+    public constructor."""
+    if isinstance(like, VectorForm):
+        return VectorForm(flat, degree)
+    r = like.rank
+    return MatrixForm([flat[i * r:(i + 1) * r] for i in range(r)], degree)
+
+
+def by_entries(fn, a, degree):
+    """fn on every entry of a fiber form (a scalar form is its own entry)."""
+    if isinstance(a, Form):
+        return fn(a)
+    return fiber_from_entries(a, [fn(e) for e in a.flat], degree)
+
+
+def _wedge_sum(n, degree, pairs):
+    """The sum of a /\\ b over pairs of scalar forms in one dict, at the lcm
+    of their denominators."""
+    pairs = [(a, b) for a, b in pairs if a.num and b.num]
+    den = lcm(*(a.den * b.den for a, b in pairs))
+    out = {}
+    for a, b in pairs:
+        scale = den // (a.den * b.den)
+        for idx_a, monos_a in a.num.items():
+            for idx_b, monos_b in b.num.items():
+                merged = _merge(idx_a, idx_b)
+                if merged is not None:
+                    _multiply(out.setdefault(merged[1], {}), monos_a, monos_b, merged[0] * scale)
+    return Form._reduced(n, degree, out, den)
+
+
+def wedge_by_entries(a, b):
+    degree = a.degree + b.degree
+    if isinstance(a, Form):
+        return by_entries(lambda e: _wedge_sum(a.n, degree, [(a, e)]), b, degree)
+    if isinstance(b, Form):
+        return by_entries(lambda e: _wedge_sum(a.n, degree, [(e, b)]), a, degree)
+    # a vector is a single column
+    columns = list(zip(*b.entries)) if isinstance(b, MatrixForm) else [b.entries]
+    return fiber_from_entries(b, [_wedge_sum(a.n, degree, zip(row, col))
+                                  for row in a.entries for col in columns], degree)
+
+
+def plus_by_entries(a, b, sign):
+    degree = a.degree if not a.is_zero else b.degree
+    return fiber_from_entries(a, [x + y if sign > 0 else x - y
+                                  for x, y in zip(a.flat, b.flat)], degree)
+
+
+def decompose_by_entries(a):
+    """``{r: beta_r}`` with every entry decomposed on its own."""
+    parts = [decompose(e) for e in a.flat]
+    return {r: fiber_from_entries(a, [p.get(r, Form.zero(a.n, a.degree - 2 * r)) for p in parts],
+                                  a.degree - 2 * r)
+            for r in sorted(set().union(*parts))}
+
+
+def equal_by_entries(a, b):
+    return a.rank == b.rank and a.flat == b.flat
 
 
 def diag(*values):

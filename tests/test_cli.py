@@ -268,6 +268,18 @@ def test_coefficient_past_the_int_string_limit_exits_one(tmp_path, capsys, int_d
     assert "set_int_max_str_digits" not in err
 
 
+def test_long_entry_that_is_not_a_one_form_exits_one_with_a_short_error(tmp_path, capsys):
+    # a 300-term 2-form: the error names the entry and quotes only its start
+    path = tmp_path / "two_form.json"
+    entry = "(" + " + ".join(["x1"] * 300) + ")*dx1/\\dy1"
+    path.write_text(json.dumps({"n": 1, "rank": 2, "A": [["0", "0"], ["0", entry]]}))
+    buf = io.StringIO()
+    assert run(["flatness", "--connection", str(path)], stdout=buf) == USAGE_ERROR
+    assert buf.getvalue() == ""
+    assert capsys.readouterr().err == (
+        "primflat: error: connection entry A[1][1] '(x1 + x1' is not a 1-form\n")
+
+
 def test_closed_stdout_exits_one_without_a_traceback(flat_file):
     # the read end is closed before the CLI starts, so every write to stdout fails
     read_end, write_end = os.pipe()

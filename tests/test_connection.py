@@ -11,7 +11,7 @@ from primflat.connection import (Connection, analyze_flatness, covariant_d,
                                  generate_flat, unipotent_inverse,
                                  yang_mills_residual)
 from primflat.errors import InternalInvariantError
-from primflat.forms import (Form, MatrixForm, lambda_standard,
+from primflat.forms import (Form, MatrixForm, exterior_d, lambda_standard,
                             omega, wedge)
 from primflat.sampling import (rand_connection, rand_constant_matrix,
                                rand_flat_connection, rand_unipotent,
@@ -64,7 +64,6 @@ def test_covariant_d_reduces_to_d_when_untwisted():
     conn = Connection(n, 2, MatrixForm.zero(n, 1, 2))
     rng = random.Random(0)
     v = rand_vector_form(rng, n, 1, 2)
-    from primflat.forms import exterior_d
     assert covariant_d(conn, v) == exterior_d(v)
 
 
@@ -72,6 +71,18 @@ def test_covariant_d_of_identity_endomorphism():
     rng = random.Random(1)
     conn = rand_connection(rng, 2, 2)
     assert covariant_d_end(conn, MatrixForm.identity(2, 2)).is_zero
+
+
+def test_covariant_d_takes_vector_forms_only():
+    rng = random.Random(4)
+    conn = rand_connection(rng, 2, 2)
+    # d + A /\ on a matrix is not the End-valued d + [A, .]; the error names that one
+    with pytest.raises(TypeError, match="covariant_d_end"):
+        covariant_d(conn, MatrixForm.identity(2, 2))
+    with pytest.raises(TypeError, match="got Form"):
+        covariant_d(conn, Form.dx(2, 1))
+    v = rand_vector_form(rng, 2, 1, 2)
+    assert covariant_d(conn, v) == exterior_d(v) + wedge(conn.A, v)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -289,11 +289,11 @@ def test_fiber_constructors_keep_entries_and_relabel_zeros():
     n = 2
     dx = Form.dx(n, 1)
     v = VectorForm([dx, Form.zero(n, 0)], 1)
-    assert v.entries[0] is dx
+    assert v.entries[0] == dx and v.entries[0].degree == 1
     assert v.degree == 1 and v.entries[1].is_zero and v.entries[1].degree == 1
     m = MatrixForm([[dx, Form.zero(n, 5)], [Form.zero(n, 0), dx]])
     assert m.degree == 1 and [[e.degree for e in row] for row in m.entries] == [[1, 1], [1, 1]]
-    assert m.entries[1][1] is dx
+    assert m.entries[1][1] == dx and m.entries[0][1].is_zero and m.entries[1][0].is_zero
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

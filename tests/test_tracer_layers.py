@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` wraps module-level functions by name, so a layer
 reached through a stored reference would record no span and read 0 in the
 per-layer metrics without any error.  This runs four subcommands under the
-tracer and checks that each rerouted layer recorded a span.
+tracer and checks that each rerouted layer, and each fiber-form kernel the
+identity checks run on, recorded a span.
 """
 
 import importlib.util
@@ -42,5 +43,7 @@ def test_tracer_records_the_rerouted_layers(tmp_path):
     recorded = {name: calls.get(nid, 0) for nid, name in enumerate(tracer.names)}
     for layer in ("lefschetz.decompose", "cone.cone_split", "cone.map_f", "cone.cone_d",
                   "twist.twisted_m1", "ainfinity.m2", "dsl.parse_form",
-                  "sampling.rand_prim_element", "sampling.rand_cone_element"):
+                  "sampling.rand_prim_element", "sampling.rand_cone_element",
+                  "connection.covariant_d", "forms.wedge", "forms.exterior_d",
+                  "lefschetz.pi_p", "lefschetz.L_power", "lefschetz.is_primitive"):
         assert recorded[layer] > 0, layer
