@@ -83,6 +83,8 @@ class PrimElement:
         if self.side not in (PLUS, MINUS):
             raise ValueError(f"side must be '+' or '-', got {self.side!r}")
         n = self.payload.n
+        if type(self.s) is not int:
+            raise ValueError(f"primitive degree {self.s!r} is not an int")
         if not 0 <= self.s <= n:
             raise ValueError(f"primitive degree {self.s} out of range for n={n}")
         if not self.payload.is_zero and self.payload.degree != self.s:

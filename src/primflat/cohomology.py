@@ -5,8 +5,9 @@ A truncated space enumerates the exact basis
 
     (monomial of degree <= D) x (constant fiber form) x (fiber unit vector)
 
-where the constant fiber forms are the primitive fiber basis at a primitive
-position and the full exterior basis of both slots at a cone position.
+where the constant fiber forms are a basis of each slot's fiber: the
+primitive fiber basis in the one slot of a primitive position, the unit
+forms dx_I in each of the two slots of a cone position, eta (0) and xi (1).
 Vectors over these bases are sparse dicts keyed by int codes of the basis
 keys, which hash and compare in one step.  A space carries the base of its
 codes, so vectors compose only between spaces at one base: one report,
@@ -16,17 +17,16 @@ exponent of a key or of its image reaches.  At that base, vectors from
 different truncations of one position compose directly and operator
 images are always exact: no image is ever truncated.
 
-A key is a monomial, a fiber form f and a unit u, and at a cone position a
-slot, 0 for eta and 1 for xi.  A monomial's code m is its exponents as base
-digits, x_0 leading; a prim key is (m*F + f)*R + u, f its place in the
-primitive fiber basis, and a cone key ((slot*base^2n + m)*I + f)*R + u, f
-its index's place in ``all_indices``, with F the fiber dimension, I the
-longer index list of the two slots and R the rank.  Every digit stays below
-its radix, so codes sort exactly as their (slot, monomial, f, u) tuples.
-Multiplying by a monomial adds its code times the stride F*R or I*R, and
-lowering x_c subtracts base^(2n-1-c) times it.  ``basis_keys`` lists codes
-in feed order, which is not code order: the kernel basis and every witness
-depend on the feed order (see ``linalg``), the pivots on the code order.
+A key is a slot, a monomial, a fiber form f and a unit u.  A monomial's
+code m is its exponents as base digits, x_0 leading; a key's code is
+((slot*base^2n + m)*F + f)*R + u, f the form's place in its slot's basis,
+with F the largest slot fiber and R the rank (one slot, 0, at a primitive
+position).  Every digit stays below its radix, so codes sort exactly as
+their (slot, monomial, f, u) tuples.  Multiplying by a monomial adds its
+code times the stride F*R, and lowering x_c subtracts base^(2n-1-c) times
+it.  ``basis_keys`` lists codes in feed order, which is not code order: the
+kernel basis and every witness depend on the feed order (see ``linalg``),
+the pivots on the code order.
 
 Dimensions are computed as
 
@@ -155,15 +155,19 @@ class TruncatedSpace:
     def __post_init__(self):
         _check_kind(self.kind)
         # the code layout of the module docstring, derived once: the digit
-        # ``weights`` of a monomial code, the ``indices`` of a cone position's
-        # two slots, the ``stride`` of one unit of monomial code, and the
+        # ``weights`` of a monomial code, the constant ``fibers`` bases, one
+        # per slot, the ``stride`` of one unit of monomial code, and the
         # offset of a cone key's xi ``slot``, above every code of slot 0
-        n, base = self.n, self.base
-        indices = all_indices(n, self.grading), all_indices(n, self.grading - 1)
-        stride = self.rank * (max(map(len, indices)) if self.kind == "cone"
-                              else self.fiber_dimension())
+        n, base, grading = self.n, self.base, self.grading
+        if self.kind == "prim":
+            # past the top of the complex (a column's target there) it is empty
+            position = grading_position(n, grading)
+            fibers = [primitive_fiber_basis(n, position[1]) if position else []]
+        else:
+            fibers = [[{idx: 1} for idx in all_indices(n, g)] for g in (grading, grading - 1)]
+        stride = self.rank * max(map(len, fibers))
         for name, value in (("weights", [base ** (2 * n - 1 - c) for c in range(2 * n)]),
-                            ("indices", indices), ("stride", stride),
+                            ("fibers", fibers), ("stride", stride),
                             ("slot", base ** (2 * n) * stride)):
             object.__setattr__(self, name, value)  # derived, not fields
 
@@ -185,11 +189,7 @@ class TruncatedSpace:
         return (slot, m, *divmod(code, self.rank))
 
     def fiber_dimension(self) -> int:
-        if self.kind == "prim":
-            # past the top of the complex (a column's target there) it is 0
-            position = grading_position(self.n, self.grading)
-            return len(primitive_fiber_basis(self.n, position[1])) if position else 0
-        return sum(map(len, self.indices))
+        return sum(map(len, self.fibers))
 
     def dimension(self, D: int) -> int:
         # C(2n + D, 2n) monomials of degree <= D, counted without listing them
@@ -204,9 +204,9 @@ class TruncatedSpace:
         if self.kind == "prim":
             return [m + fu for m in monos for fu in range(self.stride)]  # fu = f * rank + u
         units = range(self.rank)
-        return [offset + f * self.rank + m + u
-                for offset, indices in zip((0, self.slot), self.indices)
-                for f in range(len(indices)) for m in monos for u in units]
+        return [slot * self.slot + f * self.rank + m + u
+                for slot, fiber in enumerate(self.fibers)
+                for f in range(len(fiber)) for m in monos for u in units]
 
     # ---------- elements <-> coordinates ----------
 
@@ -216,19 +216,16 @@ class TruncatedSpace:
 
     def element_from_coords(self, coords: Vec) -> Union[PrimElement, ConeElement]:
         n, rank, base, weights = self.n, self.rank, self.base, self.weights
-        slots = [[dict() for _ in range(rank)] for _ in range(2)]
-        if self.kind == "prim":
-            side, s = grading_position(n, self.grading)
-            basis = primitive_fiber_basis(n, s)
+        slots = [[dict() for _ in range(rank)] for _ in self.fibers]
         for code, coeff in coords.items():
             slot, m, f, u = self.split(code)
             mono = tuple(m // w % base for w in weights)
-            terms = basis[f].items() if self.kind == "prim" else ((self.indices[slot][f], 1),)
-            for idx, base_coeff in terms:
+            for idx, fiber_coeff in self.fibers[slot][f].items():
                 acc = slots[slot][u].setdefault(idx, {})
-                acc[mono] = acc.get(mono, Fraction(0)) + coeff * base_coeff
+                acc[mono] = acc.get(mono, Fraction(0)) + coeff * fiber_coeff
         if self.kind == "prim":
             # a combination of primitive basis forms is primitive
+            side, s = grading_position(n, self.grading)
             return PrimElement._trusted(side, s, VectorForm(
                 [Form._from_rationals(n, s, e) for e in slots[0]], s))
         eta = [Form._from_rationals(n, self.grading, e) for e in slots[0]]
@@ -255,26 +252,21 @@ class TruncatedSpace:
         if element.grading != self.grading:
             raise ValueError(f"element is not at {self.label}")
         out: Vec = {}
-        stride = self.stride
-        if not cone:
-            s = grading_position(self.n, self.grading)[1]
-            for u, form in enumerate(element.payload.entries):
-                by_mono: dict[Monomial, dict] = {}
-                for idx, monos in form.num.items():
-                    for mono, k in monos.items():
-                        by_mono.setdefault(mono, {})[idx] = k
-                for mono, const in by_mono.items():
-                    at = self.mono(mono) * stride + u
-                    for fi, coeff in primitive_fiber_coords(self.n, s, const).items():
-                        if coeff:
-                            out[at + fi * rank] = Fraction(coeff, form.den)
-            return out
-        for slot, vector in enumerate(vectors):
-            for u, form in enumerate(vector.entries):
-                for idx, monos in form.num.items():
-                    at = slot * self.slot + self.indices[slot].index(idx) * rank + u
-                    for mono, k in monos.items():
-                        out[at + self.mono(mono) * stride] = Fraction(k, form.den)
+        for slot, (vector, fiber) in enumerate(zip(vectors, self.fibers)):
+            # the constant form of each (unit, monomial), read in fiber coordinates
+            consts: dict[tuple[int, Monomial], dict] = {}
+            for (u, idx), monos in vector.num.items():
+                for mono, k in monos.items():
+                    consts.setdefault((u, mono), {})[idx] = k
+            if cone:
+                place = {idx: f for f, (idx,) in enumerate(fiber)}  # unit forms {idx: 1}
+            for (u, mono), const in consts.items():
+                at = slot * self.slot + self.mono(mono) * self.stride + u
+                coords = ({place[idx]: k for idx, k in const.items()} if cone
+                          else primitive_fiber_coords(self.n, vector.degree, const))
+                for f, k in coords.items():
+                    if k:
+                        out[at + f * rank] = Fraction(k, vector.den)
         return out
 
 

@@ -56,6 +56,8 @@ class ConeElement:
 
     def __post_init__(self):
         n = self.eta.n
+        if type(self.grading) is not int:
+            raise ValueError(f"cone grading {self.grading!r} is not an int")
         if not 0 <= self.grading <= 2 * n + 1 and not self.is_zero:
             # zero elements may carry an out-of-range label transiently
             # (images of the end maps of the complex)

@@ -45,10 +45,6 @@ class Connection:
             raise ValueError("connection form must be homogeneous of degree 1")
         object.__setattr__(self, "_analysis", None)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.A.is_zero
-
 
 @dataclass(frozen=True)
 class FlatnessReport:

@@ -36,10 +36,11 @@ Koszul sign; for matrices that is matrix multiplication over the wedge.
 
 Validation happens at the public constructors: ``Form(n, degree, terms)``
 checks the degree, every index tuple and coefficient, and ``VectorForm(...)``
-/ ``MatrixForm(...)`` check the shape, the chart and the degree of their
-entries.  Their entries are views: ``entries``, ``flat``, ``nested`` and
-``map`` build fresh forms on demand, zero ones labelled with the fiber
-degree.  Internal producers build their results from already-valid data
+/ ``MatrixForm(...)`` check the shape, the chart, their int degree and the
+degree of their entries.  Their entries are views for ``repr`` and the
+printer: ``entries``, ``flat`` and ``nested`` build fresh forms on demand,
+zero ones labelled with the fiber degree; every other reader reads
+``num``.  Internal producers build their results from already-valid data
 through ``Form._reduced`` (``Form._from_rationals`` from rational
 coefficients) and ``_new``, which check nothing and own what they are given.
 """
@@ -298,34 +299,33 @@ class FiberForm(_Numerators):
     """A form with values in a fiber: ``num`` keyed ``(slot, index)``, slot
     the entry's row-major place, over one ``den``; a zero entry has no key.
 
-    ``entries``, ``flat``, ``nested`` and ``map`` are views for the
-    boundary, built entry by entry on demand; subclasses give the number of
-    slots (``rank ** _order``) and the nesting of ``entries`` (``_shape``).
+    ``entries``, ``flat`` and ``nested`` are views for the boundary (``repr``
+    and the printer), built entry by entry on demand; subclasses give the
+    number of slots (``rank ** _order``) and the nesting of ``entries``
+    (``_shape``).
     """
 
     __slots__ = ("n", "degree", "rank", "num", "den")
     _order = 1
 
-    def _fill(self, n: int, degree: int, rank: int, flat: list[Form]) -> None:
-        """Set every field from entries on chart n, nonzero ones of ``degree``."""
+    def _checked(self, flat: list[Form], degree: Optional[int], rank: int, what: str) -> None:
+        """A public constructor's checks on its entry list, then every field."""
+        n = flat[0].n
+        if degree is None:
+            degree = flat[0].degree
+        if type(degree) is not int:
+            raise ValueError(f"{what} degree {degree!r} is not an int")
+        for e in flat:
+            if e.n != n:
+                raise ValueError(f"chart dimension mismatch in {what} entries")
+            if e.num and e.degree != degree:
+                raise ValueError(f"{what} entries of mixed degree")
         self.n, self.degree, self.rank = n, degree, rank
         # over the lcm of the canonical entry denominators no prime divides every numerator
         den = self.den = lcm(*(e.den for e in flat))
         self.num = {(slot, idx): monos if e.den == den else
                     {m: c * (den // e.den) for m, c in monos.items()}
                     for slot, e in enumerate(flat) for idx, monos in e.num.items()}
-
-    def _checked(self, flat: list[Form], degree: Optional[int], rank: int, what: str) -> None:
-        """A public constructor's checks on its entry list, then ``_fill``."""
-        n = flat[0].n
-        if degree is None:
-            degree = flat[0].degree
-        for e in flat:
-            if e.n != n:
-                raise ValueError(f"chart dimension mismatch in {what} entries")
-            if e.num and e.degree != degree:
-                raise ValueError(f"{what} entries of mixed degree")
-        self._fill(n, degree, rank, flat)
 
     def _new(self, degree: int, num: dict, den: int):
         out = object.__new__(type(self))
@@ -351,12 +351,6 @@ class FiberForm(_Numerators):
     def nested(self, fn: Callable[[Form], object]) -> list:
         """``fn`` of every entry, in the nesting of ``entries``."""
         return self._shape([fn(e) for e in self.flat])
-
-    def map(self, fn: Callable[[Form], Form], degree: int):
-        """Entrywise image under ``fn``, which sends this degree to ``degree``."""
-        out = object.__new__(type(self))
-        out._fill(self.n, degree, self.rank, [fn(e) for e in self.flat])
-        return out
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.entries!r})"

@@ -181,8 +181,7 @@ def rand_connection(rng: random.Random, n: int, rank: int, max_degree: int = 2) 
 
 def rand_vector_form(rng: random.Random, n: int, degree: int, rank: int,
                      max_degree: int = 2) -> VectorForm:
-    if degree < 0 or degree > 2 * n:
-        return VectorForm.zero(n, degree, rank)
+    # outside 0..2n every entry is the zero form, drawn without an rng call
     entries = [rand_form(rng, n, degree, max_degree) for _ in range(rank)]
     return VectorForm(entries, degree)
 

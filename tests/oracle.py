@@ -537,7 +537,7 @@ def _rewedge(a, shift, keep):
     a.degree + 2 shift."""
     degree = a.degree + 2 * shift
     if not isinstance(a, Form):
-        return a.map(lambda e: _rewedge(e, shift, keep), degree)
+        return by_entries(lambda e: _rewedge(e, shift, keep), a, degree)
     total = Form.zero(a.n, degree)
     for r, beta in _components_by_table(a).items():
         if keep(r):

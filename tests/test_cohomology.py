@@ -65,25 +65,23 @@ def test_assemble_rejects_insufficient_target():
 
 
 def test_space_coords_round_trip():
-    conn = generate_flat(2, 2, diag(1, 3))
-    for grading in range(0, 6):
-        space = _space(conn, "prim", grading, _base(conn, "prim", 2))
-        rng = random.Random(grading)
-        keys = space.basis_keys(2)
-        coords = {}
-        for key in rng.sample(keys, min(4, len(keys))):
-            coords[key] = Fraction(rng.randint(-3, 3)) or Fraction(1)
-        element = space.element_from_coords(coords)
-        assert space.coords_of(element) == coords
-    for grading in range(0, 6):
-        space = _space(conn, "cone", grading, _base(conn, "cone", 2))
-        rng = random.Random(10 + grading)
-        keys = space.basis_keys(2)
-        coords = {}
-        for key in rng.sample(keys, min(4, len(keys))):
-            coords[key] = Fraction(rng.randint(-3, 3)) or Fraction(1)
-        element = space.element_from_coords(coords)
-        assert space.coords_of(element) == coords
+    # every position at n = 1..3, fractional coordinates whose denominators
+    # differ across units and slots, so a vector's one den reads each of them
+    for n in (1, 2, 3):
+        conn = generate_flat(n, 2, diag(1, 3))
+        for kind in ("prim", "cone"):
+            base = _base(conn, kind, 2)
+            for grading in range(0, 2 * n + 2):
+                space = _space(conn, kind, grading, base)
+                rng = random.Random(100 * n + grading)
+                keys = space.basis_keys(2)
+                coords = {}
+                for key in rng.sample(keys, min(8, len(keys))):
+                    slot, _, _, u = space.split(key)
+                    den = (u + 2) * (2 * slot + 3) * rng.randint(1, 4)
+                    coords[key] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), den)
+                element = space.element_from_coords(coords)
+                assert space.coords_of(element) == coords
 
 
 DIMENSION_TABLE = [

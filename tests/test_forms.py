@@ -7,6 +7,8 @@ from math import gcd
 
 import pytest
 
+from primflat.ainfinity import MINUS, PLUS, PrimElement
+from primflat.cone import ConeElement
 from primflat.forms import (Form, MatrixForm, VectorForm, _lowerings, all_indices,
                             contract_lambda, exterior_d, graded_commutator, lambda_standard,
                             lambda_symmetric, omega, omega_power, wedge)
@@ -294,6 +296,28 @@ def test_fiber_constructors_keep_entries_and_relabel_zeros():
     m = MatrixForm([[dx, Form.zero(n, 5)], [Form.zero(n, 0), dx]])
     assert m.degree == 1 and [[e.degree for e in row] for row in m.entries] == [[1, 1], [1, 1]]
     assert m.entries[1][1] == dx and m.entries[0][1].is_zero and m.entries[1][0].is_zero
+    # an int label outside 0..2n stays allowed on a zero form, as on a Form
+    assert VectorForm([Form.zero(n, 0)], 99).degree == 99
+    assert ConeElement.zero(n, 1, 0).xi.degree == -1
+
+
+@pytest.mark.parametrize("label", [1.0, 0.5, True, False, "x"])
+def test_labelled_constructors_refuse_a_label_that_is_not_an_int(label):
+    # each used to be accepted, or to fail later with an unrelated error,
+    # while Form(n, label) refused it: a float or bool label compares equal
+    # to an int, so it passed every range and degree check
+    n = 2
+    dx, zero = Form.dx(n, 1), Form.zero(n, 0)
+    for build, what in [(lambda: VectorForm([dx], label), "vector degree"),
+                        (lambda: VectorForm([zero], label), "vector degree"),
+                        (lambda: MatrixForm([[dx]], label), "matrix degree"),
+                        (lambda: MatrixForm([[zero]], label), "matrix degree"),
+                        (lambda: PrimElement(PLUS, label, dx), "primitive degree"),
+                        (lambda: PrimElement(MINUS, label, zero), "primitive degree"),
+                        (lambda: ConeElement(label, VectorForm([zero]), VectorForm([zero])),
+                         "cone grading")]:
+        with pytest.raises(ValueError, match=f"^{what} {re.escape(repr(label))} is not an int$"):
+            build()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -13,6 +13,9 @@ the package, the tests or the benchmark outside its own definition.
 ``Poly`` is a boundary value: outside ``scalars`` and the package
 ``__init__`` only the public ``Form`` constructor, ``Form.terms``,
 ``parse_poly`` and ``print_poly`` name it, so no internal path builds one.
+The entry views of a fiber form are boundary views too: outside ``forms``
+no package code reads ``.entries`` or ``.flat``, and only ``cli._form_json``
+reads ``.nested``, so every other reader goes through the numerators.
 """
 
 import ast
@@ -98,17 +101,19 @@ POLY_PLACES = {"scalars": None, "forms": {"", "Form.__init__", "Form.terms"},
                "dsl": {"", "parse_poly", "print_poly"}}
 
 
-def _places_naming(tree, name, where=""):
-    """Qualified names of the definitions whose code (not docstrings) names ``name``."""
+def _places_naming(tree, name, where="", attribute=False):
+    """Qualified names of the definitions whose code (not docstrings) names
+    ``name``, or only reads it as an attribute when ``attribute`` is set."""
     for node in ast.iter_child_nodes(tree):
         inner = where
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = f"{where}.{node.name}" if where else node.name
-        if (isinstance(node, ast.Name) and node.id == name
-                or isinstance(node, ast.Attribute) and node.attr == name
-                or isinstance(node, ast.alias) and name in (node.name, node.asname)):
+        if (isinstance(node, ast.Attribute) and node.attr == name
+                or not attribute and (isinstance(node, ast.Name) and node.id == name
+                                      or isinstance(node, ast.alias)
+                                      and name in (node.name, node.asname))):
             yield where
-        yield from _places_naming(node, name, inner)
+        yield from _places_naming(node, name, inner, attribute)
 
 
 @pytest.mark.parametrize("name", SUBMODULES)
@@ -116,3 +121,15 @@ def test_poly_stays_at_the_boundary(name):
     allowed = POLY_PLACES.get(name, set())
     places = set(_places_naming(ast.parse(SOURCES[name].read_text(encoding="utf-8")), "Poly"))
     assert allowed is None or places <= allowed, sorted(places - allowed)
+
+
+# where a submodule other than forms may read a fiber form's entry views
+VIEW_PLACES = {"entries": set(), "flat": set(), "nested": {"cli._form_json"}}
+
+
+@pytest.mark.parametrize("name", [name for name in SUBMODULES if name != "forms"])
+def test_entry_views_stay_at_the_boundary(name):
+    tree = ast.parse(SOURCES[name].read_text(encoding="utf-8"))
+    for view, allowed in VIEW_PLACES.items():
+        places = {f"{name}.{place}" for place in _places_naming(tree, view, attribute=True)}
+        assert places <= allowed, (view, sorted(places - allowed))
