@@ -20,8 +20,8 @@ from .forms import (Form, MatrixForm, VectorForm, contract_lambda, exterior_d,
                     omega_power, wedge)
 from .lefschetz import L_power, decompose, del_minus, del_plus, is_primitive, pi_p, star_r
 from .scalars import Poly
-from .ainfinity import (PLUS, MINUS, PrimElement, ZERO, add_elements, check_stasheff,
-                  m1, m2, m3, scale_element)
+from .ainfinity import (PLUS, MINUS, PrimElement, add_elements, check_stasheff, m1, m2, m3,
+                        scale_element)
 from .twist import (check_square_zero, del_minus_A, del_plus_A, delta_sign,
                     m1_prime_of_A, twisted_m1, twisting_series)
 

@@ -10,8 +10,15 @@ primitive degree and a primitive payload that may be scalar, vector- or
 matrix-valued; the grading is always derived, never stored.  The public
 constructor checks that the payload is primitive; the maps below, whose
 payloads are primitive by construction, build their results through the
-trusted ``PrimElement._trusted`` (by way of ``_element``), which checks
-nothing.
+trusted ``PrimElement._trusted``, which checks nothing.
+
+Every element has a position, zero included: each map has a fixed degree
+(|m_k| = 2 - k), so a map whose result vanishes returns the zero element at
+its grading, Sigma + 2 - k for k inputs.  `_zero_at` builds it, with the
+position rule of `grading_position` extended past the ends of the complex
+(the image of P^0_- under m1 sits at (-, -1)), so a zero may carry a
+position outside F, as a zero form may carry a degree outside the chart.
+`add_elements` compares positions before anything else, zeros included.
 
 The maps:
 
@@ -42,33 +49,15 @@ when a tensor-slot operator is applied to elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .errors import InternalInvariantError
-from .forms import AnyForm, exterior_d, wedge
+from .forms import AnyForm, Form, MatrixForm, VectorForm, exterior_d, wedge
 from .lefschetz import L_power, is_primitive, pi_p, star_r
 from .scalars import Scalar
 
 PLUS = "+"
 MINUS = "-"
-
-
-class _ZeroElement:
-    """Absorbing zero of the graded space; has no side or degree."""
-
-    __slots__ = ()
-
-    @property
-    def is_zero(self) -> bool:
-        return True
-
-    def __repr__(self) -> str:
-        return "ZERO"
-
-
-ZERO = _ZeroElement()
-
-Element = Union["PrimElement", _ZeroElement]
 
 
 @dataclass(frozen=True)
@@ -82,10 +71,13 @@ class PrimElement:
     def __post_init__(self):
         if self.side not in (PLUS, MINUS):
             raise ValueError(f"side must be '+' or '-', got {self.side!r}")
+        if not isinstance(self.payload, (Form, VectorForm, MatrixForm)):
+            raise TypeError(f"payload {self.payload!r} is not a form")
         n = self.payload.n
         if type(self.s) is not int:
             raise ValueError(f"primitive degree {self.s!r} is not an int")
-        if not 0 <= self.s <= n:
+        if self.s > n or self.s < 0 and not self.payload.is_zero:
+            # a zero element may sit below the complex (see _zero_at)
             raise ValueError(f"primitive degree {self.s} out of range for n={n}")
         if not self.payload.is_zero and self.payload.degree != self.s:
             raise ValueError("payload degree does not match primitive degree")
@@ -97,9 +89,7 @@ class PrimElement:
         """Internal constructor: ``payload`` must already be a primitive form
         of degree s (or zero) on a chart with s <= n; nothing is checked."""
         element = object.__new__(cls)
-        object.__setattr__(element, "side", side)
-        object.__setattr__(element, "s", s)
-        object.__setattr__(element, "payload", payload)
+        element.__dict__.update(side=side, s=s, payload=payload)  # past the frozen setattr
         return element
 
     @property
@@ -120,69 +110,61 @@ class PrimElement:
 
 def grading_position(n: int, grading: int) -> Optional[tuple[str, int]]:
     """(side, s) of a grading in 0..2n+1, None outside the complex."""
-    if 0 <= grading <= n:
-        return (PLUS, grading)
-    if n < grading <= 2 * n + 1:
-        return (MINUS, 2 * n + 1 - grading)
+    if 0 <= grading <= 2 * n + 1:
+        return (PLUS, grading) if grading <= n else (MINUS, 2 * n + 1 - grading)
     return None
 
 
-def _element(side: str, s: int, payload: AnyForm) -> Element:
-    """The element of a primitive payload built by the maps below, or ZERO;
-    the payload is trusted, not re-checked."""
-    if payload.is_zero:
-        return ZERO
-    return PrimElement._trusted(side, s, payload)
+def _zero_at(n: int, grading: int, *payloads: AnyForm) -> PrimElement:
+    """The zero element at a grading, past the ends of the complex too: (+, g)
+    up to n, else (-, 2n+1-g); its payload is the zero of the shape the
+    wedge of ``payloads`` has (the last fiber-valued one, else a scalar)."""
+    side, s = (PLUS, grading) if grading <= n else (MINUS, 2 * n + 1 - grading)
+    shape = ([p for p in payloads if not isinstance(p, Form)] or payloads)[-1]
+    return PrimElement._trusted(side, s, shape._new(s, {}, 1))
 
 
-def add_elements(a: Element, b: Element) -> Element:
-    if isinstance(a, _ZeroElement):
-        return b
-    if isinstance(b, _ZeroElement):
-        return a
+def add_elements(a: PrimElement, b: PrimElement) -> PrimElement:
+    """a + b at their common position; a zero at another position raises."""
     if (a.side, a.s) != (b.side, b.s):
         raise ValueError(f"cannot add P{a.s}{a.side} to P{b.s}{b.side}")
-    return _element(a.side, a.s, a.payload + b.payload)
+    return PrimElement._trusted(a.side, a.s, a.payload + b.payload)
 
 
-def scale_element(value: Scalar, a: Element) -> Element:
-    if isinstance(a, _ZeroElement) or not value:
-        return ZERO
-    return _element(a.side, a.s, a.payload.scaled(value))
+def scale_element(value: Scalar, a: PrimElement) -> PrimElement:
+    return a if a.is_zero else PrimElement._trusted(a.side, a.s, a.payload.scaled(value))
 
 
-def _differential(a: Element, d: Callable[[AnyForm], AnyForm],
-                  phi: Optional[AnyForm] = None) -> Element:
+def _differential(a: PrimElement, d: Callable[[AnyForm], AnyForm],
+                  phi: Optional[AnyForm] = None) -> PrimElement:
     """The branch table of the differential with d as exterior derivative:
     Pi d below the middle, -Pi d L^{-1} d (plus phi /\\ b when phi is given)
     at the middle, -L^{-1} d above it, zero at P^0_-.  The payload is
     trusted primitive, so no operator re-checks it."""
-    if isinstance(a, _ZeroElement):
-        return ZERO
     n, b = a.n, a.payload
+    if b.is_zero or a.side == MINUS and a.s == 0:
+        return _zero_at(n, a.grading + 1, b)
     if a.side == PLUS:
         if a.s < n:
-            return _element(PLUS, a.s + 1, pi_p(0, d(b)))
+            return PrimElement._trusted(PLUS, a.s + 1, pi_p(0, d(b)))
         value = pi_p(0, d(L_power(-1, d(b))))
-        return _element(MINUS, n, -value if phi is None else wedge(phi, b) - value)
-    if a.s == 0:
-        return ZERO
-    return _element(MINUS, a.s - 1, -L_power(-1, d(b)))
+        return PrimElement._trusted(MINUS, n, -value if phi is None else wedge(phi, b) - value)
+    return PrimElement._trusted(MINUS, a.s - 1, -L_power(-1, d(b)))
 
 
-def m1(a: Element) -> Element:
+def m1(a: PrimElement) -> PrimElement:
     """The differential of the primitive complex; raises grading by one."""
     return _differential(a, exterior_d)
 
 
-def m2(a: Element, b: Element) -> Element:
+def m2(a: PrimElement, b: PrimElement) -> PrimElement:
     """The graded-commutative product, by the four side cases."""
-    if isinstance(a, _ZeroElement) or isinstance(b, _ZeroElement):
-        return ZERO
     n = a.n
-    if a.n != b.n:
+    if b.n != n:
         raise ValueError("chart dimension mismatch")
     pa, pb = a.payload, b.payload
+    if pa.is_zero or pb.is_zero or a.side == b.side == MINUS:
+        return _zero_at(n, a.grading + b.grading, pa, pb)
     if a.side == PLUS and b.side == PLUS:
         j, k = a.s, b.s
         product = wedge(pa, pb)
@@ -195,60 +177,46 @@ def m2(a: Element, b: Element) -> Element:
             if not tail.is_zero:
                 raise InternalInvariantError(
                     f"m2({_positions(a, b)}): low-degree product grew a reflected term")
-            return _element(PLUS, j + k, head)
+            return PrimElement._trusted(PLUS, j + k, head)
         if not head.is_zero:
             raise InternalInvariantError(
                 f"m2({_positions(a, b)}): high-degree product grew a primitive term")
-        return _element(MINUS, 2 * n + 1 - (j + k), tail)
-    if a.side == PLUS and b.side == MINUS:
+        return PrimElement._trusted(MINUS, 2 * n + 1 - (j + k), tail)
+    if a.side == PLUS:
         value = star_r(wedge(pa, star_r(pb)))
-        if a.s % 2:
-            value = -value
-        if value.is_zero:
-            return ZERO
-        return _make_minus(a, b, b.s - a.s, value)
-    if a.side == MINUS and b.side == PLUS:
-        value = star_r(wedge(star_r(pa), pb))
-        if value.is_zero:
-            return ZERO
-        return _make_minus(a, b, a.s - b.s, value)
-    return ZERO
+        return _make_minus(b.s - a.s, -value if a.s % 2 else value, a, b)
+    return _make_minus(a.s - b.s, star_r(wedge(star_r(pa), pb)), a, b)
 
 
-def _make_minus(a: PrimElement, b: PrimElement, s: int, payload: AnyForm) -> Element:
-    if not 0 <= s <= a.n:
-        raise InternalInvariantError(
-            f"m2({_positions(a, b)}): nonzero product at impossible degree {s}")
-    return _element(MINUS, s, payload)
+def _make_minus(s: int, payload: AnyForm, *inputs: PrimElement) -> PrimElement:
+    """The minus-side result at s of m_k on ``inputs``: (-, s) is the position
+    of its grading even where s < 0, so only a nonzero payload must land
+    inside the complex."""
+    if not payload.is_zero and not 0 <= s <= payload.n:
+        raise InternalInvariantError(f"m{len(inputs)}({_positions(*inputs)}): nonzero "
+                                     f"product at impossible degree {s}")
+    return PrimElement._trusted(MINUS, s, payload)
 
 
 def _positions(*elements: PrimElement) -> str:
     return ", ".join(f"P{e.s}{e.side}" for e in elements)
 
 
-def m3(a: Element, b: Element, c: Element) -> Element:
+def m3(a: PrimElement, b: PrimElement, c: PrimElement) -> PrimElement:
     """Associator correction; zero unless all plus-side with enough degree."""
-    if any(isinstance(e, _ZeroElement) for e in (a, b, c)):
-        return ZERO
     n = a.n
-    if not (a.side == b.side == c.side == PLUS):
-        return ZERO
-    total = a.s + b.s + c.s
-    if total < n + 2:
-        return ZERO
+    if not b.n == c.n == n:
+        raise ValueError("chart dimension mismatch")
     pa, pb, pc = a.payload, b.payload, c.payload
+    total = a.s + b.s + c.s
+    if (not a.side == b.side == c.side == PLUS or total < n + 2
+            or pa.is_zero or pb.is_zero or pc.is_zero):
+        return _zero_at(n, a.grading + b.grading + c.grading - 1, pa, pb, pc)
     inner = wedge(pa, L_power(-1, wedge(pb, pc))) - wedge(L_power(-1, wedge(pa, pb)), pc)
-    value = pi_p(0, star_r(inner))
-    if value.is_zero:
-        return ZERO
-    s_out = 2 * n + 2 - total
-    if not 0 <= s_out <= n:
-        raise InternalInvariantError(
-            f"m3({_positions(a, b, c)}): nonzero m3 at impossible degree {s_out}")
-    return _element(MINUS, s_out, value)
+    return _make_minus(2 * n + 2 - total, pi_p(0, star_r(inner)), a, b, c)
 
 
-def apply_m(k: int, args: Sequence[Element]) -> Element:
+def apply_m(k: int, args: Sequence[PrimElement]) -> PrimElement:
     if len(args) != k:
         raise ValueError(f"m_{k} wants {k} inputs, got {len(args)}")
     if k == 1:
@@ -257,36 +225,35 @@ def apply_m(k: int, args: Sequence[Element]) -> Element:
         return m2(args[0], args[1])
     if k == 3:
         return m3(args[0], args[1], args[2])
-    return ZERO
+    return _zero_at(args[0].n, sum(e.grading for e in args) + 2 - k,
+                    *(e.payload for e in args))
 
 
-def check_stasheff(k: int, inputs: Sequence[Element]) -> Element:
+def check_stasheff(k: int, inputs: Sequence[PrimElement]) -> PrimElement:
     """Residual of the degree-k Stasheff identity; zero when it holds.
 
     Evaluates sum over r+s+t=k of (-1)^(r+st) m_{r+t+1} (1^r x m_s x 1^t)
     on the inputs, with the Koszul sign from moving the degree-(2-s)
-    operator m_s past the first r elements.
+    operator m_s past the first r elements.  Every term, and so the sum,
+    sits at the sum of the input gradings plus 3 - k.
     """
     if not 1 <= k <= len(inputs):
         raise ValueError("need k inputs for the degree-k identity")
     inputs = list(inputs[:k])
-    if any(isinstance(e, _ZeroElement) for e in inputs):
-        return ZERO
-    total: Element = ZERO
+    gradings = [e.grading for e in inputs]
+    total = _zero_at(inputs[0].n, sum(gradings) + 3 - k, *(e.payload for e in inputs))
     for s in range(1, k + 1):
         for r in range(0, k - s + 1):
             t = k - s - r
             if r + t + 1 > 3 or s > 3:
                 continue  # m_4 and beyond vanish
             inner = apply_m(s, inputs[r:r + s])
-            if isinstance(inner, _ZeroElement):
+            if inner.is_zero:
                 continue
             sign = -1 if (r + s * t) % 2 else 1
-            if s % 2:
-                passed = sum(e.grading for e in inputs[:r])
-                if passed % 2:
-                    sign = -sign
-            outer_args = inputs[:r] + [inner] + inputs[r + s:]
-            term = apply_m(r + t + 1, outer_args)
-            total = add_elements(total, scale_element(sign, term))
+            if s % 2 and sum(gradings[:r]) % 2:
+                sign = -sign
+            term = apply_m(r + t + 1, inputs[:r] + [inner] + inputs[r + s:])
+            if not term.is_zero:
+                total = add_elements(total, scale_element(sign, term))
     return total

@@ -28,7 +28,7 @@ from .errors import InternalInvariantError
 from .forms import AnyForm, Form, MatrixForm
 from .lefschetz import decompose
 from .sampling import rand_prim_element, run_trials
-from .ainfinity import PrimElement, _ZeroElement, check_stasheff
+from .ainfinity import PrimElement, check_stasheff
 from .twist import check_square_zero
 
 USAGE_ERROR = 1
@@ -94,9 +94,7 @@ def _form_json(a: AnyForm):
     return print_form(a) if isinstance(a, Form) else a.nested(print_form)
 
 
-def _element_json(e: Union[PrimElement, ConeElement, _ZeroElement, None]):
-    if e is None or isinstance(e, _ZeroElement):
-        return None
+def _element_json(e: Union[PrimElement, ConeElement]):
     if isinstance(e, ConeElement):
         return {"grading": e.grading, "eta": _form_json(e.eta),
                 "theta": _form_json(e.xi)}

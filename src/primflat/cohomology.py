@@ -110,8 +110,8 @@ from .lefschetz import (FiberTable, L_power, fiber_d_table, pi_p, primitive_fibe
                         primitive_fiber_coords)
 from .linalg import Echelon, Vec, kernel_basis
 from .scalars import Monomial, _accumulate, monomials_up_to
-from .ainfinity import (Element, MINUS, PLUS, PrimElement, ZERO, _ZeroElement, _element,
-                        add_elements, grading_position, m1, m2, scale_element)
+from .ainfinity import (MINUS, PLUS, PrimElement, _zero_at, add_elements, grading_position,
+                        m1, m2, scale_element)
 from .sampling import TrialReport, run_trials
 from .twist import twisted_m1
 
@@ -233,12 +233,10 @@ class TruncatedSpace:
         return ConeElement(self.grading, VectorForm(eta, self.grading),
                            VectorForm(xi, self.grading - 1))
 
-    def coords_of(self, element: Union[PrimElement, ConeElement, _ZeroElement]) -> Vec:
+    def coords_of(self, element: Union[PrimElement, ConeElement]) -> Vec:
         """The coordinates of an element of this position, over codes; an
         element of the other complex, of another n or rank, or at another
-        position raises ValueError."""
-        if isinstance(element, _ZeroElement):
-            return {}
+        position raises ValueError, a zero one too."""
         cone = self.kind == "cone"
         if not isinstance(element, ConeElement if cone else PrimElement):
             raise ValueError(f"a {type(element).__name__} is not an element of the "
@@ -586,17 +584,18 @@ def cohomology_dims(conn: Connection, kind: str = "prim", D: int = 5,
 
 
 def exactness_witness(conn: Connection, kind: str,
-                      element: Union[PrimElement, ConeElement, _ZeroElement],
+                      element: Union[PrimElement, ConeElement],
                       D_search: Optional[int] = None):
-    """Solve differential(xi) == element, or report that none exists up to D_search.
+    """Solve differential(xi) == element, or report (None) that none exists
+    up to D_search.
 
     The default search bound is the element's coefficient degree plus two:
     in the constant frame the exactness constructions grow witnesses by at
-    most two degrees.  A zero element gets the zero witness ``ZERO``.
+    most two degrees.  A zero element, once checked against the complex,
+    gets the zero witness one grading below it (at grading -1 for a zero
+    at grading 0), with no column built.
     """
     _check_kind(kind)
-    if isinstance(element, _ZeroElement):
-        return ZERO
     grading = element.grading
     parts = (element.eta, element.xi) if isinstance(element, ConeElement) else (element.payload,)
     elem_degree = max((d for d in (p.coefficient_degree() for p in parts) if d is not None),
@@ -608,7 +607,8 @@ def exactness_witness(conn: Connection, kind: str,
     target = _space(conn, kind, grading, base)
     coords = target.coords_of(element)  # an element of another complex raises here
     if not coords:
-        return ZERO
+        return (ConeElement.zero(element.n, element.rank, grading - 1) if kind == "cone"
+                else _zero_at(element.n, grading - 1, element.payload))
     if grading == 0:
         return None
     below = _space(conn, kind, grading - 1, base)
@@ -671,27 +671,29 @@ def closedlem_check(conn: Connection, trials: int = 100, seed: int = 0,
         kernel = _kernel_sweep(conn, "prim", space, space.basis_keys(D))[0]
         count = min(trials, max(1, trials // (2 * n + 1))) if kernel else 0
 
-        def sample() -> Optional[PrimElement]:
-            # a random combination of kernel vectors; None when it cancels
+        def sample() -> PrimElement:
+            # a random combination of kernel vectors; zero when it cancels
             coords: Vec = {}
             for _pick in range(rng.randint(1, min(3, len(kernel)))):
                 vec = rng.choice(kernel)
                 coeff = rng.randint(-2, 2)
                 if coeff:
                     _accumulate(coords, vec, coeff)
-            return space.element_from_coords(coords) if coords else None
+            return space.element_from_coords(coords)
 
-        reports.append(run_trials(space.label, count, sample, lambda beta: None if beta is None
-                                  else _closed_identity_residual(conn, lam_elem, beta)))
+        reports.append(run_trials(space.label, count, sample,
+                                  lambda beta: _closed_identity_residual(conn, lam_elem, beta)))
     return reports
 
 
 def _closed_identity_residual(conn: Connection, lam_elem: PrimElement,
-                              beta: PrimElement) -> Element:
+                              beta: PrimElement) -> PrimElement:
     if beta.side == PLUS:
-        partner = _element(PLUS, beta.s - 1, L_power(-1, covariant_d(conn, beta.payload)))
+        partner = PrimElement._trusted(PLUS, beta.s - 1,
+                                       L_power(-1, covariant_d(conn, beta.payload)))
         combination = add_elements(beta, scale_element(-1, m2(lam_elem, partner)))
     else:
-        partner = _element(MINUS, beta.s + 1, pi_p(0, covariant_d(conn, beta.payload)))
+        partner = PrimElement._trusted(MINUS, beta.s + 1,
+                                       pi_p(0, covariant_d(conn, beta.payload)))
         combination = add_elements(beta, m2(lam_elem, partner))
     return m1(combination)

@@ -16,6 +16,9 @@ The comparison maps with the primitive complex extract Lefschetz data:
   the two deepest components above it;
 * ``map_g`` sends a plus element b to (b, -del_minus_A b) and a minus
   element of degree k to (0, -omega^(n-k) /\\ b);
+* both keep the grading and map zeros to zeros of the same grading, with
+  no zero branch: a zero `ConeElement`, like a zero `PrimElement`, may
+  carry a grading just outside the complex (the image of an end map);
 * ``homotopy_G`` is (eta, xi) -> (xi, L^{-1} eta), the degree -1 homotopy
   with  id - gf - Phi = DG + GD.
 
@@ -34,14 +37,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from .connection import Connection, analyze_flatness, covariant_d
 from .errors import InternalInvariantError
 from .forms import VectorForm, omega, wedge
 from .lefschetz import L_power, decompose, pi_p
-from .ainfinity import (Element, MINUS, PLUS, ZERO, _ZeroElement, _element, add_elements,
-                        scale_element)
+from .ainfinity import MINUS, PLUS, PrimElement, add_elements, scale_element
 from .sampling import TrialReport, rand_cone_element, rand_element_at_grading, run_trials
 from .twist import twisted_m1
 
@@ -55,6 +56,8 @@ class ConeElement:
     xi: VectorForm
 
     def __post_init__(self):
+        if not (isinstance(self.eta, VectorForm) and isinstance(self.xi, VectorForm)):
+            raise TypeError("cone slots must be vector forms")
         n = self.eta.n
         if type(self.grading) is not int:
             raise ValueError(f"cone grading {self.grading!r} is not an int")
@@ -62,8 +65,8 @@ class ConeElement:
             # zero elements may carry an out-of-range label transiently
             # (images of the end maps of the complex)
             raise ValueError(f"cone grading {self.grading} out of 0..{2*n+1}")
-        if self.eta.rank != self.xi.rank:
-            raise ValueError("slot rank mismatch")
+        if (self.xi.n, self.xi.rank) != (n, self.eta.rank):
+            raise ValueError("slot chart dimension or rank mismatch")
         if not self.eta.is_zero and self.eta.degree != self.grading:
             raise ValueError("eta degree does not match grading")
         if not self.xi.is_zero and self.xi.degree != self.grading - 1:
@@ -138,25 +141,21 @@ def cone_split(a: ConeElement) -> tuple[dict[int, VectorForm], dict[int, VectorF
     return eta_comps, xi_comps
 
 
-def map_f(conn: Connection, a: ConeElement) -> Element:
+def map_f(conn: Connection, a: ConeElement) -> PrimElement:
     """Chain map from the cone to the primitive complex."""
     n = a.n
-    if a.is_zero:
-        return ZERO
     eta_comps, xi_comps = cone_split(a)
     if a.grading <= n:
-        beta = eta_comps.get(0)
-        return ZERO if beta is None else _element(PLUS, a.grading, beta)
+        return PrimElement._trusted(PLUS, a.grading, eta_comps.get(
+            0, VectorForm.zero(n, a.grading, a.rank)))
     k = 2 * n + 1 - a.grading
     beta_k = xi_comps.get(n - k, VectorForm.zero(n, k, a.rank))
     beta_km1 = eta_comps.get(n - k + 1, VectorForm.zero(n, k - 1, a.rank))
-    return _element(MINUS, k, -(beta_k + pi_p(0, covariant_d(conn, beta_km1))))
+    return PrimElement._trusted(MINUS, k, -(beta_k + pi_p(0, covariant_d(conn, beta_km1))))
 
 
-def map_g(conn: Connection, b: Element) -> Optional[ConeElement]:
-    """Chain map from the primitive complex into the cone (None for the zero)."""
-    if isinstance(b, _ZeroElement):
-        return None
+def map_g(conn: Connection, b: PrimElement) -> ConeElement:
+    """Chain map from the primitive complex into the cone."""
     if not isinstance(b.payload, VectorForm):
         raise TypeError("map_g wants vector-fiber elements")
     n, rank = b.n, b.payload.rank
@@ -176,42 +175,27 @@ def homotopy_G(a: ConeElement) -> ConeElement:
 
 # ---------- identity checks ----------
 
-def _as_cone(conn: Connection, value: Element, grading: int, rank: int,
-             n: int) -> ConeElement:
-    cone = map_g(conn, value)
-    if cone is None:
-        return ConeElement.zero(n, rank, grading)
-    return cone
-
-
-def residual_f_chain(conn: Connection, a: ConeElement) -> Element:
+def residual_f_chain(conn: Connection, a: ConeElement) -> PrimElement:
     """f(D a) - m1'(f(a)); zero for every element when f is a chain map."""
     lhs = map_f(conn, cone_d(conn, a))
     rhs = twisted_m1(conn, map_f(conn, a), verify=False)
     return add_elements(lhs, scale_element(-1, rhs))
 
 
-def residual_g_chain(conn: Connection, b: Element) -> Optional[ConeElement]:
+def residual_g_chain(conn: Connection, b: PrimElement) -> ConeElement:
     """g(m1' b) - D(g b); zero for every element when g is a chain map."""
-    if isinstance(b, _ZeroElement):
-        return None
-    n, rank = b.n, b.payload.rank
-    lhs = _as_cone(conn, twisted_m1(conn, b, verify=False), b.grading + 1, rank, n)
-    rhs = cone_d(conn, map_g(conn, b))
-    return lhs - rhs
+    return map_g(conn, twisted_m1(conn, b, verify=False)) - cone_d(conn, map_g(conn, b))
 
 
-def residual_fg_identity(conn: Connection, b: Element) -> Element:
+def residual_fg_identity(conn: Connection, b: PrimElement) -> PrimElement:
     """f(g(b)) - b; the left-inverse law."""
-    if isinstance(b, _ZeroElement):
-        return ZERO
     lhs = map_f(conn, map_g(conn, b))
     return add_elements(lhs, scale_element(-1, b))
 
 
 def residual_homotopy(conn: Connection, a: ConeElement) -> ConeElement:
     """(id - gf - Phi)(a) - (DG + GD)(a)."""
-    gf = _as_cone(conn, map_f(conn, a), a.grading, a.rank, a.n)
+    gf = map_g(conn, map_f(conn, a))
     lhs = a - gf - phi_apply(conn, a)
     rhs = cone_d(conn, homotopy_G(a)) + homotopy_G(cone_d(conn, a))
     return lhs - rhs

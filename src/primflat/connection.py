@@ -39,6 +39,8 @@ class Connection:
     A: MatrixForm
 
     def __post_init__(self):
+        if not isinstance(self.A, MatrixForm):
+            raise TypeError(f"connection form must be a MatrixForm, got {type(self.A).__name__}")
         if self.A.n != self.n or self.A.rank != self.rank:
             raise ValueError("connection form shape mismatch")
         if not self.A.is_zero and self.A.degree != 1:

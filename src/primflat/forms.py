@@ -373,6 +373,8 @@ class VectorForm(FiberForm):
 
     @classmethod
     def unit(cls, n: int, rank: int, which: int) -> "VectorForm":
+        if type(which) is not int or not 0 <= which < rank:
+            raise ValueError(f"unit vector {which!r} out of range for rank {rank}")
         entries = [Form.zero(n, 0)] * rank
         entries[which] = Form.const(n, 1)
         return cls(entries, 0)

@@ -42,10 +42,10 @@ def run_trials(name: str, trials: int, sample: Callable[[], Any],
                residual: Callable[[Any], Any]) -> TrialReport:
     """The `TrialReport` of ``trials`` draws of ``sample()``.
 
-    A draw fails when ``residual(draw)`` is neither None nor zero
-    (``.is_zero``).  Draws are taken one at a time, each followed by its
-    residual, so a seeded sampler draws in the same order whatever the
-    residuals are.  A negative ``trials`` raises ValueError.
+    A draw fails when ``residual(draw)`` is not zero (``.is_zero``).
+    Draws are taken one at a time, each followed by its residual, so a
+    seeded sampler draws in the same order whatever the residuals are.  A
+    negative ``trials`` raises ValueError.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
@@ -53,7 +53,7 @@ def run_trials(name: str, trials: int, sample: Callable[[], Any],
     for _ in range(trials):
         drawn = sample()
         value = residual(drawn)
-        if value is not None and not value.is_zero:
+        if not value.is_zero:
             if not report.failures:
                 report.example, report.residual = drawn, value
             report.failures += 1

@@ -14,6 +14,9 @@ so `twisted_m1` evaluates both and raises on mismatch unless the caller
 opts into the fast single-route mode (the cone identity checks and the
 witness check of `exactness_witness` do).  Cohomology matrices are not
 built through here but from fiber tables; `twisted_m1` is their oracle.
+Both routes land one grading above the input, zero included (P^0_- goes to
+the zero at (-, -1), see `ainfinity`), and `add_elements` compares those
+positions before it compares the payloads.
 
 `m1_prime_of_A` evaluates the series on the connection form itself inside
 the matrix-valued algebra; its vanishing is exactly symplectic flatness.
@@ -30,8 +33,8 @@ from .connection import Connection, analyze_flatness, covariant_d
 from .errors import InternalInvariantError
 from .forms import VectorForm
 from .lefschetz import L_power, _require_primitive, pi_p
-from .ainfinity import (PLUS, Element, ZERO, _ZeroElement, _differential,
-                        _element, add_elements, apply_m, scale_element)
+from .ainfinity import (PLUS, PrimElement, _differential, add_elements, apply_m, m1,
+                        scale_element)
 from .sampling import TrialReport, rand_prim_element, run_trials
 
 
@@ -58,33 +61,29 @@ def del_minus_A(conn: Connection, beta: VectorForm) -> VectorForm:
     return L_power(-1, covariant_d(conn, beta))
 
 
-def connection_element(conn: Connection) -> Element:
+def connection_element(conn: Connection) -> PrimElement:
     """The connection form as a matrix-valued degree-1 algebra element."""
-    return _element(PLUS, 1, conn.A)  # every 1-form is primitive
+    return PrimElement._trusted(PLUS, 1, conn.A)  # every 1-form is primitive
 
 
-def twisting_series(conn: Connection, b: Element) -> Element:
+def twisting_series(conn: Connection, b: PrimElement) -> PrimElement:
     """sum_k delta_k m_k(A^(k-1), B); the algebra has m_k = 0 for k >= 4,
-    so the terms k = 1, 2, 3 are the whole series."""
+    so the terms k = 1, 2, 3 are the whole series, each one grading above B."""
     a_elem = connection_element(conn)
-    total: Element = ZERO
-    for k in range(1, 4):
-        if k > 1 and isinstance(a_elem, _ZeroElement):
-            break
-        args = [a_elem] * (k - 1) + [b]
-        term = apply_m(k, args)
+    total = m1(b)  # delta_1 = 1
+    for k in (2, 3):
+        term = apply_m(k, [a_elem] * (k - 1) + [b])
         total = add_elements(total, scale_element(delta_sign(k), term))
     return total
 
 
-def twisted_m1(conn: Connection, a: Element, verify: bool = True) -> Element:
+def twisted_m1(conn: Connection, a: PrimElement, verify: bool = True) -> PrimElement:
     """The twisted differential on a vector-valued element of the complex.
 
     Computes the branch table; with verification on, also evaluates the
     twisting series and raises `InternalInvariantError` on any mismatch.
+    The result, zero or not, sits one grading above ``a``.
     """
-    if isinstance(a, _ZeroElement):
-        return ZERO
     if not isinstance(a.payload, VectorForm):
         raise TypeError("twisted_m1 acts on vector-fiber elements")
     if a.payload.rank != conn.rank or a.n != conn.n:
@@ -100,7 +99,7 @@ def twisted_m1(conn: Connection, a: Element, verify: bool = True) -> Element:
     return value
 
 
-def m1_prime_of_A(conn: Connection) -> Element:
+def m1_prime_of_A(conn: Connection) -> PrimElement:
     """The twisting series applied to the connection form itself.
 
     Zero exactly when the connection is symplectically flat (no primitive

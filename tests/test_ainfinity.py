@@ -1,17 +1,21 @@
 """The primitive A-infinity algebra: maps, gradings, Stasheff identities."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
 
+from primflat.cone import ConeElement, map_f, map_g
+from primflat.connection import generate_flat
 from primflat.forms import Form, lambda_standard, wedge
 from primflat.lefschetz import L_power, del_minus, del_plus, pi_p, star_r
-from primflat.sampling import rand_prim_element, rand_primitive_form
+from primflat.sampling import rand_cone_element, rand_prim_element, rand_primitive_form
 from primflat.scalars import Poly
 from primflat.ainfinity import (MINUS, PLUS, PrimElement, add_elements,
                           check_stasheff, grading_position, m1, m2, m3,
                           scale_element)
+from primflat.twist import twisted_m1
 
 
 def scalar_elem(side, s, payload):
@@ -239,12 +243,85 @@ def test_incomposable_fibers_raise():
         m2(a, b)
 
 
+def test_products_refuse_elements_on_two_charts():
+    # a zero result too: its position depends on n
+    low, high = PrimElement(MINUS, 0, Form.const(2, 1)), PrimElement(PLUS, 0, Form.const(3, 1))
+    for product in (lambda: m2(low, high), lambda: m3(low, high, high),
+                    lambda: m3(high, high, low)):
+        with pytest.raises(ValueError, match="^chart dimension mismatch$"):
+            product()
+
+
 def test_grading_position_map():
     assert grading_position(2, 0) == (PLUS, 0)
     assert grading_position(2, 2) == (PLUS, 2)
     assert grading_position(2, 3) == (MINUS, 2)
     assert grading_position(2, 5) == (MINUS, 0)
     assert grading_position(2, 6) is None
+
+
+def _draws(rng, n, fiber, where):
+    # elements at the positions ``where``; a vector fiber sits in the last
+    # slot, after matrices acting on it, as in the twisting series
+    kinds = ["matrix" if fiber == "vector" else fiber] * (len(where) - 1) + [fiber]
+    return [rand_prim_element(rng, n, kind, 2, side, s, max_degree=1)
+            for kind, (side, s) in zip(kinds, where)]
+
+
+@pytest.mark.parametrize("fiber", ["scalar", "vector", "matrix"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_grading_law_zeros_included(n, fiber):
+    # every map has a fixed degree, so every result, zero or not, sits at a
+    # grading fixed by its inputs: m_k at the sum plus 2 - k, the Stasheff
+    # residual at the sum plus 3 - k, twisted_m1 one above, map_f and map_g
+    # at their input's; zeros past the ends of the complex included
+    rng = random.Random(80 + 3 * n + len(fiber))
+    positions = [grading_position(n, g) for g in range(2 * n + 2)]
+    zeros = 0
+    for k, m in ((1, m1), (2, m2), (3, m3)):
+        tuples = list(itertools.product(positions, repeat=k))
+        for where in (tuples if k < 3 else rng.sample(tuples, 40)):
+            inputs = _draws(rng, n, fiber, where)
+            total = sum(e.grading for e in inputs)
+            for args in (inputs, [scale_element(0, inputs[0])] + inputs[1:]):
+                value = m(*args)
+                zeros += value.is_zero
+                assert value.grading == total + 2 - k, (where, value)
+    assert zeros > len(positions) ** 2  # (-,-), m3 and P0- zeros among them
+    for k in (1, 2, 3, 4):
+        for _ in range(3):
+            inputs = _draws(rng, n, fiber, [rng.choice(positions) for _ in range(k)])
+            residual = check_stasheff(k, inputs)
+            assert residual.is_zero
+            assert residual.grading == sum(e.grading for e in inputs) + 3 - k
+    if fiber != "vector":
+        return
+    conn = generate_flat(n, 2, [[1, 0], [1, 2]])
+    for grading, (side, s) in enumerate(positions):
+        b = rand_prim_element(rng, n, "vector", 2, side, s, max_degree=1)
+        for element in (b, scale_element(0, b)):
+            assert twisted_m1(conn, element).grading == grading + 1
+            assert map_g(conn, element).grading == grading
+        assert map_f(conn, rand_cone_element(rng, conn, grading, 1)).grading == grading
+    for grading in range(-1, 2 * n + 3):
+        assert map_f(conn, ConeElement.zero(n, 2, grading)).grading == grading
+
+
+def test_add_elements_refuses_a_zero_at_another_position():
+    x = PrimElement(PLUS, 1, lambda_standard(2))
+    bottom = PrimElement(MINUS, 0, Form.const(2, 1))
+    # zeros the maps return past the end of the complex, at (-, -1) and
+    # (-, -3), and a zero at P1-, none of them at x's P1+
+    for zero in (m1(bottom), m2(bottom, PrimElement(MINUS, 2, Form.zero(2, 2))),
+                 scale_element(0, PrimElement(MINUS, 1, lambda_standard(2)))):
+        assert zero.is_zero
+        for pair in ((zero, x), (x, zero)):
+            with pytest.raises(ValueError, match="^cannot add P"):
+                add_elements(*pair)
+    # at its own position a zero adds as nothing
+    zero = scale_element(0, x)
+    assert add_elements(zero, x) == x == add_elements(x, zero)
+    assert (zero.side, zero.s) == (PLUS, 1)
 
 
 def test_payload_must_be_primitive():

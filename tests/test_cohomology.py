@@ -18,7 +18,7 @@ from primflat.forms import (Form, MatrixForm, VectorForm, all_indices, lambda_st
 from primflat.linalg import Echelon, kernel_basis
 from primflat.sampling import rand_unipotent
 from primflat.scalars import Poly, monomials_up_to
-from primflat.ainfinity import PLUS, ZERO, PrimElement, grading_position
+from primflat.ainfinity import PLUS, PrimElement, grading_position
 from primflat.cone import ConeElement, cone_d
 from primflat.twist import twisted_m1
 
@@ -328,24 +328,26 @@ def test_no_witness_for_cokernel_classes():
 
 
 def test_zero_is_exact():
-    # twisted_m1 sends the unit e_2 at P0+ to ZERO; that image, a zero element
-    # at grading 0 and one higher up all get the zero witness, with no column built
+    # twisted_m1 sends the unit e_2 at P0+ to the zero at P1+; that image, a
+    # zero element at grading 0 and one higher up all get the zero witness one
+    # grading below, with no column built
     conn = generate_flat(1, 2, [[1, 0], [0, 0]])
     image = twisted_m1(conn, PrimElement(PLUS, 0, VectorForm.unit(1, 2, 1)))
-    assert image is ZERO
-    zeros = {"prim": [PrimElement(PLUS, 0, VectorForm.zero(1, 0, 2)),
+    assert image.is_zero and image.grading == 1
+    zeros = {"prim": [image, PrimElement(PLUS, 0, VectorForm.zero(1, 0, 2)),
                       PrimElement(PLUS, 1, VectorForm.zero(1, 1, 2))],
              "cone": [ConeElement.zero(1, 2, 0), ConeElement.zero(1, 2, 2)]}
     for kind, elements in zeros.items():
-        for element in [image, *elements]:
-            assert exactness_witness(conn, kind, element) is ZERO
+        for element in elements:
+            witness = exactness_witness(conn, kind, element)
+            assert witness.is_zero and witness.grading == element.grading - 1
     # a zero element is still checked against the complex before it is answered
     with pytest.raises(ValueError, match="^element has vector rank 3, the complex rank 2$"):
         exactness_witness(conn, "prim", PrimElement(PLUS, 0, VectorForm.zero(1, 0, 3)))
     with pytest.raises(ValueError, match="^a ConeElement is not an element of the prim complex$"):
         exactness_witness(conn, "prim", ConeElement.zero(1, 2, 0))
     with pytest.raises(ValueError, match="complex kind must be 'prim' or 'cone', got"):
-        exactness_witness(conn, "Prim", ZERO)
+        exactness_witness(conn, "Prim", image)
 
 
 def test_truncated_space_checks_its_kind():

@@ -9,6 +9,7 @@ import pytest
 
 from primflat.ainfinity import MINUS, PLUS, PrimElement
 from primflat.cone import ConeElement
+from primflat.connection import Connection
 from primflat.forms import (Form, MatrixForm, VectorForm, _lowerings, all_indices,
                             contract_lambda, exterior_d, graded_commutator, lambda_standard,
                             lambda_symmetric, omega, omega_power, wedge)
@@ -318,6 +319,31 @@ def test_labelled_constructors_refuse_a_label_that_is_not_an_int(label):
                          "cone grading")]:
         with pytest.raises(ValueError, match=f"^{what} {re.escape(repr(label))} is not an int$"):
             build()
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: Connection(1, 1, VectorForm([Form.dx(1, 1)])), TypeError),
+    (lambda: ConeElement(1, VectorForm([Form.zero(1, 1)]), VectorForm([Form.zero(2, 0)])),
+     ValueError),
+    (lambda: ConeElement(1, MatrixForm([[Form.dx(1, 1)]]), VectorForm([Form.zero(1, 0)])),
+     TypeError),
+    (lambda: ConeElement(1, VectorForm([Form.dx(1, 1)]), MatrixForm([[Form.zero(1, 0)]])),
+     TypeError),
+    (lambda: PrimElement(PLUS, 0, 5), TypeError),
+    (lambda: PrimElement(PLUS, -1, Form.const(1, 1)), ValueError),
+    (lambda: PrimElement(MINUS, 2, Form.zero(1, 2)), ValueError),
+    (lambda: VectorForm.unit(1, 2, -1), ValueError),
+    (lambda: VectorForm.unit(1, 2, 2), ValueError),
+], ids=["connection-of-a-vector", "cone-slots-on-two-charts", "cone-eta-matrix",
+        "cone-xi-matrix", "prim-payload-int", "prim-below-zero-nonzero", "prim-above-n",
+        "unit-negative", "unit-past-rank"])
+def test_public_constructors_refuse_the_wrong_kind_of_form(build, error):
+    # each was accepted, failed later with an unrelated error or built the
+    # wrong value; a zero element below the complex is allowed, as a zero
+    # cone element outside it is
+    with pytest.raises(error):
+        build()
+    assert PrimElement(MINUS, -1, Form.zero(1, -1)).grading == 4
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

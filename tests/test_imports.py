@@ -16,6 +16,9 @@ the package, the tests or the benchmark outside its own definition.
 The entry views of a fiber form are boundary views too: outside ``forms``
 no package code reads ``.entries`` or ``.flat``, and only ``cli._form_json``
 reads ``.nested``, so every other reader goes through the numerators.
+Every element has a position, zero included: no package code names a
+positionless zero (``ZERO``, ``_ZeroElement``) or stands ``None`` in for a
+zero cone element (``Optional[ConeElement]``).
 """
 
 import ast
@@ -121,6 +124,15 @@ def test_poly_stays_at_the_boundary(name):
     allowed = POLY_PLACES.get(name, set())
     places = set(_places_naming(ast.parse(SOURCES[name].read_text(encoding="utf-8")), "Poly"))
     assert allowed is None or places <= allowed, sorted(places - allowed)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.stem)
+def test_every_zero_element_has_a_position(path):
+    text = path.read_text(encoding="utf-8")
+    tree = ast.parse(text)
+    for zero in ("ZERO", "_ZeroElement"):
+        assert sorted(set(_places_naming(tree, zero))) == [], zero
+    assert not re.search(r"Optional\[\s*ConeElement\s*\]", text)
 
 
 # where a submodule other than forms may read a fiber form's entry views

@@ -27,7 +27,7 @@ def test_run_trials_counts_failures_and_keeps_the_first():
 
     def residual(x):
         events.append(("residual", x))
-        return None if x == 0 else Poly.const(1, x - 1)
+        return Form.zero(1, 0) if x == 0 else Poly.const(1, x - 1)
 
     report = run_trials("shifted", 60, sample, residual)
     replay = random.Random(4)
@@ -42,7 +42,7 @@ def test_run_trials_counts_failures_and_keeps_the_first():
 
 
 def test_run_trials_with_no_failure_reports_none():
-    for residual in (lambda x: None, lambda x: Poly.zero(1)):
+    for residual in (lambda x: Form.zero(1, 0), lambda x: Poly.zero(1)):
         assert run_trials("pass", 5, lambda: 0, residual) == TrialReport("pass", 5, 0, None, None)
     # trials=0 draws nothing
     assert run_trials("none", 0, lambda: 1 / 0, lambda x: x) == TrialReport("none", 0)
