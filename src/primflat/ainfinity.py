@@ -10,12 +10,12 @@ primitive degree and a primitive payload that may be scalar, vector- or
 matrix-valued; the grading is always derived, never stored.  The public
 constructor checks that the payload is primitive; the maps below, whose
 payloads are primitive by construction, build their results through the
-trusted ``PrimElement._trusted``, which checks nothing.
+trusted ``PrimElement._at``, which checks nothing.
 
 Every element has a position, zero included: each map has a fixed degree
-(|m_k| = 2 - k), so a map whose result vanishes returns the zero element at
-its grading, Sigma + 2 - k for k inputs.  `_zero_at` builds it, with the
-position rule of `grading_position` extended past the ends of the complex
+(|m_k| = 2 - k), so its result sits at Sigma + 2 - k for k inputs, and the
+maps build every result at that grading, zero or not.  `_position` is the
+one rule from a grading to (side, s), extended past the ends of the complex
 (the image of P^0_- under m1 sits at (-, -1)), so a zero may carry a
 position outside F, as a zero form may carry a degree outside the chart.
 `add_elements` compares positions before anything else, zeros included.
@@ -26,10 +26,10 @@ The maps:
   P^n_+, -L^{-1} d on P^k_-.  `_differential` is this table with d as an
   argument; `twist.twisted_m1` runs it with d_A and Phi.
 * m2 is the graded-commutative product, in four cases by the sides of its
-  inputs.  Case (+,+) has two terms that live in different degrees; exactly
-  one of them can be nonzero (the other is checked to vanish rather than
-  branched away).  Cases (+,-) and (-,+) are reflections through star_r and
-  land on the minus side; (-,-) is zero.
+  inputs.  Case (+,+) has two terms that live in different degrees; the
+  grading picks the one that can be nonzero (the other is checked to vanish
+  rather than branched away).  Cases (+,-) and (-,+) are reflections
+  through star_r and land on the minus side; (-,-) is zero.
 * m3 is the associator correction, nonzero only for three plus-side inputs
   of total degree >= n+2.
 
@@ -85,11 +85,15 @@ class PrimElement:
             raise ValueError("payload is not primitive")
 
     @classmethod
-    def _trusted(cls, side: str, s: int, payload: AnyForm) -> "PrimElement":
-        """Internal constructor: ``payload`` must already be a primitive form
-        of degree s (or zero) on a chart with s <= n; nothing is checked."""
+    def _at(cls, grading: int, payload: AnyForm, zero: bool = False) -> "PrimElement":
+        """Internal constructor: ``payload`` placed at ``grading`` by
+        `_position` (with ``zero``, the zero of its shape there instead); it
+        must already be a primitive form of the position's degree s <= n, or
+        zero, since nothing is checked."""
+        side, s = _position(payload.n, grading)
         element = object.__new__(cls)
-        element.__dict__.update(side=side, s=s, payload=payload)  # past the frozen setattr
+        element.__dict__.update(  # past the frozen setattr
+            side=side, s=s, payload=payload._new(s, {}, 1) if zero else payload)
         return element
 
     @property
@@ -104,52 +108,59 @@ class PrimElement:
     def is_zero(self) -> bool:
         return self.payload.is_zero
 
+    @property
+    def label(self) -> str:
+        return f"P{self.s}{self.side}"
+
     def __repr__(self) -> str:
-        return f"PrimElement(P{self.s}{self.side}, {self.payload!r})"
+        return f"PrimElement({self.label}, {self.payload!r})"
+
+
+def _position(n: int, grading: int) -> tuple[str, int]:
+    """(side, s) of a grading: (+, g) up to n, else (-, 2n+1-g), past the
+    ends of the complex too."""
+    return (PLUS, grading) if grading <= n else (MINUS, 2 * n + 1 - grading)
 
 
 def grading_position(n: int, grading: int) -> Optional[tuple[str, int]]:
     """(side, s) of a grading in 0..2n+1, None outside the complex."""
-    if 0 <= grading <= 2 * n + 1:
-        return (PLUS, grading) if grading <= n else (MINUS, 2 * n + 1 - grading)
-    return None
+    return _position(n, grading) if 0 <= grading <= 2 * n + 1 else None
 
 
-def _zero_at(n: int, grading: int, *payloads: AnyForm) -> PrimElement:
-    """The zero element at a grading, past the ends of the complex too: (+, g)
-    up to n, else (-, 2n+1-g); its payload is the zero of the shape the
-    wedge of ``payloads`` has (the last fiber-valued one, else a scalar)."""
-    side, s = (PLUS, grading) if grading <= n else (MINUS, 2 * n + 1 - grading)
+def _zero_at(grading: int, *payloads: AnyForm) -> PrimElement:
+    """The zero element at a grading; its payload is the zero of the shape
+    the wedge of ``payloads`` has (the last fiber-valued one, else a scalar)."""
     shape = ([p for p in payloads if not isinstance(p, Form)] or payloads)[-1]
-    return PrimElement._trusted(side, s, shape._new(s, {}, 1))
+    return PrimElement._at(grading, shape, zero=True)
 
 
 def add_elements(a: PrimElement, b: PrimElement) -> PrimElement:
     """a + b at their common position; a zero at another position raises."""
     if (a.side, a.s) != (b.side, b.s):
-        raise ValueError(f"cannot add P{a.s}{a.side} to P{b.s}{b.side}")
-    return PrimElement._trusted(a.side, a.s, a.payload + b.payload)
+        raise ValueError(f"cannot add {a.label} to {b.label}")
+    return PrimElement._at(a.grading, a.payload + b.payload)
 
 
 def scale_element(value: Scalar, a: PrimElement) -> PrimElement:
-    return a if a.is_zero else PrimElement._trusted(a.side, a.s, a.payload.scaled(value))
+    return a if a.is_zero else PrimElement._at(a.grading, a.payload.scaled(value))
 
 
 def _differential(a: PrimElement, d: Callable[[AnyForm], AnyForm],
                   phi: Optional[AnyForm] = None) -> PrimElement:
-    """The branch table of the differential with d as exterior derivative:
-    Pi d below the middle, -Pi d L^{-1} d (plus phi /\\ b when phi is given)
-    at the middle, -L^{-1} d above it, zero at P^0_-.  The payload is
-    trusted primitive, so no operator re-checks it."""
-    n, b = a.n, a.payload
-    if b.is_zero or a.side == MINUS and a.s == 0:
-        return _zero_at(n, a.grading + 1, b)
-    if a.side == PLUS:
-        if a.s < n:
-            return PrimElement._trusted(PLUS, a.s + 1, pi_p(0, d(b)))
+    """The branch table of the differential with d as exterior derivative,
+    by the grading ``at`` one above a's: Pi d below the middle, -Pi d L^{-1} d
+    (plus phi /\\ b when phi is given) at the middle, -L^{-1} d above it,
+    zero past P^0_-.  The payload is trusted primitive, so no operator
+    re-checks it."""
+    n, b, at = a.n, a.payload, a.grading + 1
+    if b.is_zero or at > 2 * n + 1:
+        return _zero_at(at, b)
+    if at <= n:
+        return PrimElement._at(at, pi_p(0, d(b)))
+    if at == n + 1:
         value = pi_p(0, d(L_power(-1, d(b))))
-        return PrimElement._trusted(MINUS, n, -value if phi is None else wedge(phi, b) - value)
-    return PrimElement._trusted(MINUS, a.s - 1, -L_power(-1, d(b)))
+        return PrimElement._at(at, -value if phi is None else wedge(phi, b) - value)
+    return PrimElement._at(at, -L_power(-1, d(b)))
 
 
 def m1(a: PrimElement) -> PrimElement:
@@ -162,44 +173,39 @@ def m2(a: PrimElement, b: PrimElement) -> PrimElement:
     n = a.n
     if b.n != n:
         raise ValueError("chart dimension mismatch")
-    pa, pb = a.payload, b.payload
+    pa, pb, at = a.payload, b.payload, a.grading + b.grading
     if pa.is_zero or pb.is_zero or a.side == b.side == MINUS:
-        return _zero_at(n, a.grading + b.grading, pa, pb)
+        return _zero_at(at, pa, pb)
     if a.side == PLUS and b.side == PLUS:
-        j, k = a.s, b.s
         product = wedge(pa, pb)
         head = pi_p(0, product)
         bracket = wedge(L_power(-1, exterior_d(pa)), pb) - exterior_d(L_power(-1, product))
         last = wedge(pa, L_power(-1, exterior_d(pb)))
-        bracket = bracket - last if j % 2 else bracket + last
+        bracket = bracket - last if a.s % 2 else bracket + last
         tail = pi_p(0, star_r(bracket))
-        if j + k <= n:
-            if not tail.is_zero:
-                raise InternalInvariantError(
-                    f"m2({_positions(a, b)}): low-degree product grew a reflected term")
-            return PrimElement._trusted(PLUS, j + k, head)
-        if not head.is_zero:
+        value, other = (head, tail) if at <= n else (tail, head)
+        if not other.is_zero:
             raise InternalInvariantError(
-                f"m2({_positions(a, b)}): high-degree product grew a primitive term")
-        return PrimElement._trusted(MINUS, 2 * n + 1 - (j + k), tail)
-    if a.side == PLUS:
+                f"m2({_positions(a, b)}): product grew a term of the other degree")
+    elif a.side == PLUS:
         value = star_r(wedge(pa, star_r(pb)))
-        return _make_minus(b.s - a.s, -value if a.s % 2 else value, a, b)
-    return _make_minus(a.s - b.s, star_r(wedge(star_r(pa), pb)), a, b)
+        value = -value if a.s % 2 else value
+    else:
+        value = star_r(wedge(star_r(pa), pb))
+    return _product_at(at, value, a, b)
 
 
-def _make_minus(s: int, payload: AnyForm, *inputs: PrimElement) -> PrimElement:
-    """The minus-side result at s of m_k on ``inputs``: (-, s) is the position
-    of its grading even where s < 0, so only a nonzero payload must land
-    inside the complex."""
-    if not payload.is_zero and not 0 <= s <= payload.n:
+def _product_at(grading: int, payload: AnyForm, *inputs: PrimElement) -> PrimElement:
+    """The result of m_k on ``inputs`` at its grading, which may lie past the
+    ends of the complex only when the payload is zero."""
+    if not payload.is_zero and not 0 <= grading <= 2 * payload.n + 1:
         raise InternalInvariantError(f"m{len(inputs)}({_positions(*inputs)}): nonzero "
-                                     f"product at impossible degree {s}")
-    return PrimElement._trusted(MINUS, s, payload)
+                                     f"product at impossible grading {grading}")
+    return PrimElement._at(grading, payload)
 
 
 def _positions(*elements: PrimElement) -> str:
-    return ", ".join(f"P{e.s}{e.side}" for e in elements)
+    return ", ".join(e.label for e in elements)
 
 
 def m3(a: PrimElement, b: PrimElement, c: PrimElement) -> PrimElement:
@@ -208,12 +214,12 @@ def m3(a: PrimElement, b: PrimElement, c: PrimElement) -> PrimElement:
     if not b.n == c.n == n:
         raise ValueError("chart dimension mismatch")
     pa, pb, pc = a.payload, b.payload, c.payload
-    total = a.s + b.s + c.s
-    if (not a.side == b.side == c.side == PLUS or total < n + 2
+    at = a.grading + b.grading + c.grading - 1
+    if (not a.side == b.side == c.side == PLUS or at < n + 1
             or pa.is_zero or pb.is_zero or pc.is_zero):
-        return _zero_at(n, a.grading + b.grading + c.grading - 1, pa, pb, pc)
+        return _zero_at(at, pa, pb, pc)
     inner = wedge(pa, L_power(-1, wedge(pb, pc))) - wedge(L_power(-1, wedge(pa, pb)), pc)
-    return _make_minus(2 * n + 2 - total, pi_p(0, star_r(inner)), a, b, c)
+    return _product_at(at, pi_p(0, star_r(inner)), a, b, c)
 
 
 def apply_m(k: int, args: Sequence[PrimElement]) -> PrimElement:
@@ -225,8 +231,7 @@ def apply_m(k: int, args: Sequence[PrimElement]) -> PrimElement:
         return m2(args[0], args[1])
     if k == 3:
         return m3(args[0], args[1], args[2])
-    return _zero_at(args[0].n, sum(e.grading for e in args) + 2 - k,
-                    *(e.payload for e in args))
+    return _zero_at(sum(e.grading for e in args) + 2 - k, *(e.payload for e in args))
 
 
 def check_stasheff(k: int, inputs: Sequence[PrimElement]) -> PrimElement:
@@ -241,7 +246,7 @@ def check_stasheff(k: int, inputs: Sequence[PrimElement]) -> PrimElement:
         raise ValueError("need k inputs for the degree-k identity")
     inputs = list(inputs[:k])
     gradings = [e.grading for e in inputs]
-    total = _zero_at(inputs[0].n, sum(gradings) + 3 - k, *(e.payload for e in inputs))
+    total = _zero_at(sum(gradings) + 3 - k, *(e.payload for e in inputs))
     for s in range(1, k + 1):
         for r in range(0, k - s + 1):
             t = k - s - r

@@ -98,7 +98,7 @@ def _element_json(e: Union[PrimElement, ConeElement]):
     if isinstance(e, ConeElement):
         return {"grading": e.grading, "eta": _form_json(e.eta),
                 "theta": _form_json(e.xi)}
-    return {"position": f"P{e.s}{e.side}", "payload": _form_json(e.payload)}
+    return {"position": e.label, "payload": _form_json(e.payload)}
 
 
 def load_connection(path: str) -> Connection:

@@ -109,8 +109,8 @@ from .forms import (Form, LAMBDA_CHOICES, VectorForm, all_indices, omega_const, 
 from .lefschetz import (FiberTable, L_power, fiber_d_table, pi_p, primitive_fiber_basis,
                         primitive_fiber_coords)
 from .linalg import Echelon, Vec, kernel_basis
-from .scalars import Monomial, _accumulate, monomials_up_to
-from .ainfinity import (MINUS, PLUS, PrimElement, _zero_at, add_elements, grading_position,
+from .scalars import Monomial, _accumulate, _check_count, monomials_up_to
+from .ainfinity import (MINUS, PLUS, PrimElement, _position, add_elements, grading_position,
                         m1, m2, scale_element)
 from .sampling import TrialReport, run_trials
 from .twist import twisted_m1
@@ -124,14 +124,6 @@ MAX_BASIS = 250_000
 def _check_kind(kind: str) -> None:
     if kind not in ("prim", "cone"):
         raise ValueError(f"complex kind must be 'prim' or 'cone', got {kind!r}")
-
-
-def _check_count(name: str, value, what: str) -> None:
-    """Refuse a ``value`` that is not an int (a bool is not), or is negative."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{what} must be >= 0, got {value}")
 
 
 def position_label(kind: str, n: int, grading: int) -> str:
@@ -160,9 +152,8 @@ class TruncatedSpace:
         # offset of a cone key's xi ``slot``, above every code of slot 0
         n, base, grading = self.n, self.base, self.grading
         if self.kind == "prim":
-            # past the top of the complex (a column's target there) it is empty
-            position = grading_position(n, grading)
-            fibers = [primitive_fiber_basis(n, position[1]) if position else []]
+            # past the ends of the complex (a column's target there) it is empty
+            fibers = [primitive_fiber_basis(n, _position(n, grading)[1])]
         else:
             fibers = [[{idx: 1} for idx in all_indices(n, g)] for g in (grading, grading - 1)]
         stride = self.rank * max(map(len, fibers))
@@ -225,8 +216,8 @@ class TruncatedSpace:
                 acc[mono] = acc.get(mono, Fraction(0)) + coeff * fiber_coeff
         if self.kind == "prim":
             # a combination of primitive basis forms is primitive
-            side, s = grading_position(n, self.grading)
-            return PrimElement._trusted(side, s, VectorForm(
+            s = _position(n, self.grading)[1]
+            return PrimElement._at(self.grading, VectorForm(
                 [Form._from_rationals(n, s, e) for e in slots[0]], s))
         eta = [Form._from_rationals(n, self.grading, e) for e in slots[0]]
         xi = [Form._from_rationals(n, self.grading - 1, e) for e in slots[1]]
@@ -392,7 +383,7 @@ def _sign_tables(n: int, degree: int) -> tuple[FiberTable, list]:
     def table(left: dict, shift: int) -> list:
         ranks = {idx: j for j, idx in enumerate(all_indices(n, degree + shift))}
         return [tuple((ranks[idx_j], sign) for idx_j, sign
-                      in wedge_terms([(left, {idx: 1})]).items())
+                      in wedge_terms(left, {idx: 1}).items())
                 for idx in all_indices(n, degree)]
     return [table({(c,): 1}, 1) for c in range(2 * n)], table(omega_const(n, 1), 2)
 
@@ -606,12 +597,11 @@ def exactness_witness(conn: Connection, kind: str,
     base = _base(conn, kind, max(D_search, elem_degree))
     target = _space(conn, kind, grading, base)
     coords = target.coords_of(element)  # an element of another complex raises here
+    below = _space(conn, kind, grading - 1, base)
     if not coords:
-        return (ConeElement.zero(element.n, element.rank, grading - 1) if kind == "cone"
-                else _zero_at(element.n, grading - 1, element.payload))
+        return below.element_from_coords({})
     if grading == 0:
         return None
-    below = _space(conn, kind, grading - 1, base)
     _check_size([below], D_search, f"search truncation {D_search}")
     _, ech, scale = _kernel_sweep(conn, kind, below, below.basis_keys(D_search))
     combo = ech.solve(coords)
@@ -657,16 +647,15 @@ def closedlem_check(conn: Connection, trials: int = 100, seed: int = 0,
     _check_count("trials", trials, "trials")
     _check_count("D", D, "truncation")
     lam = _constant_frame_lambda(conn)
-    lam_elem = PrimElement(PLUS, 1, lam)
+    lam_elem = PrimElement._at(1, lam)  # every 1-form is primitive
     rng = random.Random(seed)
     n = conn.n
     base = _base(conn, "prim", D)
     _check_size([_space(conn, "prim", g, base) for g in range(2 * n + 2)], D, f"truncation {D}")
     reports = []
     for grading in range(0, 2 * n + 2):
-        side, s = grading_position(n, grading)
-        if side == MINUS and s == n:
-            continue  # closedness there already makes the identity trivial
+        if grading == n + 1:
+            continue  # closedness at P^n_- already makes the identity trivial
         space = _space(conn, "prim", grading, base)
         kernel = _kernel_sweep(conn, "prim", space, space.basis_keys(D))[0]
         count = min(trials, max(1, trials // (2 * n + 1))) if kernel else 0
@@ -688,12 +677,11 @@ def closedlem_check(conn: Connection, trials: int = 100, seed: int = 0,
 
 def _closed_identity_residual(conn: Connection, lam_elem: PrimElement,
                               beta: PrimElement) -> PrimElement:
+    # the partner sits one grading below beta on either side
     if beta.side == PLUS:
-        partner = PrimElement._trusted(PLUS, beta.s - 1,
-                                       L_power(-1, covariant_d(conn, beta.payload)))
+        partner = PrimElement._at(beta.grading - 1, L_power(-1, covariant_d(conn, beta.payload)))
         combination = add_elements(beta, scale_element(-1, m2(lam_elem, partner)))
     else:
-        partner = PrimElement._trusted(MINUS, beta.s + 1,
-                                       pi_p(0, covariant_d(conn, beta.payload)))
+        partner = PrimElement._at(beta.grading - 1, pi_p(0, covariant_d(conn, beta.payload)))
         combination = add_elements(beta, m2(lam_elem, partner))
     return m1(combination)

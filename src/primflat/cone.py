@@ -42,7 +42,7 @@ from .connection import Connection, analyze_flatness, covariant_d
 from .errors import InternalInvariantError
 from .forms import VectorForm, omega, wedge
 from .lefschetz import L_power, decompose, pi_p
-from .ainfinity import MINUS, PLUS, PrimElement, add_elements, scale_element
+from .ainfinity import PLUS, PrimElement, add_elements, scale_element
 from .sampling import TrialReport, rand_cone_element, rand_element_at_grading, run_trials
 from .twist import twisted_m1
 
@@ -146,26 +146,22 @@ def map_f(conn: Connection, a: ConeElement) -> PrimElement:
     n = a.n
     eta_comps, xi_comps = cone_split(a)
     if a.grading <= n:
-        return PrimElement._trusted(PLUS, a.grading, eta_comps.get(
-            0, VectorForm.zero(n, a.grading, a.rank)))
+        return PrimElement._at(a.grading, eta_comps.get(0, VectorForm.zero(n, a.grading, a.rank)))
     k = 2 * n + 1 - a.grading
     beta_k = xi_comps.get(n - k, VectorForm.zero(n, k, a.rank))
     beta_km1 = eta_comps.get(n - k + 1, VectorForm.zero(n, k - 1, a.rank))
-    return PrimElement._trusted(MINUS, k, -(beta_k + pi_p(0, covariant_d(conn, beta_km1))))
+    return PrimElement._at(a.grading, -(beta_k + pi_p(0, covariant_d(conn, beta_km1))))
 
 
 def map_g(conn: Connection, b: PrimElement) -> ConeElement:
     """Chain map from the primitive complex into the cone."""
     if not isinstance(b.payload, VectorForm):
         raise TypeError("map_g wants vector-fiber elements")
-    n, rank = b.n, b.payload.rank
     if b.side == PLUS:
         xi = -L_power(-1, covariant_d(conn, b.payload))
-        return ConeElement(b.s, b.payload, xi)
-    k = b.s
-    xi = -L_power(n - k, b.payload)
-    grading = 2 * n + 1 - k
-    return ConeElement(grading, VectorForm.zero(n, grading, rank), xi)
+        return ConeElement(b.grading, b.payload, xi)
+    xi = -L_power(b.n - b.s, b.payload)
+    return ConeElement(b.grading, VectorForm.zero(b.n, b.grading, b.payload.rank), xi)
 
 
 def homotopy_G(a: ConeElement) -> ConeElement:

@@ -27,7 +27,7 @@ from .errors import InternalInvariantError
 from .forms import (LAMBDA_CHOICES, MatrixForm, VectorForm, _d_into, _wedge_into,
                     exterior_d, graded_commutator, omega, wedge)
 from .lefschetz import L_power, pi_p
-from .scalars import Scalar
+from .scalars import Scalar, _chart
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,9 @@ class Connection:
     A: MatrixForm
 
     def __post_init__(self):
+        _chart(self.n)
+        if type(self.rank) is not int or self.rank < 1:
+            raise ValueError(f"connection rank must be an int >= 1, got {self.rank!r}")
         if not isinstance(self.A, MatrixForm):
             raise TypeError(f"connection form must be a MatrixForm, got {type(self.A).__name__}")
         if self.A.n != self.n or self.A.rank != self.rank:

@@ -216,6 +216,9 @@ def print_poly(poly: Poly) -> str:
 
 def print_form(form: Form) -> str:
     """Canonical text of a form; parse(print(f), f.n) == f exactly."""
+    if not isinstance(form, Form):
+        raise TypeError(f"print_form prints a Form, got a {type(form).__name__}; fiber "
+                        "forms print entry by entry (cli._form_json)")
     n, num, den = form.n, form.num, form.den
     if form.degree == 0 or not num:
         return _scalar_text(n, num.get((), {}), den)

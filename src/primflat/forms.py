@@ -59,26 +59,11 @@ AnyForm = Union["Form", "VectorForm", "MatrixForm"]
 
 
 def merge_indices(left: FormIndex, right: FormIndex) -> Optional[tuple[int, FormIndex]]:
-    """Sign and sorted union of two increasing index tuples, None on overlap."""
-    out: list[int] = []
-    sign = 1
-    i = j = 0
-    len_l, len_r = len(left), len(right)
-    while i < len_l and j < len_r:
-        a, b = left[i], right[j]
-        if a == b:
-            return None
-        if a < b:
-            out.append(a)
-            i += 1
-        else:
-            out.append(b)
-            j += 1
-            if (len_l - i) % 2:
-                sign = -sign
-    out.extend(left[i:])
-    out.extend(right[j:])
-    return sign, tuple(out)
+    """Sign and sorted union of two increasing index tuples, None on overlap:
+    the sign of the shuffle that sorts them, (-1)^#{a in left, b in right: a > b}."""
+    if not set(left).isdisjoint(right):
+        return None
+    return (-1) ** sum(a > b for a in left for b in right), tuple(sorted(left + right))
 
 
 _merge = cache(merge_indices)  # for the few index pairs of symbolic forms
@@ -99,22 +84,14 @@ def _d_moves(n: int, idx: FormIndex) -> list[tuple[int, int, FormIndex]]:
     return [(c, *merge_indices((c,), idx)) for c in range(2 * n) if c not in idx]
 
 
-def wedge_terms(pairs: Iterable[tuple[Mapping, Mapping]]) -> dict:
-    """The sum of a /\\ b over ``(a, b)`` pairs of ``{index: coefficient}``
-    maps with no zero coefficient (exact ring values, false at zero, whose
-    nonzero products are nonzero); a key drops only when its sum cancels."""
+def wedge_terms(a: Mapping, b: Mapping) -> dict:
+    """a /\\ b on ``{index: coefficient}`` maps of exact rationals with no zero
+    coefficient; a key drops only when its sum cancels."""
     out: dict = {}
-    for a, b in pairs:
-        for (idx_a, ca), (idx_b, cb) in itertools.product(a.items(), b.items()):
-            merged = merge_indices(idx_a, idx_b)
-            if merged is not None:
-                sign, idx = merged
-                prod = ca * cb if sign > 0 else -(ca * cb)
-                acc = out[idx] + prod if idx in out else prod
-                if acc:
-                    out[idx] = acc
-                else:
-                    del out[idx]
+    for (idx_a, ca), (idx_b, cb) in itertools.product(a.items(), b.items()):
+        merged = merge_indices(idx_a, idx_b)
+        if merged is not None:
+            _accumulate(out, {merged[1]: ca * cb}, merged[0])
     return out
 
 
@@ -551,13 +528,13 @@ def omega_const(n: int, r: int) -> dict[FormIndex, int]:
     """omega^r as an ``{index: int}`` map (r >= 0); callers must not mutate it."""
     if r == 0:
         return {(): 1}
-    return wedge_terms([(omega_const(n, r - 1), {(i, n + i): 1 for i in range(n)})])
+    return wedge_terms(omega_const(n, r - 1), {(i, n + i): 1 for i in range(n)})
 
 
 def omega_power(n: int, p: int) -> Form:
-    if p < 0:
-        raise ValueError("omega_power wants p >= 0")
-    const = (0,) * (2 * n)
+    if type(p) is not int or p < 0:
+        raise ValueError(f"omega_power wants an int p >= 0, got {p!r}")
+    const = (0,) * (2 * _chart(n))
     return Form._reduced(n, 2 * p, {idx: {const: c} for idx, c in omega_const(n, p).items()}, 1)
 
 

@@ -97,7 +97,7 @@ def primitive_fiber_basis(n: int, s: int) -> list[ConstForm]:
 @cache
 def _lefschetz_image(n: int, s: int, k: int) -> list[ConstForm]:
     """``omega^k /\\ b`` for each b in ``primitive_fiber_basis(n, s)``."""
-    return [wedge_terms([(omega_const(n, k), b)]) for b in primitive_fiber_basis(n, s)]
+    return [wedge_terms(omega_const(n, k), b) for b in primitive_fiber_basis(n, s)]
 
 
 @cache
@@ -154,7 +154,7 @@ def fiber_d_table(n: int, s: int, r: int) -> tuple[FiberTable, int]:
     for c in range(2 * n):
         row = []
         for fi, b in enumerate(primitive_fiber_basis(n, s)):
-            coords = _split_coords(n, s + 1, wedge_terms([({(c,): 1}, b)]))
+            coords = _split_coords(n, s + 1, wedge_terms({(c,): 1}, b))
             for comp_r, fj in coords:
                 if r == 1 and comp_r > 1:
                     raise InternalInvariantError(
@@ -213,14 +213,16 @@ def _apply_omega_map(a: AnyForm, shift: int, top: int) -> AnyForm:
 
 def L_power(p: int, a: AnyForm) -> AnyForm:
     """Add p powers of omega (p >= 0) or strip |p| powers componentwise (p < 0)."""
+    if type(p) is not int:
+        raise ValueError(f"L_power wants an int p, got {p!r}")
     return _apply_omega_map(a, p, a.n)
 
 
 def pi_p(p: int, a: AnyForm) -> AnyForm:
     """Truncate the decomposition to omega-exponent <= p; pi_p(0, .) projects
     onto the primitive component."""
-    if p < 0:
-        raise ValueError("pi_p wants p >= 0")
+    if type(p) is not int or p < 0:
+        raise ValueError(f"pi_p wants an int p >= 0, got {p!r}")
     return _apply_omega_map(a, 0, p)
 
 

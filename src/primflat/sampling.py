@@ -19,7 +19,7 @@ from typing import Any, Callable, Optional
 from .connection import Connection, generate_flat
 from .forms import Form, MatrixForm, VectorForm, all_indices
 from .lefschetz import pi_p
-from .scalars import Monomial
+from .scalars import Monomial, _check_count
 from .ainfinity import MINUS, PLUS, PrimElement, grading_position
 
 
@@ -45,10 +45,9 @@ def run_trials(name: str, trials: int, sample: Callable[[], Any],
     A draw fails when ``residual(draw)`` is not zero (``.is_zero``).
     Draws are taken one at a time, each followed by its residual, so a
     seeded sampler draws in the same order whatever the residuals are.  A
-    negative ``trials`` raises ValueError.
+    ``trials`` that is not an int >= 0 (a bool is not) raises ValueError.
     """
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+    _check_count("trials", trials, "trials")
     report = TrialReport(name, trials)
     for _ in range(trials):
         drawn = sample()

@@ -47,6 +47,14 @@ def _chart(n) -> int:
     return n
 
 
+def _check_count(name: str, value, what: str) -> None:
+    """Refuse a ``value`` that is not an int (a bool is not), or is negative."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{what} must be >= 0, got {value}")
+
+
 def _accumulate(out: dict, num: Mapping, factor: Scalar) -> dict:
     """``out += factor * num`` in place on sparse dicts of exact rationals, no
     zero in ``num`` and ``factor`` nonzero; cancelled sums drop."""

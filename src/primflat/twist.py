@@ -33,8 +33,7 @@ from .connection import Connection, analyze_flatness, covariant_d
 from .errors import InternalInvariantError
 from .forms import VectorForm
 from .lefschetz import L_power, _require_primitive, pi_p
-from .ainfinity import (PLUS, PrimElement, _differential, add_elements, apply_m, m1,
-                        scale_element)
+from .ainfinity import PrimElement, _differential, add_elements, apply_m, m1, scale_element
 from .sampling import TrialReport, rand_prim_element, run_trials
 
 
@@ -63,7 +62,7 @@ def del_minus_A(conn: Connection, beta: VectorForm) -> VectorForm:
 
 def connection_element(conn: Connection) -> PrimElement:
     """The connection form as a matrix-valued degree-1 algebra element."""
-    return PrimElement._trusted(PLUS, 1, conn.A)  # every 1-form is primitive
+    return PrimElement._at(1, conn.A)  # every 1-form is primitive
 
 
 def twisting_series(conn: Connection, b: PrimElement) -> PrimElement:
@@ -94,8 +93,7 @@ def twisted_m1(conn: Connection, a: PrimElement, verify: bool = True) -> PrimEle
         diff = add_elements(series, scale_element(-1, value))
         if not diff.is_zero:
             raise InternalInvariantError(
-                "branch table and twisting series disagree on "
-                f"P{a.s}{a.side}: {diff!r}")
+                f"branch table and twisting series disagree on {a.label}: {diff!r}")
     return value
 
 

@@ -331,7 +331,7 @@ def test_payload_must_be_primitive():
 
 def test_trusted_element_equals_checked_one():
     beta = rand_primitive_form(random.Random(3), 2, 2)
-    trusted = PrimElement._trusted(MINUS, 2, beta)
+    trusted = PrimElement._at(3, beta)
     assert trusted == PrimElement(MINUS, 2, beta)
     assert trusted.grading == 3
     with pytest.raises(dataclasses.FrozenInstanceError):

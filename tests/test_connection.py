@@ -12,7 +12,7 @@ from primflat.connection import (Connection, analyze_flatness, covariant_d,
                                  yang_mills_residual)
 from primflat.errors import InternalInvariantError
 from primflat.forms import (Form, MatrixForm, exterior_d, lambda_standard,
-                            omega, wedge)
+                            omega, omega_power, wedge)
 from primflat.sampling import (rand_connection, rand_constant_matrix,
                                rand_flat_connection, rand_unipotent,
                                rand_vector_form)
@@ -254,3 +254,14 @@ def test_broken_potential_names_choice_n_rank_and_index(monkeypatch):
                              r"to omega: d\(lambda\) - omega is nonzero at form index "
                              r"\(1, 3\)$"):
         generate_flat(2, 1, [[1]], lambda_choice="partial")
+
+
+def test_chart_and_rank_must_be_ints_at_least_one():
+    # each of these built a form or connection on a chart of n = 0, -1 or True
+    for build in (lambda: omega(0), lambda: omega_power(-1, 1), lambda: omega_power(True, 1),
+                  lambda: Connection(True, 1, MatrixForm.zero(1, 1, 1))):
+        with pytest.raises(ValueError, match="^chart dimension n must be an int >= 1"):
+            build()
+    for rank in (True, 0, 1.0):
+        with pytest.raises(ValueError, match="^connection rank must be an int >= 1"):
+            Connection(1, rank, MatrixForm.zero(1, 1, 1))

@@ -9,7 +9,7 @@ import pytest
 
 from primflat.dsl import (MAX_NESTING, ParseError, parse_form, parse_poly, print_form,
                           print_poly)
-from primflat.forms import Form, all_indices, lambda_standard, omega
+from primflat.forms import Form, VectorForm, all_indices, lambda_standard, omega
 from primflat.sampling import rand_form
 from primflat.scalars import Poly
 
@@ -221,3 +221,10 @@ def test_printer_matches_the_fraction_oracle(n):
             if degree == 0:
                 assert print_poly(form.terms.get((), Poly.zero(n))) == text
     assert bare >= 5
+
+
+def test_print_form_refuses_a_fiber_form():
+    # a vector failed on comparing its (slot, index) keys with int indices
+    vector = VectorForm([omega(1), Form.zero(1, 2)], 2)
+    with pytest.raises(TypeError, match="got a VectorForm; fiber forms print entry by entry"):
+        print_form(vector)

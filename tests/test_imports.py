@@ -18,7 +18,10 @@ no package code reads ``.entries`` or ``.flat``, and only ``cli._form_json``
 reads ``.nested``, so every other reader goes through the numerators.
 Every element has a position, zero included: no package code names a
 positionless zero (``ZERO``, ``_ZeroElement``) or stands ``None`` in for a
-zero cone element (``Optional[ConeElement]``).
+zero cone element (``Optional[ConeElement]``).  Every element is built at
+its grading: no package code names the retired ``_trusted`` or
+``_make_minus``, and a position is spelled ``f"P{s}{side}"`` only in
+``PrimElement.label`` and ``cohomology.position_label``.
 """
 
 import ast
@@ -104,19 +107,25 @@ POLY_PLACES = {"scalars": None, "forms": {"", "Form.__init__", "Form.terms"},
                "dsl": {"", "parse_poly", "print_poly"}}
 
 
-def _places_naming(tree, name, where="", attribute=False):
-    """Qualified names of the definitions whose code (not docstrings) names
-    ``name``, or only reads it as an attribute when ``attribute`` is set."""
+def _places_where(tree, match, where=""):
+    """Qualified names of the definitions whose code holds a node ``match`` accepts."""
     for node in ast.iter_child_nodes(tree):
         inner = where
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = f"{where}.{node.name}" if where else node.name
-        if (isinstance(node, ast.Attribute) and node.attr == name
-                or not attribute and (isinstance(node, ast.Name) and node.id == name
-                                      or isinstance(node, ast.alias)
-                                      and name in (node.name, node.asname))):
+        if match(node):
             yield where
-        yield from _places_naming(node, name, inner, attribute)
+        yield from _places_where(node, match, inner)
+
+
+def _places_naming(tree, name, attribute=False):
+    """Qualified names of the definitions whose code (not docstrings) names
+    ``name``, or only reads it as an attribute when ``attribute`` is set."""
+    return _places_where(tree, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == name
+        or not attribute and (isinstance(node, ast.Name) and node.id == name
+                              or isinstance(node, ast.alias)
+                              and name in (node.name, node.asname))))
 
 
 @pytest.mark.parametrize("name", SUBMODULES)
@@ -145,3 +154,22 @@ def test_entry_views_stay_at_the_boundary(name):
     for view, allowed in VIEW_PLACES.items():
         places = {f"{name}.{place}" for place in _places_naming(tree, view, attribute=True)}
         assert places <= allowed, (view, sorted(places - allowed))
+
+
+def _spells_position(node):
+    """An f-string with a literal P just before two replacement fields, as in f"P{s}{side}"."""
+    parts = node.values if isinstance(node, ast.JoinedStr) else []
+    return any(isinstance(a, ast.Constant) and a.value.endswith("P")
+               and isinstance(b, ast.FormattedValue) and isinstance(c, ast.FormattedValue)
+               for a, b, c in zip(parts, parts[1:], parts[2:]))
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_elements_are_built_at_their_grading(name):
+    tree = ast.parse(SOURCES[name].read_text(encoding="utf-8"))
+    named = {getattr(node, field, None) for node in ast.walk(tree)
+             for field in ("id", "attr", "name")}
+    assert not named & {"_trusted", "_make_minus"}
+    places = {f"{name}.{place}" for place in _places_where(tree, _spells_position)}
+    assert places <= {"ainfinity.PrimElement.label", "cohomology.position_label"}, places
+

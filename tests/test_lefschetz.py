@@ -8,15 +8,15 @@ import pytest
 
 from primflat.errors import InternalInvariantError
 from primflat.forms import (Form, MatrixForm, VectorForm, all_indices, exterior_d,
-                            lambda_standard, omega, omega_const, omega_power, wedge,
-                            wedge_terms)
+                            lambda_standard, merge_indices, omega, omega_const, omega_power,
+                            wedge, wedge_terms)
 from primflat.lefschetz import (L_power, _omega_map, component_range, decompose, del_minus,
                                 del_plus, fiber_d_table, is_primitive, pi_p,
                                 primitive_fiber_basis, primitive_fiber_coords, star_r)
 from primflat.sampling import rand_form, rand_primitive_form
 from primflat.scalars import Poly
 
-from oracle import (FractionPoly, L_power_by_wedge, fraction_polys, is_primitive_by_wedge,
+from oracle import (L_power_by_wedge, fraction_polys, is_primitive_by_wedge,
                     labelled, omega_map_by_wedge, pi_p_by_wedge, reassemble, vec_add_scaled,
                     wedge_by_sorting)
 
@@ -276,30 +276,41 @@ def test_wedge_terms_matches_sorting_oracle():
             coeffs = {idx: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for idx in picks}
             pair.append({idx: c for idx, c in coeffs.items() if c})
         samples.append(pair)
-    # the same samples over int (times 6 clears every denominator), Fraction
-    # and polynomial (times the non-constant 1 + x1) coefficients
-    poly = FractionPoly(n, {(0,) * (2 * n): 1, (1,) + (0,) * (2 * n - 1): 1})
-    rings = [lambda c: int(6 * c), Fraction, poly.scaled]
-    for ring in rings:
-        maps = [tuple({idx: ring(c) for idx, c in side.items()} for side in pair)
-                for pair in samples]
-        for a, b in maps:
-            assert wedge_terms([(a, b)]) == wedge_by_sorting(a, b), (a, b)
-        # several pairs sum into one map
-        for first in range(0, len(maps) - 3, 3):
-            chunk = maps[first:first + 3]
-            expected = {}
-            for a, b in chunk:
-                for idx, c in wedge_by_sorting(a, b).items():
-                    expected[idx] = expected[idx] + c if idx in expected else c
-            expected = {idx: c for idx, c in expected.items() if c != 0}
-            assert wedge_terms(chunk) == expected, chunk
+    # the same samples over int (times 6 clears every denominator) and
+    # Fraction coefficients
+    for ring in (lambda c: int(6 * c), Fraction):
+        for pair in samples:
+            a, b = ({idx: ring(c) for idx, c in side.items()} for side in pair)
+            assert wedge_terms(a, b) == wedge_by_sorting(a, b), (a, b)
     for r in range(0, n + 2):
         power = {(): 1}
         for _ in range(r):
             power = wedge_by_sorting(power, {(i, n + i): 1 for i in range(n)})
         assert omega_const(n, r) == power
         assert omega_const(n, r) == const_values(omega_power(n, r))
+
+
+@pytest.mark.parametrize("p", [1.5, 0.5, True])
+@pytest.mark.parametrize("operator", [lambda p: omega_power(2, p),
+                                      lambda p: L_power(p, Form.dx(2, 1)),
+                                      lambda p: pi_p(p, Form.dx(2, 1))],
+                         ids=["omega_power", "L_power", "pi_p"])
+def test_lefschetz_exponents_must_be_ints(operator, p):
+    # 1.5 recursed without bound in omega_const, 0.5 acted as 0 and True as 1
+    with pytest.raises(ValueError, match=f"wants an int p.*got {p}$"):
+        operator(p)
+
+
+def test_merge_indices_matches_sorting_oracle_on_every_pair():
+    # every pair of basis indices: an overlap gives None, any other the sorted
+    # union with the sign the sorting oracle gives
+    for n in (1, 2, 3):
+        indices = [idx for degree in range(2 * n + 1) for idx in all_indices(n, degree)]
+        for left in indices:
+            for right in indices:
+                merged = merge_indices(left, right)
+                got = {} if merged is None else {merged[1]: merged[0]}
+                assert got == wedge_by_sorting({left: 1}, {right: 1}), (left, right)
 
 
 @pytest.mark.parametrize("table,args", [(fiber_d_table, (2, 1, 0)), (_omega_map, (2, 2, -1, 2))],

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from primflat.cohomology import closedlem_check
 from primflat.cone import check_chain_identities
 from primflat.connection import generate_flat
 from primflat.dsl import print_form
@@ -54,6 +55,15 @@ def test_negative_trials_are_refused(check):
     conn = generate_flat(1, 1, [[1]])
     with pytest.raises(ValueError, match="^trials must be >= 0, got -3$"):
         check(conn, trials=-3)
+
+
+@pytest.mark.parametrize("trials", [True, 1.5])
+@pytest.mark.parametrize("check", [check_square_zero, check_chain_identities, closedlem_check])
+def test_trials_that_are_not_ints_are_refused(check, trials):
+    # True ran one trial and reported trials=True; 1.5 failed inside range()
+    conn = generate_flat(1, 1, [[1]])
+    with pytest.raises(ValueError, match=f"^trials must be an int, got {trials}$"):
+        check(conn, trials=trials)
 
 
 def _printed(a):
