@@ -109,7 +109,7 @@ from .forms import (Form, LAMBDA_CHOICES, VectorForm, all_indices, omega_const, 
 from .lefschetz import (FiberTable, L_power, fiber_d_table, pi_p, primitive_fiber_basis,
                         primitive_fiber_coords)
 from .linalg import Echelon, Vec, kernel_basis
-from .scalars import Monomial, _accumulate, _check_count, monomials_up_to
+from .scalars import Monomial, _accumulate, _chart, _check_count, monomials_up_to
 from .ainfinity import (MINUS, PLUS, PrimElement, _position, add_elements, grading_position,
                         m1, m2, scale_element)
 from .sampling import TrialReport, run_trials
@@ -146,6 +146,12 @@ class TruncatedSpace:
 
     def __post_init__(self):
         _check_kind(self.kind)
+        _chart(self.n)
+        if type(self.grading) is not int:
+            raise ValueError(f"grading must be an int, got {self.grading!r}")
+        for name, value in (("rank", self.rank), ("code base", self.base)):
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
         # the code layout of the module docstring, derived once: the digit
         # ``weights`` of a monomial code, the constant ``fibers`` bases, one
         # per slot, the ``stride`` of one unit of monomial code, and the
@@ -227,7 +233,7 @@ class TruncatedSpace:
     def coords_of(self, element: Union[PrimElement, ConeElement]) -> Vec:
         """The coordinates of an element of this position, over codes; an
         element of the other complex, of another n or rank, or at another
-        position raises ValueError, a zero one too."""
+        position raises ValueError, a zero one too, as does an exponent past the base."""
         cone = self.kind == "cone"
         if not isinstance(element, ConeElement if cone else PrimElement):
             raise ValueError(f"a {type(element).__name__} is not an element of the "
@@ -250,6 +256,9 @@ class TruncatedSpace:
             if cone:
                 place = {idx: f for f, (idx,) in enumerate(fiber)}  # unit forms {idx: 1}
             for (u, mono), const in consts.items():
+                if max(mono) >= self.base:
+                    raise ValueError(f"element at {self.label} has exponent {max(mono)}, "
+                                     f"past code base {self.base}")
                 at = slot * self.slot + self.mono(mono) * self.stride + u
                 coords = ({place[idx]: k for idx, k in const.items()} if cone
                           else primitive_fiber_coords(self.n, vector.degree, const))
@@ -574,21 +583,25 @@ def cohomology_dims(conn: Connection, kind: str = "prim", D: int = 5,
     return CohomologyReport(kind, D, margins, reports)
 
 
-def exactness_witness(conn: Connection, kind: str,
-                      element: Union[PrimElement, ConeElement],
+def exactness_witness(conn: Connection, element: Union[PrimElement, ConeElement],
                       D_search: Optional[int] = None):
     """Solve differential(xi) == element, or report (None) that none exists
     up to D_search.
 
-    The default search bound is the element's coefficient degree plus two:
-    in the constant frame the exactness constructions grow witnesses by at
-    most two degrees.  A zero element, once checked against the complex,
-    gets the zero witness one grading below it (at grading -1 for a zero
-    at grading 0), with no column built.
+    The element's type picks the complex, cone or primitive; anything else
+    raises TypeError.  The default search bound is the element's coefficient
+    degree plus two: in the constant frame the exactness constructions grow
+    witnesses by at most two degrees.  A zero element, once checked against
+    the complex, gets the zero witness one grading below it (at grading -1
+    for a zero at grading 0), with no column built.
     """
-    _check_kind(kind)
+    if isinstance(element, ConeElement):
+        kind, parts = "cone", (element.eta, element.xi)
+    elif isinstance(element, PrimElement):
+        kind, parts = "prim", (element.payload,)
+    else:
+        raise TypeError(f"expected a PrimElement or a ConeElement, got a {type(element).__name__}")
     grading = element.grading
-    parts = (element.eta, element.xi) if isinstance(element, ConeElement) else (element.payload,)
     elem_degree = max((d for d in (p.coefficient_degree() for p in parts) if d is not None),
                       default=0)
     if D_search is None:
@@ -596,7 +609,7 @@ def exactness_witness(conn: Connection, kind: str,
     _check_count("D_search", D_search, "search truncation")
     base = _base(conn, kind, max(D_search, elem_degree))
     target = _space(conn, kind, grading, base)
-    coords = target.coords_of(element)  # an element of another complex raises here
+    coords = target.coords_of(element)  # an element of another n or rank raises here
     below = _space(conn, kind, grading - 1, base)
     if not coords:
         return below.element_from_coords({})

@@ -103,10 +103,14 @@ class ConeElement:
         return ConeElement(self.grading, -self.eta, -self.xi)
 
 
+def _check_matches(conn: Connection, n: int, rank: int) -> None:
+    if (n, rank) != (conn.n, conn.rank):
+        raise ValueError("element does not match the connection")
+
+
 def cone_d(conn: Connection, a: ConeElement) -> ConeElement:
     """The cone differential; nilpotent iff the connection is flat."""
-    if a.rank != conn.rank or a.n != conn.n:
-        raise ValueError("element does not match the connection")
+    _check_matches(conn, a.n, a.rank)
     phi = analyze_flatness(conn).Phi
     eta_out = covariant_d(conn, a.eta) + wedge(omega(conn.n), a.xi)
     xi_out = -(wedge(phi, a.eta) + covariant_d(conn, a.xi))
@@ -143,6 +147,7 @@ def cone_split(a: ConeElement) -> tuple[dict[int, VectorForm], dict[int, VectorF
 
 def map_f(conn: Connection, a: ConeElement) -> PrimElement:
     """Chain map from the cone to the primitive complex."""
+    _check_matches(conn, a.n, a.rank)
     n = a.n
     eta_comps, xi_comps = cone_split(a)
     if a.grading <= n:
@@ -157,6 +162,7 @@ def map_g(conn: Connection, b: PrimElement) -> ConeElement:
     """Chain map from the primitive complex into the cone."""
     if not isinstance(b.payload, VectorForm):
         raise TypeError("map_g wants vector-fiber elements")
+    _check_matches(conn, b.n, b.payload.rank)
     if b.side == PLUS:
         xi = -L_power(-1, covariant_d(conn, b.payload))
         return ConeElement(b.grading, b.payload, xi)

@@ -135,13 +135,20 @@ def gauge_apply(conn: Connection, g: MatrixForm, g_inv: MatrixForm) -> Connectio
 
     A' = g A g^{-1} + g d(g^{-1}); the curvature transforms by conjugation.
     """
-    if g.degree != 0 or g_inv.degree != 0:
-        raise ValueError("gauge matrices must have degree 0")
+    _check_gauge(conn.n, conn.rank, g, "gauge")
+    _check_gauge(conn.n, conn.rank, g_inv, "gauge inverse")
     identity = MatrixForm.identity(conn.n, conn.rank)
     if wedge(g, g_inv) != identity or wedge(g_inv, g) != identity:
         raise ValueError("gauge inverse check failed: g * g_inv != identity")
     new_A = wedge(wedge(g, conn.A), g_inv) + wedge(g, exterior_d(g_inv))
     return Connection(conn.n, conn.rank, new_A)
+
+
+def _check_gauge(n: int, rank: int, g: MatrixForm, name: str) -> None:
+    """Refuse a gauge matrix that is not of degree 0 and rank ``rank`` on the chart ``n``."""
+    if (g.n, g.rank, g.degree) != (n, rank, 0):
+        raise ValueError(f"{name} must be a degree-0 rank-{rank} matrix on the chart n={n}, "
+                         f"got degree {g.degree}, rank {g.rank}, n={g.n}")
 
 
 def unipotent_inverse(g: MatrixForm) -> MatrixForm:
@@ -184,6 +191,7 @@ def generate_flat(n: int, rank: int, phi0: Sequence[Sequence[Scalar]],
     conn = Connection(n, rank, MatrixForm.from_scalar_form(rows, lam))
     if gauge is None:
         return conn
+    _check_gauge(n, rank, gauge, "gauge")
     return gauge_apply(conn, gauge, unipotent_inverse(gauge))
 
 

@@ -24,7 +24,7 @@ import re
 from fractions import Fraction
 
 from .forms import Form, wedge
-from .scalars import Poly, coordinate_name, named_terms
+from .scalars import coordinate_name, named_terms
 
 
 class ParseError(ValueError):
@@ -187,13 +187,6 @@ def parse_form(src: str, n: int) -> Form:
     return result
 
 
-def parse_poly(src: str, n: int) -> Poly:
-    form = parse_form(src, n)
-    if form.degree != 0 and not form.is_zero:
-        raise ParseError("expected a scalar expression", 0)
-    return form.terms.get((), Poly.zero(n))
-
-
 # ---------- printing ----------
 
 def _scalar_text(n: int, num: dict, den: int) -> str:
@@ -208,10 +201,6 @@ def _scalar_text(n: int, num: dict, den: int) -> str:
     except ValueError:  # str() of an int past the interpreter's int-string limit
         raise ValueError("coefficient or exponent too long to print") from None
     return " ".join(bits) or "0"
-
-
-def print_poly(poly: Poly) -> str:
-    return _scalar_text(poly.n, poly.num, poly.den)
 
 
 def print_form(form: Form) -> str:

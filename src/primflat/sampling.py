@@ -1,4 +1,4 @@
-"""Seeded random generators for forms, algebra elements and connections,
+"""Seeded random generators for forms and for primitive and cone elements,
 and `run_trials`, the trial loop of every randomized identity check, whose
 `TrialReport` is the one result type of all of them.
 
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
-from .connection import Connection, generate_flat
 from .forms import Form, MatrixForm, VectorForm, all_indices
 from .lefschetz import pi_p
 from .scalars import Monomial, _check_count
@@ -155,29 +154,6 @@ def rand_element_at_grading(rng: random.Random, n: int, grading: int,
     return rand_prim_element(rng, n, fiber, rank, side, s, max_degree)
 
 
-def rand_constant_matrix(rng: random.Random, rank: int) -> list[list[Fraction]]:
-    return [[rand_fraction(rng) for _ in range(rank)] for _ in range(rank)]
-
-
-def rand_unipotent(rng: random.Random, n: int, rank: int, max_degree: int = 1) -> MatrixForm:
-    """Identity plus a strictly upper-triangular polynomial matrix.
-
-    At rank >= 2 the corner entry (0, rank - 1) is never zero, so the result
-    is never the identity.
-    """
-    def entry(i: int, j: int) -> Form:
-        if i >= j:
-            return Form.const(n, int(i == j))
-        terms = rand_terms(rng, n, max_degree, zero_ok=(i, j) != (0, rank - 1))
-        return Form._from_rationals(n, 0, {(): terms})
-    return MatrixForm([[entry(i, j) for j in range(rank)] for i in range(rank)], 0)
-
-
-def rand_connection(rng: random.Random, n: int, rank: int, max_degree: int = 2) -> Connection:
-    rows = [[rand_form(rng, n, 1, max_degree) for _ in range(rank)] for _ in range(rank)]
-    return Connection(n, rank, MatrixForm(rows, 1))
-
-
 def rand_vector_form(rng: random.Random, n: int, degree: int, rank: int,
                      max_degree: int = 2) -> VectorForm:
     # outside 0..2n every entry is the zero form, drawn without an rng call
@@ -194,18 +170,3 @@ def rand_cone_element(rng: random.Random, conn, grading: int,
     return ConeElement(grading,
                        rand_vector_form(rng, n, grading, rank, max_degree),
                        rand_vector_form(rng, n, grading - 1, rank, max_degree))
-
-
-def rand_flat_connection(rng: random.Random, n: int, rank: int,
-                         gauged: Optional[bool] = None) -> Connection:
-    """Symplectically flat connection from a random constant frame.
-
-    Randomly (or per ``gauged``) applies a unipotent gauge, and picks one of
-    the two primitive potentials for omega at random.
-    """
-    phi0 = rand_constant_matrix(rng, rank)
-    if gauged is None:
-        gauged = rng.random() < 0.5
-    gauge = rand_unipotent(rng, n, rank) if (gauged and rank > 1) else None
-    return generate_flat(n, rank, phi0, gauge=gauge,
-                         lambda_choice=rng.choice(["standard", "symmetric"]))

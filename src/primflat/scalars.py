@@ -11,10 +11,10 @@ basis index over one denominator and does all the package's arithmetic on
 them with ``_accumulate`` and ``_multiply``; a degree-0 form is the one
 coefficient ring, and ``named_terms`` spells its terms for the printer.
 
-`Poly` is only a validated boundary value: ``parse_poly`` returns one,
-``Form(n, degree, {index: Poly})`` takes them and ``Form.terms`` builds
-them back.  It has no ring operations beyond ``+`` and ``*``, which no
-package code calls.  ``Fraction`` appears only at the boundary: the public
+`Poly` is only a validated boundary value: ``Form(n, degree, {index: Poly})``
+takes them and ``Form.terms`` builds them back; the parser and printer work
+on degree-0 forms.  Its only ring operations, ``+`` and ``*``, have no
+caller in the package.  ``Fraction`` appears only at the boundary: the public
 constructor takes ``int`` or ``Fraction`` coefficients and the ``terms``
 property builds a fresh ``{mono: Fraction}`` dict.
 """

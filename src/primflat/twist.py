@@ -39,8 +39,8 @@ from .sampling import TrialReport, rand_prim_element, run_trials
 
 def delta_sign(k: int) -> int:
     """(-1)^((k-1)(k-2)/2): +1 for k = 1, 2 mod 4, -1 for k = 3, 0 mod 4."""
-    if k < 1:
-        raise ValueError("delta_sign wants k >= 1")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"delta_sign wants an int k >= 1, got {k!r}")
     return -1 if ((k - 1) * (k - 2) // 2) % 2 else 1
 
 

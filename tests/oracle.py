@@ -63,8 +63,14 @@ spaces at one base, so each helper builds its spaces at the base of the
 space or the call it is given; ``assemble_operator`` picks its own, from
 the degrees of A and Phi.  ``is_primitive_by_wedge`` tests primitivity by
 wedging with an omega power instead of contracting.
+
+``rand_connection`` and ``rand_flat_connection`` draw the seeded random
+connections of the tests, arbitrary and symplectically flat, with
+``rand_constant_matrix`` (the constant frame Phi0) and ``rand_unipotent``
+(the gauge) as their parts; the library itself never draws a connection.
 """
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -74,12 +80,13 @@ from primflat import cohomology
 from primflat.ainfinity import PLUS, grading_position
 from primflat.cohomology import TruncatedSpace, _space
 from primflat.cone import cone_d
-from primflat.connection import analyze_flatness, generate_flat
+from primflat.connection import Connection, analyze_flatness, generate_flat
 from primflat.dsl import parse_form
 from primflat.errors import InternalInvariantError
 from primflat.forms import (Form, MatrixForm, VectorForm, _merge, all_indices, omega_power,
                             wedge)
 from primflat.lefschetz import _decomp_table, decompose, primitive_fiber_basis
+from primflat.sampling import rand_form, rand_fraction, rand_terms
 from primflat.scalars import Poly, _multiply
 from primflat.twist import twisted_m1
 
@@ -648,3 +655,41 @@ def dense_gauge_rank4():
                      else parse_form(GAUGE_N[(i, j)], n) if i < j
                      else Form.zero(n, 0) for j in range(r)] for i in range(r)], 0)
     return generate_flat(n, r, diag(1, 0, 2, 0), gauge=g)
+
+
+def rand_constant_matrix(rng: random.Random, rank: int) -> list[list[Fraction]]:
+    return [[rand_fraction(rng) for _ in range(rank)] for _ in range(rank)]
+
+
+def rand_unipotent(rng: random.Random, n: int, rank: int, max_degree: int = 1) -> MatrixForm:
+    """Identity plus a strictly upper-triangular polynomial matrix.
+
+    At rank >= 2 the corner entry (0, rank - 1) is never zero, so the result
+    is never the identity.
+    """
+    def entry(i: int, j: int) -> Form:
+        if i >= j:
+            return Form.const(n, int(i == j))
+        terms = rand_terms(rng, n, max_degree, zero_ok=(i, j) != (0, rank - 1))
+        return Form._from_rationals(n, 0, {(): terms})
+    return MatrixForm([[entry(i, j) for j in range(rank)] for i in range(rank)], 0)
+
+
+def rand_connection(rng: random.Random, n: int, rank: int, max_degree: int = 2) -> Connection:
+    rows = [[rand_form(rng, n, 1, max_degree) for _ in range(rank)] for _ in range(rank)]
+    return Connection(n, rank, MatrixForm(rows, 1))
+
+
+def rand_flat_connection(rng: random.Random, n: int, rank: int,
+                         gauged: Optional[bool] = None) -> Connection:
+    """Symplectically flat connection from a random constant frame.
+
+    Randomly (or per ``gauged``) applies a unipotent gauge, and picks one of
+    the two primitive potentials for omega at random.
+    """
+    phi0 = rand_constant_matrix(rng, rank)
+    if gauged is None:
+        gauged = rng.random() < 0.5
+    gauge = rand_unipotent(rng, n, rank) if (gauged and rank > 1) else None
+    return generate_flat(n, rank, phi0, gauge=gauge,
+                         lambda_choice=rng.choice(["standard", "symmetric"]))

@@ -16,14 +16,13 @@ from primflat.errors import InternalInvariantError
 from primflat.forms import (Form, MatrixForm, VectorForm, all_indices, lambda_standard,
                             merge_indices, wedge)
 from primflat.linalg import Echelon, kernel_basis
-from primflat.sampling import rand_unipotent
 from primflat.scalars import Poly, monomials_up_to
 from primflat.ainfinity import PLUS, PrimElement, grading_position
 from primflat.cone import ConeElement, cone_d
 from primflat.twist import twisted_m1
 
 from oracle import (FractionEchelon, assemble_operator, contains, dense_gauge_rank4, diag,
-                    survivors_by_margin, symbolic_column, symbolic_columns)
+                    rand_unipotent, survivors_by_margin, symbolic_column, symbolic_columns)
 
 
 def test_assemble_untwisted_functions():
@@ -280,7 +279,7 @@ def test_exactness_witness_for_phi_times_closed():
         tried += 1
         from primflat.twist import del_minus_A, del_plus_A
         assert del_plus_A(conn, del_minus_A(conn, beta.payload)) == image
-        witness = exactness_witness(conn, "prim", PrimElement(PLUS, 1, image))
+        witness = exactness_witness(conn, PrimElement(PLUS, 1, image))
         assert witness is not None
         found += 1
     assert tried >= 5 and found == tried
@@ -291,7 +290,7 @@ def test_exactness_witness_for_image_of_phi_constants():
     conn = generate_flat(2, 2, diag(1, 0))
     lam = lambda_standard(2)
     element = PrimElement(PLUS, 1, VectorForm([lam, Form.zero(2, 1)], 1))
-    witness = exactness_witness(conn, "prim", element)
+    witness = exactness_witness(conn, element)
     assert witness is not None
     image = twisted_m1(conn, witness, verify=True)
     assert image.payload == element.payload
@@ -315,7 +314,7 @@ def test_exactness_witness_undoes_the_column_scale(kind):
         return twisted_m1(conn, x, verify=False) if kind == "prim" else cone_d(conn, x)
 
     element = differential(source)
-    witness = exactness_witness(conn, kind, element)
+    witness = exactness_witness(conn, element)
     assert witness is not None
     assert target.coords_of(differential(witness)) == target.coords_of(element)
 
@@ -324,7 +323,7 @@ def test_no_witness_for_cokernel_classes():
     conn = generate_flat(2, 2, diag(1, 0))
     lam = lambda_standard(2)
     element = PrimElement(PLUS, 1, VectorForm([Form.zero(2, 1), lam], 1))
-    assert exactness_witness(conn, "prim", element, D_search=6) is None
+    assert exactness_witness(conn, element, D_search=6) is None
 
 
 def test_zero_is_exact():
@@ -334,25 +333,48 @@ def test_zero_is_exact():
     conn = generate_flat(1, 2, [[1, 0], [0, 0]])
     image = twisted_m1(conn, PrimElement(PLUS, 0, VectorForm.unit(1, 2, 1)))
     assert image.is_zero and image.grading == 1
-    zeros = {"prim": [image, PrimElement(PLUS, 0, VectorForm.zero(1, 0, 2)),
-                      PrimElement(PLUS, 1, VectorForm.zero(1, 1, 2))],
-             "cone": [ConeElement.zero(1, 2, 0), ConeElement.zero(1, 2, 2)]}
-    for kind, elements in zeros.items():
-        for element in elements:
-            witness = exactness_witness(conn, kind, element)
-            assert witness.is_zero and witness.grading == element.grading - 1
-    # a zero element is still checked against the complex before it is answered
+    zeros = [image, PrimElement(PLUS, 0, VectorForm.zero(1, 0, 2)),
+             PrimElement(PLUS, 1, VectorForm.zero(1, 1, 2)),
+             ConeElement.zero(1, 2, 0), ConeElement.zero(1, 2, 2)]
+    for element in zeros:
+        witness = exactness_witness(conn, element)
+        # the element picks the complex, so the witness is of its type
+        assert type(witness) is type(element)
+        assert witness.is_zero and witness.grading == element.grading - 1
+    # a zero element is still checked against the complex before it is answered,
+    # and a zero form is no element of either complex
     with pytest.raises(ValueError, match="^element has vector rank 3, the complex rank 2$"):
-        exactness_witness(conn, "prim", PrimElement(PLUS, 0, VectorForm.zero(1, 0, 3)))
-    with pytest.raises(ValueError, match="^a ConeElement is not an element of the prim complex$"):
-        exactness_witness(conn, "prim", ConeElement.zero(1, 2, 0))
-    with pytest.raises(ValueError, match="complex kind must be 'prim' or 'cone', got"):
-        exactness_witness(conn, "Prim", image)
+        exactness_witness(conn, PrimElement(PLUS, 0, VectorForm.zero(1, 0, 3)))
+    with pytest.raises(TypeError, match="^expected a PrimElement or a ConeElement, got a "
+                                        "VectorForm$"):
+        exactness_witness(conn, image.payload)
 
 
 def test_truncated_space_checks_its_kind():
     with pytest.raises(ValueError, match="^complex kind must be 'prim' or 'cone', got 'prism'$"):
         TruncatedSpace("prism", 1, 1, 1, 10)
+
+
+@pytest.mark.parametrize("fields,message", [
+    ((0, 1, 0, 3), "chart dimension n must be an int >= 1, got 0"),
+    ((True, 1, 0, 3), "chart dimension n must be an int >= 1, got True"),
+    ((1, 0, 0, 3), "rank must be an int >= 1, got 0"),
+    ((1, True, 0, 3), "rank must be an int >= 1, got True"),
+    ((1, 1, 0.5, 3), "grading must be an int, got 0.5"),
+    ((1, 1, False, 3), "grading must be an int, got False"),
+    ((1, 1, 0, 0), "code base must be an int >= 1, got 0"),
+    ((1, 1, 0, True), "code base must be an int >= 1, got True"),
+], ids=["n0", "n-bool", "rank0", "rank-bool", "grading-float", "grading-bool", "base0",
+        "base-bool"])
+def test_truncated_space_checks_its_fields(fields, message):
+    # n = 0 failed in max(), a float grading in range(), base 0 at the first
+    # key as an internal error, and rank 0 gave an empty space
+    for kind in ("prim", "cone"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TruncatedSpace(kind, *fields)
+    # the gradings just outside the complex and base 1 are in use
+    for grading in (-1, 4):
+        assert TruncatedSpace("prim", 1, 1, grading, 1).basis_keys(0) == []
 
 
 def test_closed_identities_count_their_trials():
@@ -564,7 +586,7 @@ def test_negative_truncations_are_rejected():
         assemble_operator(conn, "prim", (PLUS, 0), D_source=-1)
     element = PrimElement(PLUS, 1, VectorForm([lambda_standard(2), Form.zero(2, 1)], 1))
     with pytest.raises(ValueError):
-        exactness_witness(conn, "prim", element, D_search=-1)
+        exactness_witness(conn, element, D_search=-1)
 
 
 @pytest.mark.parametrize("call,message", [
@@ -576,7 +598,7 @@ def test_negative_truncations_are_rejected():
     (lambda conn, _: cohomology_dims(conn, D=True), "D must be an int, got True"),
     (lambda conn, _: closedlem_check(conn, D=2.0), "D must be an int, got 2.0"),
     (lambda conn, _: closedlem_check(conn, trials=2.0), "trials must be an int, got 2.0"),
-    (lambda conn, element: exactness_witness(conn, "prim", element, D_search=2.0),
+    (lambda conn, element: exactness_witness(conn, element, D_search=2.0),
      "D_search must be an int, got 2.0"),
 ], ids=["float-margin", "bool-margin", "float-D", "bool-D", "closedlem-D", "closedlem-trials",
         "witness-D"])
@@ -618,7 +640,7 @@ def test_witness_search_and_closedness_samples_keep_the_size_budget(monkeypatch)
     tail = (f" needs {size} basis keys at one position, "
             f"more than MAX_BASIS = {cohomology.MAX_BASIS}$")
     with pytest.raises(ValueError, match="^search truncation 9" + tail):
-        exactness_witness(conn, "prim", element, D_search=9)
+        exactness_witness(conn, element, D_search=9)
     with pytest.raises(ValueError, match="^truncation 9" + tail):
         closedlem_check(conn, trials=1, D=9)
 
@@ -684,10 +706,14 @@ def test_key_codes_round_trip_sort_as_keys_and_add_monomials(kind, n, rank):
                 shifted = (key[0], tuple(map(add, key[1], amono)), *key[2:])
                 assert code_of[shifted] == code + space.stride * space.mono(amono)
         for c in range(2 * n):
-            # an exponent at the base would carry into the next digit
+            # an exponent at the base would carry into the next digit: in an
+            # element it is refused as input, in a column it is a bug
             mono = tuple(base if i == c else 0 for i in range(2 * n))
-            with pytest.raises(InternalInvariantError, match=f"^exponent {base} of "):
+            with pytest.raises(ValueError, match=f"^element at {re.escape(space.label)} has "
+                                                 f"exponent {base}, past code base {base}$"):
                 space.coords_of(basis_element(space, keys[0][0], mono, *keys[0][2:]))
+            with pytest.raises(InternalInvariantError, match=f"^exponent {base} of "):
+                space.mono(mono)
 
 
 @pytest.mark.parametrize("kind", ["prim", "cone"])
@@ -735,26 +761,26 @@ MISMATCHES = [
 @pytest.mark.parametrize("own,n,rank,kind,message", MISMATCHES)
 def test_mismatched_elements_are_refused(own, n, rank, kind, message, grading):
     # a rank-3 element read as "not exact", an n = 2 one failed an index
-    # lookup, the other complex's element had no such attribute; at grading
-    # 0 they are refused before the early return
+    # lookup; at grading 0 they are refused before the early return.  The
+    # element picks the complex of its witness search, so only a space of
+    # the other complex can be asked for its coordinates
     conn = generate_flat(1, 2, diag(1, 0))
     space = TruncatedSpace(own, n, rank, grading, 2)
     element = space.element_from_key(space.basis_keys(0)[-1])
     with pytest.raises(ValueError, match=f"^{message}$"):
-        exactness_witness(conn, kind, element)
+        if own == kind:
+            exactness_witness(conn, element)
+        else:
+            _space(conn, kind, grading, 2).coords_of(element)
 
 
 @pytest.mark.parametrize("kind", ["Prim", ""])
 def test_unknown_complex_kinds_are_rejected(kind):
     # labels read every kind but "cone" as prim, columns every kind but "prim"
-    # as cone; a grading-0 element is refused before it meets the early return
+    # as cone
     conn = generate_flat(1, 1, [[0]])
     with pytest.raises(ValueError, match="complex kind must be 'prim' or 'cone', got"):
         cohomology_dims(conn, kind, D=1)
-    for space in (_space(conn, "prim", 0, 2), _space(conn, "cone", 0, 2)):
-        grading_0 = space.element_from_key(space.basis_keys(0)[0])
-        with pytest.raises(ValueError, match="complex kind must be 'prim' or 'cone', got"):
-            exactness_witness(conn, kind, grading_0)
 
 
 ORACLE_CASES = [

@@ -14,10 +14,11 @@ from primflat.connection import Connection, generate_flat
 from primflat.errors import InternalInvariantError
 from primflat.forms import (Form, MatrixForm, VectorForm, lambda_standard,
                             omega, omega_power, wedge)
-from primflat.sampling import (rand_cone_element, rand_element_at_grading,
-                               rand_flat_connection, rand_primitive_vector)
+from primflat.sampling import rand_cone_element, rand_element_at_grading, rand_primitive_vector
 from primflat.scalars import Poly
 from primflat.ainfinity import MINUS, PLUS, PrimElement, add_elements, scale_element
+
+from oracle import rand_flat_connection
 
 
 def zero_vec(n, degree, rank=1):
@@ -104,6 +105,33 @@ def test_map_f_examples():
     image = map_f(conn, a)
     assert image.side == PLUS and image.s == 1
     assert image.payload == beta
+
+
+# an element of another chart or rank, below or above the middle (its own n)
+MISMATCHED_SHAPES = [(n, rank, grading) for n, rank in [(2, 2), (1, 3), (2, 3)]
+                     for grading in (n, n + 1)]
+
+
+@pytest.mark.parametrize("n,rank,grading", MISMATCHED_SHAPES)
+def test_map_f_refuses_an_element_of_another_shape(n, rank, grading):
+    # below the middle it returned an element of the wrong shape, above it it
+    # failed deep inside with "chart dimension mismatch"
+    conn = generate_flat(1, 2, [[1, 0], [0, 0]])
+    other = Connection(n, rank, MatrixForm.zero(n, 1, rank))
+    a = rand_cone_element(random.Random(grading), other, grading)
+    with pytest.raises(ValueError, match="^element does not match the connection$"):
+        map_f(conn, a)
+
+
+@pytest.mark.parametrize("n,rank,grading", MISMATCHED_SHAPES)
+def test_map_g_refuses_an_element_of_another_shape(n, rank, grading):
+    # on the minus side it returned a cone element of the wrong shape, on the
+    # plus side it failed deep inside with "chart dimension mismatch"
+    conn = generate_flat(1, 2, [[1, 0], [0, 0]])
+    b = rand_element_at_grading(random.Random(grading), n, grading, "vector", rank)
+    assert b.side == (PLUS if grading == n else MINUS)
+    with pytest.raises(ValueError, match="^element does not match the connection$"):
+        map_g(conn, b)
 
 
 def test_f_after_g_is_identity():

@@ -13,10 +13,10 @@ from primflat.connection import (Connection, analyze_flatness, covariant_d,
 from primflat.errors import InternalInvariantError
 from primflat.forms import (Form, MatrixForm, exterior_d, lambda_standard,
                             omega, omega_power, wedge)
-from primflat.sampling import (rand_connection, rand_constant_matrix,
-                               rand_flat_connection, rand_unipotent,
-                               rand_vector_form)
+from primflat.sampling import rand_vector_form
 from primflat.scalars import Poly
+
+from oracle import rand_connection, rand_constant_matrix, rand_flat_connection, rand_unipotent
 
 
 def scalar_connection(n, form):
@@ -118,6 +118,37 @@ def test_gauge_inverse_is_checked():
     g = rand_unipotent(rng, 2, 2)
     with pytest.raises(ValueError):
         gauge_apply(conn, g, g)  # g is not its own inverse generically
+
+
+# a gauge of another chart, another rank, and of degree 1, for n = 1, rank 2
+BAD_GAUGES = {
+    "chart": (MatrixForm.identity(2, 2), "got degree 0, rank 2, n=2"),
+    "rank": (MatrixForm.identity(1, 3), "got degree 0, rank 3, n=1"),
+    "degree": (MatrixForm.from_scalar_form([[1, 0], [0, 1]], lambda_standard(1)),
+               "got degree 1, rank 2, n=1"),
+}
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["gauge", "gauge inverse"])
+@pytest.mark.parametrize("bad", BAD_GAUGES)
+def test_gauge_apply_names_the_shape_of_a_bad_gauge(bad, inverse):
+    # chart and rank failed the inverse check as if g_inv were wrong
+    conn = generate_flat(1, 2, [[1, 0], [0, 0]])
+    g, got = BAD_GAUGES[bad]
+    name = "gauge inverse" if inverse else "gauge"
+    with pytest.raises(ValueError, match=f"^{name} must be a degree-0 rank-2 matrix on the "
+                                         f"chart n=1, {got}$"):
+        gauge_apply(conn, *((MatrixForm.identity(1, 2), g) if inverse
+                            else (g, MatrixForm.identity(1, 2))))
+
+
+@pytest.mark.parametrize("bad", BAD_GAUGES)
+def test_generate_flat_checks_the_gauge_before_inverting_it(bad):
+    # a degree-1 gauge failed inside unipotent_inverse with "degree mismatch"
+    g, got = BAD_GAUGES[bad]
+    with pytest.raises(ValueError, match="^gauge must be a degree-0 rank-2 matrix on the "
+                                         f"chart n=1, {got}$"):
+        generate_flat(1, 2, [[1, 0], [0, 0]], gauge=g)
 
 
 def test_unipotent_inverse_is_exact():

@@ -7,8 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from primflat.dsl import (MAX_NESTING, ParseError, parse_form, parse_poly, print_form,
-                          print_poly)
+from primflat.dsl import MAX_NESTING, ParseError, parse_form, print_form
 from primflat.forms import Form, VectorForm, all_indices, lambda_standard, omega
 from primflat.sampling import rand_form
 from primflat.scalars import Poly
@@ -31,9 +30,10 @@ def test_parse_scaled_two_form():
 
 
 def test_parse_rational_and_negative_scalars():
-    assert parse_poly("-x2", 2) == Poly(2, {(0, 1, 0, 0): -1})
-    assert parse_poly("3/4", 1) == Poly.const(1, Fraction(3, 4))
-    assert parse_poly("1 - 2*y1 + y1", 1) == Poly(1, {(0, 0): 1, (0, 1): -1})
+    # a scalar expression parses to a degree-0 form
+    assert parse_form("-x2", 2) == Form(2, 0, {(): Poly(2, {(0, 1, 0, 0): -1})})
+    assert parse_form("3/4", 1) == Form.const(1, Fraction(3, 4))
+    assert parse_form("1 - 2*y1 + y1", 1) == Form(1, 0, {(): Poly(1, {(0, 0): 1, (0, 1): -1})})
 
 
 def test_parse_nested_parens():
@@ -137,11 +137,11 @@ def test_degree_zero_and_zero_forms():
     assert parse_form(print_form(Form.zero(2, 2)), 2).is_zero
 
 
-def test_print_poly_canonical():
+def test_print_scalar_canonical():
     p = Poly(2, {(2, 0, 0, 0): Fraction(3, 2), (0, 1, 0, 0): Fraction(-1)})
-    assert print_poly(p) == "-x2 + 3/2*x1^2"
-    assert print_poly(Poly.zero(2)) == "0"
-    assert print_poly(Poly.const(2, -5)) == "-5"
+    assert print_form(Form(2, 0, {(): p})) == "-x2 + 3/2*x1^2"
+    assert print_form(Form.zero(2, 0)) == "0"
+    assert print_form(Form.const(2, -5)) == "-5"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -218,8 +218,6 @@ def test_printer_matches_the_fraction_oracle(n):
             text = print_form(form)
             assert text == print_form_by_terms(form), terms
             bare += degree > 0 and any(t == 1 for t in terms.values())
-            if degree == 0:
-                assert print_poly(form.terms.get((), Poly.zero(n))) == text
     assert bare >= 5
 
 

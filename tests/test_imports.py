@@ -11,8 +11,11 @@ submodule, and every private method of its classes, is named somewhere in
 the package, the tests or the benchmark outside its own definition.
 
 ``Poly`` is a boundary value: outside ``scalars`` and the package
-``__init__`` only the public ``Form`` constructor, ``Form.terms``,
-``parse_poly`` and ``print_poly`` name it, so no internal path builds one.
+``__init__`` only the public ``Form`` constructor and ``Form.terms`` name
+it, so no internal path builds one.  The library keeps only what it runs:
+no module defines the retired test fixtures and ``Poly`` text helpers
+(``RETIRED``), ``sampling`` draws no connection, and ``exactness_witness``
+takes the complex from its element.
 The entry views of a fiber form are boundary views too: outside ``forms``
 no package code reads ``.entries`` or ``.flat``, and only ``cli._form_json``
 reads ``.nested``, so every other reader goes through the numerators.
@@ -103,8 +106,11 @@ def test_no_dead_definitions(name):
 
 
 # where a submodule may name Poly in code: "" is its module level (the import)
-POLY_PLACES = {"scalars": None, "forms": {"", "Form.__init__", "Form.terms"},
-               "dsl": {"", "parse_poly", "print_poly"}}
+POLY_PLACES = {"scalars": None, "forms": {"", "Form.__init__", "Form.terms"}}
+# test fixtures that live in tests/oracle.py, and the Poly text helpers that
+# parse_form and print_form replace on degree-0 forms
+RETIRED = {"rand_connection", "rand_flat_connection", "rand_unipotent", "rand_constant_matrix",
+           "parse_poly", "print_poly"}
 
 
 def _places_where(tree, match, where=""):
@@ -133,6 +139,33 @@ def test_poly_stays_at_the_boundary(name):
     allowed = POLY_PLACES.get(name, set())
     places = set(_places_naming(ast.parse(SOURCES[name].read_text(encoding="utf-8")), "Poly"))
     assert allowed is None or places <= allowed, sorted(places - allowed)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.stem)
+def test_retired_names_are_not_defined(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    defined |= {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert defined & RETIRED == set()
+
+
+def test_sampling_draws_no_connection():
+    tree = ast.parse(SOURCES["sampling"].read_text(encoding="utf-8"))
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    assert not {"connection", "primflat.connection"} & modules
+
+
+def test_exactness_witness_takes_its_complex_from_the_element():
+    tree = ast.parse(SOURCES["cohomology"].read_text(encoding="utf-8"))
+    [args] = [node.args for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "exactness_witness"]
+    assert [arg.arg for arg in args.args] == ["conn", "element", "D_search"]
+    assert [ast.literal_eval(default) for default in args.defaults] == [None]
+    assert not (args.posonlyargs or args.vararg or args.kwonlyargs or args.kwarg)
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.stem)

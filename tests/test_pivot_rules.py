@@ -16,9 +16,8 @@ from primflat import cohomology
 from primflat.cohomology import _space
 from primflat.connection import generate_flat
 from primflat.linalg import Echelon
-from primflat.sampling import rand_unipotent
 
-from oracle import GaussJordanEchelon, diag
+from oracle import GaussJordanEchelon, diag, rand_unipotent
 from test_linalg import SEEDS, combination, fed_pair, random_entry
 
 

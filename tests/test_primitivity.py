@@ -8,11 +8,10 @@ import pytest
 from primflat.ainfinity import PLUS, m1, m2, m3
 from primflat.cone import map_f
 from primflat.connection import generate_flat
-from primflat.sampling import (rand_cone_element, rand_element_at_grading,
-                               rand_prim_element, rand_unipotent)
+from primflat.sampling import rand_cone_element, rand_element_at_grading, rand_prim_element
 from primflat.twist import twisted_m1
 
-from oracle import is_primitive_by_wedge
+from oracle import is_primitive_by_wedge, rand_unipotent
 
 FIBERS = [("scalar", 1), ("matrix", 2)]
 

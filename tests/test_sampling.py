@@ -10,10 +10,11 @@ from primflat.cone import check_chain_identities
 from primflat.connection import generate_flat
 from primflat.dsl import print_form
 from primflat.forms import Form
-from primflat.sampling import (TrialReport, rand_flat_connection, rand_form, rand_prim_element,
-                               rand_unipotent, run_trials)
+from primflat.sampling import TrialReport, rand_form, rand_prim_element, run_trials
 from primflat.scalars import Poly
 from primflat.twist import check_square_zero
+
+from oracle import rand_flat_connection, rand_unipotent
 
 
 def test_run_trials_counts_failures_and_keeps_the_first():

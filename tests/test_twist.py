@@ -6,19 +6,27 @@ import pytest
 
 from primflat.connection import Connection, analyze_flatness, generate_flat
 from primflat.forms import Form, MatrixForm, VectorForm, lambda_standard, omega, wedge
-from primflat.sampling import (rand_connection, rand_flat_connection,
-                               rand_prim_element, rand_primitive_vector)
+from primflat.sampling import rand_prim_element, rand_primitive_vector
 from primflat.scalars import Poly
 from primflat.ainfinity import MINUS, PLUS, PrimElement, add_elements, m1, scale_element
 from primflat.twist import (check_square_zero, del_minus_A, del_plus_A,
                             delta_sign, m1_prime_of_A, twisted_m1,
                             twisting_series)
 
+from oracle import rand_connection, rand_flat_connection
+
 
 def test_delta_sign_values():
     assert [delta_sign(k) for k in range(1, 9)] == [1, 1, -1, -1, 1, 1, -1, -1]
     with pytest.raises(ValueError):
         delta_sign(0)
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, True])
+def test_delta_sign_refuses_a_k_that_is_not_an_int(k):
+    # 1.5 gave -1 and True gave 1
+    with pytest.raises(ValueError, match=f"^delta_sign wants an int k >= 1, got {k!r}$"):
+        delta_sign(k)
 
 
 def test_delta_sign_product_rule():
